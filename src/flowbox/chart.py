@@ -22,7 +22,14 @@ import numpy as np
 from . import expressions as ex
 from .dynsys import VectorField
 from .fdiff import fd_gradient
-from .odeint import DEFAULT_CONFIG, IntegrationError, IntegratorConfig, find_crossings
+from .odeint import (
+    DEFAULT_CONFIG,
+    IntegrationError,
+    IntegratorConfig,
+    RunStats,
+    find_crossings,
+    find_crossings_batch,
+)
 
 __all__ = [
     "Surface",
@@ -364,6 +371,7 @@ class NonRecurrenceReport:
     transversality_failures: tuple  # (tau, inner product) below tolerance
     integration_failures: tuple  # (seed point, message)
     verdict: str                 # "pass" | "fail"
+    stats: RunStats = dataclasses.field(default_factory=RunStats)
 
 
 def check_nonrecurrent(
@@ -377,7 +385,7 @@ def check_nonrecurrent(
 
     Any orbit crossing more than once (the seed itself counts as one crossing)
     makes the surface recurrent.  Integration failures are recorded per orbit,
-    not fatal.
+    not fatal.  All seeded orbits are searched as one batch.
     """
     cfg = cfg or DEFAULT_CONFIG
     horizon = cfg.horizon if horizon is None else float(horizon)
@@ -388,13 +396,16 @@ def check_nonrecurrent(
     violations = []
     failures = []
     taus = halton(surface.dim - 1, n_orbits if surface.dim > 1 else 1)
-    for tau in taus:
-        x0 = np.asarray(surface.param(tau), dtype=float)
-        try:
-            events = find_crossings(field, x0, surface, horizon=horizon, cfg=cfg)
-        except IntegrationError as err:
-            failures.append((x0, str(err)))
+    seeds = [np.asarray(surface.param(tau), dtype=float) for tau in taus]
+    results, stats = find_crossings_batch(
+        field, seeds, surface, horizon=horizon, cfg=cfg
+    )
+    for x0, events in zip(seeds, results):
+        if isinstance(events, IntegrationError):
+            failures.append((x0, str(events)))
             continue
+        if isinstance(events, BaseException):
+            raise events
         crossing_times = [e.t for e in events if e.direction != 0 and e.on_patch]
         if len(crossing_times) > 1:
             violations.append((x0, tuple(crossing_times)))
@@ -405,6 +416,7 @@ def check_nonrecurrent(
         transversality_failures=trans_failures,
         integration_failures=tuple(failures),
         verdict=verdict,
+        stats=stats,
     )
 
 
@@ -469,6 +481,11 @@ def _chart_crossing(chart: Chart, x):
     events = find_crossings(
         chart.field, x, chart.surface, horizon=chart.horizon, cfg=chart.cfg
     )
+    return _unique_crossing(chart, x, events)
+
+
+def _unique_crossing(chart: Chart, x, events):
+    """The one on-patch transversal crossing among events, else a ChartError."""
     transversal = [e for e in events if e.direction != 0]
     on_patch = [e for e in transversal if e.on_patch]
     if len(on_patch) == 1:
@@ -506,7 +523,10 @@ def evaluate_h(chart: Chart, x) -> np.ndarray:
 
 def flowbox(chart: Chart, x) -> np.ndarray:
     """Flowbox coordinates (h_1, ..., h_{N-1}, m) from a single crossing search."""
-    event = _chart_crossing(chart, x)
+    return _coords(_chart_crossing(chart, x))
+
+
+def _coords(event) -> np.ndarray:
     return np.concatenate([event.params, [-event.t]])
 
 
@@ -535,10 +555,11 @@ STATUS_INTEGRATION = "integration-error"
 STATUS_DOMAIN = "domain-error"
 
 
-def _eval_one(chart: Chart, x):
+def _eval_one(chart: Chart, x, events):
     try:
-        z = flowbox(chart, x)
-        return z, STATUS_OK
+        if isinstance(events, BaseException):
+            raise events
+        return _coords(_unique_crossing(chart, x, events)), STATUS_OK
     except NotInOmega:
         return None, STATUS_NOT_IN_OMEGA
     except AmbiguousChart:
@@ -551,19 +572,19 @@ def _eval_one(chart: Chart, x):
         return None, STATUS_DOMAIN
 
 
-def evaluate_grid(chart: Chart, points: Sequence, threads: int = 1) -> list:
-    """Evaluate flowbox coordinates at many points.
+def evaluate_grid(
+    chart: Chart, points: Sequence, stats: Optional[RunStats] = None
+) -> list:
+    """Evaluate flowbox coordinates at many points with one batched search.
 
-    Returns [(point, z-or-None, status)] in input order.  `threads` > 1 fans
-    the pure per-point evaluations over a thread pool; ordering and results
-    are identical either way.
+    Returns [(point, z-or-None, status)] in input order, each row equal to
+    what flowbox() gives for that point alone (or the status of the error it
+    raises).  The batch's work counters are added to `stats` when given.
     """
     points = [np.asarray(p, dtype=float) for p in points]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda p: _eval_one(chart, p), points))
-    else:
-        results = [_eval_one(chart, p) for p in points]
-    return [(p, z, status) for p, (z, status) in zip(points, results)]
+    results, run = find_crossings_batch(
+        chart.field, points, chart.surface, horizon=chart.horizon, cfg=chart.cfg
+    )
+    if stats is not None:
+        stats.add(run)
+    return [(p, *_eval_one(chart, p, events)) for p, events in zip(points, results)]

@@ -11,11 +11,13 @@ Exit codes: 0 success, 1 usage error, 2 audit or verification failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import hashlib
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +30,7 @@ from . import refsol as refsol_mod
 from . import varfit as varfit_mod
 from .expressions import DomainError, ExpressionError, parse_expression
 from .fdiff import fd_gradient
-from .odeint import DEFAULT_CONFIG, IntegrationError, IntegratorConfig, flow
+from .odeint import DEFAULT_CONFIG, IntegrationError, IntegratorConfig, RunStats, flow
 
 __all__ = [
     "main",
@@ -104,23 +106,13 @@ def parse_grid_spec(spec: str, dim: int):
     return box, shape
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("FLOWBOX_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _config_hash(payload: dict) -> str:
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def _write_manifest(out_dir: Path, command: str, args: dict, outputs: list,
-                    summary: dict, started: str, seed=None) -> Path:
+                    summary: dict, started: str, seed=None, timings=None) -> Path:
     manifest = {
         "command": command,
         "args": args,
@@ -133,6 +125,8 @@ def _write_manifest(out_dir: Path, command: str, args: dict, outputs: list,
         "outputs": outputs,
         "summary": summary,
     }
+    if timings is not None:
+        manifest["timings"] = timings
     path = out_dir / "manifest.json"
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -181,7 +175,6 @@ def _grid_points(box: np.ndarray, shape) -> np.ndarray:
 
 def _integrator_config(abs_tol, rel_tol, horizon) -> IntegratorConfig:
     return IntegratorConfig(
-        method="rk45",
         abs_tol=abs_tol if abs_tol is not None else DEFAULT_CONFIG.abs_tol,
         rel_tol=rel_tol if rel_tol is not None else DEFAULT_CONFIG.rel_tol,
         max_steps=DEFAULT_CONFIG.max_steps,
@@ -220,6 +213,8 @@ def cmd_chart_build(system, surface_spec, grid_spec, out_dir, force=False,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    clock = time.perf_counter()
+    audit_stats = RunStats()
     if not force:
         try:
             chart = chart_mod.build_chart(
@@ -246,13 +241,18 @@ def cmd_chart_build(system, surface_spec, grid_spec, out_dir, force=False,
                     file=sys.stderr,
                 )
             return EXIT_AUDIT
+        audit_stats = report.stats
     else:
         chart = chart_mod.build_chart(
             field, surface, cfg=cfg, horizon=horizon, audit_transversal=False
         )
+    timings = {"audit_s": time.perf_counter() - clock}
 
+    clock = time.perf_counter()
     points = _grid_points(box, shape)
-    results = chart_mod.evaluate_grid(chart, points, threads=_thread_count())
+    evaluate_stats = RunStats()
+    results = chart_mod.evaluate_grid(chart, points, stats=evaluate_stats)
+    timings["evaluate_s"] = time.perf_counter() - clock
 
     n = field.dim
     header = (
@@ -260,6 +260,7 @@ def cmd_chart_build(system, surface_spec, grid_spec, out_dir, force=False,
         + [f"h{i + 1}" for i in range(n - 1)]
         + ["m", "status"]
     )
+    clock = time.perf_counter()
     csv_path = out / "chart_grid.csv"
     counts: dict = {}
     with open(csv_path, "w", newline="") as fh:
@@ -281,6 +282,13 @@ def cmd_chart_build(system, surface_spec, grid_spec, out_dir, force=False,
         "ok": ok,
         "ok_fraction": ok / total if total else 0.0,
         "statuses": counts,
+        "stats": {
+            "audit": dataclasses.asdict(audit_stats),
+            "evaluate": dataclasses.asdict(evaluate_stats),
+            "evaluate_rhs_evals_per_point": (
+                evaluate_stats.rhs_evals / total if total else 0.0
+            ),
+        },
     }
     args = {
         "system": field.name,
@@ -291,7 +299,9 @@ def cmd_chart_build(system, surface_spec, grid_spec, out_dir, force=False,
         "abs_tol": cfg.abs_tol,
         "rel_tol": cfg.rel_tol,
     }
-    _write_manifest(out, "chart-build", args, [csv_path.name], summary, started)
+    timings["write_s"] = time.perf_counter() - clock
+    _write_manifest(out, "chart-build", args, [csv_path.name], summary, started,
+                    timings=timings)
     print(
         f"chart-build: {ok}/{total} points ok"
         f" ({100.0 * summary['ok_fraction']:.1f}%), wrote {csv_path}"

@@ -103,7 +103,7 @@ class VectorField:
         shape = np.broadcast(*coords).shape if self.dim > 1 else coords[0].shape
         out = np.empty((self.dim,) + shape, dtype=float)
         for i, c in enumerate(self.components):
-            out[i] = np.broadcast_to(np.asarray(c(*coords), dtype=float), shape)
+            out[i] = c(*coords)  # assignment broadcasts constants and checks shapes
         return out
 
 

@@ -1,11 +1,20 @@
 """Orbit integration and surface-crossing detection.
 
-Two steppers: classic fixed-step RK4, and adaptive Dormand-Prince RK45 with
-a PI-free elementary step controller.  Backward time is handled by negating
-the field.  Crossings of a surface's level function are located by scanning
-accepted steps for sign changes and refining with bisection (no Hermite
-interpolation), so event times inherit the accuracy of the integrator
-tolerance rather than of a dense-output polynomial.
+One stepper: adaptive Dormand-Prince RK45 with an elementary step-size
+controller, run over a lane axis.  Each lane is one starting point with its
+own time, step size, attempt count and outcome; all lanes step together and
+the field is evaluated for every running lane at once through
+``VectorField.eval_grid``.  Backward time is a lane whose field is negated.
+``flow`` and ``trace_orbit`` are one-lane runs.
+
+Crossings of a surface's level function are found by scanning each accepted
+step for a sign change of the level.  The root is then located on the step's
+continuous extension (Shampine's 4th-order interpolant for Dormand-Prince,
+the coefficients scipy's ``RK45`` uses), by Illinois regula falsi on the
+step fraction ``theta`` in [0, 1].  Refinement therefore costs no field
+evaluations, and a root that cannot be brought onto the surface is an
+``IntegrationError``, never a silently accepted best effort.
+``find_crossings`` is the one-point case of ``find_crossings_batch``.
 """
 from __future__ import annotations
 
@@ -21,19 +30,22 @@ __all__ = [
     "IntegratorConfig",
     "Orbit",
     "CrossingEvent",
+    "RunStats",
     "IntegrationError",
     "StepLimitExceeded",
     "DomainExit",
     "flow",
     "trace_orbit",
     "find_crossings",
+    "find_crossings_batch",
     "DEFAULT_CONFIG",
 ]
 
 # level-function tolerances used by find_crossings
 ON_SURFACE_TOL = 1e-9     # |level| below this counts as "already on S"
-CROSSING_LEVEL_TOL = 1e-12  # bisection refinement target
+CROSSING_LEVEL_TOL = 1e-12  # root-find target for |level| on the interpolant
 GRAZE_TOL = 1e-8          # local |level| minimum below this flags a graze
+MAX_ROOT_ITERATIONS = 200  # per crossing; the bracket collapses long before
 
 
 class IntegrationError(RuntimeError):
@@ -65,27 +77,21 @@ class DomainExit(IntegrationError):
 
 @dataclasses.dataclass(frozen=True)
 class IntegratorConfig:
-    """Stepper selection and accuracy knobs.
+    """Accuracy knobs of the adaptive Dormand-Prince stepper.
 
-    method : "rk45" (adaptive, default) or "rk4" (fixed step)
-    step : fixed step size for rk4
-    abs_tol, rel_tol : per-component error weights for rk45
-    max_steps : attempted-step budget per sweep
+    abs_tol, rel_tol : per-component error weights
+    max_steps : attempted-step budget per lane and sweep
     horizon : largest |t| flow() and find_crossings() will integrate to
     """
 
-    method: str = "rk45"
-    step: float = 1e-3
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9
     max_steps: int = 1_000_000
     horizon: float = 50.0
 
     def __post_init__(self):
-        if self.method not in ("rk4", "rk45"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.step <= 0 or self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("step and tolerances must be positive")
+        if self.abs_tol <= 0 or self.rel_tol <= 0:
+            raise ValueError("tolerances must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         if self.horizon <= 0:
@@ -93,6 +99,31 @@ class IntegratorConfig:
 
 
 DEFAULT_CONFIG = IntegratorConfig()
+
+
+@dataclasses.dataclass
+class RunStats:
+    """Work counters of batched integrations; deterministic for given inputs.
+
+    lanes : lanes integrated (a crossing search uses two per point)
+    accepted_steps, rejected_steps : lane steps, summed over lanes
+    rhs_calls : batched field evaluations
+    rhs_evals : lane field evaluations (each batched call counts its width)
+    crossings_refined : sign changes located on the interpolant
+    root_iterations : root-find iterations, summed over crossings
+    """
+
+    lanes: int = 0
+    accepted_steps: int = 0
+    rejected_steps: int = 0
+    rhs_calls: int = 0
+    rhs_evals: int = 0
+    crossings_refined: int = 0
+    root_iterations: int = 0
+
+    def add(self, other: "RunStats") -> None:
+        for f in dataclasses.fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -144,7 +175,6 @@ class CrossingEvent:
 # ---------------------------------------------------------------------------
 # Dormand-Prince 5(4) coefficients
 
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = [
     np.array([]),
     np.array([1 / 5]),
@@ -152,105 +182,190 @@ _DP_A = [
     np.array([44 / 45, -56 / 15, 32 / 9]),
     np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
 _DP_ERR = _DP_B5 - _DP_B4
+# Shampine's continuous extension: stage j enters x(theta) with weight
+# theta * (P[j,0] + P[j,1] theta + P[j,2] theta^2 + P[j,3] theta^3); stage 1
+# has an all-zero row and is skipped.
+_DP_P = np.array([
+    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0.0, -282668133 / 205662961, 2019193451 / 616988883,
+     -1453857185 / 822651844],
+    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+
+# (weight, stage) terms with non-zero weight, as Python floats
+_A_TERMS = [[(float(w), j) for j, w in enumerate(row) if w != 0.0] for row in _DP_A]
+_B5_TERMS = [(float(w), j) for j, w in enumerate(_DP_B5) if w != 0.0]
+_ERR_TERMS = [(float(w), j) for j, w in enumerate(_DP_ERR) if w != 0.0]
+_P_TERMS = [(row, j) for j, row in enumerate(_DP_P.tolist()) if any(row)]
+
+# lane outcomes of _integrate
+_DONE, _EXIT, _FAILED = range(3)
 
 
-def _rk4_step(f, x, h):
-    k1 = f(x)
-    k2 = f(x + 0.5 * h * k1)
-    k3 = f(x + 0.5 * h * k2)
-    k4 = f(x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _combine(terms, stages):
+    """sum of w * stages[j] over (w, j) in terms, in a fixed elementwise order.
+
+    Weights are scalars or per-lane columns; every lane's value depends only
+    on its own row, whichever lanes share the batch.
+    """
+    (w, j), *rest = terms
+    acc = w * stages[j]
+    for w, j in rest:
+        acc = acc + w * stages[j]
+    return acc
 
 
-def _initial_step(f, x0, T, cfg):
-    scale = (1.0 + float(np.max(np.abs(x0)))) / (1.0 + float(np.max(np.abs(f(x0)))))
-    return min(T, 1e-2 * scale) if T > 0 else 0.0
+def _integrate(field: VectorField, x0, sign, T: float, cfg: IntegratorConfig,
+               stats: RunStats, on_accept=None):
+    """Integrate dx/dt = sign * P(x) over [0, T] on every lane of x0 (L, N).
 
+    `sign` holds +1 or -1 per lane.  After each batched step,
+    ``on_accept(lanes, t_old, x_old, t_new, x_new, h, stages)`` sees the lanes
+    whose step was accepted (``stages(rows)`` returns that step's seven stage
+    derivatives for the given rows) and returns lane indices to stop, or
+    None.  A lane stops when it reaches T, leaves the domain box (the state
+    outside the box is its last accepted sample), runs out of attempted
+    steps, underflows its step size, or is stopped by on_accept.  The state
+    of running lanes is kept compact: finished lanes are dropped from it.
 
-def _advance(f, x0, T, cfg, field, check_domain=True):
-    """Integrate dx/dt = f(x) over [0, T], T >= 0.
-
-    Returns (times, states) lists of accepted samples including both ends.
-    Raises DomainExit (carrying partial samples) or StepLimitExceeded.
+    Returns (outcome, errors): per lane one of _DONE/_EXIT/_FAILED, and the
+    IntegrationError of each lane that failed in the stepper itself (None
+    elsewhere).
     """
     x = np.array(x0, dtype=float)
-    times = [0.0]
-    states = [x.copy()]
-    if T <= 0.0:
-        return times, states
+    L, N = x.shape
+    sg = np.array(np.broadcast_to(np.asarray(sign, dtype=float), (L,)))[:, None]
+    outcome = np.full(L, _DONE)
+    errors = [None] * L
+    stats.lanes += L
+    if T <= 0.0 or L == 0:
+        return outcome, errors
+    lo = field.domain[:, 0] - 1e-12
+    hi = field.domain[:, 1] + 1e-12
 
-    def exit_check(t_new, x_new):
-        if check_domain and not field.contains(x_new):
-            times.append(t_new)
-            states.append(x_new.copy())
-            raise DomainExit(field.name, t_new, x_new, times, states)
+    def rhs(xs):
+        stats.rhs_calls += 1
+        stats.rhs_evals += len(xs)
+        return field.eval_grid(list(xs.T)).T * sg
 
-    attempts = 0
-    t = 0.0
-    if cfg.method == "rk4":
-        n_full = int(np.floor(T / cfg.step + 1e-12))
-        remainder = T - n_full * cfg.step
-        for k in range(n_full):
-            attempts += 1
-            if attempts > cfg.max_steps:
-                raise StepLimitExceeded(
-                    f"{field.name}: exceeded {cfg.max_steps} steps (rk4)"
-                )
-            x = _rk4_step(f, x, cfg.step)
-            t = (k + 1) * cfg.step
-            times.append(t)
-            states.append(x.copy())
-            exit_check(t, x)
-        if remainder > 1e-15 * max(1.0, T):
-            x = _rk4_step(f, x, remainder)
-            times.append(T)
-            states.append(x.copy())
-            exit_check(T, x)
-        return times, states
+    def fail(rows, make):
+        for lane, t_lane in zip(ids[rows], t[rows]):
+            errors[lane] = make(t_lane)
+        outcome[ids[rows]] = _FAILED
 
-    # adaptive Dormand-Prince
-    h = _initial_step(f, x, T, cfg)
-    k = [None] * 7
-    k[0] = f(x)
-    while T - t > 1e-15 * max(1.0, T):
+    ids = np.arange(L)
+    t = np.zeros(L)
+    k0 = rhs(x)
+    scale = (1.0 + np.max(np.abs(x), axis=1)) / (1.0 + np.max(np.abs(k0), axis=1))
+    h = np.minimum(T, 1e-2 * scale)
+    end_tol = 1e-15 * max(1.0, T)
+    attempts = 0  # every running lane attempts one step per pass
+
+    while ids.size:
         attempts += 1
         if attempts > cfg.max_steps:
-            raise StepLimitExceeded(
+            fail(slice(None), lambda _: StepLimitExceeded(
                 f"{field.name}: exceeded {cfg.max_steps} attempted steps (rk45)"
-            )
-        h = min(h, T - t)
-        if h < 1e-14 * max(1.0, t):
-            raise IntegrationError(f"{field.name}: step size underflow at t={t:.6g}")
-        for s in range(1, 7):
-            xs = x + h * sum(_DP_A[s][j] * k[j] for j in range(s))
-            k[s] = f(xs)
-        x_new = x + h * sum(_DP_B5[j] * k[j] for j in range(7))
-        err = h * sum(_DP_ERR[j] * k[j] for j in range(7))
-        sc = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(x), np.abs(x_new))
-        err_norm = float(np.sqrt(np.mean((err / sc) ** 2)))
-        if err_norm <= 1.0:
-            t += h
-            x = x_new
-            times.append(t)
-            states.append(x.copy())
-            exit_check(t, x)
-            k[0] = k[6]  # FSAL
-        factor = 0.9 * (err_norm ** -0.2) if err_norm > 0.0 else 5.0
-        h *= min(5.0, max(0.2, factor))
+            ))
+            break
+        h = np.minimum(h, T - t)
+        keep = h >= 1e-14 * np.maximum(1.0, t)
+        if not keep.all():
+            fail(~keep, lambda t_lane: IntegrationError(
+                f"{field.name}: step size underflow at t={t_lane:.6g}"
+            ))
+            ids, x, t, h, k0, sg = (a[keep] for a in (ids, x, t, h, k0, sg))
+            if not ids.size:
+                break
+
+        hc = h[:, None]
+        K = [k0]
+        for s in range(1, 6):
+            K.append(rhs(x + hc * _combine(_A_TERMS[s], K)))
+        x_new = x + hc * _combine(_B5_TERMS, K)
+        K.append(rhs(x_new))  # first-same-as-last: the last stage is P(x_new)
+        err = hc * _combine(_ERR_TERMS, K)
+        q = err / (cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(x), np.abs(x_new)))
+        ssq = q[:, 0] * q[:, 0]
+        for j in range(1, N):
+            ssq = ssq + q[:, j] * q[:, j]
+        err_norm = np.sqrt(ssq / N)
+
+        ok = err_norm <= 1.0
+        n_ok = int(np.count_nonzero(ok))
+        stats.accepted_steps += n_ok
+        stats.rejected_steps += len(ids) - n_ok
+        keep = None
+        if n_ok:
+            t_new = t + h
+            outside = ~np.all((x_new >= lo) & (x_new <= hi), axis=1)
+            finished = outside | (T - t_new <= end_tol)
+            if n_ok == len(ids):
+                acc, pos = ids, slice(None)
+                t_old, x_old, t, x, k0 = t, x, t_new, x_new, K[6]
+                x_acc, t_acc, h_acc = x_new, t_new, h
+            else:
+                finished &= ok
+                pos = np.flatnonzero(ok)
+                acc, t_old, x_old = ids[pos], t[pos], x[pos]
+                x_acc, t_acc, h_acc = x_new[pos], t_new[pos], h[pos]
+                okc = ok[:, None]
+                t = np.where(ok, t_new, t)
+                x = np.where(okc, x_new, x)
+                k0 = np.where(okc, K[6], k0)
+            outcome[ids[finished & outside]] = _EXIT
+            if on_accept is not None:
+                stop = on_accept(
+                    acc, t_old, x_old, t_acc, x_acc, h_acc,
+                    lambda rows: [k[pos][rows] for k in K],
+                )
+                if stop is not None:
+                    outcome[stop] = _FAILED
+                    finished |= np.isin(ids, stop)
+            if finished.any():
+                keep = ~finished
+        # elementary controller; a zero or NaN error norm grows the step 5x
+        factor = 0.9 * np.maximum(err_norm, 1e-300) ** -0.2
+        h = h * np.fmin(5.0, np.maximum(0.2, factor))
+        if keep is not None:
+            ids, x, t, h, k0, sg = (a[keep] for a in (ids, x, t, h, k0, sg))
+    return outcome, errors
+
+
+def _sweep(field: VectorField, x0, sign: float, T: float, cfg: IntegratorConfig):
+    """One recorded lane: (times, states) of every accepted sample.
+
+    Raises DomainExit (carrying the samples), StepLimitExceeded or
+    IntegrationError.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    times = [0.0]
+    states = [x0.copy()]
+
+    def record(lanes, t_old, x_old, t_new, x_new, h, stages):
+        times.append(float(t_new[0]))
+        states.append(x_new[0].copy())
+
+    outcome, errors = _integrate(field, x0[None, :], sign, T, cfg, RunStats(), record)
+    if errors[0] is not None:
+        raise errors[0]
+    if outcome[0] == _EXIT:
+        raise DomainExit(field.name, times[-1], states[-1], times, states)
     return times, states
-
-
-def _directional(field: VectorField, sign: float):
-    if sign >= 0:
-        return lambda x: field.eval(x, check_domain=False)
-    return lambda x: -field.eval(x, check_domain=False)
 
 
 def flow(field: VectorField, x0, t: float, cfg: Optional[IntegratorConfig] = None):
@@ -261,7 +376,7 @@ def flow(field: VectorField, x0, t: float, cfg: Optional[IntegratorConfig] = Non
     x0 = np.asarray(x0, dtype=float)
     if t == 0.0:
         return x0.copy()
-    _, states = _advance(_directional(field, t), x0, abs(t), cfg, field)
+    _, states = _sweep(field, x0, 1.0 if t > 0 else -1.0, abs(t), cfg)
     return states[-1]
 
 
@@ -278,7 +393,7 @@ def trace_orbit(field: VectorField, x0, t_span, cfg: Optional[IntegratorConfig] 
             x0=x0.copy(),
         )
     sign = 1.0 if t1 > t0 else -1.0
-    ts, xs = _advance(_directional(field, sign), x0, abs(t1 - t0), cfg, field)
+    ts, xs = _sweep(field, x0, sign, abs(t1 - t0), cfg)
     return Orbit(
         times=t0 + sign * np.asarray(ts),
         states=np.asarray(xs),
@@ -316,31 +431,257 @@ def _make_event(surface, field, t, x, level, direction=None) -> CrossingEvent:
     )
 
 
-def _refine_crossing(f, x_a, dt_b, level_fn, cfg, field):
-    """Bisect the level function between an accepted step pair.
+def _interpolate(x_old, h, stages, theta):
+    """Dense output x(t_old + theta h) of one Dormand-Prince step, per row."""
+    terms = [
+        ((theta * (p0 + theta * (p1 + theta * (p2 + theta * p3))))[:, None], j)
+        for (p0, p1, p2, p3), j in _P_TERMS
+    ]
+    return x_old + h[:, None] * _combine(terms, stages)
 
-    x_a sits at local time 0 with level l_a; the sign change happens before
-    dt_b.  Returns (dt, x, level) at the refined crossing.
+
+class _CrossingScan:
+    """Per-lane sign-change, zero-hit and graze scan of accepted samples.
+
+    Lane i is point i % P swept forward (i < P) or backward (i >= P).  It
+    mirrors a scan over the full list of samples: a leading on-surface
+    stretch is skipped, sample pairs from the first off-surface sample on are
+    searched for sign changes, and interior local minima of |level| below
+    GRAZE_TOL with no sign change are grazes.
     """
-    lo, hi = 0.0, dt_b
-    l_lo = level_fn(x_a)
-    x_best, l_best, dt_best = x_a, l_lo, 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        _, xs = _advance(f, x_a, mid, cfg, field, check_domain=False)
-        x_mid = xs[-1]
-        l_mid = level_fn(x_mid)
-        if abs(l_mid) < abs(l_best):
-            x_best, l_best, dt_best = x_mid, l_mid, mid
-        if abs(l_mid) <= CROSSING_LEVEL_TOL:
-            break
-        if (l_mid > 0.0) == (l_lo > 0.0):
-            lo, l_lo = mid, l_mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * max(1.0, dt_b):
-            break
-    return dt_best, x_best, l_best
+
+    def __init__(self, field, surface, l0, sign, stats):
+        L = len(l0)
+        self.field = field
+        self.level = surface.level
+        self.sign = sign
+        self.stats = stats
+        self.last = np.array(l0, dtype=float)   # level at the newest sample
+        self.prev = np.full(L, np.nan)          # level one sample earlier
+        self.count = np.zeros(L, dtype=np.int64)  # index of the newest sample
+        # index of the first sample off the surface; huge while still skipping
+        self.start = np.where(
+            np.abs(self.last) > ON_SURFACE_TOL, 0, np.iinfo(np.int64).max
+        )
+        self.crossings = [[] for _ in range(L)]  # (t, x, level) in sample order
+        self.grazes = [[] for _ in range(L)]
+        self.errors = [None] * L
+        self.failed = np.zeros(L, dtype=bool)
+
+    def _fail(self, lane, err):
+        self.errors[lane] = err
+        self.failed[lane] = True
+
+    def _levels(self, lanes, xs):
+        out = np.empty(len(lanes))
+        for r, lane in enumerate(lanes):
+            try:
+                out[r] = float(self.level(xs[r]))
+            except Exception as err:  # the point's own failure, not the batch's
+                self._fail(lane, err)
+                out[r] = np.nan
+        return out
+
+    def __call__(self, lanes, t_old, x_old, t_new, x_new, h, stages):
+        lnew = self._levels(lanes, x_new)
+        lp, lpp = self.last[lanes], self.prev[lanes]
+        self.prev[lanes], self.last[lanes] = lp, lnew
+        n = self.count[lanes] + 1
+        self.count[lanes] = n
+        start = self.start[lanes]
+        newly = (start > n) & (np.abs(lnew) > ON_SURFACE_TOL)
+        if newly.any():
+            start = np.where(newly, n, start)
+            self.start[lanes] = start
+        # only a sign change, an exact zero or a small |level| makes an event
+        alp = np.abs(lp)
+        maybe = ((lp > 0.0) != (lnew > 0.0)) | (lnew == 0.0) | (alp <= GRAZE_TOL)
+        if maybe.any():
+            alive = ~self.failed[lanes]
+            scan = alive & (start <= n)
+            hit = scan & (lnew == 0.0)
+            change = scan & ~hit & (lp != 0.0) & ((lp > 0.0) != (lnew > 0.0))
+            graze = (
+                alive & (start <= n - 2) & (n >= 2)
+                & (alp <= GRAZE_TOL) & (alp > 0.0)
+                & (lpp * lp > 0.0) & (lp * lnew > 0.0)
+                & (alp < np.abs(lpp)) & (alp <= np.abs(lnew))
+            )
+            sign = self.sign[lanes]
+            for r in np.flatnonzero(hit):
+                hit_at = (sign[r] * t_new[r], x_new[r].copy(), 0.0)
+                self.crossings[lanes[r]].append(hit_at)
+            for r in np.flatnonzero(graze):
+                graze_at = (sign[r] * t_old[r], x_old[r].copy(), lp[r])
+                self.grazes[lanes[r]].append(graze_at)
+            rows = np.flatnonzero(change)
+            if rows.size:
+                self._refine(
+                    lanes[rows], t_old[rows], x_old[rows], x_new[rows], h[rows],
+                    stages(rows), lp[rows], lnew[rows], sign[rows],
+                )
+        failed = self.failed[lanes]
+        return lanes[failed] if failed.any() else None
+
+    def _refine(self, lanes, t_old, x_old, x_new, h, stages, l_a, l_b, sign):
+        """Illinois regula falsi on theta in [0, 1] over the interpolant.
+
+        Stops per crossing at |level| <= CROSSING_LEVEL_TOL or when the
+        bracket collapses to 1e-13 in time; a secant point that is not
+        strictly inside the bracket is replaced by its midpoint.  The smallest
+        |level| seen (the step ends included) is the crossing; if it is still
+        above ON_SURFACE_TOL the lane fails with an IntegrationError.
+        """
+        self.stats.crossings_refined += len(lanes)
+        m = len(lanes)
+        lo, hi = np.zeros(m), np.ones(m)
+        f_lo = l_a.copy()                     # true level at the low end
+        g_lo, g_hi = l_a.copy(), l_b.copy()   # Illinois-scaled secant weights
+        last_side = np.full(m, -1)
+        end_b = np.abs(l_b) < np.abs(l_a)
+        best_theta = np.where(end_b, 1.0, 0.0)
+        best_l = np.where(end_b, l_b, l_a)
+        best_x = np.where(end_b[:, None], x_new, x_old)
+        collapse = 1e-13 * np.maximum(1.0, h) / h
+        active = np.ones(m, dtype=bool)
+        for _ in range(MAX_ROOT_ITERATIONS):
+            rows = np.flatnonzero(active)
+            if not rows.size:
+                break
+            self.stats.root_iterations += rows.size
+            a, b = lo[rows], hi[rows]
+            ga, gb = g_lo[rows], g_hi[rows]
+            theta = (a * gb - b * ga) / (gb - ga)
+            bisect = ~((theta > a) & (theta < b))
+            theta = np.where(bisect, 0.5 * (a + b), theta)
+
+            xs = _interpolate(x_old[rows], h[rows], [k[rows] for k in stages], theta)
+            ls = self._levels(lanes[rows], xs)
+
+            better = np.abs(ls) < np.abs(best_l[rows])
+            best_theta[rows[better]] = theta[better]
+            best_l[rows[better]] = ls[better]
+            best_x[rows[better]] = xs[better]
+
+            to_lo = (ls > 0.0) == (f_lo[rows] > 0.0)
+            r_lo, r_hi = rows[to_lo], rows[~to_lo]
+            lo[r_lo], f_lo[r_lo], g_lo[r_lo] = theta[to_lo], ls[to_lo], ls[to_lo]
+            hi[r_hi], g_hi[r_hi] = theta[~to_lo], ls[~to_lo]
+            # the same end replaced twice running: halve the stale end's weight
+            g_hi[r_lo[last_side[r_lo] == 0]] *= 0.5
+            g_lo[r_hi[last_side[r_hi] == 1]] *= 0.5
+            last_side[rows] = np.where(to_lo, 0, 1)
+
+            done = (
+                (np.abs(ls) <= CROSSING_LEVEL_TOL)
+                | (hi[rows] - lo[rows] <= collapse[rows])
+                | self.failed[lanes[rows]]
+            )
+            active[rows[done]] = False
+
+        for r, lane in enumerate(lanes):
+            if self.failed[lane]:
+                continue
+            t_c = sign[r] * (t_old[r] + best_theta[r] * h[r])
+            if not abs(best_l[r]) <= ON_SURFACE_TOL:
+                self._fail(lane, IntegrationError(
+                    f"{self.field.name}: crossing near t={t_c:.6g} did not converge:"
+                    f" |level| = {abs(best_l[r]):.3g} > {ON_SURFACE_TOL:g}"
+                    f" at x={best_x[r].tolist()}"
+                ))
+                continue
+            self.crossings[lane].append((t_c, best_x[r].copy(), best_l[r]))
+
+
+def _crossing_lanes(field, X, surface, horizon, cfg, stats) -> list:
+    """Crossing search for the points X (P, N) as one batch of 2P lanes.
+
+    Returns one entry per point: its sorted CrossingEvent list, or the
+    exception that ended its search.  An ArithmeticError raised by the
+    batched field evaluation cannot be pinned to a lane and propagates.
+    """
+    P = len(X)
+    results = [None] * P
+    l0 = np.full(P, np.nan)
+    for p in range(P):
+        try:
+            l0[p] = float(surface.level(X[p]))
+        except Exception as err:  # the point's own failure, re-raised by find_crossings
+            results[p] = err
+    live = [p for p in range(P) if results[p] is None]
+    Q = len(live)
+    lanes_x = np.concatenate([X[live], X[live]]) if Q else np.zeros((0, X.shape[1]))
+    sign = np.concatenate([np.ones(Q), -np.ones(Q)])
+    l0_lanes = np.concatenate([l0[live], l0[live]])
+    scan = _CrossingScan(field, surface, l0_lanes, sign, stats)
+    _, errors = _integrate(field, lanes_x, sign, horizon, cfg, stats, scan)
+
+    for q, p in enumerate(live):
+        fwd, bwd = q, Q + q
+        err = next((e for e in (scan.errors[fwd], errors[fwd], scan.errors[bwd],
+                                errors[bwd]) if e is not None), None)
+        if err is not None:
+            results[p] = err
+            continue
+        try:
+            x0 = X[p]
+            events = []
+            if abs(l0[p]) <= ON_SURFACE_TOL:
+                events.append(_make_event(surface, field, 0.0, x0, l0[p]))
+            for lane in (fwd, bwd):
+                for t_c, x_c, l_c in scan.crossings[lane]:
+                    events.append(_make_event(surface, field, t_c, x_c, l_c))
+                for t_c, x_c, l_c in scan.grazes[lane]:
+                    events.append(
+                        _make_event(surface, field, t_c, x_c, l_c, direction=0)
+                    )
+            events.sort(key=lambda e: e.t)
+            results[p] = events
+        except Exception as err:  # the point's own failure, re-raised by find_crossings
+            results[p] = err
+    return results
+
+
+def find_crossings_batch(
+    field: VectorField,
+    points,
+    surface,
+    horizon: Optional[float] = None,
+    cfg: Optional[IntegratorConfig] = None,
+):
+    """find_crossings for many points as one lane-batched integration.
+
+    Returns (results, stats): results[i] is the sorted CrossingEvent list of
+    points[i], or the exception find_crossings would raise for it; stats is
+    the RunStats of the whole batch.  A parsed field that raises
+    ArithmeticError (e.g. expressions.DomainError) for the batch array is
+    re-run point by point, so each point keeps its own outcome.
+    """
+    cfg = cfg or DEFAULT_CONFIG
+    horizon = cfg.horizon if horizon is None else float(horizon)
+    if horizon <= 0:
+        raise ValueError("horizon must be positive")
+    if horizon > cfg.horizon * (1 + 1e-12):
+        raise ValueError(
+            f"horizon {horizon:.6g} exceeds the integrator horizon {cfg.horizon:.6g}"
+        )
+    X = np.asarray(points, dtype=float).reshape(len(points), field.dim)
+    stats = RunStats()
+    try:
+        return _crossing_lanes(field, X, surface, horizon, cfg, stats), stats
+    except ArithmeticError as err:
+        if len(X) == 1:
+            return [err], stats
+    # some lane made the batched field evaluation fail: run each point alone
+    results = []
+    for x in X:
+        try:
+            results.extend(
+                _crossing_lanes(field, x[None, :], surface, horizon, cfg, stats)
+            )
+        except ArithmeticError as err:
+            results.append(err)
+    return results, stats
 
 
 def find_crossings(
@@ -355,65 +696,11 @@ def find_crossings(
 
     Level-set crossings whose parameters land outside (0,1)^{N-1} are kept
     but flagged off-patch.  Sweeps that leave the field's domain are
-    truncated at the exit point; genuine integrator failures propagate.
+    truncated at the exit point; genuine integrator failures, and crossings
+    the root find cannot bring within ON_SURFACE_TOL of the surface, raise
+    IntegrationError.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    horizon = cfg.horizon if horizon is None else float(horizon)
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    if horizon > cfg.horizon * (1 + 1e-12):
-        raise ValueError(
-            f"horizon {horizon:.6g} exceeds the integrator horizon {cfg.horizon:.6g}"
-        )
-    x0 = np.asarray(x0, dtype=float)
-    events = []
-
-    l0 = float(surface.level(x0))
-    if abs(l0) <= ON_SURFACE_TOL:
-        events.append(_make_event(surface, field, 0.0, x0, l0))
-
-    for sign in (1.0, -1.0):
-        f = _directional(field, sign)
-        try:
-            ts, xs = _advance(f, x0, horizon, cfg, field)
-        except DomainExit as exit_info:
-            ts, xs = exit_info.times, exit_info.states
-        levels = [float(surface.level(x)) for x in xs]
-
-        # skip the leading on-surface stretch so a seed on S is not rescanned
-        start = 0
-        while start < len(levels) and abs(levels[start]) <= ON_SURFACE_TOL:
-            start += 1
-
-        for i in range(max(start, 1), len(levels)):
-            l_prev, l_cur = levels[i - 1], levels[i]
-            if l_prev == 0.0 or l_cur == 0.0:
-                if l_cur == 0.0:
-                    events.append(
-                        _make_event(surface, field, sign * ts[i], xs[i], l_cur)
-                    )
-                continue
-            if (l_prev > 0.0) != (l_cur > 0.0):
-                dt, x_c, l_c = _refine_crossing(
-                    f, xs[i - 1], ts[i] - ts[i - 1], surface.level, cfg, field
-                )
-                t_c = sign * (ts[i - 1] + dt)
-                events.append(_make_event(surface, field, t_c, x_c, l_c))
-
-        # tangential grazes: interior local minima of |level| with no sign change
-        for i in range(max(start + 1, 1), len(levels) - 1):
-            li = levels[i]
-            if (
-                abs(li) <= GRAZE_TOL
-                and abs(li) > 0.0
-                and levels[i - 1] * li > 0.0
-                and li * levels[i + 1] > 0.0
-                and abs(li) < abs(levels[i - 1])
-                and abs(li) <= abs(levels[i + 1])
-            ):
-                events.append(
-                    _make_event(surface, field, sign * ts[i], xs[i], li, direction=0)
-                )
-
-    events.sort(key=lambda e: e.t)
-    return events
+    (result,), _ = find_crossings_batch(field, [x0], surface, horizon=horizon, cfg=cfg)
+    if isinstance(result, BaseException):
+        raise result
+    return result

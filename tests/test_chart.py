@@ -25,7 +25,13 @@ from flowbox.chart import (
     surface_normal,
 )
 from flowbox.dynsys import builtin, parse_system
-from flowbox.odeint import IntegratorConfig, flow
+from flowbox.odeint import (
+    IntegrationError,
+    IntegratorConfig,
+    RunStats,
+    find_crossings,
+    flow,
+)
 
 
 def test_halton_low_discrepancy_range():
@@ -213,26 +219,49 @@ def test_ambiguous_chart_on_recurrent_orbit(tight_cfg):
         flowbox(chart, np.array([2.0, 0.0]))
 
 
-def test_evaluate_grid_statuses_and_threading(tight_cfg):
+def test_evaluate_grid_statuses_and_single_point_agreement(tight_cfg):
     chart = build_chart(builtin("hyperbolic-b"), "line-b", cfg=tight_cfg, horizon=5.0)
     points = [
         np.array([0.5, 2.0]),    # ok
         np.array([-1.0, 1.0]),   # not-in-omega
         np.array([0.5, 9.0]),    # off-patch
+        np.array([1.7, 0.3]),    # ok
     ]
-    rows = evaluate_grid(chart, points)
+    stats = RunStats()
+    rows = evaluate_grid(chart, points, stats=stats)
     statuses = [status for _, _, status in rows]
-    assert statuses == ["ok", "not-in-omega", "off-patch"]
+    assert statuses == ["ok", "not-in-omega", "off-patch", "ok"]
     np.testing.assert_allclose(rows[0][1], [0.25, np.log(2.0)], atol=1e-8)
     assert rows[1][1] is None
+    assert stats.lanes == 2 * len(points)
+    assert stats.crossings_refined == 3
 
-    threaded = evaluate_grid(chart, points, threads=4)
-    for (p1, z1, s1), (p2, z2, s2) in zip(rows, threaded):
-        assert s1 == s2
-        if z1 is None:
-            assert z2 is None
-        else:
-            np.testing.assert_allclose(z1, z2, atol=0)
+    # the batch gives every point exactly what it gets alone
+    for point, z, status in rows:
+        if status == "ok":
+            np.testing.assert_allclose(z, flowbox(chart, point), rtol=0, atol=0)
+
+
+def test_evaluate_grid_jump_level_is_integration_error(tight_cfg):
+    base = line_surface(1.0, 0.0, 4.0)
+    jump = Surface(
+        dim=2,
+        param=base.param,
+        level=lambda x: 1.0 if x[0] >= 1.0 else -1.0,
+        param_inverse=base.param_inverse,
+        name="jump",
+    )
+    chart = build_chart(
+        builtin("hyperbolic-b"), jump, cfg=tight_cfg, horizon=5.0,
+        audit_transversal=False,
+    )
+    # the level changes sign across x1 = 1 but is never near zero there
+    rows = evaluate_grid(chart, [np.array([0.5, 2.0]), np.array([-1.0, 1.0])])
+    assert [status for _, _, status in rows] == ["integration-error", "not-in-omega"]
+    with pytest.raises(IntegrationError, match="did not converge"):
+        find_crossings(
+            chart.field, np.array([0.5, 2.0]), jump, horizon=5.0, cfg=tight_cfg
+        )
 
 
 def test_one_dimensional_chart(tight_cfg):

@@ -60,17 +60,6 @@ def test_parse_grid_spec_rejects(spec, dim):
         parse_grid_spec(spec, dim)
 
 
-def test_thread_count_env(monkeypatch):
-    monkeypatch.delenv("FLOWBOX_THREADS", raising=False)
-    assert cli._thread_count() == 1
-    monkeypatch.setenv("FLOWBOX_THREADS", "4")
-    assert cli._thread_count() == 4
-    monkeypatch.setenv("FLOWBOX_THREADS", "junk")
-    assert cli._thread_count() == 1
-    monkeypatch.setenv("FLOWBOX_THREADS", "0")
-    assert cli._thread_count() == 1
-
-
 # ---------------------------------------------------------------------------
 # systems-list
 
@@ -120,6 +109,15 @@ def test_chart_build_writes_grid_and_manifest(tmp_path, capsys):
     assert manifest["command"] == "chart-build"
     assert manifest["summary"]["ok_fraction"] == 1.0
     assert manifest["outputs"] == ["chart_grid.csv"]
+    stats = manifest["summary"]["stats"]
+    evaluate = stats["evaluate"]
+    assert evaluate["lanes"] == 2 * manifest["summary"]["points"]
+    assert evaluate["crossings_refined"] == manifest["summary"]["points"]
+    # one evaluation per lane to start, then six per attempted step
+    steps = evaluate["accepted_steps"] + evaluate["rejected_steps"]
+    assert evaluate["rhs_evals"] == evaluate["lanes"] + 6 * steps
+    assert stats["audit"]["lanes"] > 0
+    assert set(manifest["timings"]) == {"audit_s", "evaluate_s", "write_s"}
     assert "chart-build: 12/12 points ok" in capsys.readouterr().out
 
 

@@ -6,11 +6,13 @@ from scipy.linalg import expm
 
 from flowbox.chart import circle_surface, line_surface
 from flowbox.dynsys import builtin, parse_system
+from flowbox.expressions import DomainError
 from flowbox.odeint import (
     DomainExit,
     IntegratorConfig,
     StepLimitExceeded,
     find_crossings,
+    find_crossings_batch,
     flow,
     trace_orbit,
 )
@@ -53,25 +55,12 @@ def test_zero_time_is_identity():
     assert out is not x0
 
 
-def test_rk4_fixed_step_accuracy():
-    field = builtin("hyperbolic-b")
-    cfg = IntegratorConfig(method="rk4", step=1e-3)
-    x0 = np.array([1.0, 1.0])
-    out = flow(field, x0, 1.0, cfg=cfg)
-    np.testing.assert_allclose(
-        out, [np.exp(-1.0), np.exp(1.0)], rtol=1e-9
-    )
-
-
-def test_rk45_beats_coarse_rk4():
+def test_rk45_closed_orbit_returns():
     field = builtin("rotation-c")
     x0 = np.array([1.0, 0.0])
-    t = 2.0 * np.pi
-    cfg45 = IntegratorConfig(abs_tol=1e-10, rel_tol=1e-10)
-    coarse = IntegratorConfig(method="rk4", step=0.3)
-    err45 = np.linalg.norm(flow(field, x0, t, cfg=cfg45) - x0)
-    err4 = np.linalg.norm(flow(field, x0, t, cfg=coarse) - x0)
-    assert err45 < 1e-8 < err4
+    cfg = IntegratorConfig(abs_tol=1e-10, rel_tol=1e-10)
+    err = np.linalg.norm(flow(field, x0, 2.0 * np.pi, cfg=cfg) - x0)
+    assert err < 1e-8
 
 
 def test_step_limit_exceeded():
@@ -196,3 +185,55 @@ def test_no_crossing_when_surface_unreached(tight_cfg):
         field, np.array([2.0, 0.0]), surface, horizon=7.0, cfg=tight_cfg
     )
     assert events == []
+
+
+@pytest.mark.parametrize(
+    "system, surface, x0, horizon",
+    [
+        ("limit-cycle", line_surface(0.5, -3.0, 3.0), [0.3, 0.2], 8.0),
+        ("appendix", circle_surface(1.0, np.pi), [0.3, 0.5], 2.5),
+    ],
+)
+def test_crossing_times_match_scipy_events(system, surface, x0, horizon):
+    integrate = pytest.importorskip("scipy.integrate")
+    field = builtin(system)
+    x0 = np.asarray(x0)
+
+    def level(t, x):
+        return surface.level(x)
+
+    expected = []
+    for t_end in (horizon, -horizon):
+        sol = integrate.solve_ivp(
+            lambda t, x: field.eval(x, check_domain=False), (0.0, t_end), x0,
+            method="DOP853", events=level, rtol=1e-12, atol=1e-12,
+        )
+        assert sol.status == 0
+        expected.extend(sol.t_events[0])
+    events = find_crossings(field, x0, surface, horizon=horizon)
+    assert all(e.direction != 0 for e in events)
+    assert len(events) == len(expected) >= 2
+    np.testing.assert_allclose([e.t for e in events], sorted(expected), atol=1e-7)
+
+
+def test_batch_matches_single_points_under_domain_errors(tight_cfg):
+    # sqrt(x1) raises DomainError for the whole batch array once any lane
+    # has x1 < 0; the batch is then re-run point by point
+    field = parse_system("-x1, sqrt(x1)", 2, name="sqrt-drift")
+    surface = line_surface(1.0, 0.0, 4.0)
+    points = [[0.5, 1.0], [-0.5, 1.0], [1.5, 2.0], [-1.0, 0.5]]
+    results, stats = find_crossings_batch(
+        field, points, surface, horizon=5.0, cfg=tight_cfg
+    )
+    assert [isinstance(r, DomainError) for r in results] == [False, True, False, True]
+    assert stats.lanes >= 2 * len(points)
+    for x, batched in zip(points, results):
+        try:
+            single = find_crossings(
+                field, np.array(x), surface, horizon=5.0, cfg=tight_cfg
+            )
+        except DomainError as err:
+            assert type(batched) is type(err)
+            continue
+        assert [e.t for e in batched] == [e.t for e in single]
+        assert len(single) == 1
