@@ -1,69 +1,37 @@
 #!/usr/bin/env python3
 """Survey the characteristics-built charts against their closed forms.
 
-Builds the chart for each worked system, samples the validity region, and
-prints the largest gap between traced and analytic coordinates, plus the
-recurrence verdicts that justify (or reject) each surface choice.
+Runs the chart and recurrence checks of `flowbox.verify` (the ones
+`flowbox verify-all` runs) and prints, for each, the worst value with where
+and at which point it occurred, the work the crossing searches did and the
+time taken: the largest gap between traced and analytic coordinates, and
+the recurrence verdicts that justify (or reject) each surface choice.
 """
 import argparse
 import sys
 import time
 
-import numpy as np
-
-from flowbox import chart as chart_mod
-from flowbox import dynsys, refsol
-
-WORKED = (("source-a", "circle-a"), ("hyperbolic-b", "line-b"))
+from flowbox import verify
 
 
-def survey(system_id, surface_name, n_points, rng):
-    ref = refsol.reference(system_id)
-    surface = chart_mod.builtin_surface(surface_name)
+def survey(name, check, seed):
     t0 = time.perf_counter()
-    built = chart_mod.build_chart(ref.field, surface)
-    build_dt = time.perf_counter() - t0
-
-    pts = ref.sample_valid(rng, n_points)
-    gap_m = 0.0
-    gap_h = 0.0
-    t0 = time.perf_counter()
-    for x in pts:
-        z = chart_mod.flowbox(built, x)
-        gap_m = max(gap_m, abs(z[-1] - ref.unit_time(x)))
-        gap_h = max(gap_h, float(np.max(np.abs(z[:-1] - ref.chart_h(x)))))
-    eval_dt = time.perf_counter() - t0
-    print(f"{system_id} / {surface_name}: built in {build_dt:.2f}s,"
-          f" {n_points} points in {eval_dt:.2f}s")
-    print(f"  max |m - closed form| {gap_m:.3e}, max |h - closed form| {gap_h:.3e}")
-
-
-def recurrence_demo(horizon):
-    # the same segment that works for the saddle is recurrent for the rotation
-    segment = chart_mod.builtin_surface("segment-c")
-    for system_id in ("rotation-c", "hyperbolic-b"):
-        field = dynsys.builtin(system_id)
-        report = chart_mod.check_nonrecurrent(
-            segment, field, n_orbits=6, horizon=horizon
-        )
-        worst = max((len(t) for _, t in report.violations), default=0)
-        extra = f", worst orbit crosses {worst}x" if report.violations else ""
-        print(f"  segment-c under {system_id}: {report.verdict}{extra}")
+    ok, detail, metrics = check(seed)
+    print(f"{name} {'PASS' if ok else 'FAIL'} in {time.perf_counter() - t0:.2f}s:"
+          f" {detail}")
+    print(f"  worst {metrics['worst']} at {metrics['worst_point']}"
+          f" ({metrics['worst_at']}) over {metrics['points']} values,"
+          f" {metrics['stats']['rhs_evals']} RHS evaluations")
+    return ok
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--points", type=int, default=200)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--horizon", type=float, default=4.0 * np.pi)
     args = ap.parse_args(argv)
-
-    rng = np.random.Generator(np.random.PCG64(args.seed))
-    for system_id, surface_name in WORKED:
-        survey(system_id, surface_name, args.points, rng)
-    print(f"recurrence audit (horizon {args.horizon:.3g}):")
-    recurrence_demo(args.horizon)
-    return 0
+    verdicts = [survey(name, check, args.seed) for name, check in verify.VERIFY_SUITES
+                if name in ("chart-vs-refsol", "recurrence-audit")]
+    return 0 if all(verdicts) else 2
 
 
 if __name__ == "__main__":

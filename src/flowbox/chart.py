@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import expressions as ex
-from .dynsys import VectorField
+from .dynsys import OutOfDomainError, VectorField
 from .fdiff import fd_gradient
 from .odeint import (
     DEFAULT_CONFIG,
@@ -56,6 +56,8 @@ __all__ = [
     "flowbox",
     "conservation_residual",
     "evaluate_grid",
+    "error_status",
+    "POINT_ERRORS",
 ]
 
 TRANSVERSALITY_TOL = 1e-6
@@ -551,8 +553,28 @@ STATUS_OK = "ok"
 STATUS_NOT_IN_OMEGA = "not-in-omega"
 STATUS_AMBIGUOUS = "ambiguous"
 STATUS_OFF_PATCH = "off-patch"
+STATUS_CHART = "chart-error"
 STATUS_INTEGRATION = "integration-error"
 STATUS_DOMAIN = "domain-error"
+
+# first match wins, so subclasses come before their bases
+_ERROR_STATUSES = (
+    (NotInOmega, STATUS_NOT_IN_OMEGA),
+    (AmbiguousChart, STATUS_AMBIGUOUS),
+    (OffPatch, STATUS_OFF_PATCH),
+    (ChartError, STATUS_CHART),
+    (IntegrationError, STATUS_INTEGRATION),
+    (ex.DomainError, STATUS_DOMAIN),
+    (OutOfDomainError, STATUS_DOMAIN),
+    (ZeroDivisionError, STATUS_DOMAIN),
+)
+# failures that become a point's status instead of propagating
+POINT_ERRORS = tuple(cls for cls, _ in _ERROR_STATUSES)
+
+
+def error_status(err: BaseException) -> str:
+    """The status label of a per-point failure, an instance of POINT_ERRORS."""
+    return next(status for cls, status in _ERROR_STATUSES if isinstance(err, cls))
 
 
 def _eval_one(chart: Chart, x, events):
@@ -560,16 +582,8 @@ def _eval_one(chart: Chart, x, events):
         if isinstance(events, BaseException):
             raise events
         return _coords(_unique_crossing(chart, x, events)), STATUS_OK
-    except NotInOmega:
-        return None, STATUS_NOT_IN_OMEGA
-    except AmbiguousChart:
-        return None, STATUS_AMBIGUOUS
-    except OffPatch:
-        return None, STATUS_OFF_PATCH
-    except IntegrationError:
-        return None, STATUS_INTEGRATION
-    except ex.DomainError:
-        return None, STATUS_DOMAIN
+    except POINT_ERRORS as err:
+        return None, error_status(err)
 
 
 def evaluate_grid(

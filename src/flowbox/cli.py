@@ -26,11 +26,14 @@ from . import __version__
 from . import chart as chart_mod
 from . import dynsys
 from . import kef as kef_mod
-from . import refsol as refsol_mod
 from . import varfit as varfit_mod
-from .expressions import DomainError, ExpressionError, parse_expression
-from .fdiff import fd_gradient
-from .odeint import DEFAULT_CONFIG, IntegrationError, IntegratorConfig, RunStats, flow
+from .expressions import ExpressionError, parse_expression
+from .odeint import DEFAULT_CONFIG, IntegrationError, IntegratorConfig, RunStats
+from .verify import STREAM_STRIDE, VERIFY_SUITES
+
+# importable from here for perfbench's tracer self-test, which patches them
+from .fdiff import fd_gradient  # noqa: F401
+from .odeint import flow  # noqa: F401
 
 __all__ = [
     "main",
@@ -364,14 +367,10 @@ def cmd_kef_check(system, grid_spec, out_dir, phi_expr=None, eigenvalue=None,
         for point in points:
             try:
                 res = kef_mod.kpde_residual(fn, lam, field, point, fd_step=fd_step)
-                status = "ok"
+                status = chart_mod.STATUS_OK
                 magnitudes.append(abs(res))
-            except (DomainError, dynsys.OutOfDomainError, ZeroDivisionError):
-                res, status = complex(np.nan, np.nan), "domain-error"
-            except chart_mod.ChartError as err:
-                res, status = complex(np.nan, np.nan), _chart_status(err)
-            except IntegrationError:
-                res, status = complex(np.nan, np.nan), "integration-error"
+            except chart_mod.POINT_ERRORS as err:
+                res, status = complex(np.nan, np.nan), chart_mod.error_status(err)
             rows.append(
                 [_fmt(v) for v in point]
                 + [label, _fmt(res.real), _fmt(res.imag), status]
@@ -403,16 +402,6 @@ def cmd_kef_check(system, grid_spec, out_dir, phi_expr=None, eigenvalue=None,
     else:
         print(f"kef-check: no evaluable points, wrote {csv_path}")
     return EXIT_OK
-
-
-def _chart_status(err: chart_mod.ChartError) -> str:
-    if isinstance(err, chart_mod.NotInOmega):
-        return chart_mod.STATUS_NOT_IN_OMEGA
-    if isinstance(err, chart_mod.AmbiguousChart):
-        return chart_mod.STATUS_AMBIGUOUS
-    if isinstance(err, chart_mod.OffPatch):
-        return chart_mod.STATUS_OFF_PATCH
-    return "chart-error"
 
 
 # ---------------------------------------------------------------------------
@@ -528,194 +517,26 @@ def cmd_varfit(system, grid_spec, out_dir, iterations=None, seed=None,
 # verify-all
 
 
-def _suite_rng(seed, offset):
-    return np.random.Generator(np.random.PCG64(int(seed) + offset))
-
-
-def _suite_kpde_residuals(seed=0):
-    """Closed-form eigenfunctions satisfy the eigenvalue PDE to 1e-8."""
-    worst = 0.0
-    worst_at = ""
-    for idx, system_id in enumerate(refsol_mod.reference_ids()):
-        ref = refsol_mod.reference(system_id)
-        pts = ref.sample_valid(_suite_rng(seed, idx), 100)
-        for eig in ref.eigenfunctions:
-            for x in pts:
-                res = abs(
-                    kef_mod.kpde_residual(eig.fn, eig.eigenvalue, ref.field, x)
-                )
-                if res > worst:
-                    worst, worst_at = res, f"{system_id}:{eig.label}"
-    return worst <= 1e-8, f"max |residual| {worst:.3g} ({worst_at})"
-
-
-def _suite_real_form_identities(seed=0):
-    """Re/Im parts of complex eigenfunctions satisfy the coupled real system."""
-    worst = 0.0
-    worst_at = ""
-    for idx, system_id in enumerate(("linear-ac", "linear-ai")):
-        ref = refsol_mod.reference(system_id)
-        pts = ref.sample_valid(_suite_rng(seed, 100 + idx), 100)
-        for eig in ref.eigenfunctions:
-            mu, om = eig.eigenvalue.real, eig.eigenvalue.imag
-            for x in pts:
-                p = ref.field.eval(x)
-                g1 = float(np.real(eig.fn(x)))
-                g2 = float(np.imag(eig.fn(x)))
-                d1 = fd_gradient(lambda y: float(np.real(eig.fn(y))), x)
-                d2 = fd_gradient(lambda y: float(np.imag(eig.fn(y))), x)
-                r1 = abs(float(np.dot(d1, p)) - (mu * g1 - om * g2))
-                r2 = abs(float(np.dot(d2, p)) - (om * g1 + mu * g2))
-                if max(r1, r2) > worst:
-                    worst, worst_at = max(r1, r2), f"{system_id}:{eig.label}"
-    return worst <= 1e-8, f"max real-form residual {worst:.3g} ({worst_at})"
-
-
-def _suite_unit_velocity(seed=0):
-    """Closed-form measurements and unit coordinates advance at unit rate."""
-    worst = 0.0
-    worst_at = ""
-    for idx, system_id in enumerate(refsol_mod.reference_ids()):
-        ref = refsol_mod.reference(system_id)
-        if ref.unit_time is None and ref.unit_coords is None:
-            continue
-        pts = ref.sample_valid(_suite_rng(seed, 200 + idx), 100)
-        for x in pts:
-            p = ref.field.eval(x)
-            if ref.unit_time is not None:
-                grad = fd_gradient(ref.unit_time, x)
-                res = abs(float(np.dot(grad, p)) - 1.0)
-                if res > worst:
-                    worst, worst_at = res, f"{system_id}:unit_time"
-            if ref.unit_coords is not None:
-                jac = fd_gradient(ref.unit_coords, x)  # (N, n_coords) complex
-                rates = np.tensordot(p, jac, axes=([0], [0]))
-                res = float(np.max(np.abs(rates - 1.0)))
-                if res > worst:
-                    worst, worst_at = res, f"{system_id}:unit_coords"
-    return worst <= 1e-8, f"max |rate - 1| {worst:.3g} ({worst_at})"
-
-
-def _suite_flowbox_law(seed=0, t_step=0.25, n_points=100):
-    """z(flow(x,t)) - z(x) = (0,...,0,t) for closed-form flowbox maps."""
-    worst = 0.0
-    worst_at = ""
-    for idx, system_id in enumerate(refsol_mod.reference_ids()):
-        ref = refsol_mod.reference(system_id)
-        if ref.flowbox is None:
-            continue
-        pts = ref.sample_valid(_suite_rng(seed, 300 + idx), n_points)
-        expected = np.zeros(ref.field.dim)
-        expected[-1] = t_step
-        for x in pts:
-            xt = flow(ref.field, x, t_step)
-            delta = np.asarray(ref.flowbox(xt)) - np.asarray(ref.flowbox(x))
-            res = float(np.max(np.abs(delta - expected)))
-            if res > worst:
-                worst, worst_at = res, system_id
-    return worst <= 1e-6, f"max flowbox-law defect {worst:.3g} ({worst_at})"
-
-
-def _suite_chart_vs_refsol(seed=0, n_points=200):
-    """Characteristics-built m and h match the closed forms on [a] and [b]."""
-    worst = 0.0
-    worst_at = ""
-    for idx, system_id in enumerate(("source-a", "hyperbolic-b")):
-        ref = refsol_mod.reference(system_id)
-        built = chart_mod.build_chart(
-            ref.field, chart_mod.builtin_surface(ref.surface_name)
-        )
-        pts = ref.sample_valid(_suite_rng(seed, 400 + idx), n_points)
-        for x in pts:
-            z = chart_mod.flowbox(built, x)
-            dm = abs(z[-1] - ref.unit_time(x))
-            dh = float(np.max(np.abs(z[:-1] - ref.chart_h(x))))
-            if max(dm, dh) > worst:
-                worst, worst_at = max(dm, dh), system_id
-    return worst <= 1e-6, f"max |chart - closed form| {worst:.3g} ({worst_at})"
-
-
-def _suite_appendix_counterexample(seed=0):
-    """The along-orbit eigen relation does not imply the PDE: x2 at 2."""
-    ref = refsol_mod.reference("appendix")
-    cand = ref.failed_candidates[0]
-    dev = kef_mod.orbit_eigen_check(
-        cand.fn, cand.eigenvalue, ref.field, cand.orbit_seed, 1.0
-    )
-    if dev > 1e-6:
-        return False, f"orbit deviation {dev:.3g} on the invariant parabola"
-    res_at_11 = kef_mod.kpde_residual(
-        cand.fn, cand.eigenvalue, ref.field, np.array([1.0, 1.0])
-    )
-    if abs(res_at_11 - (-2.0)) > 1e-6:
-        return False, f"residual at (1,1) is {res_at_11:.6g}, expected -2"
-    pts = ref.sample_valid(_suite_rng(seed, 500), 20)
-    worst = 0.0
-    for x in pts:
-        res = kef_mod.kpde_residual(cand.fn, cand.eigenvalue, ref.field, x)
-        gap = abs(res - cand.residual(x))
-        worst = max(worst, gap)
-    if worst > 1e-6:
-        return False, f"closed-form residual mismatch {worst:.3g}"
-    return True, (
-        f"orbit deviation {dev:.3g}, residual at (1,1) = {res_at_11.real:.6g}"
-    )
-
-
-def _suite_recurrence_audit(seed=0, n_orbits=6):
-    """Rotation surfaces are recurrent; the source/saddle surfaces are not."""
-    rotation = dynsys.builtin("rotation-c")
-    horizon = 4.0 * np.pi
-    segments = [
-        chart_mod.line_surface(1.0, 0.0, 1.0, axis=0, name="seg-x1-1"),
-        chart_mod.line_surface(0.5, 0.0, 1.0, axis=0, name="seg-x1-05"),
-        chart_mod.line_surface(1.5, 0.2, 1.2, axis=0, name="seg-x1-15"),
-        chart_mod.line_surface(1.0, 0.1, 0.9, axis=1, name="seg-x2-1"),
-        chart_mod.line_surface(0.75, 0.3, 1.4, axis=1, name="seg-x2-075"),
-    ]
-    for seg in segments:
-        report = chart_mod.check_nonrecurrent(
-            seg, rotation, n_orbits=n_orbits, horizon=horizon
-        )
-        if report.verdict != "fail" or not report.violations:
-            return False, f"{seg.name} was not flagged recurrent"
-        if max(len(times) for _, times in report.violations) < 2:
-            return False, f"{seg.name}: fewer than 2 crossings recorded"
-    for system_id, surface_name in (("source-a", "circle-a"), ("hyperbolic-b", "line-b")):
-        field = dynsys.builtin(system_id)
-        report = chart_mod.check_nonrecurrent(
-            chart_mod.builtin_surface(surface_name), field, n_orbits=n_orbits
-        )
-        if report.verdict != "pass":
-            return False, f"{surface_name} under {system_id} flagged recurrent"
-    return True, "5 rotation segments recurrent, source/saddle surfaces clean"
-
-
-VERIFY_SUITES = (
-    ("kpde-residuals", _suite_kpde_residuals),
-    ("real-form-identities", _suite_real_form_identities),
-    ("unit-velocity", _suite_unit_velocity),
-    ("flowbox-law", _suite_flowbox_law),
-    ("chart-vs-refsol", _suite_chart_vs_refsol),
-    ("appendix-counterexample", _suite_appendix_counterexample),
-    ("recurrence-audit", _suite_recurrence_audit),
-)
-
-
 def cmd_verify_all(name_filter: str = "", out_dir=None, seed: int = 0) -> int:
     started = _now()
-    selected = [(name, fn) for name, fn in VERIFY_SUITES if name_filter in name]
+    # the k-th suite runs at seed + k * STREAM_STRIDE, filtered or not
+    selected = [(name, fn, seed + k * STREAM_STRIDE)
+                for k, (name, fn) in enumerate(VERIFY_SUITES) if name_filter in name]
     if not selected:
         print(f"no verify suites match {name_filter!r}; nothing to do")
         return EXIT_OK
     results = []
+    timings = {}
     all_ok = True
-    for name, fn in selected:
+    for name, fn, suite_seed in selected:
+        clock = time.perf_counter()
         try:
-            ok, detail = fn(seed=seed)
+            ok, detail, metrics = fn(seed=suite_seed)
         except Exception as err:  # a crashed suite is a failed suite
-            ok, detail = False, f"crashed: {type(err).__name__}: {err}"
-        results.append({"suite": name, "passed": bool(ok), "detail": detail})
+            ok, detail, metrics = False, f"crashed: {type(err).__name__}: {err}", {}
+        timings[f"{name}_s"] = time.perf_counter() - clock
+        results.append({"suite": name, "passed": bool(ok), "detail": detail,
+                        "metrics": metrics})
         all_ok = all_ok and ok
         print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
     if out_dir is not None:
@@ -730,7 +551,7 @@ def cmd_verify_all(name_filter: str = "", out_dir=None, seed: int = 0) -> int:
             [report_path.name],
             {"passed": all_ok,
              "failed": [r["suite"] for r in results if not r["passed"]]},
-            started, seed=seed,
+            started, seed=seed, timings=timings,
         )
     print("verify-all: " + ("all suites passed" if all_ok else "FAILURES present"))
     return EXIT_OK if all_ok else EXIT_AUDIT

@@ -307,6 +307,14 @@ def _integrate(field: VectorField, x0, sign, T: float, cfg: IntegratorConfig,
 
         ok = err_norm <= 1.0
         n_ok = int(np.count_nonzero(ok))
+        # a NaN error norm (the field went NaN inside the step) would grow
+        # the step until max_steps: such lanes fail now; inf just rejects
+        broken = None
+        if n_ok < len(ids) and np.isnan(err_norm).any():
+            broken = np.isnan(err_norm)
+            fail(broken, lambda t_lane: IntegrationError(
+                f"{field.name}: NaN error estimate in the step from t={t_lane:.6g}"
+            ))
         stats.accepted_steps += n_ok
         stats.rejected_steps += len(ids) - n_ok
         keep = None
@@ -338,7 +346,9 @@ def _integrate(field: VectorField, x0, sign, T: float, cfg: IntegratorConfig,
                     finished |= np.isin(ids, stop)
             if finished.any():
                 keep = ~finished
-        # elementary controller; a zero or NaN error norm grows the step 5x
+        if broken is not None:
+            keep = ~broken if keep is None else keep & ~broken
+        # elementary controller; a zero error norm grows the step 5x
         factor = 0.9 * np.maximum(err_norm, 1e-300) ** -0.2
         h = h * np.fmin(5.0, np.maximum(0.2, factor))
         if keep is not None:

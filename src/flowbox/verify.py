@@ -1,0 +1,311 @@
+"""Closed-form verification checks, shared by `verify-all` and the tests.
+
+Every check takes a seed and returns ``(ok, detail, metrics)``: ``detail`` is
+one line that repeats exactly for a given seed, ``metrics`` a JSON-ready dict
+with the worst value (``worst``), where it occurred (``worst_at``,
+``system:label``), the point (``worst_point``), the number of values checked
+(``points``) and, for checks that search crossings, their summed
+``odeint.RunStats`` (``stats``).  A check draws its samples from PCG64
+streams ``seed`` to ``seed + STREAM_STRIDE - 1``; `verify-all` runs the k-th
+check at ``seed + k * STREAM_STRIDE``, so no two checks share a stream.
+Chart-built coordinates come from one ``chart.evaluate_grid`` batch; a point
+whose status is not ``ok`` fails the check, and the detail names the point
+and its status.
+"""
+from __future__ import annotations
+
+import dataclasses
+import math
+
+import numpy as np
+
+from . import chart as chart_mod
+from . import dynsys, kef, refsol
+from .fdiff import fd_gradient
+from .odeint import RunStats, flow
+
+__all__ = ["VERIFY_SUITES", "STREAM_STRIDE", "check_kpde_residuals",
+           "check_real_form_identities", "check_unit_velocity",
+           "check_flowbox_law", "check_chart_vs_refsol",
+           "check_appendix_counterexample", "check_recurrence_audit"]
+
+PDE_TOL = 1e-8    # eigenvalue-PDE, real-form and unit-rate residuals
+CHART_TOL = 1e-6  # chart and flowbox-law defects, counterexample residuals
+SAMPLE_POINTS = 100  # per system, and valid pairs per map in flowbox-law
+CHART_POINTS = 200   # per worked system in chart-vs-refsol
+COUNTEREXAMPLE_POINTS = 20
+T_STEP = 0.25
+MAX_LAW_TRIES = 50000
+N_ORBITS = 6
+ROTATION_HORIZON = 4.0 * np.pi
+# hyperbolic-b's closed form there is m = -ln 0.5, exactly ln 2
+LN2_POINT = np.array([0.5, 2.0])
+STREAM_STRIDE = 1000
+
+# systems whose chart is built by characteristics from their `surface_name`
+WORKED = ("source-a", "hyperbolic-b")
+# (value, lo, hi, axis, name) of line segments recurrent under rotation-c
+ROTATION_SEGMENTS = (
+    (1.0, 0.0, 1.0, 0, "seg-x1-1"),
+    (0.5, 0.0, 1.0, 0, "seg-x1-05"),
+    (1.5, 0.2, 1.2, 0, "seg-x1-15"),
+    (1.0, 0.1, 0.9, 1, "seg-x2-1"),
+    (0.75, 0.3, 1.4, 1, "seg-x2-075"),
+)
+
+
+def _rng(seed):
+    return np.random.Generator(np.random.PCG64(int(seed)))
+
+
+class _Worst:
+    """Running worst value of a check, where and at which point it occurred.
+    Larger is worse unless `lowest`; NaN is worst of all, so it fails."""
+
+    def __init__(self, lowest=False):
+        self.sign = -1.0 if lowest else 1.0
+        self.value, self.at, self.point, self.points = math.nan, "", None, 0
+
+    def see(self, value, at, x, count=1):
+        self.points += count
+        value = float(value)
+        if (self.point is None or self.sign * value > self.sign * self.value
+                or (math.isnan(value) and not math.isnan(self.value))):
+            self.value, self.at, self.point = value, at, [float(v) for v in x]
+
+    def result(self, ok, detail, stats=None):
+        metrics = {"worst": self.value if math.isfinite(self.value) else None,
+                   "worst_at": self.at, "worst_point": self.point,
+                   "points": self.points}
+        if stats is not None:
+            metrics["stats"] = dataclasses.asdict(stats)
+        return bool(ok), detail, metrics
+
+
+def _worked_chart(system_id):
+    ref = refsol.reference(system_id)
+    return ref, chart_mod.build_chart(ref.field, ref.surface_name)
+
+
+def _chart_coords(chart, points, system_id, stats, worst):
+    """(coords, None) of points from one evaluate_grid batch, or (None,
+    detail) for the first point whose status is not ok, recorded as worst."""
+    rows = chart_mod.evaluate_grid(chart, points, stats=stats)
+    for x, _, status in rows:
+        if status != chart_mod.STATUS_OK:
+            worst.see(math.nan, f"{system_id}:{status}", x)
+            return None, f"{system_id} chart point {worst.point} has status {status}"
+    return [z for _, z, _ in rows], None
+
+
+def _kpde_defects(ref, x):
+    """[(label, |<grad phi, P> - lambda phi|)] of each closed-form
+    eigenfunction phi of `ref` at x."""
+    return [(eig.label, abs(kef.kpde_residual(eig.fn, eig.eigenvalue, ref.field, x)))
+            for eig in ref.eigenfunctions]
+
+
+def _real_form_defects(ref, x):
+    """[(label, residual)] of the real form of each eigenfunction at x: with
+    phi = u + iv at eigenvalue a + ib, u must advance along the field as
+    a u - b v and v as b u + a v."""
+    p = ref.field.eval(x)
+    out = []
+    for eig in ref.eigenfunctions:
+        a, b = eig.eigenvalue.real, eig.eigenvalue.imag
+        u, v = float(np.real(eig.fn(x))), float(np.imag(eig.fn(x)))
+        du = fd_gradient(lambda y: float(np.real(eig.fn(y))), x)
+        dv = fd_gradient(lambda y: float(np.imag(eig.fn(y))), x)
+        out.append((eig.label, max(abs(float(np.dot(du, p)) - (a * u - b * v)),
+                                   abs(float(np.dot(dv, p)) - (b * u + a * v)))))
+    return out
+
+
+def _unit_rate_defects(ref, x):
+    """[(label, |rate - 1|)] of the unit-time measurement and the unit
+    coordinates of `ref` at x; empty when it documents neither."""
+    p = ref.field.eval(x)
+    out = []
+    if ref.unit_time is not None:
+        grad = fd_gradient(ref.unit_time, x)
+        out.append(("unit_time", abs(float(np.dot(grad, p)) - 1.0)))
+    if ref.unit_coords is not None:
+        jac = fd_gradient(ref.unit_coords, x)  # (N, n_coords) complex
+        rates = np.tensordot(p, jac, axes=([0], [0]))
+        out.append(("unit_coords", float(np.max(np.abs(rates - 1.0)))))
+    return out
+
+
+def _sampled_check(defects, system_ids, seed, what):
+    """The worst of defects(ref, x) over SAMPLE_POINTS valid points per
+    system, the idx-th system drawing from stream seed + idx."""
+    worst = _Worst()
+    for idx, system_id in enumerate(system_ids):
+        ref = refsol.reference(system_id)
+        for x in ref.sample_valid(_rng(seed + idx), SAMPLE_POINTS):
+            for label, value in defects(ref, x):
+                worst.see(value, f"{system_id}:{label}", x)
+    return worst.result(worst.value <= PDE_TOL,
+                        f"max {what} {worst.value:.3g} ({worst.at})")
+
+
+def check_kpde_residuals(seed=0):
+    """Closed-form eigenfunctions satisfy the eigenvalue PDE to 1e-8."""
+    return _sampled_check(_kpde_defects, refsol.reference_ids(), seed,
+                          "|residual|")
+
+
+def check_real_form_identities(seed=0):
+    """Re/Im parts of complex eigenfunctions satisfy the coupled real system."""
+    return _sampled_check(_real_form_defects, ("linear-ac", "linear-ai"), seed,
+                          "real-form residual")
+
+
+def check_unit_velocity(seed=0):
+    """Closed-form measurements and unit coordinates advance at unit rate."""
+    return _sampled_check(_unit_rate_defects, refsol.reference_ids(), seed,
+                          "|rate - 1|")
+
+
+def _law_pairs(ref, rng):
+    """Up to SAMPLE_POINTS pairs (x, flow(x, T_STEP)) with both ends in the validity
+    region of `ref`, drawing one candidate at a time."""
+    pairs = []
+    for _ in range(MAX_LAW_TRIES):
+        if len(pairs) == SAMPLE_POINTS:
+            break
+        x = ref.sample_valid(rng, 1)[0]
+        xt = flow(ref.field, x, T_STEP)
+        if ref.field.contains(xt) and not ref.excluded(xt):
+            pairs.append((x, xt))
+    return pairs
+
+
+def check_flowbox_law(seed=0):
+    """z(flow(x, t)) - z(x) = (0, ..., 0, t) for the chart-built and the
+    closed-form flowbox maps, on pairs with both ends in the validity region."""
+    worst = _Worst()
+    stats = RunStats()
+    fb_ids = [s for s in refsol.reference_ids()
+              if refsol.reference(s).flowbox is not None]
+    maps = [("chart", s, seed + idx) for idx, s in enumerate(WORKED)]
+    maps += [("refsol", s, seed + 100 + idx) for idx, s in enumerate(fb_ids)]
+    for kind, system_id, stream in maps:
+        ref = refsol.reference(system_id)
+        pairs = _law_pairs(ref, _rng(stream))
+        if len(pairs) < SAMPLE_POINTS:
+            return worst.result(False, f"{system_id}: only {len(pairs)} valid"
+                                f" pairs in {MAX_LAW_TRIES} tries", stats)
+        ends = [x for x, _ in pairs] + [xt for _, xt in pairs]
+        if kind == "chart":
+            zs, bad = _chart_coords(_worked_chart(system_id)[1], ends,
+                                    system_id, stats, worst)
+            if bad:
+                return worst.result(False, bad, stats)
+        else:
+            zs = [np.asarray(ref.flowbox(x)) for x in ends]
+        expected = np.zeros(ref.field.dim)
+        expected[-1] = T_STEP
+        for (x, _), z0, zt in zip(pairs, zs, zs[len(pairs):]):
+            worst.see(float(np.max(np.abs(zt - z0 - expected))),
+                      f"{system_id}:{kind}", x)
+    return worst.result(
+        worst.value <= CHART_TOL,
+        f"max flowbox-law defect {worst.value:.3g} ({worst.at}) at t = {T_STEP}"
+        f" over {worst.points} valid pairs, {len(WORKED)} chart-built +"
+        f" {len(fb_ids)} closed-form maps", stats,
+    )
+
+
+def check_chart_vs_refsol(seed=0):
+    """Characteristics-built m and h match the closed forms on [a] and [b],
+    and m(0.5, 2) = ln 2 on [b]."""
+    worst = _Worst()
+    stats = RunStats()
+    for idx, system_id in enumerate(WORKED):
+        ref, built = _worked_chart(system_id)
+        pts = ref.sample_valid(_rng(seed + idx), CHART_POINTS)
+        if system_id == "hyperbolic-b":
+            pts = np.vstack([pts, LN2_POINT])
+        zs, bad = _chart_coords(built, pts, system_id, stats, worst)
+        if bad:
+            return worst.result(False, bad, stats)
+        for x, z in zip(pts, zs):
+            dm = abs(z[-1] - ref.unit_time(x))
+            dh = float(np.max(np.abs(z[:-1] - ref.chart_h(x))))
+            worst.see(max(dm, dh), f"{system_id}:chart", x)
+    return worst.result(
+        worst.value <= CHART_TOL,
+        f"max |chart - closed form| {worst.value:.3g} ({worst.at}) over"
+        f" {CHART_POINTS} points per system and m(0.5, 2) = ln 2", stats,
+    )
+
+
+def check_appendix_counterexample(seed=0):
+    """The along-orbit eigen relation does not imply the PDE: x2 at 2 follows
+    exp(2t) on its invariant parabola, yet its residual is -2 at (1, 1) and
+    matches the closed form x1^2 - 3 x2 at sampled points."""
+    ref = refsol.reference("appendix")
+    cand = ref.failed_candidates[0]
+    worst = _Worst()
+    dev = kef.orbit_eigen_check(
+        cand.fn, cand.eigenvalue, ref.field, cand.orbit_seed, 1.0
+    )
+    worst.see(dev, "appendix:orbit", cand.orbit_seed)
+    one_one = np.array([1.0, 1.0])
+    res_11 = kef.kpde_residual(cand.fn, cand.eigenvalue, ref.field, one_one)
+    worst.see(abs(res_11 - (-2.0)), "appendix:residual(1,1)", one_one)
+    for x in ref.sample_valid(_rng(seed), COUNTEREXAMPLE_POINTS):
+        res = kef.kpde_residual(cand.fn, cand.eigenvalue, ref.field, x)
+        worst.see(abs(res - cand.residual(x)), f"appendix:{cand.label}", x)
+    return worst.result(
+        worst.value <= CHART_TOL,
+        f"orbit deviation {dev:.3g}, residual at (1,1) = {res_11.real:.6g},"
+        f" worst defect {worst.value:.3g} ({worst.at})",
+    )
+
+
+def check_recurrence_audit(seed=0):
+    """Rotation surfaces are recurrent; the source/saddle surfaces are not.
+
+    Orbits are seeded on a Halton lattice, so the seed is unused.  The worst
+    value is the fewest crossings on any rotation segment's most recurrent
+    orbit; 2 or more flags the segment.
+    """
+    worst = _Worst(lowest=True)
+    stats = RunStats()
+    rotation = dynsys.builtin("rotation-c")
+    for value, lo, hi, axis, name in ROTATION_SEGMENTS:
+        seg = chart_mod.line_surface(value, lo, hi, axis=axis, name=name)
+        report = chart_mod.check_nonrecurrent(seg, rotation, n_orbits=N_ORBITS,
+                                              horizon=ROTATION_HORIZON)
+        stats.add(report.stats)
+        if report.verdict != "fail" or not report.violations:
+            return worst.result(False, f"{name} was not flagged recurrent", stats)
+        x0, times = max(report.violations, key=lambda v: len(v[1]))
+        worst.see(len(times), f"rotation-c:{name}", x0, count=report.tested_points)
+    for system_id in WORKED:
+        built = _worked_chart(system_id)[1]
+        report = chart_mod.check_nonrecurrent(built.surface, built.field,
+                                              n_orbits=N_ORBITS)
+        stats.add(report.stats)
+        worst.points += report.tested_points
+        if report.verdict != "pass":
+            detail = f"{built.surface.name} under {system_id} flagged recurrent"
+            return worst.result(False, detail, stats)
+    return worst.result(
+        worst.value >= 2,
+        f"{len(ROTATION_SEGMENTS)} rotation segments recurrent (>= {worst.value:g}"
+        " crossings on the worst orbit), source/saddle surfaces clean", stats,
+    )
+
+
+VERIFY_SUITES = (
+    ("kpde-residuals", check_kpde_residuals),
+    ("real-form-identities", check_real_form_identities),
+    ("unit-velocity", check_unit_velocity),
+    ("flowbox-law", check_flowbox_law),
+    ("chart-vs-refsol", check_chart_vs_refsol),
+    ("appendix-counterexample", check_appendix_counterexample),
+    ("recurrence-audit", check_recurrence_audit),
+)

@@ -1,25 +1,23 @@
 """End-to-end acceptance checks, one per criterion, each printing a verdict.
 
 Run with `pytest tests/test_acceptance.py -s` to see the verdict lines.
-Every check here re-derives its expectations from closed forms or from
-independent finite differences; nothing is compared against stored output
-of the code under test.
+Criteria 1, 2, 3, 5 and 6 run the closed-form checks of `flowbox.verify`,
+the same ones `flowbox verify-all` runs, with seeds and time bounds of
+their own; 4, 7, 8 and 9 are defined here.  Every check re-derives its
+expectations from closed forms or from independent finite differences;
+nothing is compared against stored output of the code under test.
 """
 import time
 
 import numpy as np
-import pytest
 
 from flowbox import chart as chart_mod
 from flowbox import dynsys
 from flowbox import kef as kef_mod
 from flowbox import refsol as refsol_mod
-from flowbox import varfit as varfit_mod
+from flowbox import verify
 from flowbox.cli import main
-from flowbox.odeint import flow
 from flowbox.varfit import FitConfig, GridField, diff_axis, fit, loss, loss_gradient
-
-LN2 = float(np.log(2.0))
 
 
 def _rng(seed):
@@ -32,123 +30,31 @@ def _report(k, ok, detail):
 
 
 # ---------------------------------------------------------------------------
-# 1. closed-form eigenfunctions satisfy the eigenvalue PDE
+# 1, 2, 3: the shared checks of flowbox.verify, with their own seeds and
+# time bounds
+
+
+def _shared_check(k, check, seed, time_bound=float("inf")):
+    t0 = time.perf_counter()
+    ok, detail, metrics = check(seed)
+    elapsed = time.perf_counter() - t0
+    _report(k, ok and elapsed < time_bound,
+            f"{detail}; worst at {metrics['worst_point']}; {elapsed:.2f}s")
 
 
 def test_acceptance_1_kpde_residuals():
-    t0 = time.perf_counter()
-    worst = 0.0
-    worst_at = ""
-    n_checked = 0
-    for idx, system_id in enumerate(refsol_mod.reference_ids()):
-        ref = refsol_mod.reference(system_id)
-        pts = ref.sample_valid(_rng(1000 + idx), 100)
-        for eig in ref.eigenfunctions:
-            for x in pts:
-                res = abs(
-                    kef_mod.kpde_residual(
-                        eig.fn, eig.eigenvalue, ref.field, x, fd_step=1e-5
-                    )
-                )
-                n_checked += 1
-                if res > worst:
-                    worst, worst_at = res, f"{system_id}:{eig.label}"
-    elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-8 and elapsed < 5.0
-    _report(
-        1, ok,
-        f"max |residual| {worst:.3g} ({worst_at}) over {n_checked} evaluations"
-        f" across {len(refsol_mod.reference_ids())} systems, 100 points each,"
-        f" fd step 1e-5, {elapsed:.2f}s",
-    )
-
-
-# ---------------------------------------------------------------------------
-# 2. characteristics-built chart matches the closed forms
+    # closed-form eigenfunctions satisfy the eigenvalue PDE
+    _shared_check(1, verify.check_kpde_residuals, 1000, time_bound=5.0)
 
 
 def test_acceptance_2_chart_vs_closed_form():
-    t0 = time.perf_counter()
-    worst = 0.0
-    worst_at = ""
-    for idx, system_id in enumerate(("source-a", "hyperbolic-b")):
-        ref = refsol_mod.reference(system_id)
-        built = chart_mod.build_chart(
-            ref.field, chart_mod.builtin_surface(ref.surface_name)
-        )
-        pts = ref.sample_valid(_rng(2000 + idx), 200)
-        for x in pts:
-            z = chart_mod.flowbox(built, x)
-            dm = abs(z[-1] - ref.unit_time(x))
-            dh = float(np.max(np.abs(z[:-1] - ref.chart_h(x))))
-            if max(dm, dh) > worst:
-                worst, worst_at = max(dm, dh), system_id
-        if system_id == "hyperbolic-b":
-            m_val = chart_mod.evaluate_m(built, np.array([0.5, 2.0]))
-            m_gap = abs(m_val - LN2)
-    elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-6 and m_gap <= 1e-6 and elapsed < 30.0
-    _report(
-        2, ok,
-        f"max |chart - closed form| {worst:.3g} ({worst_at}) on 200 points per"
-        f" system; m(0.5, 2) = ln 2 within {m_gap:.3g}; {elapsed:.2f}s",
-    )
-
-
-# ---------------------------------------------------------------------------
-# 3. the flowbox conjugacy law z(flow(x, t)) = z(x) + t e_N
-
-
-def _valid_law_pairs(ref, rng, t_step, n_points, max_tries=50000):
-    pairs = []
-    tries = 0
-    while len(pairs) < n_points and tries < max_tries:
-        x = ref.sample_valid(rng, 1)[0]
-        tries += 1
-        xt = flow(ref.field, x, t_step)
-        if ref.field.contains(xt) and not ref.excluded(xt):
-            pairs.append((x, xt))
-    return pairs
+    # the characteristics-built chart matches the closed forms
+    _shared_check(2, verify.check_chart_vs_refsol, 2000, time_bound=30.0)
 
 
 def test_acceptance_3_flowbox_law():
-    t0 = time.perf_counter()
-    t_step = 0.25
-    worst = 0.0
-    worst_at = ""
-    # chart-built flowboxes for the two worked constructions
-    for idx, system_id in enumerate(("source-a", "hyperbolic-b")):
-        ref = refsol_mod.reference(system_id)
-        built = chart_mod.build_chart(
-            ref.field, chart_mod.builtin_surface(ref.surface_name)
-        )
-        expected = np.zeros(ref.field.dim)
-        expected[-1] = t_step
-        for x, xt in _valid_law_pairs(ref, _rng(3000 + idx), t_step, 100):
-            delta = chart_mod.flowbox(built, xt) - chart_mod.flowbox(built, x)
-            res = float(np.max(np.abs(delta - expected)))
-            if res > worst:
-                worst, worst_at = res, f"chart:{system_id}"
-    # closed-form flowboxes from the reference solutions
-    fb_ids = [s for s in refsol_mod.reference_ids()
-              if refsol_mod.reference(s).flowbox is not None]
-    for idx, system_id in enumerate(fb_ids):
-        ref = refsol_mod.reference(system_id)
-        expected = np.zeros(ref.field.dim)
-        expected[-1] = t_step
-        for x, xt in _valid_law_pairs(ref, _rng(3100 + idx), t_step, 100):
-            delta = np.asarray(ref.flowbox(xt)) - np.asarray(ref.flowbox(x))
-            res = float(np.max(np.abs(delta - expected)))
-            if res > worst:
-                worst, worst_at = res, f"refsol:{system_id}"
-    elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-6 and elapsed < 60.0
-    _report(
-        3, ok,
-        f"max law defect {worst:.3g} ({worst_at}) at t = {t_step}, 100 valid"
-        f" points per system, 2 chart-built + {len(fb_ids)} closed-form maps,"
-        f" {elapsed:.2f}s",
-    )
+    # the flowbox conjugacy law z(flow(x, t)) = z(x) + t e_N
+    _shared_check(3, verify.check_flowbox_law, 3000, time_bound=60.0)
 
 
 # ---------------------------------------------------------------------------
@@ -195,67 +101,17 @@ def test_acceptance_4_minimal_set_rank():
 
 
 # ---------------------------------------------------------------------------
-# 5. along-orbit eigen behaviour does not certify the PDE
+# 5, 6: shared checks of flowbox.verify again
 
 
 def test_acceptance_5_orbitwise_counterexample():
-    ref = refsol_mod.reference("appendix")
-    cand = ref.failed_candidates[0]
-    dev = kef_mod.orbit_eigen_check(
-        cand.fn, cand.eigenvalue, ref.field, cand.orbit_seed, 1.0
-    )
-    res = kef_mod.kpde_residual(
-        cand.fn, cand.eigenvalue, ref.field, np.array([1.0, 1.0])
-    )
-    ok = dev <= 1e-6 and abs(res - (-2.0)) <= 1e-6
-    _report(
-        5, ok,
-        f"candidate x2 at eigenvalue 2: orbit deviation {dev:.3g} from"
-        f" ({cand.orbit_seed[0]:g}, {cand.orbit_seed[1]:.6g}) over T = 1,"
-        " yet PDE residual at (1, 1)"
-        f" = {res.real:.9f} (expected -2)",
-    )
-
-
-# ---------------------------------------------------------------------------
-# 6. recurrence audit separates rotation sections from true cross-sections
+    # along-orbit eigen behaviour does not certify the PDE
+    _shared_check(5, verify.check_appendix_counterexample, 5000)
 
 
 def test_acceptance_6_recurrence_audit():
-    rotation = dynsys.builtin("rotation-c")
-    horizon = 4.0 * np.pi
-    segments = [
-        chart_mod.line_surface(1.0, 0.0, 1.0, axis=0, name="seg-x1-1"),
-        chart_mod.line_surface(0.5, 0.0, 1.0, axis=0, name="seg-x1-05"),
-        chart_mod.line_surface(1.5, 0.2, 1.2, axis=0, name="seg-x1-15"),
-        chart_mod.line_surface(1.0, 0.1, 0.9, axis=1, name="seg-x2-1"),
-        chart_mod.line_surface(0.75, 0.3, 1.4, axis=1, name="seg-x2-075"),
-    ]
-    ok = True
-    flagged = 0
-    for seg in segments:
-        report = chart_mod.check_nonrecurrent(
-            seg, rotation, n_orbits=6, horizon=horizon
-        )
-        crossings = max(
-            (len(times) for _, times in report.violations), default=0
-        )
-        if report.verdict == "fail" and crossings >= 2:
-            flagged += 1
-        else:
-            ok = False
-    for system_id, surface_name in (("source-a", "circle-a"),
-                                    ("hyperbolic-b", "line-b")):
-        report = chart_mod.check_nonrecurrent(
-            chart_mod.builtin_surface(surface_name),
-            dynsys.builtin(system_id), n_orbits=6,
-        )
-        ok = ok and report.verdict == "pass"
-    _report(
-        6, ok,
-        f"{flagged}/5 rotation segments flagged recurrent within horizon 4*pi"
-        " with >= 2 crossings per offending orbit; circle-a and line-b pass",
-    )
+    # the recurrence audit separates rotation sections from cross-sections
+    _shared_check(6, verify.check_recurrence_audit, 6000)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -331,9 +334,32 @@ def test_verify_all_single_suite_with_report(tmp_path, capsys):
     assert (tmp_path / "manifest.json").exists()
 
 
+def test_verify_all_runs_every_suite(tmp_path, capsys):
+    assert main(["verify-all", "--out", str(tmp_path)]) == EXIT_OK
+    names = [name for name, _ in cli.VERIFY_SUITES]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == [f"PASS  {n}" for n in names]
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    assert [(r["suite"], len(r["metrics"]["worst_point"])) for r in report["suites"]] \
+        == [(n, 2) for n in names]
+    timings = json.loads((tmp_path / "manifest.json").read_text())["timings"]
+    assert set(timings) == {f"{n}_s" for n in names}
+
+
+def test_verify_suite_names_match_benchmark(monkeypatch):
+    # the benchmark counts verify-all suites by these names, in its own file
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as is
+    spec.loader.exec_module(workloads)
+    assert tuple(workloads.VERIFY_SUITES) == tuple(n for n, _ in cli.VERIFY_SUITES)
+
+
 def test_verify_all_reports_failures(tmp_path, capsys, monkeypatch):
     def bad_suite(seed=0):
-        return False, "synthetic failure"
+        return False, "synthetic failure", {}
 
     def crashing_suite(seed=0):
         raise RuntimeError("boom")
@@ -349,6 +375,20 @@ def test_verify_all_reports_failures(tmp_path, capsys, monkeypatch):
     assert "FAIL  crash: crashed: RuntimeError: boom" in out
     report = json.loads((tmp_path / "verify_report.json").read_text())
     assert report["passed"] is False
+
+
+def test_verify_all_gives_each_suite_its_own_seed(capsys, monkeypatch):
+    seeds = {}
+
+    def suite(name):
+        def run(seed=0):
+            seeds[name] = seed
+            return True, "fine", {}
+        return name, run
+
+    monkeypatch.setattr(cli, "VERIFY_SUITES", tuple(map(suite, ("ax", "b", "cx"))))
+    assert main(["verify-all", "--filter", "x", "--seed", "7"]) == EXIT_OK
+    assert seeds == {"ax": 7, "cx": 7 + 2 * cli.STREAM_STRIDE}
 
 
 def test_verify_all_no_matching_suite(capsys):

@@ -9,6 +9,7 @@ from flowbox.dynsys import builtin, parse_system
 from flowbox.expressions import DomainError
 from flowbox.odeint import (
     DomainExit,
+    IntegrationError,
     IntegratorConfig,
     StepLimitExceeded,
     find_crossings,
@@ -68,6 +69,16 @@ def test_step_limit_exceeded():
     cfg = IntegratorConfig(max_steps=5)
     with pytest.raises(StepLimitExceeded):
         flow(field, np.array([1.0, 0.0]), 6.0, cfg=cfg)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_error_estimate_fails_at_once():
+    # exp(exp(x1)) overflows past x1 = 6.56 and inf - inf is NaN: the step
+    # controller must not spin on a NaN error estimate until max_steps
+    field = parse_system("1, exp(exp(x1)) - exp(exp(x1))", 2)
+    with pytest.raises(IntegrationError, match="NaN") as exc:
+        flow(field, np.array([5.0, 0.0]), 3.0, cfg=IntegratorConfig(max_steps=1000))
+    assert not isinstance(exc.value, StepLimitExceeded)
 
 
 def test_domain_exit_carries_partial_orbit():
