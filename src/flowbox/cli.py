@@ -321,6 +321,8 @@ def cmd_kef_check(system, grid_spec, out_dir, phi_expr=None, eigenvalue=None,
                   abs_tol=None, rel_tol=None, horizon=None,
                   system_file=None, force=False) -> int:
     started = _now()
+    if not (np.isfinite(fd_step) and fd_step > 0):
+        raise UsageError(f"--fd-step must be positive and finite, got {fd_step}")
     field = _resolve_field(system, system_file)
     box, shape = parse_grid_spec(grid_spec, field.dim)
     points = _grid_points(box, shape)
@@ -329,6 +331,8 @@ def cmd_kef_check(system, grid_spec, out_dir, phi_expr=None, eigenvalue=None,
     csv_path = out / "kef_residuals.csv"
     n = field.dim
 
+    clock = time.perf_counter()
+    stats = RunStats()
     if use_minimal_set:
         if not surface_spec:
             raise UsageError("--minimal-set needs --surface")
@@ -342,57 +346,65 @@ def cmd_kef_check(system, grid_spec, out_dir, phi_expr=None, eigenvalue=None,
         except chart_mod.TransversalityError as err:
             print(f"audit failure: {err}", file=sys.stderr)
             return EXIT_AUDIT
-        mset = kef_mod.minimal_set(built)
-        candidates = [
-            (member.label, member, complex(member.eigenvalue))
-            for member in mset.members
-        ]
+        members = kef_mod.minimal_set(built).members
+        labels = [member.label for member in members]
         args_extra = {"minimal_set": True, "surface": surface.name}
+        timings = {"audit_s": time.perf_counter() - clock}
+        clock = time.perf_counter()
+        # one evaluate_grid batch charts every member's stencils
+        results = kef_mod.kef_residuals(members, field, points, fd_step, stats)
     else:
         if phi_expr is None or eigenvalue is None:
             raise UsageError("need --phi and --lambda (or --minimal-set)")
         node = parse_expression(phi_expr, [f"x{i + 1}" for i in range(n)])
-        lam = eigenvalue
 
         def phi(x):
             return node.evaluate(tuple(np.asarray(x, dtype=float)))
 
-        candidates = [(phi_expr, phi, lam)]
+        labels = [phi_expr]
         args_extra = {"phi": phi_expr, "lambda": str(eigenvalue)}
+        timings = {"audit_s": time.perf_counter() - clock}
+        clock = time.perf_counter()
+        results = [[kef_mod.residual_status(phi, eigenvalue, field, point, fd_step)
+                    for point in points]]
+    timings["evaluate_s"] = time.perf_counter() - clock
 
+    clock = time.perf_counter()
     header = [f"x{i + 1}" for i in range(n)] + ["member", "re", "im", "status"]
-    rows = []
     magnitudes = []
-    for label, fn, lam in candidates:
-        for point in points:
-            try:
-                res = kef_mod.kpde_residual(fn, lam, field, point, fd_step=fd_step)
-                status = chart_mod.STATUS_OK
-                magnitudes.append(abs(res))
-            except chart_mod.POINT_ERRORS as err:
-                res, status = complex(np.nan, np.nan), chart_mod.error_status(err)
-            rows.append(
-                [_fmt(v) for v in point]
-                + [label, _fmt(res.real), _fmt(res.imag), status]
-            )
     with open(csv_path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        for label, member_results in zip(labels, results):
+            for point, (res, status) in zip(points, member_results):
+                if res is None:
+                    res = complex(np.nan, np.nan)
+                else:
+                    magnitudes.append(abs(res))
+                cells = [_fmt(v) for v in point]
+                cells += [label, _fmt(res.real), _fmt(res.imag), status]
+                fh.write(",".join(cells) + "\n")
 
     summary = {
         "points": len(points),
-        "members": len(candidates),
+        "members": len(labels),
         "evaluated": len(magnitudes),
         "max_abs_residual": max(magnitudes) if magnitudes else None,
         "mean_abs_residual": (
             float(np.mean(magnitudes)) if magnitudes else None
         ),
         "fd_step": fd_step,
+        "stats": {
+            "evaluate": dataclasses.asdict(stats),
+            "evaluate_rhs_evals_per_point": (
+                stats.rhs_evals / len(points) if len(points) else 0.0
+            ),
+        },
     }
     args = {"system": field.name, "grid": grid_spec, "fd_step": fd_step}
     args.update(args_extra)
-    _write_manifest(out, "kef-check", args, [csv_path.name], summary, started)
+    timings["write_s"] = time.perf_counter() - clock
+    _write_manifest(out, "kef-check", args, [csv_path.name], summary, started,
+                    timings=timings)
     if magnitudes:
         print(
             f"kef-check: max |residual| = {max(magnitudes):.6g},"
@@ -711,3 +723,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -14,9 +14,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .chart import Chart, flowbox
+from .chart import POINT_ERRORS, STATUS_OK, Chart, error_status, evaluate_grid, flowbox
 from .dynsys import VectorField
-from .fdiff import fd_gradient, fd_jacobian
+from .fdiff import central_pairs, fd_gradient, fd_jacobian
 from .odeint import DEFAULT_CONFIG, IntegratorConfig, flow
 
 __all__ = [
@@ -24,6 +24,8 @@ __all__ = [
     "MinimalSet",
     "build_kef",
     "kpde_residual",
+    "kef_residuals",
+    "residual_status",
     "orbit_eigen_check",
     "koopman_advance",
     "minimal_set",
@@ -44,7 +46,10 @@ class KoopmanEigenfunction:
     label: str = ""
 
     def __call__(self, x):
-        z = flowbox(self.chart, x)
+        return self.at(flowbox(self.chart, x))
+
+    def at(self, z):
+        """phi from the flowbox coordinates z = (h, m) of a point."""
         h, m = z[:-1], z[-1]
         amp = 1.0 if self.profile is None else self.profile(h)
         return amp * np.exp(self.eigenvalue * m)
@@ -69,6 +74,63 @@ def kpde_residual(phi, eigenvalue: complex, field: VectorField, x,
     grad = fd_gradient(phi, x, step=fd_step)
     p = field.eval(x)
     return complex(np.dot(grad, p) - lam * complex(phi(x)))
+
+
+class _ChartStatus(Exception):
+    """A batch-charted point whose status is not ok, met by kef_residuals."""
+
+    def __init__(self, status):
+        super().__init__(status)
+        self.status = status
+
+
+def kef_residuals(kefs: Sequence[KoopmanEigenfunction], field: VectorField,
+                  points, fd_step: float = 1e-5, stats=None) -> list:
+    """kpde_residual of eigenfunctions sharing one chart, at many points.
+
+    Every point and its central-difference stencil are charted by one
+    ``chart.evaluate_grid`` batch (work counters added to `stats` when
+    given), and each residual is assembled by kpde_residual from the batch's
+    coordinates, so it equals the per-point value bit for bit.  Returns, per
+    eigenfunction, [(residual or None, status)] in point order; a failed
+    row's status is that of the first failure the per-point call meets: the
+    stencil points in fd_gradient's order, then field.eval(x), then x.
+    """
+    chart = kefs[0].chart
+    if any(k.chart is not chart for k in kefs):
+        raise ValueError("kef_residuals needs eigenfunctions of one chart")
+    points = [np.asarray(x, dtype=float) for x in points]
+    unique = {}
+    for x in points:
+        for pair in central_pairs(x, fd_step):
+            for y in pair:
+                unique.setdefault(y.tobytes(), y)
+        unique.setdefault(x.tobytes(), x)
+    rows = evaluate_grid(chart, list(unique.values()), stats=stats)
+    charted = {key: (z, status) for key, (_, z, status) in zip(unique, rows)}
+
+    out = []
+    for member in kefs:
+        def phi(y, member=member):
+            z, status = charted[y.tobytes()]
+            if z is None:
+                raise _ChartStatus(status)
+            return member.at(z)
+
+        out.append([residual_status(phi, member.eigenvalue, field, x, fd_step)
+                    for x in points])
+    return out
+
+
+def residual_status(phi, eigenvalue: complex, field: VectorField, x,
+                    fd_step: float = 1e-5):
+    """(kpde_residual, "ok"), or (None, status) of the point's failure."""
+    try:
+        return kpde_residual(phi, eigenvalue, field, x, fd_step=fd_step), STATUS_OK
+    except _ChartStatus as err:
+        return None, err.status
+    except POINT_ERRORS as err:
+        return None, error_status(err)
 
 
 def orbit_eigen_check(

@@ -35,6 +35,7 @@ __all__ = [
     "StepLimitExceeded",
     "DomainExit",
     "flow",
+    "flow_batch",
     "trace_orbit",
     "find_crossings",
     "find_crossings_batch",
@@ -60,8 +61,9 @@ class DomainExit(IntegrationError):
     """Trajectory left the field's domain box.
 
     Carries the first accepted state outside the box (`t_exit`, `x_exit`,
-    relative to the start of the sweep) and all accepted samples up to and
-    including it.
+    relative to the start of the sweep) and accepted samples up to and
+    including it (`times`, `states`): all of them from trace_orbit, the
+    start and the exit from flow and flow_batch.
     """
 
     def __init__(self, field_name, t_exit, x_exit, times, states):
@@ -378,16 +380,69 @@ def _sweep(field: VectorField, x0, sign: float, T: float, cfg: IntegratorConfig)
     return times, states
 
 
-def flow(field: VectorField, x0, t: float, cfg: Optional[IntegratorConfig] = None):
-    """State of the orbit through x0 after signed time t."""
+def _lanewise(run, X) -> list:
+    """run(X), one outcome per point of X, as one batch.
+
+    An ArithmeticError (e.g. expressions.DomainError) raised by the batched
+    field evaluation cannot be pinned to a lane: the points are then run one
+    by one, and such an error becomes the outcome of the point that raised it.
+    """
+    try:
+        return run(X)
+    except ArithmeticError as err:
+        if len(X) == 1:
+            return [err]
+    return [out for x in X for out in _lanewise(run, x[None, :])]
+
+
+def _flow_lanes(field, X, sign, T, cfg) -> list:
+    """flow's outcome for each lane of X: its final state or its exception."""
+    final = X.copy()
+    t_last = np.zeros(len(X))
+
+    def keep_last(lanes, t_old, x_old, t_new, x_new, h, stages):
+        final[lanes] = x_new
+        t_last[lanes] = t_new
+
+    outcome, errors = _integrate(field, X, sign, T, cfg, RunStats(), keep_last)
+    for lane in np.flatnonzero(outcome == _EXIT):
+        t_exit, x_exit = float(t_last[lane]), final[lane].copy()
+        errors[lane] = DomainExit(field.name, t_exit, x_exit,
+                                  [0.0, t_exit], [X[lane].copy(), x_exit])
+    return [final[lane] if err is None else err for lane, err in enumerate(errors)]
+
+
+def flow_batch(field: VectorField, points, t: float,
+               cfg: Optional[IntegratorConfig] = None):
+    """flow for many points as one lane-batched integration.
+
+    Returns (states, errors): states[i] is flow(points[i], t), NaN where that
+    lane failed, and errors[i] the exception flow would raise for it, or
+    None.  A lane that leaves the domain gets a DomainExit at the same exit
+    point as flow's.  A parsed field that raises ArithmeticError for the
+    batch array is re-run point by point, so each point keeps its own outcome.
+    """
     cfg = cfg or DEFAULT_CONFIG
     if abs(t) > cfg.horizon * (1 + 1e-12):
         raise ValueError(f"|t|={abs(t):.6g} exceeds the configured horizon {cfg.horizon}")
-    x0 = np.asarray(x0, dtype=float)
+    X = np.array(points, dtype=float).reshape(len(points), field.dim)
     if t == 0.0:
-        return x0.copy()
-    _, states = _sweep(field, x0, 1.0 if t > 0 else -1.0, abs(t), cfg)
-    return states[-1]
+        return X, [None] * len(X)
+    sign = 1.0 if t > 0 else -1.0
+    outcomes = _lanewise(lambda P: _flow_lanes(field, P, sign, abs(t), cfg), X)
+    errors = [out if isinstance(out, BaseException) else None for out in outcomes]
+    for lane, err in enumerate(errors):
+        X[lane] = np.nan if err is not None else outcomes[lane]
+    return X, errors
+
+
+def flow(field: VectorField, x0, t: float, cfg: Optional[IntegratorConfig] = None):
+    """State of the orbit through x0 after signed time t; the one-point case
+    of flow_batch."""
+    (state,), (err,) = flow_batch(field, [x0], t, cfg=cfg)
+    if err is not None:
+        raise err
+    return state
 
 
 def trace_orbit(field: VectorField, x0, t_span, cfg: Optional[IntegratorConfig] = None) -> Orbit:
@@ -677,20 +732,9 @@ def find_crossings_batch(
         )
     X = np.asarray(points, dtype=float).reshape(len(points), field.dim)
     stats = RunStats()
-    try:
-        return _crossing_lanes(field, X, surface, horizon, cfg, stats), stats
-    except ArithmeticError as err:
-        if len(X) == 1:
-            return [err], stats
-    # some lane made the batched field evaluation fail: run each point alone
-    results = []
-    for x in X:
-        try:
-            results.extend(
-                _crossing_lanes(field, x[None, :], surface, horizon, cfg, stats)
-            )
-        except ArithmeticError as err:
-            results.append(err)
+    results = _lanewise(
+        lambda P: _crossing_lanes(field, P, surface, horizon, cfg, stats), X
+    )
     return results, stats
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import chart as chart_mod
 from . import dynsys, kef, refsol
 from .fdiff import fd_gradient
-from .odeint import RunStats, flow
+from .odeint import RunStats, flow_batch
 
 __all__ = ["VERIFY_SUITES", "STREAM_STRIDE", "check_kpde_residuals",
            "check_real_form_identities", "check_unit_velocity",
@@ -168,16 +168,27 @@ def check_unit_velocity(seed=0):
 
 
 def _law_pairs(ref, rng):
-    """Up to SAMPLE_POINTS pairs (x, flow(x, T_STEP)) with both ends in the validity
-    region of `ref`, drawing one candidate at a time."""
+    """The first SAMPLE_POINTS pairs (x, flow(x, T_STEP)) with both ends in
+    the validity region of `ref`, among at most MAX_LAW_TRIES candidates.
+
+    Candidates are drawn one at a time, as a loop that flows each in turn
+    would draw them, and flowed in blocks of as many as are still missing;
+    a candidate's flow error is raised if the loop would have reached it.
+    """
     pairs = []
-    for _ in range(MAX_LAW_TRIES):
-        if len(pairs) == SAMPLE_POINTS:
-            break
-        x = ref.sample_valid(rng, 1)[0]
-        xt = flow(ref.field, x, T_STEP)
-        if ref.field.contains(xt) and not ref.excluded(xt):
-            pairs.append((x, xt))
+    tries = 0
+    while len(pairs) < SAMPLE_POINTS and tries < MAX_LAW_TRIES:
+        block = min(SAMPLE_POINTS - len(pairs), MAX_LAW_TRIES - tries)
+        xs = np.array([ref.sample_valid(rng, 1)[0] for _ in range(block)])
+        tries += block
+        xts, errors = flow_batch(ref.field, xs, T_STEP)
+        for x, xt, err in zip(xs, xts, errors):
+            if err is not None:
+                raise err
+            if ref.field.contains(xt) and not ref.excluded(xt):
+                pairs.append((x, xt))
+                if len(pairs) == SAMPLE_POINTS:
+                    break
     return pairs
 
 

@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -180,6 +182,34 @@ def test_kef_check_minimal_set_mode(tmp_path):
     assert members == {"h1*exp(m)", "exp(m)"}
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["summary"]["max_abs_residual"] < 1e-5
+
+
+def test_kef_check_writes_deterministic_stats(tmp_path):
+    argv = ["kef-check", "--system", "hyperbolic-b", "--minimal-set",
+            "--surface", "line-b", "--grid", "0.9x1.1x2,0.2x0.3x2"]
+    stats = []
+    for run in ("a", "b"):
+        assert main(argv + ["--out", str(tmp_path / run)]) == EXIT_OK
+        manifest = json.loads((tmp_path / run / "manifest.json").read_text())
+        stats.append(manifest["summary"]["stats"])
+        assert set(manifest["timings"]) == {"audit_s", "evaluate_s", "write_s"}
+    assert stats[0] == stats[1]
+    evaluate = stats[0]["evaluate"]
+    # 4 grid points, each charted with its 4 stencil points: 20 chart points
+    assert evaluate["lanes"] == 2 * 20
+    assert evaluate["crossings_refined"] == 20
+    assert stats[0]["evaluate_rhs_evals_per_point"] == evaluate["rhs_evals"] / 4
+
+
+@pytest.mark.parametrize("step", ["0", "-1e-5", "nan", "inf"])
+def test_kef_check_rejects_bad_fd_step(step, tmp_path, capsys):
+    code = main([
+        "kef-check", "--system", "linear-ar", "--phi", "x1 + x2", "--lambda", "3",
+        "--grid", "0.5x2x3,0.5x2x3", f"--fd-step={step}", "--out", str(tmp_path),
+    ])
+    assert code == EXIT_USAGE
+    assert "--fd-step" in capsys.readouterr().err
+    assert not (tmp_path / "kef_residuals.csv").exists()
 
 
 def test_kef_check_needs_phi_or_minimal_set(capsys):
@@ -389,6 +419,18 @@ def test_verify_all_gives_each_suite_its_own_seed(capsys, monkeypatch):
     monkeypatch.setattr(cli, "VERIFY_SUITES", tuple(map(suite, ("ax", "b", "cx"))))
     assert main(["verify-all", "--filter", "x", "--seed", "7"]) == EXIT_OK
     assert seeds == {"ax": 7, "cx": 7 + 2 * cli.STREAM_STRIDE}
+
+
+def test_module_runs_as_a_script():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-m", "flowbox.cli", "verify-all", "--filter", "appendix"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == EXIT_OK
+    assert "PASS  appendix-counterexample:" in done.stdout
 
 
 def test_verify_all_no_matching_suite(capsys):

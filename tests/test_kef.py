@@ -4,9 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowbox import dynsys
-from flowbox.chart import build_chart, flowbox
+from flowbox.chart import (
+    POINT_ERRORS,
+    build_chart,
+    error_status,
+    flowbox,
+    surface_from_json,
+)
 from flowbox.kef import (
     build_kef,
+    kef_residuals,
     koopman_advance,
     kpde_residual,
     minimal_set,
@@ -157,3 +164,41 @@ def test_member_ratio_recovers_chart(hyp_chart, x1, x2):
     np.testing.assert_allclose(
         ms.coordinates(x), flowbox(hyp_chart, x), rtol=1e-6, atol=1e-8
     )
+
+
+def test_kef_residuals_equal_per_point_residuals():
+    # a parsed saddle charted through {x1 = 1}: x1 <= 0 never reaches the
+    # surface and x1 x2 >= 4 crosses it off the patch
+    field = dynsys.system_from_json(
+        '{"name": "saddle-json", "dim": 2, "components": ["-x1", "x2"]}')
+    surface = surface_from_json({"name": "line-json", "dim": 2,
+                                 "param": ["1", "4*t1"], "level": "x1 - 1"})
+    members = minimal_set(build_chart(field, surface)).members
+    axes = np.meshgrid(np.linspace(-0.5, 2.5, 9), np.linspace(0.2, 4.0, 9),
+                       indexing="ij")
+    points = np.stack([a.ravel() for a in axes], axis=-1)
+
+    def statuses(points, fd_step):
+        batched = kef_residuals(members, field, points, fd_step)
+        seen = []
+        for member, rows in zip(members, batched):
+            for x, (res, status) in zip(points, rows):
+                try:
+                    expected = kpde_residual(member, member.eigenvalue, field, x,
+                                             fd_step=fd_step)
+                except POINT_ERRORS as err:
+                    assert (res, status) == (None, error_status(err))
+                else:
+                    assert status == "ok"
+                    np.testing.assert_allclose(res, expected, rtol=0, atol=0)
+                seen.append(status)
+        return seen
+
+    seen = statuses(points, 1e-5)
+    assert {s: seen.count(s) for s in set(seen)} == {
+        "ok": 88, "not-in-omega": 36, "off-patch": 38}
+    # the first failing stencil point names the row: x - e1 is not in omega
+    # before x - e2 is off the patch, and x + e1 is off the patch although x
+    # itself is not in omega
+    assert statuses([[0.05, 0.02], [-0.02, -0.02]], 0.1) == 2 * [
+        "not-in-omega", "off-patch"]

@@ -15,6 +15,7 @@ from flowbox.odeint import (
     find_crossings,
     find_crossings_batch,
     flow,
+    flow_batch,
     trace_orbit,
 )
 
@@ -248,3 +249,44 @@ def test_batch_matches_single_points_under_domain_errors(tight_cfg):
             continue
         assert [e.t for e in batched] == [e.t for e in single]
         assert len(single) == 1
+
+
+def test_flow_batch_lanes_equal_single_flows():
+    # one lane leaves the domain box; the rest end inside it
+    field = parse_system("x1, -x2 + x1 * x2", 2, name="box", domain=[(-2, 2), (-2, 2)])
+    points = [[0.1, 0.2], [1.0, 1.0], [-0.3, 0.5], [0.5, -1.5]]
+    exits = {}
+    for t in (1.0, -0.8):
+        states, errors = flow_batch(field, points, t)
+        for x, state, err in zip(points, states, errors):
+            try:
+                single = flow(field, np.array(x), t)
+            except DomainExit as exc:
+                assert type(err) is DomainExit
+                assert err.t_exit == exc.t_exit
+                np.testing.assert_array_equal(err.x_exit, exc.x_exit)
+                assert np.isnan(state).all()
+                exits[t] = exits.get(t, []) + [x]
+                continue
+            assert err is None
+            np.testing.assert_allclose(state, single, rtol=0, atol=0)
+    assert exits == {1.0: [[1.0, 1.0]], -0.8: [[0.5, -1.5]]}
+    # trace_orbit's exit keeps every sample, ending at the same exit point
+    with pytest.raises(DomainExit) as exc:
+        trace_orbit(field, np.array([1.0, 1.0]), (0.0, 1.0))
+    exit_ = flow_batch(field, points, 1.0)[1][1]
+    assert len(exc.value.times) > len(exit_.times) == 2
+    np.testing.assert_array_equal(exc.value.x_exit, exit_.x_exit)
+
+
+def test_flow_batch_domain_errors_stay_per_lane(tight_cfg):
+    # sqrt(x1) fails the batched evaluation once any lane has x1 < 0
+    field = parse_system("-x1, sqrt(x1)", 2, name="sqrt-drift")
+    points = [[0.5, 1.0], [-0.5, 1.0], [1.5, 2.0]]
+    states, errors = flow_batch(field, points, 0.3, cfg=tight_cfg)
+    assert [type(e) for e in errors] == [type(None), DomainError, type(None)]
+    for i in (0, 2):
+        single = flow(field, np.array(points[i]), 0.3, cfg=tight_cfg)
+        np.testing.assert_allclose(states[i], single, rtol=0, atol=0)
+    with pytest.raises(DomainError):
+        flow(field, np.array(points[1]), 0.3, cfg=tight_cfg)

@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
+
 from flowbox import chart, refsol, verify
+from flowbox.odeint import flow
 
 
 def test_chart_check_fails_on_a_point_status(monkeypatch):
@@ -26,3 +29,24 @@ def test_nan_defect_is_the_worst():
     ok, _, metrics = worst.result(worst.value <= 1e-6, "")
     assert not ok
     assert (metrics["worst"], metrics["worst_at"], metrics["points"]) == (None, "nan", 3)
+
+
+def test_law_pairs_equal_a_loop_of_single_flows():
+    # rotation-c's flowed ends leave its validity region now and then, so
+    # its pairs take more than one block of candidates
+    for system_id in ("hyperbolic-b", "rotation-c"):
+        ref = refsol.reference(system_id)
+        rng = verify._rng(3)
+        expected = []
+        for _ in range(verify.MAX_LAW_TRIES):
+            if len(expected) == verify.SAMPLE_POINTS:
+                break
+            x = ref.sample_valid(rng, 1)[0]
+            xt = flow(ref.field, x, verify.T_STEP)
+            if ref.field.contains(xt) and not ref.excluded(xt):
+                expected.append((x, xt))
+        got = verify._law_pairs(ref, verify._rng(3))
+        assert len(got) == len(expected) == verify.SAMPLE_POINTS
+        for (x, xt), (y, yt) in zip(got, expected):
+            np.testing.assert_array_equal(x, y)
+            np.testing.assert_array_equal(xt, yt)
