@@ -426,26 +426,24 @@ def cmd_varfit(system, grid_spec, out_dir, iterations=None, seed=None,
     started = _now()
     field = _resolve_field(system, system_file)
     box, shape = parse_grid_spec(grid_spec, field.dim)
-    defaults = varfit_mod.FitConfig()
-    cfg = varfit_mod.FitConfig(
-        step_size=step_size if step_size is not None else defaults.step_size,
-        momentum=momentum if momentum is not None else defaults.momentum,
-        iterations=iterations if iterations is not None else defaults.iterations,
-        weight_a=weight_a if weight_a is not None else defaults.weight_a,
-        weight_b=weight_b if weight_b is not None else defaults.weight_b,
-        seed=seed if seed is not None else defaults.seed,
-        target=target if target is not None else defaults.target,
-    )
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
+    given = {
+        "step_size": step_size, "momentum": momentum, "iterations": iterations,
+        "weight_a": weight_a, "weight_b": weight_b, "seed": seed, "target": target,
+    }
+    clock = time.perf_counter()
     try:
+        cfg = varfit_mod.FitConfig(**{k: v for k, v in given.items() if v is not None})
         result = varfit_mod.fit(field, box, shape, cfg)
     except FloatingPointError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as err:
         raise UsageError(str(err))
+    timings = {"fit_s": time.perf_counter() - clock}
+
+    clock = time.perf_counter()
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     sidecar = {
         "system": field.name,
@@ -488,6 +486,7 @@ def cmd_varfit(system, grid_spec, out_dir, iterations=None, seed=None,
         "refinement_gain": result.refinement_gain,
         "elevated_residual": result.elevated_residual,
         "message": result.message,
+        "stats": dataclasses.asdict(result.stats),
     }
     args = {
         "system": field.name,
@@ -502,7 +501,9 @@ def cmd_varfit(system, grid_spec, out_dir, iterations=None, seed=None,
     }
     outputs = [y_csv.name, f"{y_csv.name}.json", z_csv.name,
                f"{z_csv.name}.json", hist_csv.name]
-    _write_manifest(out, "varfit", args, outputs, summary, started, seed=cfg.seed)
+    timings["write_s"] = time.perf_counter() - clock
+    _write_manifest(out, "varfit", args, outputs, summary, started, seed=cfg.seed,
+                    timings=timings)
 
     status = "converged" if result.converged else "NOT converged"
     print(

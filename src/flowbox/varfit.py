@@ -20,7 +20,10 @@ is what it takes to land in the flowbox basin from a random affine start.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import json
+import math
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -47,6 +50,11 @@ __all__ = [
 def grid_axes(box: np.ndarray, shape: Sequence[int]) -> list:
     box = np.asarray(box, dtype=float)
     return [np.linspace(box[a, 0], box[a, 1], int(shape[a])) for a in range(len(shape))]
+
+
+def _spacings(box: np.ndarray, shape: Sequence[int]) -> np.ndarray:
+    """Node spacing along each axis."""
+    return (box[:, 1] - box[:, 0]) / (np.asarray(shape) - 1)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -90,10 +98,7 @@ class GridField:
 
     @property
     def spacings(self) -> np.ndarray:
-        return np.array(
-            [(self.box[a, 1] - self.box[a, 0]) / (self.shape[a] - 1)
-             for a in range(self.dim)]
-        )
+        return _spacings(self.box, self.shape)
 
     def mesh(self) -> np.ndarray:
         """Node coordinates, shape (N, *shape)."""
@@ -119,20 +124,19 @@ class FitConfig:
     weight_b: float = 1.0
     seed: int = 0
     target: float = 0.0
-    max_backtracks: int = 30
     init: Union[str, GridField] = "random-affine"
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
+        if not (math.isfinite(self.step_size) and self.step_size > 0):
+            raise ValueError(f"step_size must be positive and finite: {self.step_size}")
         if not (0.0 <= self.momentum < 1.0):
-            raise ValueError("momentum must lie in [0, 1)")
+            raise ValueError(f"momentum must lie in [0, 1): {self.momentum}")
         if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.weight_a < 0 or self.weight_b < 0:
-            raise ValueError("weights must be >= 0")
-        if self.target < 0:
-            raise ValueError("target must be >= 0")
+            raise ValueError(f"iterations must be >= 1: {self.iterations}")
+        for name in ("weight_a", "weight_b", "target"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0: {value}")
         if isinstance(self.init, str) and self.init != "random-affine":
             raise ValueError("init must be 'random-affine' or a GridField")
 
@@ -141,15 +145,25 @@ class FitConfig:
 # Stencils
 
 
+@functools.lru_cache(maxsize=None)
+def _cuts(axis: int) -> tuple:
+    """Index tuples selecting [2:], [1:-1], [:-2] and nodes 0, 1, 2, -1, -2,
+    -3 along `axis` (>= 0), in that order."""
+    lead = (slice(None),) * axis
+    cuts = (slice(2, None), slice(1, -1), slice(None, -2), 0, 1, 2, -1, -2, -3)
+    return tuple(lead + (cut,) for cut in cuts)
+
+
 def diff_axis(u: np.ndarray, h: float, axis: int) -> np.ndarray:
     """d/dx along one axis: central interior, one-sided second order at edges."""
-    u = np.moveaxis(np.asarray(u, dtype=float), axis, 0)
+    u = np.asarray(u, dtype=float)
+    nxt, mid, prv, n0, n1, n2, e1, e2, e3 = _cuts(axis + u.ndim if axis < 0 else axis)
     out = np.empty_like(u)
     inv = 1.0 / (2.0 * h)
-    out[1:-1] = (u[2:] - u[:-2]) * inv
-    out[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) * inv
-    out[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) * inv
-    return np.moveaxis(out, 0, axis)
+    out[mid] = (u[nxt] - u[prv]) * inv
+    out[n0] = (-3.0 * u[n0] + 4.0 * u[n1] - u[n2]) * inv
+    out[e1] = (3.0 * u[e1] - 4.0 * u[e2] + u[e3]) * inv
+    return out
 
 
 def diff_axis_T(v: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -158,26 +172,26 @@ def diff_axis_T(v: np.ndarray, h: float, axis: int) -> np.ndarray:
     Built by scattering each stencil row back onto its columns, so it stays
     the exact adjoint for any axis length >= 3.
     """
-    v = np.moveaxis(np.asarray(v, dtype=float), axis, 0)
+    v = np.asarray(v, dtype=float)
+    nxt, mid, prv, n0, n1, n2, e1, e2, e3 = _cuts(axis + v.ndim if axis < 0 else axis)
     out = np.zeros_like(v)
     inv = 1.0 / (2.0 * h)
-    out[:-2] += -inv * v[1:-1]
-    out[2:] += inv * v[1:-1]
-    out[0] += -3.0 * inv * v[0]
-    out[1] += 4.0 * inv * v[0]
-    out[2] += -inv * v[0]
-    out[-1] += 3.0 * inv * v[-1]
-    out[-2] += -4.0 * inv * v[-1]
-    out[-3] += inv * v[-1]
-    return np.moveaxis(out, 0, axis)
+    out[prv] += -inv * v[mid]
+    out[nxt] += inv * v[mid]
+    out[n0] += -3.0 * inv * v[n0]
+    out[n1] += 4.0 * inv * v[n0]
+    out[n2] += -inv * v[n0]
+    out[e1] += 3.0 * inv * v[e1]
+    out[e2] += -4.0 * inv * v[e1]
+    out[e3] += inv * v[e1]
+    return out
 
 
 def trapezoid_weights(box: np.ndarray, shape: Sequence[int]) -> np.ndarray:
     """Node quadrature weights; sums exactly to the box volume."""
     box = np.asarray(box, dtype=float)
     w = np.ones(())
-    for a, n in enumerate(shape):
-        h = (box[a, 1] - box[a, 0]) / (n - 1)
+    for n, h in zip(shape, _spacings(box, shape)):
         wa = np.full(n, h)
         wa[0] = wa[-1] = h / 2.0
         w = np.multiply.outer(w, wa)
@@ -212,29 +226,21 @@ def _raise_non_finite(arrays, box, shape, what):
             )
 
 
-def _terms(values, p_vals, spacings):
-    """Shared pieces: per-coordinate gradients g, unit defects u, overlaps s."""
+def _terms(values, p_vals, w, spacings):
+    """(G, U, S, A, B) of the iterate values, shape (N, *shape).
+
+    G[i, a] = dy_i/dx_a, U[i] = <grad y_i, P> - 1, S[k] = <grad y_i, grad y_j>
+    for the k-th pair i < j in np.triu_indices order, and A and B integrate
+    U^2 and S^2.  Sums run in ascending index order, so every bit repeats.
+    """
     n = values.shape[0]
-    g = [
-        [diff_axis(values[i], spacings[a], a) for a in range(n)]
-        for i in range(n)
-    ]
-    u = [
-        sum(g[i][a] * p_vals[a] for a in range(n)) - 1.0
-        for i in range(n)
-    ]
-    s = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            s[(i, j)] = sum(g[i][a] * g[j][a] for a in range(n))
-    return g, u, s
-
-
-def _loss_parts(values, p_vals, w, spacings):
-    g, u, s = _terms(values, p_vals, spacings)
-    a_term = sum(float(np.sum(w * ui * ui)) for ui in u)
-    b_term = sum(float(np.sum(w * sij * sij)) for sij in s.values())
-    return g, u, s, a_term, b_term
+    G = np.stack([diff_axis(values, spacings[a], a + 1) for a in range(n)], axis=1)
+    U = sum(G[:, a] * p_vals[a] for a in range(n)) - 1.0
+    iu, ju = np.triu_indices(n, 1)
+    S = sum(G[iu, a] * G[ju, a] for a in range(n))
+    A = sum(float(np.sum(x)) for x in w * U * U)
+    B = sum(float(np.sum(x)) for x in w * S * S)
+    return G, U, S, A, B
 
 
 def loss(grid: GridField, field: VectorField, weight_a: float = 1.0,
@@ -242,34 +248,30 @@ def loss(grid: GridField, field: VectorField, weight_a: float = 1.0,
     """(A, B, total) of the discretized functional over the grid box."""
     p_vals = _field_on_grid(field, grid.box, grid.shape)
     w = trapezoid_weights(grid.box, grid.shape)
-    _, u, s, a_term, b_term = _loss_parts(grid.values, p_vals, w, grid.spacings)
+    _, U, S, a_term, b_term = _terms(grid.values, p_vals, w, grid.spacings)
     total = weight_a * a_term + weight_b * b_term
     if not np.isfinite(total):
-        _raise_non_finite(
-            [grid.values] + u + list(s.values()), grid.box, grid.shape, "loss term"
-        )
+        _raise_non_finite([grid.values, U, S], grid.box, grid.shape, "loss term")
     return a_term, b_term, total
 
 
-def _gradient(values, p_vals, w, spacings, weight_a, weight_b):
-    n = values.shape[0]
-    g, u, s = _terms(values, p_vals, spacings)
-    out = np.zeros_like(values)
-    for i in range(n):
-        acc = np.zeros_like(values[i])
-        for a in range(n):
-            src = 2.0 * weight_a * w * u[i] * p_vals[a]
-            if weight_b != 0.0:
-                for j in range(n):
-                    if j == i:
-                        continue
-                    sij = s[(min(i, j), max(i, j))]
-                    src = src + 2.0 * weight_b * w * sij * g[j][a]
-            acc += diff_axis_T(src, spacings[a], a)
-        out[i] = acc
-    a_term = sum(float(np.sum(w * ui * ui)) for ui in u)
-    b_term = sum(float(np.sum(w * sij * sij)) for sij in s.values())
-    return out, a_term, b_term
+def _gradient(terms, p_vals, w, spacings, weight_a, weight_b):
+    """d(total)/d(values) from the iterate's _terms, by the stencil adjoints."""
+    G, U, S = terms[:3]
+    n = U.shape[0]
+    pairs = list(zip(*np.triu_indices(n, 1)))
+    source_a = 2.0 * weight_a * w * U
+    overlap = 2.0 * weight_b * w * S
+    out = np.zeros_like(U)
+    for a in range(n):
+        src = source_a * p_vals[a]
+        if weight_b != 0.0:
+            # pairs in triu order hand every row its j terms in ascending j
+            for (i, j), s_ij in zip(pairs, overlap):
+                src[i] += s_ij * G[j, a]
+                src[j] += s_ij * G[i, a]
+        out += diff_axis_T(src, spacings[a], a + 1)
+    return out
 
 
 def loss_gradient(grid: GridField, field: VectorField, weight_a: float = 1.0,
@@ -277,9 +279,8 @@ def loss_gradient(grid: GridField, field: VectorField, weight_a: float = 1.0,
     """d(total)/d(values): exact adjoint of the stencil expressions."""
     p_vals = _field_on_grid(field, grid.box, grid.shape)
     w = trapezoid_weights(grid.box, grid.shape)
-    grad, _, _ = _gradient(
-        grid.values, p_vals, w, grid.spacings, weight_a, weight_b
-    )
+    terms = _terms(grid.values, p_vals, w, grid.spacings)
+    grad = _gradient(terms, p_vals, w, grid.spacings, weight_a, weight_b)
     if not np.all(np.isfinite(grad)):
         _raise_non_finite([grad], grid.box, grid.shape, "loss gradient")
     return grad
@@ -297,6 +298,24 @@ _MIN_COARSE = 9
 # defect is a feature of the problem, not of the grid resolution.
 _GAIN_TOL = 12.0
 _RESIDUAL_FLOOR = 1e-10  # per unit volume
+# Step halvings tried before a descent step counts as failed.
+_MAX_BACKTRACKS = 30
+# Iterations per progress window; a window that gains under 1% triggers a
+# recombination sweep.
+_CHECK_EVERY = 100
+# Passes a recombination sweep makes at most over all coordinate pairs.
+_MAX_SWEEP_ROUNDS = 40
+
+
+@dataclasses.dataclass
+class FitStats:
+    """Work counters of fit(), summed over the ladder levels."""
+
+    loss_evals: int = 0   # loss evaluations, one per scored iterate
+    gradients: int = 0    # loss gradients
+    backtracks: int = 0   # rejected descent trials
+    sweeps: int = 0       # recombination sweeps
+    line_moves: int = 0   # accepted recombination line moves
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -317,20 +336,17 @@ class FitResult:
     refinement_gain: Optional[float]  # level_totals[-2] / level_totals[-1]
     elevated_residual: bool      # refinement failed to shrink the residual
     message: str
+    stats: FitStats
 
 
-def _node_diagnostics(values, p_vals, spacings, weight_a, weight_b):
-    g, u, s = _terms(values, p_vals, spacings)
-    n = values.shape[0]
-    node_mean_a = np.array([float(np.mean(ui * ui)) for ui in u])
-    node_mean_b = (
-        float(np.mean([np.mean(sij * sij) for sij in s.values()]))
-        if s else 0.0
-    )
-    unit_mean = np.array([float(np.mean(ui)) + 1.0 for ui in u])
-    per_node = weight_a * sum(ui * ui for ui in u)
-    if s:
-        per_node = per_node + weight_b * sum(sij * sij for sij in s.values())
+def _node_diagnostics(terms, weight_a, weight_b):
+    U, S = terms[1:3]
+    node_mean_a = np.array([float(np.mean(x * x)) for x in U])
+    node_mean_b = float(np.mean([np.mean(x * x) for x in S])) if len(S) else 0.0
+    unit_mean = np.array([float(np.mean(x)) + 1.0 for x in U])
+    per_node = weight_a * sum(x * x for x in U)
+    if len(S):
+        per_node = per_node + weight_b * sum(x * x for x in S)
     med = float(np.median(per_node))
     concentration = float(np.max(per_node) / max(med, 1e-300))
     return node_mean_a, node_mean_b, unit_mean, concentration
@@ -352,10 +368,10 @@ def _affine_init(box, shape, p_vals, seed):
     return values
 
 
-def _pin_corner(values, pins):
+def _pin_corner(values):
+    """Shift every coordinate to 0 at the first node: a unique minimizer."""
     corner = (slice(None),) + (0,) * (values.ndim - 1)
-    shift = values[corner] - pins
-    return values - shift.reshape((-1,) + (1,) * (values.ndim - 1))
+    return values - values[corner].reshape((-1,) + (1,) * (values.ndim - 1))
 
 
 def _coarse_ladder(shape):
@@ -401,12 +417,12 @@ def _smoothed(arr, passes):
     out = arr.copy()
     for _ in range(passes):
         for ax in range(1, out.ndim):
-            u = np.moveaxis(out, ax, 0)
-            v = np.empty_like(u)
-            v[1:-1] = 0.25 * u[:-2] + 0.5 * u[1:-1] + 0.25 * u[2:]
-            v[0] = 0.75 * u[0] + 0.25 * u[1]
-            v[-1] = 0.75 * u[-1] + 0.25 * u[-2]
-            out = np.moveaxis(v, 0, ax)
+            nxt, mid, prv, n0, n1, _, e1, e2, _ = _cuts(ax)
+            v = np.empty_like(out)
+            v[mid] = 0.25 * out[prv] + 0.5 * out[mid] + 0.25 * out[nxt]
+            v[n0] = 0.75 * out[n0] + 0.25 * out[n1]
+            v[e1] = 0.75 * out[e1] + 0.25 * out[e2]
+            out = v
     return out
 
 
@@ -424,21 +440,16 @@ def _smoothing_passes(it, iters):
     return 0
 
 
-def _pair_alignment(values, spacings):
+def _pair_alignment(G):
     """Worst mean interior cos^2 between gradient fields of two coordinates."""
-    dim = values.ndim - 1
-    n = values.shape[0]
-    inner = (slice(None),) + (slice(1, -1),) * dim
-    grads = [
-        np.stack([diff_axis(values[i], spacings[a], a) for a in range(dim)])[inner]
-        for i in range(n)
-    ]
+    n = G.shape[0]
+    inner = (slice(None),) + (slice(1, -1),) * n
     worst = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            num = np.sum(grads[i] * grads[j], axis=0) ** 2
-            den = np.sum(grads[i] ** 2, axis=0) * np.sum(grads[j] ** 2, axis=0)
-            worst = max(worst, float(np.mean(num / np.maximum(den, 1e-300))))
+    for i, j in zip(*np.triu_indices(n, 1)):
+        gi, gj = G[i][inner], G[j][inner]
+        num = np.sum(gi * gj, axis=0) ** 2
+        den = np.sum(gi ** 2, axis=0) * np.sum(gj ** 2, axis=0)
+        worst = max(worst, float(np.mean(num / np.maximum(den, 1e-300))))
     return worst
 
 
@@ -454,23 +465,23 @@ def _shifted_cheb(u, k):
     return 8.0 * s ** 4 - 8.0 * s * s + 1.0
 
 
-def _line_move(evaluate, values, total, pins, spacings, i, basis):
+def _line_move(evaluate, values, total, i, basis):
     """Exact minimizer of the loss along values[i] + c * basis, if it helps.
 
     The loss is a quartic in c but near-quadratic at the scales that matter,
     so fit a parabola through three samples and jump to its vertex.  The jump
     is taken only when it strictly decreases the loss and leaves the gradient
-    fields of distinct coordinates well separated.
+    fields of distinct coordinates well separated.  Returns (values, total,
+    terms) of the jump, or None.
     """
+    def moved(c):
+        out = values.copy()
+        out[i] = out[i] + c * basis
+        return _pin_corner(out)
+
     s = 0.1
-    vp = values.copy()
-    vp[i] = vp[i] + s * basis
-    vp = _pin_corner(vp, pins)
-    tp = evaluate(vp)
-    vm = values.copy()
-    vm[i] = vm[i] - s * basis
-    vm = _pin_corner(vm, pins)
-    tm = evaluate(vm)
+    tp = evaluate(moved(s))[0]
+    tm = evaluate(moved(-s))[0]
     if not (np.isfinite(tp) and np.isfinite(tm)):
         return None
     a = (tp - 2.0 * total + tm) / (2.0 * s * s)
@@ -480,74 +491,65 @@ def _line_move(evaluate, values, total, pins, spacings, i, basis):
     c = -b / (2.0 * a)
     if not np.isfinite(c) or abs(c) > 1e3:
         return None
-    cand = values.copy()
-    cand[i] = cand[i] + c * basis
-    cand = _pin_corner(cand, pins)
-    tc = evaluate(cand)
-    if (
-        np.isfinite(tc)
-        and tc < total
-        and (values.shape[0] < 2 or _pair_alignment(cand, spacings) < 0.8)
-    ):
-        return cand, tc
+    cand = moved(c)
+    tc, terms = evaluate(cand)
+    if np.isfinite(tc) and tc < total and _pair_alignment(terms[0]) < 0.8:
+        return cand, tc, terms
     return None
 
 
-def _recombine_sweep(evaluate, values, total, pins, spacings, max_rounds=40):
+def _recombine_sweep(evaluate, values, total, terms, stats):
     """Trade content between coordinates along directions descent cannot see.
 
     Any function of w = y_i - y_j with zero unit-rate defect leaves A alone,
     so plain descent drifts along these valleys instead of crossing them.
     Sweeping exact line moves over w itself and low-order Chebyshev shapes
-    of it jumps across, repeating until a full pass finds nothing.
+    of it jumps across, repeating until a full pass finds nothing.  Returns
+    the best (values, total, terms) found.
     """
-    n = values.shape[0]
-    if n < 2:
-        return values, total
-    for _ in range(max_rounds):
+    stats.sweeps += 1
+    for _ in range(_MAX_SWEEP_ROUNDS):
         improved = False
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                w = values[i] - values[j]
-                lo, hi = float(np.min(w)), float(np.max(w))
-                bases = [w]
-                if hi - lo > 1e-12:
-                    u = (w - lo) / (hi - lo)
-                    bases += [_shifted_cheb(u, k) for k in range(1, 5)]
-                for basis in bases:
-                    got = _line_move(evaluate, values, total, pins, spacings, i, basis)
-                    if got is not None:
-                        values, total = got
-                        improved = True
+        for i, j in itertools.permutations(range(len(values)), 2):
+            w = values[i] - values[j]
+            lo, hi = float(np.min(w)), float(np.max(w))
+            bases = [w]
+            if hi - lo > 1e-12:
+                u = (w - lo) / (hi - lo)
+                bases += [_shifted_cheb(u, k) for k in range(1, 5)]
+            for basis in bases:
+                got = _line_move(evaluate, values, total, i, basis)
+                if got is not None:
+                    values, total, terms = got
+                    stats.line_moves += 1
+                    improved = True
         if not improved:
             break
-    return values, total
+    return values, total, terms
 
 
-def _descend(field, values, box, shape, iters, cfg, record=None, target=0.0,
-             check_every=100):
+def _descend(field, values, box, shape, iters, cfg, stats, record=None,
+             target=0.0):
     """Smoothed-gradient descent with recombination sweeps on one grid.
 
-    Returns (values, total, steps_run, stalled, met_target).  Every accepted
-    step strictly decreases the loss; when backtracking fails, or progress
-    over a window slows to a crawl, a recombination sweep tries to jump the
-    iterate across a loss valley before giving up.
+    Returns (values, total, terms, steps_run, stalled, met_target).  Every
+    accepted step strictly decreases the loss; when backtracking fails, or
+    progress over a window slows to a crawl, a recombination sweep tries to
+    jump the iterate across a loss valley before giving up.  Each scored
+    iterate gets one _terms call, whose terms the next gradient, the target
+    check and the caller reuse.
     """
     p_vals = _field_on_grid(field, box, shape)
     w = trapezoid_weights(box, shape)
-    spacings = np.array(
-        [(box[a, 1] - box[a, 0]) / (shape[a] - 1) for a in range(len(shape))]
-    )
-    pins = np.zeros(values.shape[0])
-    values = _pin_corner(values, pins)
+    spacings = _spacings(box, shape)
+    values = _pin_corner(values)
 
     def evaluate(vals):
-        _, _, _, a_term, b_term = _loss_parts(vals, p_vals, w, spacings)
-        return cfg.weight_a * a_term + cfg.weight_b * b_term
+        stats.loss_evals += 1
+        terms = _terms(vals, p_vals, w, spacings)
+        return cfg.weight_a * terms[3] + cfg.weight_b * terms[4], terms
 
-    total = evaluate(values)
+    total, terms = evaluate(values)
     if not np.isfinite(total):
         raise FloatingPointError("loss is non-finite at the initial iterate")
     step = cfg.step_size
@@ -557,8 +559,8 @@ def _descend(field, values, box, shape, iters, cfg, record=None, target=0.0,
     met_target = False
     it = 0
     while it < iters:
-        grad, _, _ = _gradient(values, p_vals, w, spacings, cfg.weight_a,
-                               cfg.weight_b)
+        stats.gradients += 1
+        grad = _gradient(terms, p_vals, w, spacings, cfg.weight_a, cfg.weight_b)
         if not np.all(np.isfinite(grad)):
             _raise_non_finite([grad], box, shape, "loss gradient")
         if float(np.sum(grad * grad)) == 0.0:
@@ -568,31 +570,31 @@ def _descend(field, values, box, shape, iters, cfg, record=None, target=0.0,
 
         accepted = False
         trial_step = step
-        for attempt in range(cfg.max_backtracks + 1):
+        for attempt in range(_MAX_BACKTRACKS + 1):
             kick = cfg.momentum * velocity if attempt == 0 else 0.0
-            trial = _pin_corner(values - trial_step * direction + kick, pins)
-            trial_total = evaluate(trial)
+            trial = _pin_corner(values - trial_step * direction + kick)
+            trial_total, trial_terms = evaluate(trial)
             if np.isfinite(trial_total) and trial_total < total:
                 velocity = trial - values
-                values = trial
-                total = trial_total
+                values, total, terms = trial, trial_total, trial_terms
                 # gentle growth lets the step ride up to the curvature limit
                 step = trial_step * 1.3
                 accepted = True
                 break
+            stats.backtracks += 1
             trial_step *= 0.5
             velocity = np.zeros_like(values)
         it += 1
         if record is not None:
             record.append(total)
 
-        slow = it % check_every == 0 and total > 0.99 * window_last
-        if it % check_every == 0:
+        slow = it % _CHECK_EVERY == 0 and total > 0.99 * window_last
+        if it % _CHECK_EVERY == 0:
             window_last = total
         if not accepted or slow:
-            v2, t2 = _recombine_sweep(evaluate, values, total, pins, spacings)
+            v2, t2, terms2 = _recombine_sweep(evaluate, values, total, terms, stats)
             if t2 < total:
-                values, total = v2, t2
+                values, total, terms = v2, t2, terms2
                 velocity = np.zeros_like(values)
                 step = cfg.step_size
                 if record is not None and record:
@@ -601,13 +603,12 @@ def _descend(field, values, box, shape, iters, cfg, record=None, target=0.0,
                 stalled = True
                 break
         if target > 0.0:
-            node_a, node_b, _, _ = _node_diagnostics(
-                values, p_vals, spacings, cfg.weight_a, cfg.weight_b
-            )
+            node_a, node_b, _, _ = _node_diagnostics(terms, cfg.weight_a,
+                                                     cfg.weight_b)
             if float(np.max(node_a)) <= target and node_b <= target:
                 met_target = True
                 break
-    return values, total, it, stalled, met_target
+    return values, total, terms, it, stalled, met_target
 
 
 def fit(field: VectorField, box, shape, cfg: Optional[FitConfig] = None) -> FitResult:
@@ -653,6 +654,7 @@ def fit(field: VectorField, box, shape, cfg: Optional[FitConfig] = None) -> FitR
 
     history: list = []
     level_totals = []
+    stats = FitStats()
     iterations_run = 0
     stalled = False
     met_target = False
@@ -663,8 +665,8 @@ def fit(field: VectorField, box, shape, cfg: Optional[FitConfig] = None) -> FitR
             values = _prolong(values, box, ladder[li - 1], level_shape)
         if budgets[li] <= 0 and not final:
             continue
-        values, total, steps, level_stalled, met = _descend(
-            field, values, box, level_shape, budgets[li], cfg,
+        values, total, terms, steps, level_stalled, met = _descend(
+            field, values, box, level_shape, budgets[li], cfg, stats,
             record=history if final else None,
             target=cfg.target if final else 0.0,
         )
@@ -675,14 +677,9 @@ def fit(field: VectorField, box, shape, cfg: Optional[FitConfig] = None) -> FitR
             met_target = met
             budget_left = steps < budgets[li]
 
-    p_vals = _field_on_grid(field, box, shape)
-    w = trapezoid_weights(box, shape)
-    spacings = np.array(
-        [(box[a, 1] - box[a, 0]) / (shape[a] - 1) for a in range(field_dim)]
-    )
-    _, _, _, a_term, b_term = _loss_parts(values, p_vals, w, spacings)
+    a_term, b_term = terms[3:]
     node_a, node_b, unit_mean, concentration = _node_diagnostics(
-        values, p_vals, spacings, cfg.weight_a, cfg.weight_b
+        terms, cfg.weight_a, cfg.weight_b
     )
 
     converged = (
@@ -734,6 +731,7 @@ def fit(field: VectorField, box, shape, cfg: Optional[FitConfig] = None) -> FitR
         refinement_gain=refinement_gain,
         elevated_residual=elevated,
         message=message,
+        stats=stats,
     )
 
 

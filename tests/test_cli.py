@@ -249,6 +249,10 @@ def test_varfit_writes_grids_history_manifest(tmp_path, capsys):
     assert len(summary["node_mean_a"]) == 2
     assert isinstance(summary["level_totals"], list)
     assert "elevated_residual" in summary
+    assert set(summary["stats"]) == {
+        "loss_evals", "gradients", "backtracks", "sweeps", "line_moves"}
+    assert summary["stats"]["gradients"] == summary["iterations_run"]
+    assert set(manifest["timings"]) == {"fit_s", "write_s"}
     assert manifest["seed"] == 0
     assert "varfit:" in capsys.readouterr().out
 
@@ -293,6 +297,23 @@ def test_varfit_runs_are_byte_identical(tmp_path):
     for name in ("fit_y.csv", "fit_y.csv.json", "fit_flowbox.csv",
                  "fit_flowbox.csv.json", "loss_history.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+    stats = [json.loads((out / "manifest.json").read_text())["summary"]["stats"]
+             for out in (out_a, out_b)]
+    assert stats[0] == stats[1]
+
+
+@pytest.mark.parametrize("option", [
+    "--momentum=1.5", "--target=-1", "--target=nan", "--step-size=nan",
+    "--step-size=inf", "--weight-a=nan", "--weight-b=inf", "--iterations=0",
+])
+def test_varfit_rejects_bad_options(option, tmp_path, capsys):
+    code = main([
+        "varfit", "--system", "linear-ar", "--grid", "4x6x9,1x3x9",
+        "--iterations", "5", option, "--out", str(tmp_path / "out"),
+    ])
+    assert code == EXIT_USAGE
+    assert "flowbox: error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_chart_build_runs_are_byte_identical(tmp_path):

@@ -49,12 +49,15 @@ def test_diff_axis_exact_on_quadratics():
 
 
 def test_diff_axis_transpose_is_adjoint(rng):
-    u = rng.standard_normal((6, 9))
-    v = rng.standard_normal((6, 9))
-    for axis, h in ((0, 0.3), (1, 0.17)):
-        lhs = np.sum(diff_axis(u, h, axis) * v)
-        rhs = np.sum(u * diff_axis_T(v, h, axis))
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+    # one grid function, then a stacked (N, *grid shape) input differentiated
+    # along grid axis a + 1
+    for shape, axes in (((6, 9), (0, 1)), ((2, 6, 9), (1, 2))):
+        u = rng.standard_normal(shape)
+        v = rng.standard_normal(shape)
+        for axis, h in zip(axes, (0.3, 0.17)):
+            lhs = np.sum(diff_axis(u, h, axis) * v)
+            rhs = np.sum(u * diff_axis_T(v, h, axis))
+            assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_trapezoid_weights_integrate_constants():
@@ -92,16 +95,20 @@ def test_loss_vanishes_on_a_rotated_clock_pair():
 
 
 def test_loss_overlap_term_and_weights():
-    # y1 = y2 = x1 solves the unit-rate term but overlaps completely:
-    # A = 0, B = integral of 1 = volume
-    field = drift("1, 0")
-    box = np.array([[0.0, 2.0], [0.0, 1.0]])
-    x1 = mesh_grid(box, (9, 9))[0]
-    g = GridField(box=box, values=np.stack([x1, x1]))
-    a, b, total = loss(g, field, weight_a=2.0, weight_b=3.0)
-    assert a == pytest.approx(0.0, abs=1e-28)
-    assert b == pytest.approx(2.0, rel=1e-12)
-    assert total == pytest.approx(6.0, rel=1e-12)
+    # y_i = x1 for every i solves the unit-rate term under P = e1 but every
+    # pair overlaps completely: A = 0, B = pairs * volume.  In 3-D the three
+    # pairs each overlap over the volume 3
+    for exprs, box, shape, b_exact in (
+        ("1, 0", [[0.0, 2.0], [0.0, 1.0]], (9, 9), 2.0),
+        ("1, 0, 0", [[0.0, 2.0], [0.0, 1.0], [0.0, 1.5]], (9, 7, 5), 9.0),
+    ):
+        box = np.array(box)
+        x1 = mesh_grid(box, shape)[0]
+        g = GridField(box=box, values=np.stack([x1] * len(shape)))
+        a, b, total = loss(g, drift(exprs, dim=len(shape)), weight_a=2.0, weight_b=3.0)
+        assert a == pytest.approx(0.0, abs=1e-28)
+        assert b == pytest.approx(b_exact, rel=1e-12)
+        assert total == pytest.approx(3.0 * b_exact, rel=1e-12)
 
 
 def test_loss_of_analytic_restriction_shrinks_fourth_order():
@@ -123,23 +130,32 @@ def test_loss_of_analytic_restriction_shrinks_fourth_order():
 
 
 def test_loss_gradient_matches_directional_differences(rng):
-    # 3 random states x 20 random directions, central differences
-    field = AR
-    box = np.array([[4.0, 6.0], [1.0, 3.0]])
-    shape = (7, 9)
-    for _ in range(3):
-        values = rng.standard_normal((2,) + shape)
-        grid = GridField(box=box, values=values)
-        grad = loss_gradient(grid, field, 1.3, 0.7)
-        for _ in range(20):
-            d = rng.standard_normal((2,) + shape)
-            d /= np.sqrt(np.sum(d * d))
-            eps = 1e-6
-            tp = loss(GridField(box=box, values=values + eps * d), field, 1.3, 0.7)[2]
-            tm = loss(GridField(box=box, values=values - eps * d), field, 1.3, 0.7)[2]
-            fd = (tp - tm) / (2.0 * eps)
-            an = float(np.sum(grad * d))
-            assert an == pytest.approx(fd, rel=1e-5, abs=1e-12)
+    # 3 random states x 20 random directions, central differences, on a
+    # 2-D field, a 3-D one (three overlap pairs in the gradient's
+    # bookkeeping) and a 1-D one (no pairs at all)
+    for field, box, shape in (
+        (AR, [[4.0, 6.0], [1.0, 3.0]], (7, 9)),
+        (drift("x2, -x1 + x3, 1", dim=3),
+         [[0.0, 1.0], [1.0, 2.0], [-1.0, 0.5]], (5, 6, 7)),
+        (parse_system("x1", dim=1, domain=[(0.01, 50.0)]), [[1.0, 2.0]], (11,)),
+    ):
+        box = np.array(box)
+        n = len(shape)
+        for _ in range(3):
+            values = rng.standard_normal((n,) + shape)
+            grid = GridField(box=box, values=values)
+            grad = loss_gradient(grid, field, 1.3, 0.7)
+            for _ in range(20):
+                d = rng.standard_normal((n,) + shape)
+                d /= np.sqrt(np.sum(d * d))
+                eps = 1e-6
+                tp = loss(GridField(box=box, values=values + eps * d),
+                          field, 1.3, 0.7)[2]
+                tm = loss(GridField(box=box, values=values - eps * d),
+                          field, 1.3, 0.7)[2]
+                fd = (tp - tm) / (2.0 * eps)
+                an = float(np.sum(grad * d))
+                assert an == pytest.approx(fd, rel=1e-5, abs=1e-12)
 
 
 def test_loss_rejects_box_outside_domain():
@@ -172,6 +188,13 @@ def test_grid_field_validation():
         {"weight_a": -1.0},
         {"target": -1e-3},
         {"init": "zeros"},
+        {"step_size": float("nan")},
+        {"step_size": float("inf")},
+        {"momentum": float("nan")},
+        {"weight_a": float("nan")},
+        {"weight_b": float("inf")},
+        {"target": float("nan")},
+        {"target": float("inf")},
     ],
 )
 def test_fit_config_rejects_bad_values(kwargs):
