@@ -577,13 +577,24 @@ def error_status(err: BaseException) -> str:
     return next(status for cls, status in _ERROR_STATUSES if isinstance(err, cls))
 
 
+def _flowbox_batch(chart: Chart, points, stats: Optional[RunStats] = None) -> list:
+    """flowbox() at many points with one batched search: per point its
+    coordinates or the POINT_ERRORS exception flowbox() raises there."""
+    results, run = find_crossings_batch(
+        chart.field, points, chart.surface, horizon=chart.horizon, cfg=chart.cfg
+    )
+    if stats is not None:
+        stats.add(run)
+    return [_eval_one(chart, x, events) for x, events in zip(points, results)]
+
+
 def _eval_one(chart: Chart, x, events):
     try:
         if isinstance(events, BaseException):
             raise events
-        return _coords(_unique_crossing(chart, x, events)), STATUS_OK
+        return _coords(_unique_crossing(chart, x, events))
     except POINT_ERRORS as err:
-        return None, error_status(err)
+        return err
 
 
 def evaluate_grid(
@@ -596,9 +607,5 @@ def evaluate_grid(
     raises).  The batch's work counters are added to `stats` when given.
     """
     points = [np.asarray(p, dtype=float) for p in points]
-    results, run = find_crossings_batch(
-        chart.field, points, chart.surface, horizon=chart.horizon, cfg=chart.cfg
-    )
-    if stats is not None:
-        stats.add(run)
-    return [(p, *_eval_one(chart, p, events)) for p, events in zip(points, results)]
+    return [(p, None, error_status(z)) if isinstance(z, BaseException) else (p, z, STATUS_OK)
+            for p, z in zip(points, _flowbox_batch(chart, points, stats))]

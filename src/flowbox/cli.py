@@ -351,7 +351,7 @@ def cmd_kef_check(system, grid_spec, out_dir, phi_expr=None, eigenvalue=None,
         args_extra = {"minimal_set": True, "surface": surface.name}
         timings = {"audit_s": time.perf_counter() - clock}
         clock = time.perf_counter()
-        # one evaluate_grid batch charts every member's stencils
+        # one batched search charts every member's stencils
         results = kef_mod.kef_residuals(members, field, points, fd_step, stats)
     else:
         if phi_expr is None or eigenvalue is None:
@@ -584,6 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="flowbox", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # name -> subparser, whose options type --config
 
     p_list = sub.add_parser("systems-list", help="list built-in systems")
     p_list.add_argument("--filter", default="", help="substring filter on names")
@@ -645,10 +646,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
+def _config_value(action: argparse.Action, value, where: str):
+    """A --config value as the command line would hand it to the option; a
+    flag (store_true) takes only a JSON boolean."""
+    try:
+        if action.nargs == 0:
+            if isinstance(value, bool):
+                return value
+        elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+            return (action.type or str)(str(value))
+    except ValueError:
+        pass
+    raise UsageError(f"{where}: invalid value {value!r}")
+
+
+def _merge_config(args: argparse.Namespace, parser: _Parser) -> argparse.Namespace:
     path = getattr(args, "config", None)
     if not path:
         return args
+    actions = {a.dest: a for a in parser.commands[args.command]._actions}
     try:
         with open(path) as fh:
             overrides = json.load(fh)
@@ -661,7 +677,8 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
         if not hasattr(args, dest):
             raise UsageError(f"config {path}: unknown option {key!r}")
         if getattr(args, dest) in (None, False, ""):
-            setattr(args, dest, value)
+            setattr(args, dest, _config_value(actions[dest], value,
+                                              f"config {path}: {key!r}"))
     return args
 
 
@@ -669,7 +686,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args)
+        args = _merge_config(args, parser)
         if args.command == "systems-list":
             return cmd_systems_list(args.filter)
         if args.command == "chart-build":

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .chart import POINT_ERRORS, STATUS_OK, Chart, error_status, evaluate_grid, flowbox
+from .chart import POINT_ERRORS, STATUS_OK, Chart, _flowbox_batch, error_status, flowbox
 from .dynsys import VectorField
 from .fdiff import central_pairs, fd_gradient, fd_jacobian
 from .odeint import DEFAULT_CONFIG, IntegratorConfig, flow
@@ -76,12 +76,25 @@ def kpde_residual(phi, eigenvalue: complex, field: VectorField, x,
     return complex(np.dot(grad, p) - lam * complex(phi(x)))
 
 
-class _ChartStatus(Exception):
-    """A batch-charted point whose status is not ok, met by kef_residuals."""
+def _stencil_coords(chart: Chart, points, fd_step: float, stats=None) -> Callable:
+    """flowbox(chart, y) for y among the points and their central-difference
+    stencils, all charted by one batched search (work counters added to
+    `stats` when given): a lookup that raises what flowbox would raise."""
+    unique = {}
+    for x in points:
+        for pair in central_pairs(x, fd_step):
+            for y in pair:
+                unique.setdefault(y.tobytes(), y)
+        unique.setdefault(x.tobytes(), x)
+    charted = dict(zip(unique, _flowbox_batch(chart, list(unique.values()), stats)))
 
-    def __init__(self, status):
-        super().__init__(status)
-        self.status = status
+    def coords(y):
+        z = charted[y.tobytes()]
+        if isinstance(z, BaseException):
+            raise z
+        return z
+
+    return coords
 
 
 def kef_residuals(kefs: Sequence[KoopmanEigenfunction], field: VectorField,
@@ -89,37 +102,23 @@ def kef_residuals(kefs: Sequence[KoopmanEigenfunction], field: VectorField,
     """kpde_residual of eigenfunctions sharing one chart, at many points.
 
     Every point and its central-difference stencil are charted by one
-    ``chart.evaluate_grid`` batch (work counters added to `stats` when
-    given), and each residual is assembled by kpde_residual from the batch's
-    coordinates, so it equals the per-point value bit for bit.  Returns, per
-    eigenfunction, [(residual or None, status)] in point order; a failed
-    row's status is that of the first failure the per-point call meets: the
-    stencil points in fd_gradient's order, then field.eval(x), then x.
+    batched search (work counters added to `stats` when given), and each
+    residual is assembled by kpde_residual from the batch's coordinates, so
+    it equals the per-point value bit for bit.  Returns, per eigenfunction,
+    [(residual or None, status)] in point order; a failed row's status is
+    that of the first failure the per-point call meets: the stencil points
+    in fd_gradient's order, then field.eval(x), then x.
     """
     chart = kefs[0].chart
     if any(k.chart is not chart for k in kefs):
         raise ValueError("kef_residuals needs eigenfunctions of one chart")
     points = [np.asarray(x, dtype=float) for x in points]
-    unique = {}
-    for x in points:
-        for pair in central_pairs(x, fd_step):
-            for y in pair:
-                unique.setdefault(y.tobytes(), y)
-        unique.setdefault(x.tobytes(), x)
-    rows = evaluate_grid(chart, list(unique.values()), stats=stats)
-    charted = {key: (z, status) for key, (_, z, status) in zip(unique, rows)}
-
-    out = []
-    for member in kefs:
-        def phi(y, member=member):
-            z, status = charted[y.tobytes()]
-            if z is None:
-                raise _ChartStatus(status)
-            return member.at(z)
-
-        out.append([residual_status(phi, member.eigenvalue, field, x, fd_step)
-                    for x in points])
-    return out
+    coords = _stencil_coords(chart, points, fd_step, stats)
+    return [
+        [residual_status(lambda y, member=member: member.at(coords(y)),
+                         member.eigenvalue, field, x, fd_step) for x in points]
+        for member in kefs
+    ]
 
 
 def residual_status(phi, eigenvalue: complex, field: VectorField, x,
@@ -127,8 +126,6 @@ def residual_status(phi, eigenvalue: complex, field: VectorField, x,
     """(kpde_residual, "ok"), or (None, status) of the point's failure."""
     try:
         return kpde_residual(phi, eigenvalue, field, x, fd_step=fd_step), STATUS_OK
-    except _ChartStatus as err:
-        return None, err.status
     except POINT_ERRORS as err:
         return None, error_status(err)
 
@@ -194,7 +191,8 @@ class MinimalSet:
 
     def coordinates(self, x) -> np.ndarray:
         """Recover (h, m) from member values alone: ratios then a log."""
-        vals = np.array([float(np.real(f(x))) for f in self.members])
+        z = flowbox(self.chart, x)
+        vals = np.array([float(np.real(f.at(z))) for f in self.members])
         last = vals[-1]
         return np.concatenate([vals[:-1] / last, [np.log(last)]])
 
@@ -212,8 +210,9 @@ def minimal_set(
     """Build (h_i e^m, e^m), all at eigenvalue 1, and audit their independence.
 
     The Jacobian of the member tuple is evaluated by central differences at the
-    audit points; its numerical rank must equal the state dimension for the
-    members to separate orbits and positions along them.
+    audit points, whose stencils are charted by one batched search; its
+    numerical rank must equal the state dimension for the members to separate
+    orbits and positions along them.
     """
     n = chart.dim
     members = tuple(
@@ -221,15 +220,18 @@ def minimal_set(
         for i in range(n - 1)
     ) + (build_kef(chart, 1.0, profile=None, label="exp(m)"),)
 
+    if audit_points is None:
+        audit_points = []
+    audit_points = [np.asarray(pt, dtype=float) for pt in audit_points]
+    coords = _stencil_coords(chart, audit_points, fd_step)
+
     def member_vector(x):
-        return np.array([complex(f(x)) for f in members])
+        z = coords(x)
+        return np.array([complex(f.at(z)) for f in members])
 
     audit = []
     min_rank = n
-    if audit_points is None:
-        audit_points = []
     for pt in audit_points:
-        pt = np.asarray(pt, dtype=float)
         jac = fd_jacobian(member_vector, pt, step=fd_step)
         sv = np.linalg.svd(np.asarray(jac, dtype=complex), compute_uv=False)
         rank = int(np.sum(sv >= rank_tol * max(sv[0], 1e-300)))

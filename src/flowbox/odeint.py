@@ -5,6 +5,7 @@ controller, run over a lane axis.  Each lane is one starting point with its
 own time, step size, attempt count and outcome; all lanes step together and
 the field is evaluated for every running lane at once through
 ``VectorField.eval_grid``.  Backward time is a lane whose field is negated.
+A field error (ArithmeticError) fails only the lanes whose own rows raise it.
 ``flow`` and ``trace_orbit`` are one-lane runs.
 
 Crossings of a surface's level function are found by scanning each accepted
@@ -109,8 +110,9 @@ class RunStats:
 
     lanes : lanes integrated (a crossing search uses two per point)
     accepted_steps, rejected_steps : lane steps, summed over lanes
-    rhs_calls : batched field evaluations
-    rhs_evals : lane field evaluations (each batched call counts its width)
+    rhs_calls : VectorField.eval_grid calls, including those that split a
+        call which raised ArithmeticError down to its raising rows
+    rhs_evals : lane field evaluations, each running lane once per stage
     crossings_refined : sign changes located on the interpolant
     root_iterations : root-find iterations, summed over crossings
     """
@@ -240,13 +242,13 @@ def _integrate(field: VectorField, x0, sign, T: float, cfg: IntegratorConfig,
     whose step was accepted (``stages(rows)`` returns that step's seven stage
     derivatives for the given rows) and returns lane indices to stop, or
     None.  A lane stops when it reaches T, leaves the domain box (the state
-    outside the box is its last accepted sample), runs out of attempted
-    steps, underflows its step size, or is stopped by on_accept.  The state
-    of running lanes is kept compact: finished lanes are dropped from it.
+    outside the box is its last accepted sample), fails (its field rows
+    raise, or its steps run out or underflow), or is stopped by on_accept.
+    Finished lanes are dropped from the compact state of the running lanes.
 
     Returns (outcome, errors): per lane one of _DONE/_EXIT/_FAILED, and the
-    IntegrationError of each lane that failed in the stepper itself (None
-    elsewhere).
+    exception of each lane that failed in the stepper itself, the field's
+    ArithmeticError or an IntegrationError (None elsewhere).
     """
     x = np.array(x0, dtype=float)
     L, N = x.shape
@@ -259,18 +261,34 @@ def _integrate(field: VectorField, x0, sign, T: float, cfg: IntegratorConfig,
     lo = field.domain[:, 0] - 1e-12
     hi = field.domain[:, 1] + 1e-12
 
-    def rhs(xs):
+    def field_rows(xs, first):
+        # rows first, first + 1, ... of the running lanes; a call that raises
+        # is split in halves until each raising row fails alone
         stats.rhs_calls += 1
+        try:
+            return field.eval_grid(list(xs.T)).T
+        except ArithmeticError as err:
+            if len(xs) == 1:
+                fail([first], lambda _: err)
+                return np.full(xs.shape, np.nan)
+        half = len(xs) // 2
+        return np.concatenate([field_rows(xs[:half], first),
+                               field_rows(xs[half:], first + half)])
+
+    def rhs(xs):
         stats.rhs_evals += len(xs)
-        return field.eval_grid(list(xs.T)).T * sg
+        return field_rows(xs, 0) * sg
 
     def fail(rows, make):
         for lane, t_lane in zip(ids[rows], t[rows]):
-            errors[lane] = make(t_lane)
+            if errors[lane] is None:  # a lane keeps the first error it meets
+                errors[lane] = make(t_lane)
         outcome[ids[rows]] = _FAILED
 
     ids = np.arange(L)
     t = np.zeros(L)
+    # a lane whose first field evaluation raises gets a NaN step size and is
+    # dropped by the underflow check, keeping the field's error
     k0 = rhs(x)
     scale = (1.0 + np.max(np.abs(x), axis=1)) / (1.0 + np.max(np.abs(k0), axis=1))
     h = np.minimum(T, 1e-2 * scale)
@@ -307,6 +325,8 @@ def _integrate(field: VectorField, x0, sign, T: float, cfg: IntegratorConfig,
             ssq = ssq + q[:, j] * q[:, j]
         err_norm = np.sqrt(ssq / N)
 
+        # lanes that field_rows failed in this step leave with the NaN ones
+        err_norm[outcome[ids] == _FAILED] = np.nan
         ok = err_norm <= 1.0
         n_ok = int(np.count_nonzero(ok))
         # a NaN error norm (the field went NaN inside the step) would grow
@@ -358,60 +378,6 @@ def _integrate(field: VectorField, x0, sign, T: float, cfg: IntegratorConfig,
     return outcome, errors
 
 
-def _sweep(field: VectorField, x0, sign: float, T: float, cfg: IntegratorConfig):
-    """One recorded lane: (times, states) of every accepted sample.
-
-    Raises DomainExit (carrying the samples), StepLimitExceeded or
-    IntegrationError.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    times = [0.0]
-    states = [x0.copy()]
-
-    def record(lanes, t_old, x_old, t_new, x_new, h, stages):
-        times.append(float(t_new[0]))
-        states.append(x_new[0].copy())
-
-    outcome, errors = _integrate(field, x0[None, :], sign, T, cfg, RunStats(), record)
-    if errors[0] is not None:
-        raise errors[0]
-    if outcome[0] == _EXIT:
-        raise DomainExit(field.name, times[-1], states[-1], times, states)
-    return times, states
-
-
-def _lanewise(run, X) -> list:
-    """run(X), one outcome per point of X, as one batch.
-
-    An ArithmeticError (e.g. expressions.DomainError) raised by the batched
-    field evaluation cannot be pinned to a lane: the points are then run one
-    by one, and such an error becomes the outcome of the point that raised it.
-    """
-    try:
-        return run(X)
-    except ArithmeticError as err:
-        if len(X) == 1:
-            return [err]
-    return [out for x in X for out in _lanewise(run, x[None, :])]
-
-
-def _flow_lanes(field, X, sign, T, cfg) -> list:
-    """flow's outcome for each lane of X: its final state or its exception."""
-    final = X.copy()
-    t_last = np.zeros(len(X))
-
-    def keep_last(lanes, t_old, x_old, t_new, x_new, h, stages):
-        final[lanes] = x_new
-        t_last[lanes] = t_new
-
-    outcome, errors = _integrate(field, X, sign, T, cfg, RunStats(), keep_last)
-    for lane in np.flatnonzero(outcome == _EXIT):
-        t_exit, x_exit = float(t_last[lane]), final[lane].copy()
-        errors[lane] = DomainExit(field.name, t_exit, x_exit,
-                                  [0.0, t_exit], [X[lane].copy(), x_exit])
-    return [final[lane] if err is None else err for lane, err in enumerate(errors)]
-
-
 def flow_batch(field: VectorField, points, t: float,
                cfg: Optional[IntegratorConfig] = None):
     """flow for many points as one lane-batched integration.
@@ -419,8 +385,7 @@ def flow_batch(field: VectorField, points, t: float,
     Returns (states, errors): states[i] is flow(points[i], t), NaN where that
     lane failed, and errors[i] the exception flow would raise for it, or
     None.  A lane that leaves the domain gets a DomainExit at the same exit
-    point as flow's.  A parsed field that raises ArithmeticError for the
-    batch array is re-run point by point, so each point keeps its own outcome.
+    point as flow's.
     """
     cfg = cfg or DEFAULT_CONFIG
     if abs(t) > cfg.horizon * (1 + 1e-12):
@@ -428,12 +393,21 @@ def flow_batch(field: VectorField, points, t: float,
     X = np.array(points, dtype=float).reshape(len(points), field.dim)
     if t == 0.0:
         return X, [None] * len(X)
+    final = X.copy()
+    t_last = np.zeros(len(X))
+
+    def keep_last(lanes, t_old, x_old, t_new, x_new, h, stages):
+        final[lanes] = x_new
+        t_last[lanes] = t_new
+
     sign = 1.0 if t > 0 else -1.0
-    outcomes = _lanewise(lambda P: _flow_lanes(field, P, sign, abs(t), cfg), X)
-    errors = [out if isinstance(out, BaseException) else None for out in outcomes]
-    for lane, err in enumerate(errors):
-        X[lane] = np.nan if err is not None else outcomes[lane]
-    return X, errors
+    outcome, errors = _integrate(field, X, sign, abs(t), cfg, RunStats(), keep_last)
+    for lane in np.flatnonzero(outcome == _EXIT):
+        t_exit, x_exit = float(t_last[lane]), final[lane].copy()
+        errors[lane] = DomainExit(field.name, t_exit, x_exit,
+                                  [0.0, t_exit], [X[lane].copy(), x_exit])
+    final[[err is not None for err in errors]] = np.nan
+    return final, errors
 
 
 def flow(field: VectorField, x0, t: float, cfg: Optional[IntegratorConfig] = None):
@@ -446,22 +420,31 @@ def flow(field: VectorField, x0, t: float, cfg: Optional[IntegratorConfig] = Non
 
 
 def trace_orbit(field: VectorField, x0, t_span, cfg: Optional[IntegratorConfig] = None) -> Orbit:
-    """Sampled orbit over t_span = (t0, t1); x0 is the state at t0."""
+    """Sampled orbit over t_span = (t0, t1), one sample per accepted step; x0
+    is the state at t0.
+
+    Raises DomainExit (carrying the samples, times relative to t0),
+    StepLimitExceeded or IntegrationError.
+    """
     cfg = cfg or DEFAULT_CONFIG
     t0, t1 = float(t_span[0]), float(t_span[1])
     x0 = np.asarray(x0, dtype=float)
-    if t0 == t1:
-        return Orbit(
-            times=np.array([t0]),
-            states=x0[None, :].copy(),
-            field_name=field.name,
-            x0=x0.copy(),
-        )
+    times, states = [0.0], [x0.copy()]
+
+    def record(lanes, t_old, x_old, t_new, x_new, h, stages):
+        times.append(float(t_new[0]))
+        states.append(x_new[0].copy())
+
     sign = 1.0 if t1 > t0 else -1.0
-    ts, xs = _sweep(field, x0, sign, abs(t1 - t0), cfg)
+    outcome, errors = _integrate(field, x0[None, :], sign, abs(t1 - t0), cfg,
+                                 RunStats(), record)
+    if errors[0] is not None:
+        raise errors[0]
+    if outcome[0] == _EXIT:
+        raise DomainExit(field.name, times[-1], states[-1], times, states)
     return Orbit(
-        times=t0 + sign * np.asarray(ts),
-        states=np.asarray(xs),
+        times=t0 + sign * np.asarray(times),
+        states=np.asarray(states),
         field_name=field.name,
         x0=x0.copy(),
     )
@@ -658,13 +641,32 @@ class _CrossingScan:
             self.crossings[lane].append((t_c, best_x[r].copy(), best_l[r]))
 
 
-def _crossing_lanes(field, X, surface, horizon, cfg, stats) -> list:
-    """Crossing search for the points X (P, N) as one batch of 2P lanes.
+def find_crossings_batch(
+    field: VectorField,
+    points,
+    surface,
+    horizon: Optional[float] = None,
+    cfg: Optional[IntegratorConfig] = None,
+):
+    """find_crossings for many points as one lane-batched integration, whose
+    lanes are each point's forward and backward sweep.
 
-    Returns one entry per point: its sorted CrossingEvent list, or the
-    exception that ended its search.  An ArithmeticError raised by the
-    batched field evaluation cannot be pinned to a lane and propagates.
+    Returns (results, stats): results[i] is the sorted CrossingEvent list of
+    points[i], or the exception find_crossings would raise for it; stats is
+    the RunStats of the whole batch.  A field error (ArithmeticError) on
+    either lane, forward first, is a point's outcome; then the forward lane's
+    scan and stepper errors, then the backward lane's.
     """
+    cfg = cfg or DEFAULT_CONFIG
+    horizon = cfg.horizon if horizon is None else float(horizon)
+    if horizon <= 0:
+        raise ValueError("horizon must be positive")
+    if horizon > cfg.horizon * (1 + 1e-12):
+        raise ValueError(
+            f"horizon {horizon:.6g} exceeds the integrator horizon {cfg.horizon:.6g}"
+        )
+    X = np.asarray(points, dtype=float).reshape(len(points), field.dim)
+    stats = RunStats()
     P = len(X)
     results = [None] * P
     l0 = np.full(P, np.nan)
@@ -683,8 +685,9 @@ def _crossing_lanes(field, X, surface, horizon, cfg, stats) -> list:
 
     for q, p in enumerate(live):
         fwd, bwd = q, Q + q
-        err = next((e for e in (scan.errors[fwd], errors[fwd], scan.errors[bwd],
-                                errors[bwd]) if e is not None), None)
+        raised = [e for e in (errors[fwd], errors[bwd]) if isinstance(e, ArithmeticError)]
+        err = next((e for e in (*raised, scan.errors[fwd], errors[fwd],
+                                scan.errors[bwd], errors[bwd]) if e is not None), None)
         if err is not None:
             results[p] = err
             continue
@@ -704,37 +707,6 @@ def _crossing_lanes(field, X, surface, horizon, cfg, stats) -> list:
             results[p] = events
         except Exception as err:  # the point's own failure, re-raised by find_crossings
             results[p] = err
-    return results
-
-
-def find_crossings_batch(
-    field: VectorField,
-    points,
-    surface,
-    horizon: Optional[float] = None,
-    cfg: Optional[IntegratorConfig] = None,
-):
-    """find_crossings for many points as one lane-batched integration.
-
-    Returns (results, stats): results[i] is the sorted CrossingEvent list of
-    points[i], or the exception find_crossings would raise for it; stats is
-    the RunStats of the whole batch.  A parsed field that raises
-    ArithmeticError (e.g. expressions.DomainError) for the batch array is
-    re-run point by point, so each point keeps its own outcome.
-    """
-    cfg = cfg or DEFAULT_CONFIG
-    horizon = cfg.horizon if horizon is None else float(horizon)
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    if horizon > cfg.horizon * (1 + 1e-12):
-        raise ValueError(
-            f"horizon {horizon:.6g} exceeds the integrator horizon {cfg.horizon:.6g}"
-        )
-    X = np.asarray(points, dtype=float).reshape(len(points), field.dim)
-    stats = RunStats()
-    results = _lanewise(
-        lambda P: _crossing_lanes(field, P, surface, horizon, cfg, stats), X
-    )
     return results, stats
 
 
@@ -749,10 +721,11 @@ def find_crossings(
     directions, sorted by time.
 
     Level-set crossings whose parameters land outside (0,1)^{N-1} are kept
-    but flagged off-patch.  Sweeps that leave the field's domain are
-    truncated at the exit point; genuine integrator failures, and crossings
-    the root find cannot bring within ON_SURFACE_TOL of the surface, raise
-    IntegrationError.
+    but flagged off-patch.  Sweeps that leave the field's domain box are
+    truncated at the exit point.  A sweep that leaves an expression's domain
+    is not: the field's error (e.g. expressions.DomainError) ends the search.
+    Genuine integrator failures, and crossings the root find cannot bring
+    within ON_SURFACE_TOL of the surface, raise IntegrationError.
     """
     (result,), _ = find_crossings_batch(field, [x0], surface, horizon=horizon, cfg=cfg)
     if isinstance(result, BaseException):

@@ -368,6 +368,36 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     assert "unknown option" in capsys.readouterr().err
 
 
+def test_config_values_pass_through_option_types(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "system": "linear-ar", "grid": "4x6x9,1x3x9", "iterations": "5",
+    }))
+    assert main(["varfit", "--config", str(cfg_path), "--out", str(tmp_path)]) == EXIT_OK
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["args"]["iterations"] == 5
+    assert manifest["summary"]["iterations_run"] == 5
+
+
+@pytest.mark.parametrize("command, config", [
+    ("chart-build", {"system": "hyperbolic-b", "surface": "line-b",
+                     "grid": "0.8x2x4,0.2x1.2x4", "horizon": "5 s"}),
+    ("chart-build", {"system": "hyperbolic-b", "surface": "line-b",
+                     "grid": "0.8x2x4,0.2x1.2x4", "force": "yes"}),
+    ("kef-check", {"system": "hyperbolic-b", "grid": "0.8x2x4,0.2x1.2x4",
+                   "phi": "x2", "eigenvalue": "1", "fd_step": [1e-5]}),
+    ("varfit", {"system": "linear-ar", "grid": "4x6x9,1x3x9", "iterations": 5.5}),
+    ("verify-all", {"seed": "first"}),
+])
+def test_config_rejects_values_of_the_wrong_type(command, config, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    code = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert "flowbox: error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # verify-all
 

@@ -6,11 +6,13 @@ from hypothesis import given, settings, strategies as st
 from flowbox import dynsys
 from flowbox.chart import (
     POINT_ERRORS,
+    NotInOmega,
     build_chart,
     error_status,
     flowbox,
     surface_from_json,
 )
+from flowbox.fdiff import fd_jacobian
 from flowbox.kef import (
     build_kef,
     kef_residuals,
@@ -127,6 +129,24 @@ def test_minimal_set_saddle(hyp_chart):
     np.testing.assert_allclose(
         ms.coordinates(x), flowbox(hyp_chart, x), rtol=1e-6, atol=1e-9
     )
+
+
+def test_minimal_set_rank_audit_equals_per_point_jacobians(hyp_chart):
+    pts = [(1.3, 0.8), (0.7, 1.2), (1.9, 0.6)]
+    ms = minimal_set(hyp_chart, audit_points=pts)
+
+    def member_vector(x):  # every member charts x by its own crossing search
+        return np.array([complex(f(x)) for f in ms.members])
+
+    assert len(ms.rank_audit) == len(pts)
+    for pt, (audit_pt, sv) in zip(pts, ms.rank_audit):
+        np.testing.assert_array_equal(audit_pt, pt)
+        jac = fd_jacobian(member_vector, np.asarray(pt, dtype=float), step=1e-5)
+        want = np.linalg.svd(np.asarray(jac, dtype=complex), compute_uv=False)
+        np.testing.assert_allclose(sv, want, rtol=0, atol=0)
+    # x1 < 0 never reaches {x1 = 1}
+    with pytest.raises(NotInOmega):
+        minimal_set(hyp_chart, audit_points=[(1.3, 0.8), (-0.5, 1.0)])
 
 
 def test_minimal_set_source(src_chart):

@@ -1,10 +1,11 @@
+import dataclasses
 import io
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from flowbox.chart import circle_surface, line_surface
+from flowbox.chart import builtin_surface, circle_surface, line_surface
 from flowbox.dynsys import builtin, parse_system
 from flowbox.expressions import DomainError
 from flowbox.odeint import (
@@ -55,6 +56,9 @@ def test_zero_time_is_identity():
     out = flow(field, x0, 0.0)
     np.testing.assert_allclose(out, x0)
     assert out is not x0
+    orbit = trace_orbit(field, x0, (0.7, 0.7))
+    assert orbit.times.tolist() == [0.7]
+    np.testing.assert_array_equal(orbit.states, [x0])
 
 
 def test_rk45_closed_orbit_returns():
@@ -230,7 +234,8 @@ def test_crossing_times_match_scipy_events(system, surface, x0, horizon):
 
 def test_batch_matches_single_points_under_domain_errors(tight_cfg):
     # sqrt(x1) raises DomainError for the whole batch array once any lane
-    # has x1 < 0; the batch is then re-run point by point
+    # has x1 < 0; only the lanes whose own rows raise fail, each lane is
+    # integrated once
     field = parse_system("-x1, sqrt(x1)", 2, name="sqrt-drift")
     surface = line_surface(1.0, 0.0, 4.0)
     points = [[0.5, 1.0], [-0.5, 1.0], [1.5, 2.0], [-1.0, 0.5]]
@@ -239,6 +244,7 @@ def test_batch_matches_single_points_under_domain_errors(tight_cfg):
     )
     assert [isinstance(r, DomainError) for r in results] == [False, True, False, True]
     assert stats.lanes >= 2 * len(points)
+    assert stats.lanes == 2 * len(points)
     for x, batched in zip(points, results):
         try:
             single = find_crossings(
@@ -249,6 +255,49 @@ def test_batch_matches_single_points_under_domain_errors(tight_cfg):
             continue
         assert [e.t for e in batched] == [e.t for e in single]
         assert len(single) == 1
+
+
+def test_leaving_an_expression_domain_is_a_domain_error_not_an_exit():
+    # each orbit crosses x1 = 1 once, but the forward sweep, which runs on to
+    # rule out a second crossing, leaves the domain of sqrt at x1 > 2.5: the
+    # point ends with the field's error, unlike a sweep that leaves the box
+    field = parse_system("1, -x2 + 0*sqrt(2.5 - x1)", 2, name="sqrt-saddle")
+    clean = parse_system("1, -x2", 2, name="saddle")
+    surface = builtin_surface("line-b")
+    points = [[x1, x2] for x1 in (0.8, 1.2, 1.6, 2.0) for x2 in (0.2, 0.7, 1.2)]
+    results, stats = find_crossings_batch(field, points, surface)
+    assert stats.lanes == 2 * len(points)
+    for x, batched in zip(points, results):
+        assert len(find_crossings(clean, np.array(x), surface)) == 1
+        with pytest.raises(DomainError) as exc:
+            find_crossings(field, np.array(x), surface)
+        assert type(batched) is DomainError
+        assert str(batched) == str(exc.value)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("forward", ["stepper", "scan"])
+def test_field_error_on_one_lane_wins_over_the_other_lanes_failure(forward):
+    # the backward lane leaves the domain of sqrt at x1 < -2 (t = 7); the
+    # forward lane fails earlier on its own: exp(exp(x1)) overflows to a NaN
+    # error estimate past x1 = 6.56, or the level raises past x1 = 6
+    def level(x):
+        if x[0] > 6.0:
+            raise ValueError("level undefined past x1 = 6")
+        return float(x[0] - 9.0)
+
+    if forward == "stepper":
+        field = parse_system("1, exp(exp(x1)) - exp(exp(x1)) + 0*sqrt(x1 + 2)", 2)
+        surface = line_surface(9.0, 0.0, 4.0)
+    else:
+        field = parse_system("1, 0*sqrt(x1 + 2)", 2)
+        surface = dataclasses.replace(line_surface(9.0, 0.0, 4.0), level=level)
+    x0 = np.array([5.0, 0.5])
+    (result,), stats = find_crossings_batch(field, [x0], surface, horizon=10.0)
+    assert type(result) is DomainError
+    assert stats.lanes == 2
+    with pytest.raises(DomainError):
+        find_crossings(field, x0, surface, horizon=10.0)
 
 
 def test_flow_batch_lanes_equal_single_flows():
