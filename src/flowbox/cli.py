@@ -593,10 +593,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON file with default option values")
     common.add_argument("--system", help="built-in system name")
     common.add_argument("--system-file", help="JSON system spec file")
-    common.add_argument("--out", default=".", help="output directory")
+    writes = argparse.ArgumentParser(add_help=False, parents=[common])
+    writes.add_argument("--out", default=".", help="output directory")
 
     p_chart = sub.add_parser(
-        "chart-build", parents=[common],
+        "chart-build", parents=[writes],
         help="evaluate flowbox coordinates on a grid via characteristics",
     )
     p_chart.add_argument("--surface", help="built-in surface name, JSON file, or inline JSON")
@@ -608,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chart.add_argument("--rel-tol", type=float, default=None)
 
     p_kef = sub.add_parser(
-        "kef-check", parents=[common],
+        "kef-check", parents=[writes],
         help="sweep the eigenvalue-PDE residual of a candidate over a grid",
     )
     p_kef.add_argument("--phi", help="candidate eigenfunction expression")
@@ -625,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_kef.add_argument("--rel-tol", type=float, default=None)
 
     p_fit = sub.add_parser(
-        "varfit", parents=[common],
+        "varfit", parents=[writes],
         help="fit unit-velocity coordinates on a grid variationally",
     )
     p_fit.add_argument("--grid", help="grid spec LOxHI,...xRES")
@@ -643,6 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--filter", default="", help="substring filter on suites")
     p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--out", help="report directory; no report without it")
     return parser
 
 
@@ -660,11 +662,13 @@ def _config_value(action: argparse.Action, value, where: str):
     raise UsageError(f"{where}: invalid value {value!r}")
 
 
-def _merge_config(args: argparse.Namespace, parser: _Parser) -> argparse.Namespace:
+def _merge_config(args: argparse.Namespace, parser: _Parser, argv) -> argparse.Namespace:
+    """argv parsed again with the --config values as defaults: given flags win."""
     path = getattr(args, "config", None)
     if not path:
         return args
-    actions = {a.dest: a for a in parser.commands[args.command]._actions}
+    command = parser.commands[args.command]
+    actions = {a.dest: a for a in command._actions}
     try:
         with open(path) as fh:
             overrides = json.load(fh)
@@ -674,19 +678,18 @@ def _merge_config(args: argparse.Namespace, parser: _Parser) -> argparse.Namespa
         raise UsageError(f"config {path} must hold a JSON object")
     for key, value in overrides.items():
         dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        if dest not in actions or not hasattr(args, dest):
             raise UsageError(f"config {path}: unknown option {key!r}")
-        if getattr(args, dest) in (None, False, ""):
-            setattr(args, dest, _config_value(actions[dest], value,
-                                              f"config {path}: {key!r}"))
-    return args
+        command.set_defaults(**{dest: _config_value(actions[dest], value,
+                                                    f"config {path}: {key!r}")})
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args, parser)
+        args = _merge_config(args, parser, argv)
         if args.command == "systems-list":
             return cmd_systems_list(args.filter)
         if args.command == "chart-build":
@@ -725,8 +728,7 @@ def main(argv=None) -> int:
                 target=args.target, system_file=args.system_file,
             )
         if args.command == "verify-all":
-            return cmd_verify_all(args.filter, out_dir=None if args.out == "." else args.out,
-                                  seed=args.seed)
+            return cmd_verify_all(args.filter, out_dir=args.out, seed=args.seed)
         raise UsageError(f"unknown command {args.command!r}")
     except UsageError as err:
         print(f"flowbox: error: {err}", file=sys.stderr)

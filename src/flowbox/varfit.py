@@ -10,11 +10,11 @@ A drives every coordinate to advance at unit rate along the flow, B keeps the
 gradients mutually orthogonal so the map stays invertible.  The minimizer is a
 rotated flowbox; a fixed linear recombination turns it into flowbox form.
 
-Derivatives are second-order finite differences (central inside, one-sided at
-the boundary); the loss gradient is the exact adjoint of those stencils, so
-descent behaves like plain calculus on the discretized objective.  fit()
-descends a coarse-to-fine ladder of grids, annealing a smoothing filter on
-the gradient and jumping loss valleys with exact recombination moves, which
+Derivatives are per-axis matrices of second-order finite differences (central
+inside, one-sided at the boundary); the loss gradient applies their exact
+transposes, so descent behaves like plain calculus on the discrete objective.
+fit() descends a coarse-to-fine ladder of grids, annealing a smoothing filter
+on the gradient and jumping loss valleys with exact recombination moves, which
 is what it takes to land in the flowbox basin from a random affine start.
 """
 from __future__ import annotations
@@ -142,49 +142,64 @@ class FitConfig:
 
 
 # ---------------------------------------------------------------------------
-# Stencils
+# Per-axis operators: read-only matrices cached per axis length, applied by _along
+
+
+def _frozen(mat: np.ndarray) -> np.ndarray:
+    mat.flags.writeable = False
+    return mat
+
+
+def _along(mat: np.ndarray, u: np.ndarray, axis: int) -> np.ndarray:
+    """The (m, n) matrix `mat` applied along `axis` of u, whose length there is
+    n, one grid slab per BLAS product: at 64x64 those stay single-threaded."""
+    u = np.asarray(u, dtype=float)
+    pre, post = u.shape[:axis % u.ndim], u.shape[axis % u.ndim + 1:]
+    if post:
+        out = mat @ u.reshape(math.prod(pre), mat.shape[1], -1)
+    else:
+        out = u.reshape(math.prod(pre[:-1]), -1, mat.shape[1]) @ mat.T
+    return out.reshape(pre + (mat.shape[0],) + post)
+
+
+@functools.lru_cache(maxsize=64)
+def _diff_matrix(n: int) -> np.ndarray:
+    """2h D_n in integers, so constants differentiate to exactly 0 before 1/(2h)."""
+    d = np.eye(n, k=1) - np.eye(n, k=-1)
+    d[0, :3] = (-3.0, 4.0, -1.0)
+    d[-1, -3:] = (1.0, -4.0, 3.0)
+    return _frozen(d)
+
+
+@functools.lru_cache(maxsize=64)
+def _smoother(n: int, passes: int) -> np.ndarray:
+    """S_n^passes, S_n being (1/4, 1/2, 1/4) averaging with (3/4, 1/4) ends."""
+    s = 0.5 * np.eye(n) + 0.25 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    s[0, 0] = s[-1, -1] = 0.75
+    return _frozen(np.linalg.matrix_power(s, passes))
+
+
+@functools.lru_cache(maxsize=64)
+def _lerp_matrix(n_from: int, n_to: int) -> np.ndarray:
+    """Linear interpolation from n_from to n_to evenly spaced nodes on one span."""
+    pos, nodes = np.linspace(0.0, n_from - 1.0, n_to), np.arange(n_from)
+    return _frozen(np.stack([np.interp(pos, nodes, e) for e in np.eye(n_from)], axis=1))
 
 
 @functools.lru_cache(maxsize=None)
-def _cuts(axis: int) -> tuple:
-    """Index tuples selecting [2:], [1:-1], [:-2] and nodes 0, 1, 2, -1, -2,
-    -3 along `axis` (>= 0), in that order."""
-    lead = (slice(None),) * axis
-    cuts = (slice(2, None), slice(1, -1), slice(None, -2), 0, 1, 2, -1, -2, -3)
-    return tuple(lead + (cut,) for cut in cuts)
+def _pairs(n: int) -> tuple:
+    """Index arrays (i, j) of the coordinate pairs i < j, in np.triu_indices order."""
+    return tuple(_frozen(k) for k in np.triu_indices(n, 1))
 
 
 def diff_axis(u: np.ndarray, h: float, axis: int) -> np.ndarray:
     """d/dx along one axis: central interior, one-sided second order at edges."""
-    u = np.asarray(u, dtype=float)
-    nxt, mid, prv, n0, n1, n2, e1, e2, e3 = _cuts(axis + u.ndim if axis < 0 else axis)
-    out = np.empty_like(u)
-    inv = 1.0 / (2.0 * h)
-    out[mid] = (u[nxt] - u[prv]) * inv
-    out[n0] = (-3.0 * u[n0] + 4.0 * u[n1] - u[n2]) * inv
-    out[e1] = (3.0 * u[e1] - 4.0 * u[e2] + u[e3]) * inv
-    return out
+    return _along(_diff_matrix(np.shape(u)[axis]), u, axis) * (1.0 / (2.0 * h))
 
 
 def diff_axis_T(v: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Transpose of diff_axis in the plain Euclidean inner product.
-
-    Built by scattering each stencil row back onto its columns, so it stays
-    the exact adjoint for any axis length >= 3.
-    """
-    v = np.asarray(v, dtype=float)
-    nxt, mid, prv, n0, n1, n2, e1, e2, e3 = _cuts(axis + v.ndim if axis < 0 else axis)
-    out = np.zeros_like(v)
-    inv = 1.0 / (2.0 * h)
-    out[prv] += -inv * v[mid]
-    out[nxt] += inv * v[mid]
-    out[n0] += -3.0 * inv * v[n0]
-    out[n1] += 4.0 * inv * v[n0]
-    out[n2] += -inv * v[n0]
-    out[e1] += 3.0 * inv * v[e1]
-    out[e2] += -4.0 * inv * v[e1]
-    out[e3] += inv * v[e1]
-    return out
+    """Transpose of diff_axis: the same matrix transposed, so the exact adjoint."""
+    return _along(_diff_matrix(np.shape(v)[axis]).T, v, axis) * (1.0 / (2.0 * h))
 
 
 def trapezoid_weights(box: np.ndarray, shape: Sequence[int]) -> np.ndarray:
@@ -236,7 +251,7 @@ def _terms(values, p_vals, w, spacings):
     n = values.shape[0]
     G = np.stack([diff_axis(values, spacings[a], a + 1) for a in range(n)], axis=1)
     U = sum(G[:, a] * p_vals[a] for a in range(n)) - 1.0
-    iu, ju = np.triu_indices(n, 1)
+    iu, ju = _pairs(n)
     S = sum(G[iu, a] * G[ju, a] for a in range(n))
     A = sum(float(np.sum(x)) for x in w * U * U)
     B = sum(float(np.sum(x)) for x in w * S * S)
@@ -259,7 +274,7 @@ def _gradient(terms, p_vals, w, spacings, weight_a, weight_b):
     """d(total)/d(values) from the iterate's _terms, by the stencil adjoints."""
     G, U, S = terms[:3]
     n = U.shape[0]
-    pairs = list(zip(*np.triu_indices(n, 1)))
+    pairs = list(zip(*_pairs(n)))
     source_a = 2.0 * weight_a * w * U
     overlap = 2.0 * weight_b * w * S
     out = np.zeros_like(U)
@@ -282,7 +297,8 @@ def loss_gradient(grid: GridField, field: VectorField, weight_a: float = 1.0,
     terms = _terms(grid.values, p_vals, w, grid.spacings)
     grad = _gradient(terms, p_vals, w, grid.spacings, weight_a, weight_b)
     if not np.all(np.isfinite(grad)):
-        _raise_non_finite([grad], grid.box, grid.shape, "loss gradient")
+        # dense rows smear a bad input along its grid line: name the input first
+        _raise_non_finite([grid.values, grad], grid.box, grid.shape, "loss gradient")
     return grad
 
 
@@ -393,36 +409,19 @@ def _budget_split(iterations, n_levels):
     return out
 
 
-def _prolong(values, box, shape_from, shape_to):
+def _prolong(values, shape_from, shape_to):
     """Linear interpolation of grid values onto a finer node set, per axis."""
-    out = values
-    for ax in range(len(shape_from)):
-        if shape_from[ax] == shape_to[ax]:
-            continue
-        xc = np.linspace(box[ax, 0], box[ax, 1], shape_from[ax])
-        xf = np.linspace(box[ax, 0], box[ax, 1], shape_to[ax])
-        idx = np.clip(np.searchsorted(xc, xf, side="right") - 1, 0, shape_from[ax] - 2)
-        t = (xf - xc[idx]) / (xc[idx + 1] - xc[idx])
-        lo = np.take(out, idx, axis=ax + 1)
-        hi = np.take(out, idx + 1, axis=ax + 1)
-        bshape = [1] * out.ndim
-        bshape[ax + 1] = len(xf)
-        t = t.reshape(bshape)
-        out = (1.0 - t) * lo + t * hi
-    return out
+    for ax, (n_from, n_to) in enumerate(zip(shape_from, shape_to)):
+        values = _along(_lerp_matrix(n_from, n_to), values, ax + 1)
+    return values
 
 
 def _smoothed(arr, passes):
-    """Per-axis (1/4, 1/2, 1/4) averaging; symmetric positive definite."""
-    out = arr.copy()
-    for _ in range(passes):
-        for ax in range(1, out.ndim):
-            nxt, mid, prv, n0, n1, _, e1, e2, _ = _cuts(ax)
-            v = np.empty_like(out)
-            v[mid] = 0.25 * out[prv] + 0.5 * out[mid] + 0.25 * out[nxt]
-            v[n0] = 0.75 * out[n0] + 0.25 * out[n1]
-            v[e1] = 0.75 * out[e1] + 0.25 * out[e2]
-            out = v
+    """`passes` rounds of per-axis (1/4, 1/2, 1/4) averaging as one product with
+    S^passes per axis; S is symmetric positive definite."""
+    out = arr
+    for ax in range(1, arr.ndim):
+        out = _along(_smoother(arr.shape[ax], passes), out, ax)
     return out
 
 
@@ -445,7 +444,7 @@ def _pair_alignment(G):
     n = G.shape[0]
     inner = (slice(None),) + (slice(1, -1),) * n
     worst = 0.0
-    for i, j in zip(*np.triu_indices(n, 1)):
+    for i, j in zip(*_pairs(n)):
         gi, gj = G[i][inner], G[j][inner]
         num = np.sum(gi * gj, axis=0) ** 2
         den = np.sum(gi ** 2, axis=0) * np.sum(gj ** 2, axis=0)
@@ -662,7 +661,7 @@ def fit(field: VectorField, box, shape, cfg: Optional[FitConfig] = None) -> FitR
     for li, level_shape in enumerate(ladder):
         final = li == len(ladder) - 1
         if li > 0:
-            values = _prolong(values, box, ladder[li - 1], level_shape)
+            values = _prolong(values, ladder[li - 1], level_shape)
         if budgets[li] <= 0 and not final:
             continue
         values, total, terms, steps, level_stalled, met = _descend(

@@ -302,6 +302,30 @@ def test_varfit_runs_are_byte_identical(tmp_path):
     assert stats[0] == stats[1]
 
 
+def test_varfit_output_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # the per-axis operators are BLAS products; one thread and the default
+    # pool must sum them identically
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        env.pop(name, None)
+    outs = []
+    for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
+        out = tmp_path / f"threads-{threads.get('OPENBLAS_NUM_THREADS', 'default')}"
+        done = subprocess.run(
+            [sys.executable, "-m", "flowbox.cli", "varfit", "--system", "linear-ar",
+             "--grid", "4x6x16,1x3x16", "--iterations", "300", "--seed", "3",
+             "--out", str(out)],
+            capture_output=True, text=True, env={**env, **threads}, timeout=300,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        outs.append(out)
+    for name in ("fit_y.csv", "fit_y.csv.json", "fit_flowbox.csv",
+                 "fit_flowbox.csv.json", "loss_history.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 @pytest.mark.parametrize("option", [
     "--momentum=1.5", "--target=-1", "--target=nan", "--step-size=nan",
     "--step-size=inf", "--weight-a=nan", "--weight-b=inf", "--iterations=0",
@@ -360,6 +384,21 @@ def test_config_flag_wins_over_file(tmp_path):
     assert manifest["args"]["iterations"] == 12
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["varfit"], {"system": "linear-ar", "grid": "4x6x9,1x3x9", "iterations": 5,
+                  "seed": 5}),
+    (["verify-all", "--filter", "appendix"], {"seed": 5}),
+])
+def test_config_loses_to_an_explicit_zero(argv, config, tmp_path):
+    # 0 is falsy, so a flag set to it must still be told apart from a default
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code = main(argv + ["--config", str(cfg_path), "--seed", "0", "--out", str(out)])
+    assert code == EXIT_OK
+    assert json.loads((out / "manifest.json").read_text())["seed"] == 0
+
+
 def test_config_unknown_key_rejected(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"systm": "linear-ar"}))
@@ -413,6 +452,14 @@ def test_verify_all_single_suite_with_report(tmp_path, capsys):
     assert report["passed"] is True
     assert len(report["suites"]) == 1
     assert (tmp_path / "manifest.json").exists()
+
+
+def test_verify_all_writes_a_report_only_where_out_says(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify-all", "--filter", "appendix"]) == EXIT_OK
+    assert not (tmp_path / "verify_report.json").exists()
+    assert main(["verify-all", "--filter", "appendix", "--out", "."]) == EXIT_OK
+    assert json.loads((tmp_path / "verify_report.json").read_text())["passed"] is True
 
 
 def test_verify_all_runs_every_suite(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -11,6 +12,10 @@ from flowbox.varfit import (
     FitConfig,
     FitResult,
     GridField,
+    _coarse_ladder,
+    _prolong,
+    _smoothed,
+    _smoother,
     diff_axis,
     diff_axis_T,
     fit,
@@ -58,6 +63,122 @@ def test_diff_axis_transpose_is_adjoint(rng):
             lhs = np.sum(diff_axis(u, h, axis) * v)
             rhs = np.sum(u * diff_axis_T(v, h, axis))
             assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+# Reference implementations of the per-axis operators as index-slice stencils,
+# a pass loop and a take/lerp; the matrix operators must agree with them.
+
+
+@functools.lru_cache(maxsize=None)
+def ref_cuts(axis):
+    lead = (slice(None),) * axis
+    cuts = (slice(2, None), slice(1, -1), slice(None, -2), 0, 1, 2, -1, -2, -3)
+    return tuple(lead + (cut,) for cut in cuts)
+
+
+def ref_diff_axis(u, h, axis):
+    nxt, mid, prv, n0, n1, n2, e1, e2, e3 = ref_cuts(axis % u.ndim)
+    out = np.empty_like(u)
+    inv = 1.0 / (2.0 * h)
+    out[mid] = (u[nxt] - u[prv]) * inv
+    out[n0] = (-3.0 * u[n0] + 4.0 * u[n1] - u[n2]) * inv
+    out[e1] = (3.0 * u[e1] - 4.0 * u[e2] + u[e3]) * inv
+    return out
+
+
+def ref_diff_axis_T(v, h, axis):
+    # each stencil row scattered back onto its columns
+    nxt, mid, prv, n0, n1, n2, e1, e2, e3 = ref_cuts(axis % v.ndim)
+    out = np.zeros_like(v)
+    inv = 1.0 / (2.0 * h)
+    out[prv] += -inv * v[mid]
+    out[nxt] += inv * v[mid]
+    out[n0] += -3.0 * inv * v[n0]
+    out[n1] += 4.0 * inv * v[n0]
+    out[n2] += -inv * v[n0]
+    out[e1] += 3.0 * inv * v[e1]
+    out[e2] += -4.0 * inv * v[e1]
+    out[e3] += inv * v[e1]
+    return out
+
+
+def ref_smoothed(arr, passes):
+    out = arr.copy()
+    for _ in range(passes):
+        for ax in range(1, out.ndim):
+            nxt, mid, prv, n0, n1, _, e1, e2, _ = ref_cuts(ax)
+            v = np.empty_like(out)
+            v[mid] = 0.25 * out[prv] + 0.5 * out[mid] + 0.25 * out[nxt]
+            v[n0] = 0.75 * out[n0] + 0.25 * out[n1]
+            v[e1] = 0.75 * out[e1] + 0.25 * out[e2]
+            out = v
+    return out
+
+
+def ref_prolong(values, box, shape_from, shape_to):
+    out = values
+    for ax in range(len(shape_from)):
+        if shape_from[ax] == shape_to[ax]:
+            continue
+        xc = np.linspace(box[ax, 0], box[ax, 1], shape_from[ax])
+        xf = np.linspace(box[ax, 0], box[ax, 1], shape_to[ax])
+        idx = np.clip(np.searchsorted(xc, xf, side="right") - 1, 0, shape_from[ax] - 2)
+        t = (xf - xc[idx]) / (xc[idx + 1] - xc[idx])
+        lo = np.take(out, idx, axis=ax + 1)
+        hi = np.take(out, idx + 1, axis=ax + 1)
+        bshape = [1] * out.ndim
+        bshape[ax + 1] = len(xf)
+        t = t.reshape(bshape)
+        out = (1.0 - t) * lo + t * hi
+    return out
+
+
+def assert_matches(got, ref):
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("shape, axes", [
+    ((7,), (0, -1)),
+    ((3,), (0,)),
+    ((2, 6, 9), (1, 2)),
+    ((2, 3, 3), (1, 2)),
+    ((3, 5, 4, 3), (1, 2, 3)),
+])
+def test_diff_axis_and_transpose_match_stencil_references(shape, axes, rng):
+    u = rng.standard_normal(shape)
+    for axis in axes:
+        assert_matches(diff_axis(u, 0.17, axis), ref_diff_axis(u, 0.17, axis))
+        assert_matches(diff_axis_T(u, 0.17, axis), ref_diff_axis_T(u, 0.17, axis))
+
+
+@pytest.mark.parametrize("shape", [(2, 6, 9), (2, 3, 3), (3, 5, 4, 3)])
+@pytest.mark.parametrize("passes", [1, 2, 8])
+def test_smoothing_matrix_matches_the_pass_loop(shape, passes, rng):
+    u = rng.standard_normal(shape)
+    assert_matches(_smoothed(u, passes), ref_smoothed(u, passes))
+
+
+@pytest.mark.parametrize("n", [3, 9, 64])
+def test_one_pass_smoother_is_symmetric_positive_definite(n):
+    s = _smoother(n, 1)
+    assert not s.flags.writeable
+    assert np.array_equal(s, s.T)
+    assert np.min(np.linalg.eigvalsh(s)) > 0.0
+
+
+@pytest.mark.parametrize("shapes", [
+    _coarse_ladder((64, 64)),
+    _coarse_ladder((17, 17, 17)),
+    [(9, 9, 9), (9, 9, 9)],
+    [(9, 9, 9), (17, 9, 12)],
+])
+def test_prolongation_matrix_matches_take_and_lerp(shapes, rng):
+    box = np.array([[4.0, 6.0], [1.0, 3.0], [-2.0, 0.5]])[:len(shapes[0])]
+    for shape_from, shape_to in zip(shapes, shapes[1:]):
+        u = rng.standard_normal((len(shape_from),) + shape_from)
+        assert_matches(_prolong(u, shape_from, shape_to),
+                       ref_prolong(u, box, shape_from, shape_to))
 
 
 def test_trapezoid_weights_integrate_constants():
@@ -156,6 +277,14 @@ def test_loss_gradient_matches_directional_differences(rng):
                 fd = (tp - tm) / (2.0 * eps)
                 an = float(np.sum(grad * d))
                 assert an == pytest.approx(fd, rel=1e-5, abs=1e-12)
+
+
+@pytest.mark.parametrize("evaluate", [loss, loss_gradient])
+def test_non_finite_value_is_reported_at_its_node(evaluate, rng):
+    values = rng.standard_normal((2, 9, 9))
+    values[0, 5, 6] = np.nan
+    with pytest.raises(FloatingPointError, match=r"at node \(5, 6\)"):
+        evaluate(GridField(box=BOX_REG, values=values), AR)
 
 
 def test_loss_rejects_box_outside_domain():
