@@ -21,7 +21,7 @@ import numpy as np
 
 from . import expressions as ex
 from .dynsys import OutOfDomainError, VectorField
-from .fdiff import fd_gradient
+from .fdiff import fd_gradient, fd_gradient_rows
 from .odeint import (
     DEFAULT_CONFIG,
     IntegrationError,
@@ -115,11 +115,16 @@ def halton(dim: int, count: int) -> np.ndarray:
 class Surface:
     """Parameterized surface patch with a level function.
 
-    param : callable mapping tau in (0,1)^{N-1} to a point on S
-    level : scalar function vanishing on S (sign change = crossing)
-    param_inverse : maps near-surface points back to parameters; when absent
-        a Gauss-Newton projection onto the patch is built lazily
-    param_jacobian : optional analytic dX/dtau, shape (N, N-1)
+    Every callable takes a stack of rows and maps each row on its own, the
+    value of a row never depending on the other rows of the stack:
+
+    param : tau (..., N-1) in (0,1)^{N-1} -> points on S, (..., N)
+    level : x (..., N) -> values (...), vanishing on S (sign change = crossing)
+    param_inverse : x (..., N) -> parameters (..., N-1) of near-surface
+        points; when absent a Gauss-Newton projection onto the patch is built
+    param_jacobian : optional analytic dX/dtau, tau (..., N-1) -> (..., N, N-1)
+
+    A single point is the stack with no leading axis.
     """
 
     dim: int
@@ -138,82 +143,105 @@ class Surface:
             )
 
 
-def _param_jacobian(surface: Surface, tau: np.ndarray, step: float = 1e-6) -> np.ndarray:
-    if surface.param_jacobian is not None:
-        return np.asarray(surface.param_jacobian(tau), dtype=float).reshape(
-            surface.dim, surface.dim - 1
-        )
+def _param_jacobian(surface: Surface, tau, step: float = 1e-6) -> np.ndarray:
+    """dX/dtau at every row of tau (..., N-1), shape (..., N, N-1)."""
     tau = np.asarray(tau, dtype=float)
+    shape = tau.shape[:-1] + (surface.dim, surface.dim - 1)
+    if surface.param_jacobian is not None:
+        return np.broadcast_to(np.asarray(surface.param_jacobian(tau), dtype=float), shape)
     cols = []
-    for i in range(tau.size):
+    for i in range(surface.dim - 1):
         e = np.zeros_like(tau)
         # stay inside (0,1): shrink the stencil near the edges
-        s = min(step, 0.49 * min(tau[i], 1.0 - tau[i]) + step * 1e-3)
-        e[i] = s
+        s = np.minimum(step, 0.49 * np.minimum(tau[..., i], 1.0 - tau[..., i]) + step * 1e-3)
+        e[..., i] = s
         cols.append(
             (np.asarray(surface.param(tau + e)) - np.asarray(surface.param(tau - e)))
-            / (2.0 * s)
+            / (2.0 * s)[..., None]
         )
-    return np.stack(cols, axis=-1) if cols else np.zeros((surface.dim, 0))
+    return np.stack(cols, axis=-1) if cols else np.zeros(shape)
+
+
+# lattice distances held at once by the projection inverse's seed search
+_SEED_BLOCK = 1 << 14
 
 
 def _projection_inverse(surface: Surface, n_per_axis: int = 32, tol: float = 1e-10,
                         max_iter: int = 50) -> Callable:
-    """Gauss-Newton projection onto the patch, seeded from a parameter lattice."""
-    d = surface.dim - 1
+    """Gauss-Newton projection onto the patch, seeded from a parameter lattice.
+
+    Rows iterate together; a row stops once its step is below tol.  Each
+    step is the minimum-norm least-squares solution, with lstsq's default
+    cutoff for small singular values.
+    """
+    N, d = surface.dim, surface.dim - 1
     if d == 0:
-        return lambda x: np.zeros(0)
+        return lambda x: np.zeros(np.shape(x)[:-1] + (0,))
 
     axes = [(np.arange(n_per_axis) + 0.5) / n_per_axis] * d
     lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    seeds = np.asarray([surface.param(tau) for tau in lattice], dtype=float)
+    seeds = np.asarray(surface.param(lattice), dtype=float)
+    rcond = np.finfo(float).eps * N
+    block = max(1, _SEED_BLOCK // len(seeds))
 
     def inverse(x):
         x = np.asarray(x, dtype=float)
-        tau = lattice[int(np.argmin(np.sum((seeds - x) ** 2, axis=1)))].copy()
+        X = x.reshape(-1, N)
+        nearest = [
+            np.argmin(np.sum((seeds - X[i:i + block, None]) ** 2, axis=2), axis=1)
+            for i in range(0, len(X), block)
+        ]
+        tau = lattice[np.concatenate(nearest)] if nearest else np.zeros((0, d))
+        rows = np.arange(len(X))
         for _ in range(max_iter):
-            r = x - np.asarray(surface.param(tau), dtype=float)
-            J = _param_jacobian(surface, tau)
-            delta, *_ = np.linalg.lstsq(J, r, rcond=None)
-            tau = tau + delta
-            if float(np.linalg.norm(delta)) < tol:
+            if not rows.size:
                 break
-        return tau
+            t = tau[rows]
+            r = X[rows] - np.asarray(surface.param(t), dtype=float)
+            J = _param_jacobian(surface, t)
+            delta = (np.linalg.pinv(J, rcond=rcond) @ r[..., None])[..., 0]
+            tau[rows] = t + delta
+            # a NaN step is not below tol: such a row runs to max_iter
+            rows = rows[~(np.linalg.norm(delta, axis=1) < tol)]
+        return tau.reshape(x.shape[:-1] + (d,))
 
     return inverse
 
 
+def _first_degenerate(surface: Surface, tau, bad) -> None:
+    if bad.any():
+        at = tau[tuple(np.argwhere(bad)[0])]
+        raise DegenerateSurfaceError(
+            f"{surface.name}: degenerate parameterization at tau={at.tolist()}"
+        )
+
+
 def surface_normal(surface: Surface, tau) -> np.ndarray:
-    """Unit normal at X(tau).
+    """Unit normal at X(tau) for every row of tau (..., N-1), shape (..., N).
 
     2-D surfaces use the rotated tangent (T2, -T1)/|T|; higher dimensions take
     the SVD null vector of the parameterization Jacobian with its sign aligned
     to the level gradient; 1-D surfaces are points with normal sign(grad level).
+    A rank-deficient Jacobian raises DegenerateSurfaceError at the first such
+    row.
     """
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    x = np.asarray(surface.param(tau), dtype=float)
     if surface.dim == 1:
-        g = float(fd_gradient(surface.level, x, step=1e-7)[0])
-        return np.array([1.0 if g >= 0 else -1.0])
+        x = np.asarray(surface.param(tau), dtype=float)
+        g = fd_gradient_rows(surface.level, x, step=1e-7)
+        return np.where(g >= 0, 1.0, -1.0)
     J = _param_jacobian(surface, tau)
     if surface.dim == 2:
-        t = J[:, 0]
-        norm = float(np.linalg.norm(t))
-        if norm < 1e-12:
-            raise DegenerateSurfaceError(
-                f"{surface.name}: degenerate parameterization at tau={tau.tolist()}"
-            )
-        return np.array([t[1], -t[0]]) / norm
+        t = J[..., 0]
+        norm = np.linalg.norm(t, axis=-1)
+        _first_degenerate(surface, tau, norm < 1e-12)
+        return np.stack([t[..., 1], -t[..., 0]], axis=-1) / norm[..., None]
     u, s, _ = np.linalg.svd(J, full_matrices=True)
-    if s[-1] < 1e-12 * s[0] or s[0] == 0.0:
-        raise DegenerateSurfaceError(
-            f"{surface.name}: degenerate parameterization at tau={tau.tolist()}"
-        )
-    n = u[:, -1]
-    g = np.asarray(fd_gradient(surface.level, x, step=1e-7), dtype=float)
-    if float(np.dot(n, g)) < 0.0:
-        n = -n
-    return n
+    _first_degenerate(surface, tau, (s[..., -1] < 1e-12 * s[..., 0]) | (s[..., 0] == 0.0))
+    n = u[..., :, -1]
+    x = np.asarray(surface.param(tau), dtype=float)
+    g = fd_gradient_rows(surface.level, x, step=1e-7)
+    return np.where(np.sum(n * g, axis=-1, keepdims=True) < 0.0, -n, n)
 
 
 def line_surface(value: float = 1.0, lo: float = 0.0, hi: float = 4.0,
@@ -225,19 +253,23 @@ def line_surface(value: float = 1.0, lo: float = 0.0, hi: float = 4.0,
         raise ValueError("need lo < hi")
 
     def param(tau):
-        x = np.empty(2)
-        x[axis] = value
-        x[other] = lo + span * float(np.atleast_1d(tau)[0])
+        tau = np.asarray(tau, dtype=float)
+        x = np.empty(tau.shape[:-1] + (2,))
+        x[..., axis] = value
+        x[..., other] = lo + span * tau[..., 0]
         return x
+
+    def inverse(x):
+        return ((np.asarray(x, dtype=float)[..., other] - lo) / span)[..., None]
 
     jac_col = np.zeros((2, 1))
     jac_col[other, 0] = span
     return Surface(
         dim=2,
         param=param,
-        level=lambda x: float(x[axis] - value),
-        param_inverse=lambda x: np.array([(float(x[other]) - lo) / span]),
-        param_jacobian=lambda tau: jac_col,
+        level=lambda x: np.asarray(x, dtype=float)[..., axis] - value,
+        param_inverse=inverse,
+        param_jacobian=lambda tau: np.broadcast_to(jac_col, np.shape(tau)[:-1] + (2, 1)),
         name=name or f"line(x{axis + 1}={value}, x{other + 1} in ({lo},{hi}))",
     )
 
@@ -253,22 +285,30 @@ def circle_surface(radius: float = 1.0, excluded_angle: float = np.pi,
         raise ValueError("radius must be positive")
     th0 = float(excluded_angle)
 
+    def angle(tau):
+        return th0 + 2.0 * np.pi * np.asarray(tau, dtype=float)[..., 0]
+
     def param(tau):
-        th = th0 + 2.0 * np.pi * float(np.atleast_1d(tau)[0])
-        return radius * np.array([np.cos(th), np.sin(th)])
+        th = angle(tau)
+        return radius * np.stack([np.cos(th), np.sin(th)], axis=-1)
 
     def inverse(x):
-        th = float(np.arctan2(x[1], x[0]))
-        return np.array([np.mod(th - th0, 2.0 * np.pi) / (2.0 * np.pi)])
+        x = np.asarray(x, dtype=float)
+        th = np.arctan2(x[..., 1], x[..., 0])
+        return (np.mod(th - th0, 2.0 * np.pi) / (2.0 * np.pi))[..., None]
 
     def jacobian(tau):
-        th = th0 + 2.0 * np.pi * float(np.atleast_1d(tau)[0])
-        return 2.0 * np.pi * radius * np.array([[-np.sin(th)], [np.cos(th)]])
+        th = angle(tau)
+        return 2.0 * np.pi * radius * np.stack([-np.sin(th), np.cos(th)], axis=-1)[..., None]
+
+    def level(x):
+        x = np.asarray(x, dtype=float)
+        return x[..., 0] ** 2 + x[..., 1] ** 2 - radius**2
 
     return Surface(
         dim=2,
         param=param,
-        level=lambda x: float(x[0] ** 2 + x[1] ** 2 - radius**2),
+        level=level,
         param_inverse=inverse,
         param_jacobian=jacobian,
         name=name or f"circle(r={radius}, excluded angle {th0:.3g})",
@@ -279,10 +319,10 @@ def point_surface(value: float = 1.0, name: Optional[str] = None) -> Surface:
     """0-dimensional surface {x1 = value} for one-dimensional fields."""
     return Surface(
         dim=1,
-        param=lambda tau: np.array([value]),
-        level=lambda x: float(x[0] - value),
-        param_inverse=lambda x: np.zeros(0),
-        param_jacobian=lambda tau: np.zeros((1, 0)),
+        param=lambda tau: np.full(np.shape(tau)[:-1] + (1,), float(value)),
+        level=lambda x: np.asarray(x, dtype=float)[..., 0] - value,
+        param_inverse=lambda x: np.zeros(np.shape(x)[:-1] + (0,)),
+        param_jacobian=lambda tau: np.zeros(np.shape(tau)[:-1] + (1, 0)),
         name=name or f"point(x1={value})",
     )
 
@@ -317,7 +357,9 @@ def surface_from_json(spec) -> Surface:
     """Surface from {"builtin": name} or {"dim", "param": [...], "level": "..."}.
 
     Parameterization expressions use variables t1..t{N-1}; the level expression
-    uses x1..xN.  A Gauss-Newton projection supplies param_inverse.
+    uses x1..xN.  Each expression is evaluated once over the columns of a
+    stack, a constant broadcast to its rows.  A Gauss-Newton projection
+    supplies param_inverse.
     """
     if isinstance(spec, str):
         spec = json.loads(spec)
@@ -331,14 +373,16 @@ def surface_from_json(spec) -> Surface:
     param_nodes = [ex.parse_expression(s, tvars) for s in param_texts]
     level_node = ex.parse_expression(spec["level"], [f"x{i + 1}" for i in range(dim)])
 
-    def param(tau):
-        tau = np.atleast_1d(np.asarray(tau, dtype=float))
-        return np.array([float(n.evaluate(tuple(tau))) for n in param_nodes])
+    def over_rows(node, rows):
+        # node over the columns of rows (..., n), one value per row
+        rows = np.asarray(rows, dtype=float)
+        columns = tuple(rows[..., i] for i in range(rows.shape[-1]))
+        return np.array(np.broadcast_to(node.evaluate(columns), rows.shape[:-1]), dtype=float)
 
     return Surface(
         dim=dim,
-        param=param,
-        level=lambda x: float(level_node.evaluate(tuple(np.asarray(x, dtype=float)))),
+        param=lambda tau: np.stack([over_rows(n, tau) for n in param_nodes], axis=-1),
+        level=lambda x: over_rows(level_node, x)[()],
         name=str(spec.get("name", "custom")),
     )
 
@@ -356,12 +400,10 @@ def check_transversal(surface: Surface, field: VectorField, n_samples: int = 64)
     """
     d = surface.dim - 1
     taus = halton(d, n_samples if d > 0 else 1)
-    out = []
-    for tau in taus:
-        n = surface_normal(surface, tau)
-        p = field.eval(np.asarray(surface.param(tau), dtype=float), check_domain=False)
-        out.append((tau.copy(), float(np.dot(n, p))))
-    return out
+    normals = surface_normal(surface, taus)
+    x = np.asarray(surface.param(taus), dtype=float)
+    ips = np.sum(normals * field.eval_grid(list(x.T)).T, axis=1)
+    return [(tau, float(ip)) for tau, ip in zip(taus, ips)]
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -398,7 +440,7 @@ def check_nonrecurrent(
     violations = []
     failures = []
     taus = halton(surface.dim - 1, n_orbits if surface.dim > 1 else 1)
-    seeds = [np.asarray(surface.param(tau), dtype=float) for tau in taus]
+    seeds = np.asarray(surface.param(taus), dtype=float)
     results, stats = find_crossings_batch(
         field, seeds, surface, horizon=horizon, cfg=cfg
     )

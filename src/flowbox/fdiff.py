@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["central_pairs", "fd_gradient", "fd_jacobian"]
+__all__ = ["central_pairs", "fd_gradient", "fd_gradient_rows", "fd_jacobian"]
 
 
 def central_pairs(x, step: float = 1e-5) -> list:
@@ -16,6 +16,17 @@ def central_pairs(x, step: float = 1e-5) -> list:
         e[i] = step
         pairs.append((x + e, x - e))
     return pairs
+
+
+def fd_gradient_rows(fn, x, step: float = 1e-5) -> np.ndarray:
+    """fd_gradient at every row of x (..., N), from one call of fn over the
+    central_pairs points of all rows stacked as rows, row by row and axis by
+    axis, + before -; fn must map (R, N) rows to R values."""
+    x = np.asarray(x, dtype=float)
+    e = np.eye(x.shape[-1]) * step
+    pts = np.stack([x[..., None, :] + e, x[..., None, :] - e], axis=-2)  # (..., N, 2, N)
+    f = np.asarray(fn(pts.reshape(-1, x.shape[-1])), dtype=float).reshape(pts.shape[:-1])
+    return (f[..., 0] - f[..., 1]) / (2.0 * step)
 
 
 def fd_gradient(fn, x, step: float = 1e-5) -> np.ndarray:

@@ -8,6 +8,13 @@ the field is evaluated for every running lane at once through
 A field error (ArithmeticError) fails only the lanes whose own rows raise it.
 ``flow`` and ``trace_orbit`` are one-lane runs.
 
+Surfaces follow the same row contract (see ``chart.Surface``): the crossing
+search makes one ``level`` call per batched step and per root iteration, and
+builds every event of a search from one ``param_inverse`` call, one level
+call over the central-difference stencils and one field call.  A surface
+call that raises is split like a field call, so a point whose own rows raise
+fails alone.
+
 Crossings of a surface's level function are found by scanning each accepted
 step for a sign change of the level.  The root is then located on the step's
 continuous extension (Shampine's 4th-order interpolant for Dormand-Prince,
@@ -25,7 +32,8 @@ from typing import Optional
 import numpy as np
 
 from .dynsys import VectorField
-from .fdiff import fd_gradient
+from .fdiff import fd_gradient_rows
+from .fdiff import fd_gradient  # noqa: F401 (a binding the benchmark tracer patches)
 
 __all__ = [
     "IntegratorConfig",
@@ -48,6 +56,7 @@ ON_SURFACE_TOL = 1e-9     # |level| below this counts as "already on S"
 CROSSING_LEVEL_TOL = 1e-12  # root-find target for |level| on the interpolant
 GRAZE_TOL = 1e-8          # local |level| minimum below this flags a graze
 MAX_ROOT_ITERATIONS = 200  # per crossing; the bracket collapses long before
+DIRECTION_STEP = 1e-7     # central-difference step of the level gradient
 
 
 class IntegrationError(RuntimeError):
@@ -113,6 +122,9 @@ class RunStats:
     rhs_calls : VectorField.eval_grid calls, including those that split a
         call which raised ArithmeticError down to its raising rows
     rhs_evals : lane field evaluations, each running lane once per stage
+    level_calls : surface level calls, including those that split a call
+        which raised down to its raising rows
+    level_evals : level values asked for, each row once
     crossings_refined : sign changes located on the interpolant
     root_iterations : root-find iterations, summed over crossings
     """
@@ -122,6 +134,8 @@ class RunStats:
     rejected_steps: int = 0
     rhs_calls: int = 0
     rhs_evals: int = 0
+    level_calls: int = 0
+    level_evals: int = 0
     crossings_refined: int = 0
     root_iterations: int = 0
 
@@ -233,8 +247,43 @@ def _combine(terms, stages):
     return acc
 
 
+def _split_on_error(fn, xs, catch, fail, row_shape=(), first=0):
+    """fn over a stack of rows xs, in one call when no row raises.
+
+    fn maps R rows to R outputs of shape row_shape, each depending on its
+    own row only.  A call that raises `catch` is split in halves until each
+    raising row stands alone; fail(i, err) then gets that row's index in xs
+    and its error, and the row's output is NaN.
+    """
+    if not len(xs):
+        return np.empty((0,) + row_shape)
+    try:
+        return fn(xs)
+    except catch as err:
+        if len(xs) == 1:
+            fail(first, err)
+            return np.full((1,) + row_shape, np.nan)
+    half = len(xs) // 2
+    return np.concatenate([
+        _split_on_error(fn, xs[:half], catch, fail, row_shape, first),
+        _split_on_error(fn, xs[half:], catch, fail, row_shape, first + half),
+    ])
+
+
+def _levels(surface, xs, fail, stats: RunStats) -> np.ndarray:
+    """surface.level over the rows of xs (R, N); a row whose level raises
+    any exception is reported to fail(i, err) and reads NaN."""
+
+    def call(rows):
+        stats.level_calls += 1
+        return np.asarray(surface.level(rows), dtype=float).reshape(len(rows))
+
+    stats.level_evals += len(xs)
+    return _split_on_error(call, xs, Exception, fail)
+
+
 def _integrate(field: VectorField, x0, sign, T: float, cfg: IntegratorConfig,
-               stats: RunStats, on_accept=None):
+               stats: RunStats, on_accept=None, partner=None):
     """Integrate dx/dt = sign * P(x) over [0, T] on every lane of x0 (L, N).
 
     `sign` holds +1 or -1 per lane.  After each batched step,
@@ -244,11 +293,14 @@ def _integrate(field: VectorField, x0, sign, T: float, cfg: IntegratorConfig,
     None.  A lane stops when it reaches T, leaves the domain box (the state
     outside the box is its last accepted sample), fails (its field rows
     raise, or its steps run out or underflow), or is stopped by on_accept.
+    `partner` optionally names per lane another lane (or -1): when a lane's
+    field rows raise, its partner is stopped at the end of that pass.
     Finished lanes are dropped from the compact state of the running lanes.
 
-    Returns (outcome, errors): per lane one of _DONE/_EXIT/_FAILED, and the
-    exception of each lane that failed in the stepper itself, the field's
-    ArithmeticError or an IntegrationError (None elsewhere).
+    Returns (outcome, errors): per lane one of _DONE/_EXIT/_FAILED (a stopped
+    lane is _FAILED), and the exception of each lane that failed in the
+    stepper itself, the field's ArithmeticError or an IntegrationError (None
+    elsewhere).
     """
     x = np.array(x0, dtype=float)
     L, N = x.shape
@@ -260,24 +312,20 @@ def _integrate(field: VectorField, x0, sign, T: float, cfg: IntegratorConfig,
         return outcome, errors
     lo = field.domain[:, 0] - 1e-12
     hi = field.domain[:, 1] + 1e-12
+    raised = []  # lanes whose field rows raised in this pass
 
-    def field_rows(xs, first):
-        # rows first, first + 1, ... of the running lanes; a call that raises
-        # is split in halves until each raising row fails alone
+    def field_rows(xs):
         stats.rhs_calls += 1
-        try:
-            return field.eval_grid(list(xs.T)).T
-        except ArithmeticError as err:
-            if len(xs) == 1:
-                fail([first], lambda _: err)
-                return np.full(xs.shape, np.nan)
-        half = len(xs) // 2
-        return np.concatenate([field_rows(xs[:half], first),
-                               field_rows(xs[half:], first + half)])
+        return field.eval_grid(list(xs.T)).T
+
+    def field_failed(row, err):
+        if partner is not None:
+            raised.append(ids[row])
+        fail([row], lambda _: err)
 
     def rhs(xs):
         stats.rhs_evals += len(xs)
-        return field_rows(xs, 0) * sg
+        return _split_on_error(field_rows, xs, ArithmeticError, field_failed, (N,)) * sg
 
     def fail(rows, make):
         for lane, t_lane in zip(ids[rows], t[rows]):
@@ -370,6 +418,12 @@ def _integrate(field: VectorField, x0, sign, T: float, cfg: IntegratorConfig,
                 keep = ~finished
         if broken is not None:
             keep = ~broken if keep is None else keep & ~broken
+        if raised:
+            stopped = np.isin(ids, partner[raised])
+            raised.clear()
+            if stopped.any():
+                outcome[ids[stopped]] = _FAILED
+                keep = ~stopped if keep is None else keep & ~stopped
         # elementary controller; a zero error norm grows the step 5x
         factor = 0.9 * np.maximum(err_norm, 1e-300) ** -0.2
         h = h * np.fmin(5.0, np.maximum(0.2, factor))
@@ -454,29 +508,51 @@ def trace_orbit(field: VectorField, x0, t_span, cfg: Optional[IntegratorConfig] 
 # Crossing detection
 
 
-def _level_direction(surface, field, x) -> int:
-    grad = fd_gradient(surface.level, x, step=1e-7)
-    ip = float(np.dot(np.asarray(grad, dtype=float), field.eval(x, check_domain=False)))
-    if ip > 0.0:
-        return 1
-    if ip < 0.0:
-        return -1
-    return 0
+def _events(field, surface, t, x, level, graze, stats: RunStats) -> list:
+    """The CrossingEvent at each row of x (E, N), or the exception its
+    event raises, from one param_inverse call, one level call over the
+    central-difference stencils of the non-graze rows and one field call.
 
+    A row's exception is the first of its param_inverse error, its first
+    failing stencil point's level error (axis by axis, + before -) and its
+    field error.  Graze rows get direction 0.
+    """
+    E, N = x.shape
+    errors = [None] * E
 
-def _make_event(surface, field, t, x, level, direction=None) -> CrossingEvent:
-    params = np.atleast_1d(np.asarray(surface.param_inverse(x), dtype=float))
-    on_patch = bool(np.all(params > 0.0) and np.all(params < 1.0))
-    if direction is None:
-        direction = _level_direction(surface, field, x)
-    return CrossingEvent(
-        t=float(t),
-        x=np.asarray(x, dtype=float),
-        params=params,
-        direction=direction,
-        level=float(level),
-        on_patch=on_patch,
-    )
+    def fail_at(event_of):  # event_of[i]: the event of row i of a call
+        def fail(i, err):
+            if errors[event_of[i]] is None:
+                errors[event_of[i]] = err
+        return fail
+
+    def params_of(xs):
+        return np.asarray(surface.param_inverse(xs), dtype=float).reshape(len(xs), N - 1)
+
+    params = _split_on_error(params_of, x, Exception, fail_at(np.arange(E)), (N - 1,))
+    on_patch = np.all((params > 0.0) & (params < 1.0), axis=1)
+
+    rows = np.flatnonzero(~graze)
+    at_stencil = fail_at(np.repeat(rows, 2 * N))  # 2N stencil points per row
+    grad = fd_gradient_rows(lambda pts: _levels(surface, pts, at_stencil, stats),
+                            x[rows], DIRECTION_STEP)
+    p = _split_on_error(lambda xs: field.eval_grid(list(xs.T)).T, x[rows], Exception,
+                        fail_at(rows), (N,))
+    ip = np.sum(grad * p, axis=1)
+    direction = np.zeros(E, dtype=int)
+    direction[rows] = np.where(ip > 0.0, 1, np.where(ip < 0.0, -1, 0))
+
+    return [
+        errors[e] if errors[e] is not None else CrossingEvent(
+            t=float(t[e]),
+            x=x[e],
+            params=params[e],
+            direction=int(direction[e]),
+            level=float(level[e]),
+            on_patch=bool(on_patch[e]),
+        )
+        for e in range(E)
+    ]
 
 
 def _interpolate(x_old, h, stages, theta):
@@ -501,7 +577,7 @@ class _CrossingScan:
     def __init__(self, field, surface, l0, sign, stats):
         L = len(l0)
         self.field = field
-        self.level = surface.level
+        self.surface = surface
         self.sign = sign
         self.stats = stats
         self.last = np.array(l0, dtype=float)   # level at the newest sample
@@ -521,14 +597,9 @@ class _CrossingScan:
         self.failed[lane] = True
 
     def _levels(self, lanes, xs):
-        out = np.empty(len(lanes))
-        for r, lane in enumerate(lanes):
-            try:
-                out[r] = float(self.level(xs[r]))
-            except Exception as err:  # the point's own failure, not the batch's
-                self._fail(lane, err)
-                out[r] = np.nan
-        return out
+        # a lane whose level raises fails alone, not the batch
+        return _levels(self.surface, xs, lambda r, err: self._fail(lanes[r], err),
+                       self.stats)
 
     def __call__(self, lanes, t_old, x_old, t_new, x_new, h, stages):
         lnew = self._levels(lanes, x_new)
@@ -669,20 +740,24 @@ def find_crossings_batch(
     stats = RunStats()
     P = len(X)
     results = [None] * P
-    l0 = np.full(P, np.nan)
-    for p in range(P):
-        try:
-            l0[p] = float(surface.level(X[p]))
-        except Exception as err:  # the point's own failure, re-raised by find_crossings
-            results[p] = err
+
+    def level_failed(p, err):  # the point's own failure, re-raised by find_crossings
+        results[p] = err
+
+    l0 = _levels(surface, X, level_failed, stats)
     live = [p for p in range(P) if results[p] is None]
     Q = len(live)
     lanes_x = np.concatenate([X[live], X[live]]) if Q else np.zeros((0, X.shape[1]))
     sign = np.concatenate([np.ones(Q), -np.ones(Q)])
     l0_lanes = np.concatenate([l0[live], l0[live]])
+    # a forward lane's field error is its point's outcome: the backward lane stops
+    partner = np.concatenate([np.arange(Q, 2 * Q), np.full(Q, -1)])
     scan = _CrossingScan(field, surface, l0_lanes, sign, stats)
-    _, errors = _integrate(field, lanes_x, sign, horizon, cfg, stats, scan)
+    _, errors = _integrate(field, lanes_x, sign, horizon, cfg, stats, scan, partner)
 
+    # (point, t, x, level, graze) of every event: per point the on-surface
+    # start, then per lane (forward first) its crossings and its grazes
+    rows = []
     for q, p in enumerate(live):
         fwd, bwd = q, Q + q
         raised = [e for e in (errors[fwd], errors[bwd]) if isinstance(e, ArithmeticError)]
@@ -691,22 +766,25 @@ def find_crossings_batch(
         if err is not None:
             results[p] = err
             continue
-        try:
-            x0 = X[p]
-            events = []
-            if abs(l0[p]) <= ON_SURFACE_TOL:
-                events.append(_make_event(surface, field, 0.0, x0, l0[p]))
-            for lane in (fwd, bwd):
-                for t_c, x_c, l_c in scan.crossings[lane]:
-                    events.append(_make_event(surface, field, t_c, x_c, l_c))
-                for t_c, x_c, l_c in scan.grazes[lane]:
-                    events.append(
-                        _make_event(surface, field, t_c, x_c, l_c, direction=0)
-                    )
-            events.sort(key=lambda e: e.t)
-            results[p] = events
-        except Exception as err:  # the point's own failure, re-raised by find_crossings
-            results[p] = err
+        results[p] = []
+        if abs(l0[p]) <= ON_SURFACE_TOL:
+            rows.append((p, 0.0, X[p], l0[p], False))
+        for lane in (fwd, bwd):
+            rows += [(p, *c, False) for c in scan.crossings[lane]]
+            rows += [(p, *g, True) for g in scan.grazes[lane]]
+    if rows:
+        owner, t, x, level, graze = zip(*rows)
+        events = _events(field, surface, t, np.array(x), level, np.array(graze), stats)
+        for p, event in zip(owner, events):
+            if not isinstance(results[p], list):
+                continue  # the point already failed at an earlier event
+            if isinstance(event, BaseException):
+                results[p] = event
+            else:
+                results[p].append(event)
+    for p in live:
+        if isinstance(results[p], list):
+            results[p].sort(key=lambda e: e.t)
     return results, stats
 
 

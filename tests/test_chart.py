@@ -3,10 +3,12 @@ import pytest
 
 from flowbox.chart import (
     AmbiguousChart,
+    DegenerateSurfaceError,
     NotInOmega,
     OffPatch,
     Surface,
     TransversalityError,
+    _param_jacobian,
     build_chart,
     builtin_surface,
     builtin_surface_names,
@@ -25,6 +27,7 @@ from flowbox.chart import (
     surface_normal,
 )
 from flowbox.dynsys import builtin, parse_system
+from flowbox.fdiff import fd_gradient, fd_gradient_rows
 from flowbox.odeint import (
     IntegrationError,
     IntegratorConfig,
@@ -74,8 +77,10 @@ def test_projection_inverse_fallback():
     # same line as line_surface but without an explicit inverse
     s = Surface(
         dim=2,
-        param=lambda tau: np.array([1.0, 4.0 * float(np.atleast_1d(tau)[0])]),
-        level=lambda x: float(x[0] - 1.0),
+        param=lambda tau: np.stack(
+            [np.ones(np.shape(tau)[:-1]), 4.0 * np.asarray(tau)[..., 0]], axis=-1
+        ),
+        level=lambda x: np.asarray(x)[..., 0] - 1.0,
     )
     np.testing.assert_allclose(s.param_inverse([1.0, 3.0]), [0.75], atol=1e-8)
 
@@ -92,6 +97,107 @@ def test_surface_from_json_roundtrip():
     assert s.level([1.0, 0.0]) == 0.0
     assert s.name == "json-line"
     assert surface_from_json({"builtin": "line-b"}).name == "line-b"
+
+
+# the Surface row contract: a stack of rows maps row by row, bit for bit
+CONTRACT_CASES = {
+    "line-b": (lambda: builtin_surface("line-b"), "hyperbolic-b"),
+    "circle-a": (lambda: builtin_surface("circle-a"), "source-a"),
+    "point-1": (lambda: builtin_surface("point-1"), None),
+    "json-2d": (lambda: surface_from_json({
+        "dim": 2, "param": ["cos(6*t1 - 3)", "sin(6*t1 - 3)"],
+        "level": "x1^2 + x2^2 - 1"}), "source-a"),
+    "json-3d": (lambda: surface_from_json({
+        "dim": 3, "param": ["1", "4*t1 + t2*t2", "4*t2"], "level": "x1 - 1"}), None),
+}
+CONTRACT_FIELDS = {
+    1: lambda: parse_system("x1", 1, name="line-source"),
+    3: lambda: parse_system("-x1, 0.5*x2, x3", 3, name="saddle-3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_CASES))
+def test_stacked_surface_calls_equal_per_row_calls(name):
+    make, system = CONTRACT_CASES[name]
+    s = make()
+    d = s.dim - 1
+    taus = halton(d, 12)
+    rng = np.random.default_rng(5)
+    X = s.param(taus) + 1e-3 * rng.standard_normal((12, s.dim))
+
+    def rows(fn, stack):
+        return np.array([fn(row) for row in stack])
+
+    calls = [
+        (s.level, X),
+        (s.param, taus),
+        (s.param_inverse, X),
+        (lambda t: _param_jacobian(s, t), taus),
+        (lambda t: surface_normal(s, t), taus),
+    ]
+    if s.param_jacobian is not None:
+        calls.append((s.param_jacobian, taus))
+    for fn, stack in calls:
+        expected = rows(fn, stack)
+        np.testing.assert_array_equal(fn(stack), expected)
+        # any leading axes, not only one
+        lead = fn(stack.reshape((3, 4) + stack.shape[1:]))
+        np.testing.assert_array_equal(lead, expected.reshape((3, 4) + expected.shape[1:]))
+    # the batched level gradient of crossing directions is fd_gradient's arithmetic
+    np.testing.assert_array_equal(
+        fd_gradient_rows(s.level, X, step=1e-7),
+        rows(lambda x: fd_gradient(s.level, x, step=1e-7), X),
+    )
+
+    field = builtin(system) if system else CONTRACT_FIELDS[s.dim]()
+    samples = check_transversal(s, field, 12)
+    for (tau, ip), tau_row in zip(samples, halton(d, 12 if d else 1)):
+        n = surface_normal(s, tau_row)
+        p = field.eval(s.param(tau_row), check_domain=False)
+        np.testing.assert_array_equal(tau, tau_row)
+        assert ip == np.sum(n * p)
+
+
+def _per_row_projection_inverse(s, x, n_per_axis=32, tol=1e-10, max_iter=50):
+    # the one-point Gauss-Newton loop the row-batched projection replaced
+    d = s.dim - 1
+    axes = [(np.arange(n_per_axis) + 0.5) / n_per_axis] * d
+    lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    seeds = np.asarray([s.param(tau) for tau in lattice])
+    tau = lattice[int(np.argmin(np.sum((seeds - x) ** 2, axis=1)))].copy()
+    for _ in range(max_iter):
+        r = x - s.param(tau)
+        delta, *_ = np.linalg.lstsq(_param_jacobian(s, tau), r, rcond=None)
+        tau = tau + delta
+        if float(np.linalg.norm(delta)) < tol:
+            break
+    return tau
+
+
+@pytest.mark.parametrize("name", ["json-2d", "json-3d"])
+def test_projection_inverse_matches_the_per_row_lstsq_loop(name):
+    # pinv and lstsq round differently, so agreement is to a few ulps
+    s = CONTRACT_CASES[name][0]()
+    taus = halton(s.dim - 1, 40)
+    X = s.param(taus) + 1e-3 * np.random.default_rng(9).standard_normal((40, s.dim))
+    expected = np.array([_per_row_projection_inverse(s, x) for x in X])
+    np.testing.assert_allclose(s.param_inverse(X), expected, rtol=0, atol=1e-14)
+
+
+def test_degenerate_surface_names_its_first_degenerate_sample():
+    # the tangent vanishes at t1 = 0.25 and 0.75, the 2nd and 3rd Halton samples
+    def param(tau):
+        t = np.asarray(tau)[..., 0]
+        return np.stack([np.ones_like(t), t**3 / 3 - t**2 / 2 + 0.1875 * t], axis=-1)
+
+    def jacobian(tau):
+        t = np.asarray(tau)[..., 0]
+        return np.stack([np.zeros_like(t), (t - 0.25) * (t - 0.75)], axis=-1)[..., None]
+
+    s = Surface(dim=2, param=param, level=lambda x: np.asarray(x)[..., 0] - 1.0,
+                param_inverse=lambda x: np.asarray(x)[..., 1:], param_jacobian=jacobian)
+    with pytest.raises(DegenerateSurfaceError, match=r"tau=\[0\.25\]"):
+        check_transversal(s, builtin("hyperbolic-b"), 8)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +353,7 @@ def test_evaluate_grid_jump_level_is_integration_error(tight_cfg):
     jump = Surface(
         dim=2,
         param=base.param,
-        level=lambda x: 1.0 if x[0] >= 1.0 else -1.0,
+        level=lambda x: np.where(np.asarray(x)[..., 0] >= 1.0, 1.0, -1.0),
         param_inverse=base.param_inverse,
         name="jump",
     )

@@ -351,6 +351,23 @@ def test_chart_build_runs_are_byte_identical(tmp_path):
     assert (out_a / "chart_grid.csv").read_bytes() == (out_b / "chart_grid.csv").read_bytes()
 
 
+def test_chart_build_counts_batched_level_calls(tmp_path):
+    # one surface level call per batched step and root iteration, not per lane
+    argv = [
+        "chart-build", "--system", "hyperbolic-b", "--surface", "line-b",
+        "--grid", "0.8x2x24,0.2x1.2x24",
+    ]
+    counts = []
+    for run in ("a", "b"):
+        assert main(argv + ["--out", str(tmp_path / run)]) == EXIT_OK
+        manifest = json.loads((tmp_path / run / "manifest.json").read_text())
+        evaluate = manifest["summary"]["stats"]["evaluate"]
+        counts.append((evaluate["level_calls"], evaluate["level_evals"]))
+    assert counts[0] == counts[1]
+    level_calls, level_evals = counts[0]
+    assert level_evals / level_calls > 100
+
+
 # ---------------------------------------------------------------------------
 # config file merging
 

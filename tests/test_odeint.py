@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from flowbox.chart import builtin_surface, circle_surface, line_surface
+from flowbox.chart import builtin_surface, circle_surface, line_surface, surface_from_json
 from flowbox.dynsys import builtin, parse_system
 from flowbox.expressions import DomainError
 from flowbox.odeint import (
@@ -235,26 +235,33 @@ def test_crossing_times_match_scipy_events(system, surface, x0, horizon):
 def test_batch_matches_single_points_under_domain_errors(tight_cfg):
     # sqrt(x1) raises DomainError for the whole batch array once any lane
     # has x1 < 0; only the lanes whose own rows raise fail, each lane is
-    # integrated once
-    field = parse_system("-x1, sqrt(x1)", 2, name="sqrt-drift")
-    surface = line_surface(1.0, 0.0, 4.0)
-    points = [[0.5, 1.0], [-0.5, 1.0], [1.5, 2.0], [-1.0, 0.5]]
-    results, stats = find_crossings_batch(
-        field, points, surface, horizon=5.0, cfg=tight_cfg
+    # integrated once.  In the first case the field raises; in the second
+    # the surface's level does, once a backward sweep passes x1 = -1
+    sqrt_level = surface_from_json(
+        {"dim": 2, "param": ["1", "4*t1"], "level": "sqrt(x1 + 1) - sqrt(2)"}
     )
-    assert [isinstance(r, DomainError) for r in results] == [False, True, False, True]
-    assert stats.lanes >= 2 * len(points)
-    assert stats.lanes == 2 * len(points)
-    for x, batched in zip(points, results):
-        try:
-            single = find_crossings(
-                field, np.array(x), surface, horizon=5.0, cfg=tight_cfg
-            )
-        except DomainError as err:
-            assert type(batched) is type(err)
-            continue
-        assert [e.t for e in batched] == [e.t for e in single]
-        assert len(single) == 1
+    cases = [
+        (parse_system("-x1, sqrt(x1)", 2, name="sqrt-drift"), line_surface(1.0, 0.0, 4.0)),
+        (builtin("hyperbolic-b"), sqrt_level),
+    ]
+    points = [[0.5, 1.0], [-0.5, 1.0], [1.5, 2.0], [-1.0, 0.5]]
+    for field, surface in cases:
+        results, stats = find_crossings_batch(
+            field, points, surface, horizon=5.0, cfg=tight_cfg
+        )
+        assert [isinstance(r, DomainError) for r in results] == [False, True, False, True]
+        assert stats.lanes >= 2 * len(points)
+        assert stats.lanes == 2 * len(points)
+        for x, batched in zip(points, results):
+            try:
+                single = find_crossings(
+                    field, np.array(x), surface, horizon=5.0, cfg=tight_cfg
+                )
+            except DomainError as err:
+                assert type(batched) is type(err)
+                continue
+            assert [e.t for e in batched] == [e.t for e in single]
+            assert len(single) == 1
 
 
 def test_leaving_an_expression_domain_is_a_domain_error_not_an_exit():
@@ -275,6 +282,33 @@ def test_leaving_an_expression_domain_is_a_domain_error_not_an_exit():
         assert str(batched) == str(exc.value)
 
 
+def test_forward_field_error_stops_the_backward_lane():
+    # every forward sweep leaves the domain of sqrt at x1 > 2.5, which makes
+    # DomainError its point's outcome whatever the backward sweep meets, so
+    # the backward lane stops at the end of that pass.  Without the stop the
+    # search takes 31621 accepted lane steps here, 15485 of them on backward
+    # lanes after their forward lane's error
+    field = parse_system("1, -x2 + 0*sqrt(2.5 - x1)", 2, name="sqrt-saddle")
+    points = [[a, b] for a in np.linspace(0.8, 2.0, 24) for b in np.linspace(0.2, 1.2, 24)]
+    results, stats = find_crossings_batch(field, points, builtin_surface("line-b"))
+    assert {(type(r), str(r)) for r in results} == {(DomainError, "sqrt of a negative value")}
+    assert stats.lanes == 2 * len(points)
+    # at most the step of the failing pass itself per backward lane
+    assert stats.accepted_steps <= 31621 - 15485 + len(points)
+
+
+def test_backward_field_error_never_stops_the_forward_lane(tight_cfg):
+    # the backward sweep leaves the domain of sqrt at x1 < 0 in its first
+    # step; the forward lane still takes every step it takes alone
+    field = parse_system("1, -x2 + 0*sqrt(x1)", 2, name="sqrt-left")
+    (result,), stats = find_crossings_batch(
+        field, [[0.0, 1.0]], line_surface(1.0, 0.0, 4.0), horizon=3.0, cfg=tight_cfg
+    )
+    assert type(result) is DomainError
+    alone = trace_orbit(field, np.array([0.0, 1.0]), (0.0, 3.0), cfg=tight_cfg)
+    assert stats.accepted_steps == len(alone) - 1 > 1
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("forward", ["stepper", "scan"])
 def test_field_error_on_one_lane_wins_over_the_other_lanes_failure(forward):
@@ -282,9 +316,10 @@ def test_field_error_on_one_lane_wins_over_the_other_lanes_failure(forward):
     # forward lane fails earlier on its own: exp(exp(x1)) overflows to a NaN
     # error estimate past x1 = 6.56, or the level raises past x1 = 6
     def level(x):
-        if x[0] > 6.0:
+        x = np.asarray(x)
+        if np.any(x[..., 0] > 6.0):
             raise ValueError("level undefined past x1 = 6")
-        return float(x[0] - 9.0)
+        return x[..., 0] - 9.0
 
     if forward == "stepper":
         field = parse_system("1, exp(exp(x1)) - exp(exp(x1)) + 0*sqrt(x1 + 2)", 2)
