@@ -413,7 +413,7 @@ class NonRecurrenceReport:
     tested_points: int
     violations: tuple            # (seed point, crossing times) with > 1 crossing
     transversality_failures: tuple  # (tau, inner product) below tolerance
-    integration_failures: tuple  # (seed point, message)
+    integration_failures: tuple  # (seed point, message) of orbits whose search failed
     verdict: str                 # "pass" | "fail"
     stats: RunStats = dataclasses.field(default_factory=RunStats)
 
@@ -428,8 +428,10 @@ def check_nonrecurrent(
     """Seed orbits on S and count on-patch transversal crossings.
 
     Any orbit crossing more than once (the seed itself counts as one crossing)
-    makes the surface recurrent.  Integration failures are recorded per orbit,
-    not fatal.  All seeded orbits are searched as one batch.
+    makes the surface recurrent.  An orbit whose search fails with one of
+    POINT_ERRORS is recorded with its message and fails the verdict, since
+    its crossings are unknown; other errors propagate.  All seeded orbits are
+    searched as one batch.
     """
     cfg = cfg or DEFAULT_CONFIG
     horizon = cfg.horizon if horizon is None else float(horizon)
@@ -445,7 +447,7 @@ def check_nonrecurrent(
         field, seeds, surface, horizon=horizon, cfg=cfg
     )
     for x0, events in zip(seeds, results):
-        if isinstance(events, IntegrationError):
+        if isinstance(events, POINT_ERRORS):
             failures.append((x0, str(events)))
             continue
         if isinstance(events, BaseException):
@@ -453,7 +455,7 @@ def check_nonrecurrent(
         crossing_times = [e.t for e in events if e.direction != 0 and e.on_patch]
         if len(crossing_times) > 1:
             violations.append((x0, tuple(crossing_times)))
-    verdict = "fail" if (violations or trans_failures) else "pass"
+    verdict = "fail" if (violations or trans_failures or failures) else "pass"
     return NonRecurrenceReport(
         tested_points=len(taus),
         violations=tuple(violations),

@@ -53,6 +53,9 @@ EXIT_USAGE = 1
 EXIT_AUDIT = 2
 EXIT_NUMERIC = 3
 
+# orbits chart-build seeds on the surface for the recurrence audit
+AUDIT_ORBITS = 16
+
 
 class UsageError(ValueError):
     pass
@@ -207,7 +210,7 @@ def cmd_systems_list(name_filter: str = "") -> int:
 
 def cmd_chart_build(system, surface_spec, grid_spec, out_dir, force=False,
                     horizon=None, abs_tol=None, rel_tol=None,
-                    system_file=None, n_audit_orbits=16) -> int:
+                    system_file=None) -> int:
     started = _now()
     field = _resolve_field(system, system_file)
     surface = _resolve_surface(surface_spec)
@@ -227,10 +230,10 @@ def cmd_chart_build(system, surface_spec, grid_spec, out_dir, force=False,
             print(f"audit failure: {err}", file=sys.stderr)
             return EXIT_AUDIT
         report = chart_mod.check_nonrecurrent(
-            surface, field, n_orbits=n_audit_orbits,
+            surface, field, n_orbits=AUDIT_ORBITS,
             horizon=chart.horizon, cfg=cfg,
         )
-        if report.verdict != "pass":
+        if report.violations:
             print(
                 f"audit failure: {surface.name} is recurrent under {field.name}:"
                 f" {len(report.violations)} of {report.tested_points} seeded orbits"
@@ -243,6 +246,16 @@ def cmd_chart_build(system, surface_spec, grid_spec, out_dir, force=False,
                     f" crossings at t = {[round(t, 6) for t in times]}",
                     file=sys.stderr,
                 )
+        if report.integration_failures:
+            x0, message = report.integration_failures[0]
+            print(
+                f"audit failure: {len(report.integration_failures)} of"
+                f" {report.tested_points} seeded orbits on {surface.name} failed"
+                f" under {field.name}; the first, through"
+                f" {np.asarray(x0).round(6).tolist()}: {message}",
+                file=sys.stderr,
+            )
+        if report.verdict != "pass":
             return EXIT_AUDIT
         audit_stats = report.stats
     else:

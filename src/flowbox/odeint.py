@@ -54,7 +54,6 @@ __all__ = [
 # level-function tolerances used by find_crossings
 ON_SURFACE_TOL = 1e-9     # |level| below this counts as "already on S"
 CROSSING_LEVEL_TOL = 1e-12  # root-find target for |level| on the interpolant
-GRAZE_TOL = 1e-8          # local |level| minimum below this flags a graze
 MAX_ROOT_ITERATIONS = 200  # per crossing; the bracket collapses long before
 DIRECTION_STEP = 1e-7     # central-difference step of the level gradient
 
@@ -177,7 +176,7 @@ class CrossingEvent:
     t : crossing time relative to the query point (negative = in the past)
     x : state at the crossing
     params : surface parameters from param_inverse(x)
-    direction : sign of <grad level, P> at x; 0 flags a tangential graze
+    direction : sign of <grad level, P> at x, 0 only where it is exactly 0
     level : residual level value after refinement
     on_patch : whether params lie inside the open unit cube
     """
@@ -508,14 +507,14 @@ def trace_orbit(field: VectorField, x0, t_span, cfg: Optional[IntegratorConfig] 
 # Crossing detection
 
 
-def _events(field, surface, t, x, level, graze, stats: RunStats) -> list:
+def _events(field, surface, t, x, level, stats: RunStats) -> list:
     """The CrossingEvent at each row of x (E, N), or the exception its
     event raises, from one param_inverse call, one level call over the
-    central-difference stencils of the non-graze rows and one field call.
+    central-difference stencils of the rows and one field call.
 
     A row's exception is the first of its param_inverse error, its first
     failing stencil point's level error (axis by axis, + before -) and its
-    field error.  Graze rows get direction 0.
+    field error.
     """
     E, N = x.shape
     errors = [None] * E
@@ -529,18 +528,16 @@ def _events(field, surface, t, x, level, graze, stats: RunStats) -> list:
     def params_of(xs):
         return np.asarray(surface.param_inverse(xs), dtype=float).reshape(len(xs), N - 1)
 
-    params = _split_on_error(params_of, x, Exception, fail_at(np.arange(E)), (N - 1,))
+    own = fail_at(np.arange(E))
+    params = _split_on_error(params_of, x, Exception, own, (N - 1,))
     on_patch = np.all((params > 0.0) & (params < 1.0), axis=1)
 
-    rows = np.flatnonzero(~graze)
-    at_stencil = fail_at(np.repeat(rows, 2 * N))  # 2N stencil points per row
+    at_stencil = fail_at(np.repeat(np.arange(E), 2 * N))  # 2N stencil points per row
     grad = fd_gradient_rows(lambda pts: _levels(surface, pts, at_stencil, stats),
-                            x[rows], DIRECTION_STEP)
-    p = _split_on_error(lambda xs: field.eval_grid(list(xs.T)).T, x[rows], Exception,
-                        fail_at(rows), (N,))
+                            x, DIRECTION_STEP)
+    p = _split_on_error(lambda xs: field.eval_grid(list(xs.T)).T, x, Exception, own, (N,))
     ip = np.sum(grad * p, axis=1)
-    direction = np.zeros(E, dtype=int)
-    direction[rows] = np.where(ip > 0.0, 1, np.where(ip < 0.0, -1, 0))
+    direction = np.where(ip > 0.0, 1, np.where(ip < 0.0, -1, 0))
 
     return [
         errors[e] if errors[e] is not None else CrossingEvent(
@@ -565,13 +562,14 @@ def _interpolate(x_old, h, stages, theta):
 
 
 class _CrossingScan:
-    """Per-lane sign-change, zero-hit and graze scan of accepted samples.
+    """Per-lane sign-change and zero-hit scan of accepted samples.
 
     Lane i is point i % P swept forward (i < P) or backward (i >= P).  It
     mirrors a scan over the full list of samples: a leading on-surface
-    stretch is skipped, sample pairs from the first off-surface sample on are
-    searched for sign changes, and interior local minima of |level| below
-    GRAZE_TOL with no sign change are grazes.
+    stretch (|level| <= ON_SURFACE_TOL) is skipped, and sample pairs from
+    the first off-surface sample on are searched for sign changes.  A lane
+    is armed once it has seen an off-surface sample; a pair is searched only
+    if its lane was armed before the pair's newer sample.
     """
 
     def __init__(self, field, surface, l0, sign, stats):
@@ -581,14 +579,8 @@ class _CrossingScan:
         self.sign = sign
         self.stats = stats
         self.last = np.array(l0, dtype=float)   # level at the newest sample
-        self.prev = np.full(L, np.nan)          # level one sample earlier
-        self.count = np.zeros(L, dtype=np.int64)  # index of the newest sample
-        # index of the first sample off the surface; huge while still skipping
-        self.start = np.where(
-            np.abs(self.last) > ON_SURFACE_TOL, 0, np.iinfo(np.int64).max
-        )
+        self.armed = np.abs(self.last) > ON_SURFACE_TOL
         self.crossings = [[] for _ in range(L)]  # (t, x, level) in sample order
-        self.grazes = [[] for _ in range(L)]
         self.errors = [None] * L
         self.failed = np.zeros(L, dtype=bool)
 
@@ -603,36 +595,20 @@ class _CrossingScan:
 
     def __call__(self, lanes, t_old, x_old, t_new, x_new, h, stages):
         lnew = self._levels(lanes, x_new)
-        lp, lpp = self.last[lanes], self.prev[lanes]
-        self.prev[lanes], self.last[lanes] = lp, lnew
-        n = self.count[lanes] + 1
-        self.count[lanes] = n
-        start = self.start[lanes]
-        newly = (start > n) & (np.abs(lnew) > ON_SURFACE_TOL)
-        if newly.any():
-            start = np.where(newly, n, start)
-            self.start[lanes] = start
-        # only a sign change, an exact zero or a small |level| makes an event
-        alp = np.abs(lp)
-        maybe = ((lp > 0.0) != (lnew > 0.0)) | (lnew == 0.0) | (alp <= GRAZE_TOL)
+        lp = self.last[lanes]
+        self.last[lanes] = lnew
+        armed = self.armed[lanes]
+        self.armed[lanes] = armed | (np.abs(lnew) > ON_SURFACE_TOL)
+        # only a sign change or an exact zero makes an event
+        maybe = ((lp > 0.0) != (lnew > 0.0)) | (lnew == 0.0)
         if maybe.any():
-            alive = ~self.failed[lanes]
-            scan = alive & (start <= n)
+            scan = armed & ~self.failed[lanes]
             hit = scan & (lnew == 0.0)
             change = scan & ~hit & (lp != 0.0) & ((lp > 0.0) != (lnew > 0.0))
-            graze = (
-                alive & (start <= n - 2) & (n >= 2)
-                & (alp <= GRAZE_TOL) & (alp > 0.0)
-                & (lpp * lp > 0.0) & (lp * lnew > 0.0)
-                & (alp < np.abs(lpp)) & (alp <= np.abs(lnew))
-            )
             sign = self.sign[lanes]
             for r in np.flatnonzero(hit):
                 hit_at = (sign[r] * t_new[r], x_new[r].copy(), 0.0)
                 self.crossings[lanes[r]].append(hit_at)
-            for r in np.flatnonzero(graze):
-                graze_at = (sign[r] * t_old[r], x_old[r].copy(), lp[r])
-                self.grazes[lanes[r]].append(graze_at)
             rows = np.flatnonzero(change)
             if rows.size:
                 self._refine(
@@ -755,8 +731,8 @@ def find_crossings_batch(
     scan = _CrossingScan(field, surface, l0_lanes, sign, stats)
     _, errors = _integrate(field, lanes_x, sign, horizon, cfg, stats, scan, partner)
 
-    # (point, t, x, level, graze) of every event: per point the on-surface
-    # start, then per lane (forward first) its crossings and its grazes
+    # (point, t, x, level) of every event: per point the on-surface start,
+    # then per lane (forward first) its crossings
     rows = []
     for q, p in enumerate(live):
         fwd, bwd = q, Q + q
@@ -768,13 +744,12 @@ def find_crossings_batch(
             continue
         results[p] = []
         if abs(l0[p]) <= ON_SURFACE_TOL:
-            rows.append((p, 0.0, X[p], l0[p], False))
+            rows.append((p, 0.0, X[p], l0[p]))
         for lane in (fwd, bwd):
-            rows += [(p, *c, False) for c in scan.crossings[lane]]
-            rows += [(p, *g, True) for g in scan.grazes[lane]]
+            rows += [(p, *c) for c in scan.crossings[lane]]
     if rows:
-        owner, t, x, level, graze = zip(*rows)
-        events = _events(field, surface, t, np.array(x), level, np.array(graze), stats)
+        owner, t, x, level = zip(*rows)
+        events = _events(field, surface, t, np.array(x), level, stats)
         for p, event in zip(owner, events):
             if not isinstance(results[p], list):
                 continue  # the point already failed at an earlier event
@@ -798,8 +773,10 @@ def find_crossings(
     """All crossings of the orbit through x0 with a surface, both time
     directions, sorted by time.
 
-    Level-set crossings whose parameters land outside (0,1)^{N-1} are kept
-    but flagged off-patch.  Sweeps that leave the field's domain box are
+    A crossing is a sign change or exact zero of the level between accepted
+    samples, or a start within ON_SURFACE_TOL of the surface; a touch that
+    keeps the level's sign is none.  Level-set crossings whose parameters
+    land outside (0,1)^{N-1} are kept but flagged off-patch.  Sweeps that leave the field's domain box are
     truncated at the exit point.  A sweep that leaves an expression's domain
     is not: the field's error (e.g. expressions.DomainError) ends the search.
     Genuine integrator failures, and crossings the root find cannot bring

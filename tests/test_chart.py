@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -246,6 +249,28 @@ def test_worked_surfaces_pass_recurrence_audit(tight_cfg):
         assert report.verdict == "pass", (system, report)
 
 
+def test_recurrence_audit_fails_when_seeded_orbits_fail():
+    # every orbit seeded on {x1 = 1} leaves the domain of sqrt at x1 = 2.5
+    field = parse_system("1, -x2 + 0*sqrt(2.5 - x1)", 2, name="sqrt-drift")
+    report = check_nonrecurrent(builtin_surface("line-b"), field, n_orbits=4)
+    assert report.verdict == "fail"
+    assert not report.violations and not report.transversality_failures
+    assert len(report.integration_failures) == report.tested_points == 4
+    assert all("sqrt of a negative value" in message
+               for _, message in report.integration_failures)
+
+
+@pytest.mark.parametrize("x1", [1.0 + 1e-12, 1.0 - 1e-12, 1.0 + 5e-10])
+def test_start_just_off_the_surface_is_one_crossing_at_zero(x1):
+    # |level| <= ON_SURFACE_TOL at the start: the start is the crossing, and
+    # the step that leaves the tolerance band is not a second one
+    field, surface = builtin("hyperbolic-b"), builtin_surface("line-b")
+    point = np.array([x1, 0.5])
+    assert [e.t for e in find_crossings(field, point, surface)] == [0.0]
+    (row,) = evaluate_grid(build_chart(field, surface), [point])
+    assert row[2] == "ok"
+
+
 # ---------------------------------------------------------------------------
 # chart evaluation
 
@@ -266,6 +291,15 @@ def test_source_chart_closed_forms(tight_cfg):
     # m = ln r, h = angle from the excluded point, here half a turn
     assert evaluate_m(chart, x) == pytest.approx(np.log(2.0), abs=1e-8)
     np.testing.assert_allclose(evaluate_h(chart, x), [0.5], atol=1e-8)
+
+
+def test_readme_library_example():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    scope = {}
+    exec(block, scope)
+    assert scope["z"][-1] == pytest.approx(np.log(2.0), abs=1e-8)
+    assert abs(scope["res"]) < 1e-7
 
 
 def test_point_on_surface_maps_to_zero_time(tight_cfg):

@@ -136,6 +136,32 @@ def test_chart_build_audit_blocks_recurrent_surface(tmp_path, capsys):
     assert not (tmp_path / "chart_grid.csv").exists()
 
 
+def test_chart_build_audits_circle_seeds_within_rounding_of_the_surface(tmp_path):
+    # the audit's seeds on circle-a have level -1.1e-16: one crossing each
+    code = main([
+        "chart-build", "--system", "source-a", "--surface", "circle-a",
+        "--grid", "0.5x2x4,0.5x2x4", "--out", str(tmp_path),
+    ])
+    assert code == EXIT_OK
+
+
+def test_chart_build_audit_fails_on_orbits_leaving_an_expression_domain(tmp_path, capsys):
+    spec = tmp_path / "sqrt.json"
+    spec.write_text(json.dumps({"dim": 2, "components": ["1", "-x2 + 0*sqrt(2.5 - x1)"]}))
+    argv = ["chart-build", "--system-file", str(spec), "--surface", "line-b",
+            "--grid", "0.5x2x4,0.5x2x4"]
+    assert main(argv + ["--out", str(tmp_path / "audited")]) == EXIT_AUDIT
+    err = capsys.readouterr().err
+    assert "16 of 16 seeded orbits" in err
+    assert "sqrt of a negative value" in err
+    assert not (tmp_path / "audited" / "chart_grid.csv").exists()
+
+    assert main(argv + ["--out", str(tmp_path / "forced"), "--force"]) == EXIT_OK
+    rows = (tmp_path / "forced" / "chart_grid.csv").read_text().splitlines()[1:]
+    assert len(rows) == 16
+    assert all(row.endswith(",domain-error") for row in rows)
+
+
 def test_chart_build_force_skips_audits(tmp_path):
     code = main([
         "chart-build", "--system", "rotation-c", "--surface", "segment-c",

@@ -335,6 +335,64 @@ def test_field_error_on_one_lane_wins_over_the_other_lanes_failure(forward):
         find_crossings(field, x0, surface, horizon=10.0)
 
 
+class _RowError(ValueError):
+    """A surface call's error naming the row that raised it."""
+
+    def __init__(self, what, row):
+        super().__init__(f"{what} undefined at {row.tolist()}")
+        self.row = row
+
+
+def _raising_on(fn, what, bad):
+    """fn over a stack of rows, raising _RowError at the first bad row."""
+    def call(x):
+        for row in np.asarray(x, dtype=float).reshape(-1, 2):
+            if bad(row):
+                raise _RowError(what, row.copy())
+        return fn(x)
+    return call
+
+
+def test_surface_errors_fail_only_their_own_points():
+    # line-b whose level is undefined below x2 = 0 and whose inverse above
+    # x2 = 2: only starts with x2 < 0 reach the first (x2 keeps its sign),
+    # and only crossings of orbits with x1 * x2 > 2 the second
+    field = builtin("hyperbolic-b")
+    plain = builtin_surface("line-b")
+    faulty = dataclasses.replace(
+        plain,
+        level=_raising_on(plain.level, "level", lambda row: row[1] < 0.0),
+        param_inverse=_raising_on(plain.param_inverse, "param_inverse",
+                                  lambda row: row[1] > 2.0),
+    )
+    points = [[0.5, 2.0], [2.0, -1.0], [1.5, 3.0], [0.8, 0.5],
+              [0.5, -0.5], [1.0, 2.5], [1.0, 1.0], [3.0, 0.5]]
+    results, stats = find_crossings_batch(field, points, faulty)
+    expected, _ = find_crossings_batch(field, points, plain)
+
+    def fields(events):
+        return [(e.t, e.x.tolist(), e.params.tolist(), e.direction, e.level, e.on_patch)
+                for e in events]
+
+    failed = 0
+    for (x1, x2), got, want in zip(points, results, expected):
+        if x2 < 0.0:
+            assert isinstance(got, _RowError) and str(got).startswith("level")
+            assert got.row.tolist() == [x1, x2]
+            failed += 1
+        elif x1 * x2 > 2.0:
+            # the row is the point's own crossing of {x1 = 1}, at x2 = x1 * x2
+            assert isinstance(got, _RowError) and str(got).startswith("param_inverse")
+            assert got.row[0] == pytest.approx(1.0, abs=1e-9)
+            assert got.row[1] == pytest.approx(x1 * x2, rel=1e-7)
+            failed += 1
+        else:
+            assert isinstance(got, list) and got
+            assert fields(got) == fields(want)
+    assert failed == 4
+    assert find_crossings_batch(field, points, faulty)[1] == stats
+
+
 def test_flow_batch_lanes_equal_single_flows():
     # one lane leaves the domain box; the rest end inside it
     field = parse_system("x1, -x2 + x1 * x2", 2, name="box", domain=[(-2, 2), (-2, 2)])
