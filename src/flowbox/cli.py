@@ -3,7 +3,8 @@
 Subcommands: systems-list, chart-build, kef-check, varfit, verify-all.
 Every run that writes files also writes a manifest (command, resolved
 arguments, config hash, seed, PRNG, timestamps, outputs, summary) so results
-can be reproduced byte for byte.
+can be reproduced byte for byte.  A run refused on usage or by an audit
+writes nothing.
 
 Exit codes: 0 success, 1 usage error, 2 audit or verification failure,
 3 numerical failure.
@@ -28,7 +29,7 @@ from . import dynsys
 from . import kef as kef_mod
 from . import varfit as varfit_mod
 from .expressions import ExpressionError, parse_expression
-from .odeint import DEFAULT_CONFIG, IntegrationError, IntegratorConfig, RunStats
+from .odeint import DEFAULT_CONFIG, IntegrationError, RunStats
 from .verify import STREAM_STRIDE, VERIFY_SUITES
 
 # importable from here for perfbench's tracer self-test, which patches them
@@ -55,10 +56,21 @@ EXIT_NUMERIC = 3
 
 # orbits chart-build seeds on the surface for the recurrence audit
 AUDIT_ORBITS = 16
+# IntegratorConfig fields chart-build and kef-check take from the command line
+INTEGRATOR_OPTIONS = ("horizon", "abs_tol", "rel_tol")
+# FitConfig fields varfit takes from the command line, typed by their
+# defaults, in --help order
+FIT_OPTIONS = ("iterations", "seed", "step_size", "momentum", "weight_a",
+               "weight_b", "target")
 
 
 class UsageError(ValueError):
     pass
+
+
+class AuditFailure(Exception):
+    """An audit refused the run: main prints 'audit failure: <message>' and
+    exits with EXIT_AUDIT."""
 
 
 def _fmt(v) -> str:
@@ -117,8 +129,8 @@ def _config_hash(payload: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, args: dict, outputs: list,
-                    summary: dict, started: str, seed=None, timings=None) -> Path:
+def _write_manifest(out: Path, command: str, args: dict, outputs: list,
+                    summary: dict, started: str, seed=None, timings=None) -> None:
     manifest = {
         "command": command,
         "args": args,
@@ -133,67 +145,118 @@ def _write_manifest(out_dir: Path, command: str, args: dict, outputs: list,
     }
     if timings is not None:
         manifest["timings"] = timings
-    path = out_dir / "manifest.json"
-    with open(path, "w") as fh:
+    with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
-def _resolve_field(system: str | None, system_file: str | None) -> dynsys.VectorField:
-    if system_file:
+def _out_dir(path) -> Path:
+    """The output directory, made only once a run has an output to write."""
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _resolve_field(args) -> dynsys.VectorField:
+    if args.system_file:
         try:
-            with open(system_file) as fh:
-                return dynsys.system_from_json(fh.read())
-        except (OSError, KeyError, ValueError, ExpressionError) as err:
-            raise UsageError(f"cannot load system from {system_file}: {err}")
-    if not system:
+            return dynsys.system_from_json(Path(args.system_file).read_text())
+        except (OSError, KeyError, ValueError) as err:
+            raise UsageError(f"cannot load system from {args.system_file}: {err}")
+    if not args.system:
         raise UsageError("need --system or --system-file")
     try:
-        return dynsys.builtin(system)
+        return dynsys.builtin(args.system)
     except KeyError as err:
         raise UsageError(str(err.args[0]))
 
 
 def _resolve_surface(spec: str) -> chart_mod.Surface:
-    if spec.lstrip().startswith("{"):
+    """A built-in surface by name, else inline JSON or a JSON file."""
+    inline = spec.lstrip().startswith("{")
+    if not (inline or os.path.exists(spec)):
         try:
-            return chart_mod.surface_from_json(spec)
-        except (KeyError, ValueError, ExpressionError) as err:
-            raise UsageError(f"bad surface JSON: {err}")
-    if os.path.exists(spec):
-        try:
-            with open(spec) as fh:
-                return chart_mod.surface_from_json(fh.read())
-        except (OSError, KeyError, ValueError, ExpressionError) as err:
-            raise UsageError(f"cannot load surface from {spec}: {err}")
+            return chart_mod.builtin_surface(spec)
+        except KeyError as err:
+            raise UsageError(str(err.args[0]))
     try:
-        return chart_mod.builtin_surface(spec)
-    except KeyError as err:
-        raise UsageError(str(err.args[0]))
+        return chart_mod.surface_from_json(spec if inline else Path(spec).read_text())
+    except (OSError, KeyError, ValueError) as err:
+        raise UsageError(f"bad surface {'JSON' if inline else spec}: {err}")
 
 
-def _grid_points(box: np.ndarray, shape) -> np.ndarray:
+def _grid_points(args, field) -> np.ndarray:
+    """The --grid nodes as rows, the first axis outermost."""
+    box, shape = parse_grid_spec(args.grid, field.dim)
     axes = [np.linspace(box[a, 0], box[a, 1], shape[a]) for a in range(len(shape))]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def _integrator_config(abs_tol, rel_tol, horizon) -> IntegratorConfig:
-    return IntegratorConfig(
-        abs_tol=abs_tol if abs_tol is not None else DEFAULT_CONFIG.abs_tol,
-        rel_tol=rel_tol if rel_tol is not None else DEFAULT_CONFIG.rel_tol,
-        max_steps=DEFAULT_CONFIG.max_steps,
-        horizon=horizon if horizon is not None else DEFAULT_CONFIG.horizon,
-    )
+def _audited_chart(args, field, recurrence_audit: bool) -> tuple:
+    """(chart, audit RunStats, options) of the field through --surface.
+
+    The integrator takes --horizon/--abs-tol/--rel-tol over the defaults, and
+    a value it rejects is a usage error.  Unless --force, the surface is
+    audited for transversality and, with `recurrence_audit`, along
+    AUDIT_ORBITS seeded orbits; a refusal raises AuditFailure.  `options`
+    holds the resolved values every manifest of a chart records.
+    """
+    surface = _resolve_surface(args.surface)
+    if surface.dim != field.dim:
+        raise UsageError(f"surface {surface.name} has dim {surface.dim},"
+                         f" system {field.name} has dim {field.dim}")
+    given = {k: getattr(args, k) for k in INTEGRATOR_OPTIONS}
+    try:
+        cfg = dataclasses.replace(
+            DEFAULT_CONFIG, **{k: v for k, v in given.items() if v is not None})
+    except ValueError as err:
+        raise UsageError(str(err))
+    try:
+        chart = chart_mod.build_chart(field, surface, cfg=cfg,
+                                      audit_transversal=not args.force)
+    except chart_mod.ChartError as err:  # tangent or degenerate at a sample
+        raise AuditFailure(str(err))
+    audit = RunStats()
+    if recurrence_audit and not args.force:
+        report = chart_mod.check_nonrecurrent(surface, field, n_orbits=AUDIT_ORBITS,
+                                              cfg=cfg)
+        if report.verdict != "pass":
+            raise AuditFailure(_recurrence_failure(report, surface, field))
+        audit = report.stats
+    options = {"surface": surface.name, "force": bool(args.force),
+               **{k: getattr(cfg, k) for k in INTEGRATOR_OPTIONS}}
+    return chart, audit, options
+
+
+def _recurrence_failure(report, surface, field) -> str:
+    lines = []
+    if report.violations:
+        lines.append(
+            f"{surface.name} is recurrent under {field.name}:"
+            f" {len(report.violations)} of {report.tested_points} seeded orbits"
+            " crossed more than once"
+        )
+        lines += [f"  orbit through {np.asarray(x0).round(6).tolist()}"
+                  f" crossings at t = {[round(t, 6) for t in times]}"
+                  for x0, times in report.violations[:5]]
+    if report.integration_failures:
+        x0, message = report.integration_failures[0]
+        lines.append(
+            ("audit failure: " if lines else "")
+            + f"{len(report.integration_failures)} of {report.tested_points}"
+            f" seeded orbits on {surface.name} failed under {field.name};"
+            f" the first, through {np.asarray(x0).round(6).tolist()}: {message}"
+        )
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
 # systems-list
 
 
-def cmd_systems_list(name_filter: str = "") -> int:
-    names = [n for n in dynsys.builtin_names() if name_filter in n]
+def cmd_systems_list(args) -> int:
+    names = [n for n in dynsys.builtin_names() if args.filter in n]
     rows = [("name", "dim", "note")]
     for name in names:
         field = dynsys.builtin(name)
@@ -208,75 +271,25 @@ def cmd_systems_list(name_filter: str = "") -> int:
 # chart-build
 
 
-def cmd_chart_build(system, surface_spec, grid_spec, out_dir, force=False,
-                    horizon=None, abs_tol=None, rel_tol=None,
-                    system_file=None) -> int:
+def cmd_chart_build(args) -> int:
     started = _now()
-    field = _resolve_field(system, system_file)
-    surface = _resolve_surface(surface_spec)
-    box, shape = parse_grid_spec(grid_spec, field.dim)
-    cfg = _integrator_config(abs_tol, rel_tol, horizon)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    field = _resolve_field(args)
+    points = _grid_points(args, field)
 
     clock = time.perf_counter()
-    audit_stats = RunStats()
-    if not force:
-        try:
-            chart = chart_mod.build_chart(
-                field, surface, cfg=cfg, horizon=horizon, audit_transversal=True
-            )
-        except chart_mod.TransversalityError as err:
-            print(f"audit failure: {err}", file=sys.stderr)
-            return EXIT_AUDIT
-        report = chart_mod.check_nonrecurrent(
-            surface, field, n_orbits=AUDIT_ORBITS,
-            horizon=chart.horizon, cfg=cfg,
-        )
-        if report.violations:
-            print(
-                f"audit failure: {surface.name} is recurrent under {field.name}:"
-                f" {len(report.violations)} of {report.tested_points} seeded orbits"
-                " crossed more than once",
-                file=sys.stderr,
-            )
-            for x0, times in report.violations[:5]:
-                print(
-                    f"  orbit through {np.asarray(x0).round(6).tolist()}"
-                    f" crossings at t = {[round(t, 6) for t in times]}",
-                    file=sys.stderr,
-                )
-        if report.integration_failures:
-            x0, message = report.integration_failures[0]
-            print(
-                f"audit failure: {len(report.integration_failures)} of"
-                f" {report.tested_points} seeded orbits on {surface.name} failed"
-                f" under {field.name}; the first, through"
-                f" {np.asarray(x0).round(6).tolist()}: {message}",
-                file=sys.stderr,
-            )
-        if report.verdict != "pass":
-            return EXIT_AUDIT
-        audit_stats = report.stats
-    else:
-        chart = chart_mod.build_chart(
-            field, surface, cfg=cfg, horizon=horizon, audit_transversal=False
-        )
+    chart, audit_stats, options = _audited_chart(args, field, recurrence_audit=True)
     timings = {"audit_s": time.perf_counter() - clock}
 
     clock = time.perf_counter()
-    points = _grid_points(box, shape)
     evaluate_stats = RunStats()
     results = chart_mod.evaluate_grid(chart, points, stats=evaluate_stats)
     timings["evaluate_s"] = time.perf_counter() - clock
 
     n = field.dim
-    header = (
-        [f"x{i + 1}" for i in range(n)]
-        + [f"h{i + 1}" for i in range(n - 1)]
-        + ["m", "status"]
-    )
+    header = ([f"x{i + 1}" for i in range(n)] + [f"h{i + 1}" for i in range(n - 1)]
+              + ["m", "status"])
     clock = time.perf_counter()
+    out = _out_dir(args.out)
     csv_path = out / "chart_grid.csv"
     counts: dict = {}
     with open(csv_path, "w", newline="") as fh:
@@ -284,12 +297,8 @@ def cmd_chart_build(system, surface_spec, grid_spec, out_dir, force=False,
         for point, z, status in results:
             counts[status] = counts.get(status, 0) + 1
             cells = [_fmt(v) for v in point]
-            if z is None:
-                cells += ["nan"] * n
-            else:
-                cells += [_fmt(v) for v in z]
-            cells.append(status)
-            fh.write(",".join(cells) + "\n")
+            cells += ["nan"] * n if z is None else [_fmt(v) for v in z]
+            fh.write(",".join(cells + [status]) + "\n")
 
     total = len(results)
     ok = counts.get(chart_mod.STATUS_OK, 0)
@@ -306,17 +315,9 @@ def cmd_chart_build(system, surface_spec, grid_spec, out_dir, force=False,
             ),
         },
     }
-    args = {
-        "system": field.name,
-        "surface": surface.name,
-        "grid": grid_spec,
-        "force": bool(force),
-        "horizon": chart.horizon,
-        "abs_tol": cfg.abs_tol,
-        "rel_tol": cfg.rel_tol,
-    }
+    recorded = {"system": field.name, "grid": args.grid, **options}
     timings["write_s"] = time.perf_counter() - clock
-    _write_manifest(out, "chart-build", args, [csv_path.name], summary, started,
+    _write_manifest(out, "chart-build", recorded, [csv_path.name], summary, started,
                     timings=timings)
     print(
         f"chart-build: {ok}/{total} points ok"
@@ -329,53 +330,43 @@ def cmd_chart_build(system, surface_spec, grid_spec, out_dir, force=False,
 # kef-check
 
 
-def cmd_kef_check(system, grid_spec, out_dir, phi_expr=None, eigenvalue=None,
-                  use_minimal_set=False, surface_spec=None, fd_step=1e-5,
-                  abs_tol=None, rel_tol=None, horizon=None,
-                  system_file=None, force=False) -> int:
+def cmd_kef_check(args) -> int:
     started = _now()
+    fd_step = args.fd_step
     if not (np.isfinite(fd_step) and fd_step > 0):
         raise UsageError(f"--fd-step must be positive and finite, got {fd_step}")
-    field = _resolve_field(system, system_file)
-    box, shape = parse_grid_spec(grid_spec, field.dim)
-    points = _grid_points(box, shape)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "kef_residuals.csv"
+    field = _resolve_field(args)
+    points = _grid_points(args, field)
+    recorded = {"system": field.name, "grid": args.grid, "fd_step": fd_step}
     n = field.dim
 
     clock = time.perf_counter()
     stats = RunStats()
-    if use_minimal_set:
-        if not surface_spec:
+    if args.minimal_set:
+        if not args.surface:
             raise UsageError("--minimal-set needs --surface")
-        surface = _resolve_surface(surface_spec)
-        cfg = _integrator_config(abs_tol, rel_tol, horizon)
-        try:
-            built = chart_mod.build_chart(
-                field, surface, cfg=cfg, horizon=horizon,
-                audit_transversal=not force,
-            )
-        except chart_mod.TransversalityError as err:
-            print(f"audit failure: {err}", file=sys.stderr)
-            return EXIT_AUDIT
+        built, _, options = _audited_chart(args, field, recurrence_audit=False)
         members = kef_mod.minimal_set(built).members
         labels = [member.label for member in members]
-        args_extra = {"minimal_set": True, "surface": surface.name}
+        recorded.update({"minimal_set": True, **options})
         timings = {"audit_s": time.perf_counter() - clock}
         clock = time.perf_counter()
         # one batched search charts every member's stencils
         results = kef_mod.kef_residuals(members, field, points, fd_step, stats)
     else:
-        if phi_expr is None or eigenvalue is None:
+        if args.phi is None or args.eigenvalue is None:
             raise UsageError("need --phi and --lambda (or --minimal-set)")
-        node = parse_expression(phi_expr, [f"x{i + 1}" for i in range(n)])
+        eigenvalue = parse_eigenvalue(args.eigenvalue)
+        try:
+            node = parse_expression(args.phi, [f"x{i + 1}" for i in range(n)])
+        except ExpressionError as err:
+            raise UsageError(f"bad --phi: {err}")
 
         def phi(x):
             return node.evaluate(tuple(np.asarray(x, dtype=float)))
 
-        labels = [phi_expr]
-        args_extra = {"phi": phi_expr, "lambda": str(eigenvalue)}
+        labels = [args.phi]
+        recorded.update({"phi": args.phi, "lambda": str(eigenvalue)})
         timings = {"audit_s": time.perf_counter() - clock}
         clock = time.perf_counter()
         results = [[kef_mod.residual_status(phi, eigenvalue, field, point, fd_step)
@@ -383,6 +374,8 @@ def cmd_kef_check(system, grid_spec, out_dir, phi_expr=None, eigenvalue=None,
     timings["evaluate_s"] = time.perf_counter() - clock
 
     clock = time.perf_counter()
+    out = _out_dir(args.out)
+    csv_path = out / "kef_residuals.csv"
     header = [f"x{i + 1}" for i in range(n)] + ["member", "re", "im", "status"]
     magnitudes = []
     with open(csv_path, "w", newline="") as fh:
@@ -402,9 +395,7 @@ def cmd_kef_check(system, grid_spec, out_dir, phi_expr=None, eigenvalue=None,
         "members": len(labels),
         "evaluated": len(magnitudes),
         "max_abs_residual": max(magnitudes) if magnitudes else None,
-        "mean_abs_residual": (
-            float(np.mean(magnitudes)) if magnitudes else None
-        ),
+        "mean_abs_residual": float(np.mean(magnitudes)) if magnitudes else None,
         "fd_step": fd_step,
         "stats": {
             "evaluate": dataclasses.asdict(stats),
@@ -413,10 +404,8 @@ def cmd_kef_check(system, grid_spec, out_dir, phi_expr=None, eigenvalue=None,
             ),
         },
     }
-    args = {"system": field.name, "grid": grid_spec, "fd_step": fd_step}
-    args.update(args_extra)
     timings["write_s"] = time.perf_counter() - clock
-    _write_manifest(out, "kef-check", args, [csv_path.name], summary, started,
+    _write_manifest(out, "kef-check", recorded, [csv_path.name], summary, started,
                     timings=timings)
     if magnitudes:
         print(
@@ -433,40 +422,24 @@ def cmd_kef_check(system, grid_spec, out_dir, phi_expr=None, eigenvalue=None,
 # varfit
 
 
-def cmd_varfit(system, grid_spec, out_dir, iterations=None, seed=None,
-               step_size=None, momentum=None, weight_a=None, weight_b=None,
-               target=None, system_file=None) -> int:
+def cmd_varfit(args) -> int:
     started = _now()
-    field = _resolve_field(system, system_file)
-    box, shape = parse_grid_spec(grid_spec, field.dim)
-    given = {
-        "step_size": step_size, "momentum": momentum, "iterations": iterations,
-        "weight_a": weight_a, "weight_b": weight_b, "seed": seed, "target": target,
-    }
+    field = _resolve_field(args)
+    box, shape = parse_grid_spec(args.grid, field.dim)
+    given = {k: getattr(args, k) for k in FIT_OPTIONS}
     clock = time.perf_counter()
     try:
         cfg = varfit_mod.FitConfig(**{k: v for k, v in given.items() if v is not None})
         result = varfit_mod.fit(field, box, shape, cfg)
-    except FloatingPointError as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
     except ValueError as err:
         raise UsageError(str(err))
     timings = {"fit_s": time.perf_counter() - clock}
 
     clock = time.perf_counter()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
+    out = _out_dir(args.out)
+    options = {"system": field.name, **{k: getattr(cfg, k) for k in FIT_OPTIONS}}
     sidecar = {
-        "system": field.name,
-        "seed": cfg.seed,
-        "iterations": cfg.iterations,
-        "step_size": cfg.step_size,
-        "momentum": cfg.momentum,
-        "weight_a": cfg.weight_a,
-        "weight_b": cfg.weight_b,
-        "target": cfg.target,
+        **options,
         "final_loss_a": result.loss_a,
         "final_loss_b": result.loss_b,
         "final_total": result.total,
@@ -484,39 +457,18 @@ def cmd_varfit(system, grid_spec, out_dir, iterations=None, seed=None,
         for i, v in enumerate(result.history, start=1):
             fh.write(f"{i},{_fmt(v)}\n")
 
-    summary = {
-        "converged": result.converged,
-        "stalled": result.stalled,
-        "iterations_run": result.iterations_run,
-        "loss_a": result.loss_a,
-        "loss_b": result.loss_b,
-        "total": result.total,
-        "node_mean_a": [float(v) for v in result.node_mean_a],
-        "node_mean_b": result.node_mean_b,
-        "unit_mean": [float(v) for v in result.unit_mean],
-        "residual_concentration": result.residual_concentration,
-        "level_totals": [float(v) for v in result.level_totals],
-        "refinement_gain": result.refinement_gain,
-        "elevated_residual": result.elevated_residual,
-        "message": result.message,
-        "stats": dataclasses.asdict(result.stats),
-    }
-    args = {
-        "system": field.name,
-        "grid": grid_spec,
-        "seed": cfg.seed,
-        "iterations": cfg.iterations,
-        "step_size": cfg.step_size,
-        "momentum": cfg.momentum,
-        "weight_a": cfg.weight_a,
-        "weight_b": cfg.weight_b,
-        "target": cfg.target,
-    }
+    summary = {k: getattr(result, k) for k in (
+        "converged", "stalled", "iterations_run", "loss_a", "loss_b", "total",
+        "node_mean_b", "residual_concentration", "refinement_gain",
+        "elevated_residual", "message")}
+    summary.update({k: [float(v) for v in getattr(result, k)]
+                    for k in ("node_mean_a", "unit_mean", "level_totals")})
+    summary["stats"] = dataclasses.asdict(result.stats)
     outputs = [y_csv.name, f"{y_csv.name}.json", z_csv.name,
                f"{z_csv.name}.json", hist_csv.name]
     timings["write_s"] = time.perf_counter() - clock
-    _write_manifest(out, "varfit", args, outputs, summary, started, seed=cfg.seed,
-                    timings=timings)
+    _write_manifest(out, "varfit", {"grid": args.grid, **options}, outputs, summary,
+                    started, seed=cfg.seed, timings=timings)
 
     status = "converged" if result.converged else "NOT converged"
     print(
@@ -543,13 +495,13 @@ def cmd_varfit(system, grid_spec, out_dir, iterations=None, seed=None,
 # verify-all
 
 
-def cmd_verify_all(name_filter: str = "", out_dir=None, seed: int = 0) -> int:
+def cmd_verify_all(args) -> int:
     started = _now()
     # the k-th suite runs at seed + k * STREAM_STRIDE, filtered or not
-    selected = [(name, fn, seed + k * STREAM_STRIDE)
-                for k, (name, fn) in enumerate(VERIFY_SUITES) if name_filter in name]
+    selected = [(name, fn, args.seed + k * STREAM_STRIDE)
+                for k, (name, fn) in enumerate(VERIFY_SUITES) if args.filter in name]
     if not selected:
-        print(f"no verify suites match {name_filter!r}; nothing to do")
+        print(f"no verify suites match {args.filter!r}; nothing to do")
         return EXIT_OK
     results = []
     timings = {}
@@ -565,19 +517,18 @@ def cmd_verify_all(name_filter: str = "", out_dir=None, seed: int = 0) -> int:
                         "metrics": metrics})
         all_ok = all_ok and ok
         print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if args.out is not None:
+        out = _out_dir(args.out)
         report_path = out / "verify_report.json"
         with open(report_path, "w") as fh:
             json.dump({"passed": all_ok, "suites": results}, fh, indent=2)
             fh.write("\n")
         _write_manifest(
-            out, "verify-all", {"filter": name_filter, "seed": seed},
+            out, "verify-all", {"filter": args.filter, "seed": args.seed},
             [report_path.name],
             {"passed": all_ok,
              "failed": [r["suite"] for r in results if not r["passed"]]},
-            started, seed=seed, timings=timings,
+            started, seed=args.seed, timings=timings,
         )
     print("verify-all: " + ("all suites passed" if all_ok else "FAILURES present"))
     return EXIT_OK if all_ok else EXIT_AUDIT
@@ -585,6 +536,15 @@ def cmd_verify_all(name_filter: str = "", out_dir=None, seed: int = 0) -> int:
 
 # ---------------------------------------------------------------------------
 # argument plumbing
+
+# command -> (its function of the parsed options, options it cannot run without)
+COMMANDS = {
+    "systems-list": (cmd_systems_list, ()),
+    "chart-build": (cmd_chart_build, ("surface", "grid")),
+    "kef-check": (cmd_kef_check, ("grid",)),
+    "varfit": (cmd_varfit, ("grid",)),
+    "verify-all": (cmd_verify_all, ()),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -608,48 +568,37 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--system-file", help="JSON system spec file")
     writes = argparse.ArgumentParser(add_help=False, parents=[common])
     writes.add_argument("--out", default=".", help="output directory")
+    writes.add_argument("--grid", help="grid spec LOxHI,...xRES")
+    charts = argparse.ArgumentParser(add_help=False)
+    charts.add_argument("--surface", help="built-in surface name, JSON file, or inline JSON")
+    charts.add_argument("--force", action="store_true", help="skip the surface audits")
+    for name in INTEGRATOR_OPTIONS:
+        charts.add_argument("--" + name.replace("_", "-"), type=float, default=None)
 
-    p_chart = sub.add_parser(
-        "chart-build", parents=[writes],
+    sub.add_parser(
+        "chart-build", parents=[writes, charts],
         help="evaluate flowbox coordinates on a grid via characteristics",
     )
-    p_chart.add_argument("--surface", help="built-in surface name, JSON file, or inline JSON")
-    p_chart.add_argument("--grid", help="grid spec LOxHI,...xRES")
-    p_chart.add_argument("--force", action="store_true",
-                         help="skip the transversality/recurrence audits")
-    p_chart.add_argument("--horizon", type=float, default=None)
-    p_chart.add_argument("--abs-tol", type=float, default=None)
-    p_chart.add_argument("--rel-tol", type=float, default=None)
 
     p_kef = sub.add_parser(
-        "kef-check", parents=[writes],
+        "kef-check", parents=[writes, charts],
         help="sweep the eigenvalue-PDE residual of a candidate over a grid",
     )
     p_kef.add_argument("--phi", help="candidate eigenfunction expression")
     p_kef.add_argument("--lambda", dest="eigenvalue",
                        help="eigenvalue, e.g. 3 or -0.45+0.19i")
     p_kef.add_argument("--minimal-set", action="store_true",
-                       help="check the chart-built minimal set instead of --phi")
-    p_kef.add_argument("--surface", help="surface for --minimal-set")
-    p_kef.add_argument("--grid", help="grid spec LOxHI,...xRES")
-    p_kef.add_argument("--fd-step", type=float, default=None)
-    p_kef.add_argument("--force", action="store_true")
-    p_kef.add_argument("--horizon", type=float, default=None)
-    p_kef.add_argument("--abs-tol", type=float, default=None)
-    p_kef.add_argument("--rel-tol", type=float, default=None)
+                       help="check the chart-built minimal set (needs --surface)"
+                            " instead of --phi")
+    p_kef.add_argument("--fd-step", type=float, default=1e-5)
 
     p_fit = sub.add_parser(
         "varfit", parents=[writes],
         help="fit unit-velocity coordinates on a grid variationally",
     )
-    p_fit.add_argument("--grid", help="grid spec LOxHI,...xRES")
-    p_fit.add_argument("--iterations", type=int, default=None)
-    p_fit.add_argument("--seed", type=int, default=None)
-    p_fit.add_argument("--step-size", type=float, default=None)
-    p_fit.add_argument("--momentum", type=float, default=None)
-    p_fit.add_argument("--weight-a", type=float, default=None)
-    p_fit.add_argument("--weight-b", type=float, default=None)
-    p_fit.add_argument("--target", type=float, default=None)
+    for name in FIT_OPTIONS:
+        default = getattr(varfit_mod.FitConfig, name)
+        p_fit.add_argument("--" + name.replace("_", "-"), type=type(default), default=None)
 
     p_verify = sub.add_parser(
         "verify-all", parents=[common],
@@ -703,53 +652,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args = _merge_config(args, parser, argv)
-        if args.command == "systems-list":
-            return cmd_systems_list(args.filter)
-        if args.command == "chart-build":
-            if not args.surface or not args.grid:
-                raise UsageError("chart-build needs --surface and --grid")
-            return cmd_chart_build(
-                args.system, args.surface, args.grid, args.out,
-                force=args.force, horizon=args.horizon,
-                abs_tol=args.abs_tol, rel_tol=args.rel_tol,
-                system_file=args.system_file,
-            )
-        if args.command == "kef-check":
-            if not args.grid:
-                raise UsageError("kef-check needs --grid")
-            eigenvalue = (
-                parse_eigenvalue(args.eigenvalue)
-                if args.eigenvalue is not None else None
-            )
-            return cmd_kef_check(
-                args.system, args.grid, args.out,
-                phi_expr=args.phi, eigenvalue=eigenvalue,
-                use_minimal_set=args.minimal_set, surface_spec=args.surface,
-                fd_step=args.fd_step if args.fd_step is not None else 1e-5,
-                abs_tol=args.abs_tol, rel_tol=args.rel_tol,
-                horizon=args.horizon, system_file=args.system_file,
-                force=args.force,
-            )
-        if args.command == "varfit":
-            if not args.grid:
-                raise UsageError("varfit needs --grid")
-            return cmd_varfit(
-                args.system, args.grid, args.out,
-                iterations=args.iterations, seed=args.seed,
-                step_size=args.step_size, momentum=args.momentum,
-                weight_a=args.weight_a, weight_b=args.weight_b,
-                target=args.target, system_file=args.system_file,
-            )
-        if args.command == "verify-all":
-            return cmd_verify_all(args.filter, out_dir=args.out, seed=args.seed)
-        raise UsageError(f"unknown command {args.command!r}")
+        command, required = COMMANDS[args.command]
+        missing = [f"--{name}" for name in required if not getattr(args, name)]
+        if missing:
+            raise UsageError(f"{args.command} needs {' and '.join(missing)}")
+        return command(args)
     except UsageError as err:
         print(f"flowbox: error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except IntegrationError as err:
-        print(f"flowbox: numerical failure: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except FloatingPointError as err:
+    except AuditFailure as err:
+        print(f"audit failure: {err}", file=sys.stderr)
+        return EXIT_AUDIT
+    except (IntegrationError, FloatingPointError) as err:
         print(f"flowbox: numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .chart import POINT_ERRORS, STATUS_OK, Chart, _flowbox_batch, error_status, flowbox
 from .dynsys import VectorField
-from .fdiff import central_pairs, fd_gradient, fd_jacobian
+from .fdiff import fd_gradient, fd_jacobian, stencil
 from .odeint import DEFAULT_CONFIG, IntegratorConfig, flow
 
 __all__ = [
@@ -82,9 +82,8 @@ def _stencil_coords(chart: Chart, points, fd_step: float, stats=None) -> Callabl
     `stats` when given): a lookup that raises what flowbox would raise."""
     unique = {}
     for x in points:
-        for pair in central_pairs(x, fd_step):
-            for y in pair:
-                unique.setdefault(y.tobytes(), y)
+        for y in stencil(x, fd_step).reshape(-1, x.size):
+            unique.setdefault(y.tobytes(), y)
         unique.setdefault(x.tobytes(), x)
     charted = dict(zip(unique, _flowbox_batch(chart, list(unique.values()), stats)))
 

@@ -27,6 +27,7 @@ evaluations, and a root that cannot be brought onto the surface is an
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Optional
 
 import numpy as np
@@ -101,12 +102,12 @@ class IntegratorConfig:
     horizon: float = 50.0
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        for name in ("abs_tol", "rel_tol", "horizon"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite: {value}")
         if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+            raise ValueError(f"max_steps must be >= 1: {self.max_steps}")
 
 
 DEFAULT_CONFIG = IntegratorConfig()

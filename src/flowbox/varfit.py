@@ -453,10 +453,8 @@ def _pair_alignment(G):
 
 
 def _shifted_cheb(u, k):
-    # T_k on [0, 1]
+    # T_k on [0, 1], k = 2..4; T_1 is affine in w, so its line is w's
     s = 2.0 * u - 1.0
-    if k == 1:
-        return s
     if k == 2:
         return 2.0 * s * s - 1.0
     if k == 3:
@@ -467,8 +465,9 @@ def _shifted_cheb(u, k):
 def _line_move(evaluate, values, total, i, basis):
     """Exact minimizer of the loss along values[i] + c * basis, if it helps.
 
-    The loss is a quartic in c but near-quadratic at the scales that matter,
-    so fit a parabola through three samples and jump to its vertex.  The jump
+    Moving one coordinate leaves the loss exactly quadratic in c, so the
+    parabola through three samples has its vertex at the minimum along the
+    line, and the move jumps there.  The jump
     is taken only when it strictly decreases the loss and leaves the gradient
     fields of distinct coordinates well separated.  Returns (values, total,
     terms) of the jump, or None.
@@ -515,7 +514,7 @@ def _recombine_sweep(evaluate, values, total, terms, stats):
             bases = [w]
             if hi - lo > 1e-12:
                 u = (w - lo) / (hi - lo)
-                bases += [_shifted_cheb(u, k) for k in range(1, 5)]
+                bases += [_shifted_cheb(u, k) for k in range(2, 5)]
             for basis in bases:
                 got = _line_move(evaluate, values, total, i, basis)
                 if got is not None:

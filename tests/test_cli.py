@@ -129,11 +129,22 @@ def test_chart_build_writes_grid_and_manifest(tmp_path, capsys):
 def test_chart_build_audit_blocks_recurrent_surface(tmp_path, capsys):
     code = main([
         "chart-build", "--system", "rotation-c", "--surface", "segment-c",
-        "--grid", "0.5x1.5x3,0.5x1.5x3", "--out", str(tmp_path),
+        "--grid", "0.5x1.5x3,0.5x1.5x3", "--out", str(tmp_path / "out"),
     ])
     assert code == EXIT_AUDIT
     assert "recurrent" in capsys.readouterr().err
-    assert not (tmp_path / "chart_grid.csv").exists()
+    assert not (tmp_path / "out").exists()
+
+
+def test_chart_build_audit_refuses_a_degenerate_surface(tmp_path, capsys):
+    flat = json.dumps({"name": "flat", "dim": 2, "param": ["1", "1"], "level": "x1 - 1"})
+    code = main([
+        "chart-build", "--system", "hyperbolic-b", "--surface", flat,
+        "--grid", "0.9x1.1x2,0.2x0.3x2", "--out", str(tmp_path / "out"),
+    ])
+    assert code == EXIT_AUDIT
+    assert "audit failure: flat: degenerate parameterization" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_chart_build_audits_circle_seeds_within_rounding_of_the_surface(tmp_path):
@@ -173,6 +184,50 @@ def test_chart_build_force_skips_audits(tmp_path):
 
 def test_chart_build_requires_surface_and_grid(capsys):
     assert main(["chart-build", "--system", "hyperbolic-b"]) == EXIT_USAGE
+
+
+CHART_ARGV = {
+    "chart-build": ["chart-build", "--system", "hyperbolic-b", "--surface", "line-b",
+                    "--grid", "0.9x1.1x2,0.2x0.3x2"],
+    "kef-check": ["kef-check", "--system", "hyperbolic-b", "--minimal-set",
+                  "--surface", "line-b", "--grid", "0.9x1.1x2,0.2x0.3x2"],
+}
+
+
+def test_chart_build_rejects_a_surface_of_another_dimension(tmp_path, capsys):
+    code = main(["chart-build", "--system", "hyperbolic-b", "--surface", "point-1",
+                 "--grid", "0.9x1.1x2,0.2x0.3x2", "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert "surface point-1 has dim 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", sorted(CHART_ARGV))
+@pytest.mark.parametrize("option, message", [
+    ("--abs-tol=-1", "abs_tol must be positive and finite: -1.0"),
+    ("--abs-tol=nan", "abs_tol must be positive and finite: nan"),
+    ("--abs-tol=inf", "abs_tol must be positive and finite: inf"),
+    ("--horizon=-3", "horizon must be positive and finite: -3.0"),
+])
+def test_charting_commands_reject_bad_integrator_options(command, option, message,
+                                                         tmp_path, capsys):
+    code = main(CHART_ARGV[command] + [option, "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert f"flowbox: error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_charting_commands_record_the_integrator_options(tmp_path):
+    recorded = {}
+    for command, argv in CHART_ARGV.items():
+        assert main(argv + ["--abs-tol", "1e-8", "--out", str(tmp_path / command)]) \
+            == EXIT_OK
+        args = json.loads((tmp_path / command / "manifest.json").read_text())["args"]
+        recorded[command] = {k: args[k] for k in
+                             ("surface", "force", "horizon", "abs_tol", "rel_tol")}
+    assert recorded["chart-build"] == recorded["kef-check"] == {
+        "surface": "line-b", "force": False, "horizon": 50.0,
+        "abs_tol": 1e-8, "rel_tol": 1e-9}
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +299,29 @@ def test_kef_check_needs_phi_or_minimal_set(capsys):
     ])
     assert code == EXIT_USAGE
     assert "--phi" in capsys.readouterr().err
+
+
+def test_kef_check_minimal_set_hash_follows_the_integrator_options(tmp_path):
+    hashes = set()
+    for abs_tol in ("1e-9", "1e-5"):
+        out = tmp_path / abs_tol
+        assert main(CHART_ARGV["kef-check"] + ["--abs-tol", abs_tol, "--out", str(out)]) \
+            == EXIT_OK
+        hashes.add(json.loads((out / "manifest.json").read_text())["config_hash"])
+    assert len(hashes) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--minimal-set"], "--minimal-set needs --surface"),
+    (["--phi", "x1 + x2"], "need --phi and --lambda"),
+    (["--phi", "x1 +", "--lambda", "3"], "bad --phi"),
+])
+def test_kef_check_usage_error_writes_nothing(argv, message, tmp_path, capsys):
+    code = main(["kef-check", "--system", "linear-ar", "--grid", "0.5x2x3,0.5x2x3",
+                 "--out", str(tmp_path / "out")] + argv)
+    assert code == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,13 @@ def test_horizon_guard():
         flow(field, np.array([1.0, 0.0]), 1.5, cfg=cfg)
 
 
+@pytest.mark.parametrize("name", ["abs_tol", "rel_tol", "horizon"])
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+def test_config_rejects_nonpositive_or_nonfinite_knobs(name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be positive and finite: {value}$"):
+        IntegratorConfig(**{name: value})
+
+
 def test_orbit_csv_format():
     field = builtin("rotation-c")
     orbit = trace_orbit(field, np.array([1.0, 0.0]), (0.0, 0.1))
