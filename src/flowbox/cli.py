@@ -335,6 +335,16 @@ def cmd_kef_check(args) -> int:
     fd_step = args.fd_step
     if not (np.isfinite(fd_step) and fd_step > 0):
         raise UsageError(f"--fd-step must be positive and finite, got {fd_step}")
+    # each mode reads only its own options: refuse the other mode's
+    if args.minimal_set:
+        mode, foreign = "--minimal-set", {"phi": args.phi, "lambda": args.eigenvalue}
+    else:
+        mode = "--phi"
+        foreign = {k: getattr(args, k) for k in ("surface",) + INTEGRATOR_OPTIONS}
+        foreign["force"] = args.force or None
+    ignored = [f"--{k.replace('_', '-')}" for k, v in foreign.items() if v is not None]
+    if ignored:
+        raise UsageError(f"{mode} mode does not take {', '.join(ignored)}")
     field = _resolve_field(args)
     points = _grid_points(args, field)
     recorded = {"system": field.name, "grid": args.grid, "fd_step": fd_step}

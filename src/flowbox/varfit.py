@@ -16,6 +16,17 @@ transposes, so descent behaves like plain calculus on the discrete objective.
 fit() descends a coarse-to-fine ladder of grids, annealing a smoothing filter
 on the gradient and jumping loss valleys with exact recombination moves, which
 is what it takes to land in the flowbox basin from a random affine start.
+
+The loss is a polynomial of the derivative stack G[i, a] = dy_i/dx_a, which is
+linear in y: along a descent line it is an exact quartic in the step, along a
+one-coordinate move an exact quadratic.  fit() scores a step's first
+(momentum) trial from its own derivatives; the backtracks after it are
+screened by the quartic, and a halving predicted to decrease the loss is
+scored from G - s * grad(direction) without a derivative product.  A
+recombination move scores only the vertex of its quadratic.  Every accepted
+iterate is compared on a total summed from its materialized terms.
+FitStats.loss_evals counts those sums, backtracks every rejected descent
+trial and screened the backtracks the quartic rejected unscored.
 """
 from __future__ import annotations
 
@@ -24,7 +35,7 @@ import functools
 import itertools
 import json
 import math
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -150,25 +161,28 @@ def _frozen(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _along(mat: np.ndarray, u: np.ndarray, axis: int) -> np.ndarray:
+def _along(mat: np.ndarray, u: np.ndarray, axis: int, mat_t=None) -> np.ndarray:
     """The (m, n) matrix `mat` applied along `axis` of u, whose length there is
-    n, one grid slab per BLAS product: at 64x64 those stay single-threaded."""
+    n, one grid slab per BLAS product: at 64x64 those stay single-threaded.
+    `mat_t`, when given, is a contiguous copy of mat.T for the last axis."""
     u = np.asarray(u, dtype=float)
     pre, post = u.shape[:axis % u.ndim], u.shape[axis % u.ndim + 1:]
     if post:
         out = mat @ u.reshape(math.prod(pre), mat.shape[1], -1)
     else:
-        out = u.reshape(math.prod(pre[:-1]), -1, mat.shape[1]) @ mat.T
+        out = u.reshape(math.prod(pre[:-1]), -1, mat.shape[1]) @ (
+            mat.T if mat_t is None else mat_t)
     return out.reshape(pre + (mat.shape[0],) + post)
 
 
 @functools.lru_cache(maxsize=64)
-def _diff_matrix(n: int) -> np.ndarray:
-    """2h D_n in integers, so constants differentiate to exactly 0 before 1/(2h)."""
+def _diff_matrices(n: int) -> tuple:
+    """(2h D_n, its transpose), both contiguous, in integers so constants
+    differentiate to exactly 0 before 1/(2h)."""
     d = np.eye(n, k=1) - np.eye(n, k=-1)
     d[0, :3] = (-3.0, 4.0, -1.0)
     d[-1, -3:] = (1.0, -4.0, 3.0)
-    return _frozen(d)
+    return _frozen(d), _frozen(np.ascontiguousarray(d.T))
 
 
 @functools.lru_cache(maxsize=64)
@@ -194,12 +208,14 @@ def _pairs(n: int) -> tuple:
 
 def diff_axis(u: np.ndarray, h: float, axis: int) -> np.ndarray:
     """d/dx along one axis: central interior, one-sided second order at edges."""
-    return _along(_diff_matrix(np.shape(u)[axis]), u, axis) * (1.0 / (2.0 * h))
+    d, d_t = _diff_matrices(np.shape(u)[axis])
+    return _along(d, u, axis, d_t) * (1.0 / (2.0 * h))
 
 
 def diff_axis_T(v: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Transpose of diff_axis: the same matrix transposed, so the exact adjoint."""
-    return _along(_diff_matrix(np.shape(v)[axis]).T, v, axis) * (1.0 / (2.0 * h))
+    d, d_t = _diff_matrices(np.shape(v)[axis])
+    return _along(d_t, v, axis, d) * (1.0 / (2.0 * h))
 
 
 def trapezoid_weights(box: np.ndarray, shape: Sequence[int]) -> np.ndarray:
@@ -241,61 +257,117 @@ def _raise_non_finite(arrays, box, shape, what):
             )
 
 
-def _terms(values, p_vals, w, spacings):
-    """(G, U, S, A, B) of the iterate values, shape (N, *shape).
+def _dot(x, y):
+    """sum of x * y over every element, in numpy's own loops: a BLAS dot sums
+    in an order that depends on its thread count."""
+    return float(np.einsum("n,n->", x.ravel(), y.ravel()))
 
-    G[i, a] = dy_i/dx_a, U[i] = <grad y_i, P> - 1, S[k] = <grad y_i, grad y_j>
-    for the k-th pair i < j in np.triu_indices order, and A and B integrate
-    U^2 and S^2.  Sums run in ascending index order, so every bit repeats.
+
+def _pair_products(F, H):
+    """sum over a of F[i, a] * H[j, a] for every pair i < j, triu order."""
+    iu, ju = _pairs(len(F))
+    return np.einsum("ka...,ka...->k...", F[iu], H[ju])
+
+
+class _Terms(NamedTuple):
+    """One scored iterate."""
+
+    G: np.ndarray    # G[i, a] = dy_i/dx_a
+    U: np.ndarray    # U[i] = <grad y_i, P> - 1
+    S: np.ndarray    # S[k] = <grad y_i, grad y_j> for the k-th pair i < j
+    wU: np.ndarray   # U and S times the node quadrature weights
+    wS: np.ndarray
+    A: float         # sum of w U^2
+    B: float         # sum of w S^2
+
+
+class _Objective:
+    """The discretized functional on one grid as a polynomial of the
+    derivative stack G: U is affine in G, S bilinear, and the total
+    w_a A + w_b B a weighted sum of their squares.  score() counts every
+    total it sums from materialized _Terms in stats.loss_evals.
     """
-    n = values.shape[0]
-    G = np.stack([diff_axis(values, spacings[a], a + 1) for a in range(n)], axis=1)
-    U = sum(G[:, a] * p_vals[a] for a in range(n)) - 1.0
-    iu, ju = _pairs(n)
-    S = sum(G[iu, a] * G[ju, a] for a in range(n))
-    A = sum(float(np.sum(x)) for x in w * U * U)
-    B = sum(float(np.sum(x)) for x in w * S * S)
-    return G, U, S, A, B
+
+    def __init__(self, field, box, shape, weight_a, weight_b, stats=None):
+        self.p_vals = _field_on_grid(field, box, shape)
+        self.w = trapezoid_weights(box, shape)
+        self.spacings = _spacings(box, shape)
+        self.weight_a, self.weight_b = weight_a, weight_b
+        self.p_a = (2.0 * weight_a) * self.p_vals  # the gradient's factor of w U
+        self.stats = FitStats() if stats is None else stats
+
+    def derivatives(self, values):
+        """G[i, a] = dy_i/dx_a of a stack of grid functions y_i."""
+        G = np.empty((len(values), len(self.spacings)) + values.shape[1:])
+        for a, h in enumerate(self.spacings):
+            G[:, a] = diff_axis(values, h, a + 1)
+        return G
+
+    def score(self, G):
+        """(total, terms) of a derivative stack."""
+        self.stats.loss_evals += 1
+        U = np.einsum("ia...,a...->i...", G, self.p_vals)
+        U -= 1.0
+        S = _pair_products(G, G)
+        wU, wS = self.w * U, self.w * S
+        t = _Terms(G, U, S, wU, wS, _dot(wU, U), _dot(wS, S))
+        return self.weight_a * t.A + self.weight_b * t.B, t
+
+    def evaluate(self, values):
+        """(total, terms) of grid values, shape (N, *shape)."""
+        return self.score(self.derivatives(values))
+
+    def gradient(self, t):
+        """d(total)/d(values) at terms t, by the stencil adjoints."""
+        n = len(t.U)
+        # src[a, i] pairs with dy_i/dx_a: one contiguous (N, *shape) slab per axis
+        src = self.p_a[:, None] * t.wU
+        if self.weight_b != 0.0:
+            # pairs in triu order hand every row its j terms in ascending j
+            for i, j, s_ij in zip(*_pairs(n), (2.0 * self.weight_b) * t.wS):
+                src[:, i] += s_ij * t.G[j]
+                src[:, j] += s_ij * t.G[i]
+        out = diff_axis_T(src[0], self.spacings[0], 1)
+        for a in range(1, n):
+            out += diff_axis_T(src[a], self.spacings[a], a + 1)
+        return out
+
+    def step_poly(self, t, dG):
+        """Coefficients c[0..4] of total(G + s dG) - total(G) = sum c[k] s^k.
+
+        Along the line U moves by s dU and S by s dS + s^2 dSS, so the change
+        is an exact quartic in s, from weighted inner products of those rows;
+        a dG with one nonzero row leaves dSS = 0, so a quadratic.
+        """
+        dU = np.einsum("ia...,a...->i...", dG, self.p_vals)
+        dS = _pair_products(t.G, dG) + _pair_products(dG, t.G)
+        dSS = _pair_products(dG, dG)
+        wa, wb, w = self.weight_a, self.weight_b, self.w
+        w_dSS = w * dSS
+        return (
+            0.0,
+            2.0 * (wa * _dot(t.wU, dU) + wb * _dot(t.wS, dS)),
+            wa * _dot(w * dU, dU) + wb * (_dot(w * dS, dS) + 2.0 * _dot(t.wS, dSS)),
+            2.0 * wb * _dot(w_dSS, dS),
+            wb * _dot(w_dSS, dSS),
+        )
 
 
 def loss(grid: GridField, field: VectorField, weight_a: float = 1.0,
          weight_b: float = 1.0) -> tuple:
     """(A, B, total) of the discretized functional over the grid box."""
-    p_vals = _field_on_grid(field, grid.box, grid.shape)
-    w = trapezoid_weights(grid.box, grid.shape)
-    _, U, S, a_term, b_term = _terms(grid.values, p_vals, w, grid.spacings)
-    total = weight_a * a_term + weight_b * b_term
+    objective = _Objective(field, grid.box, grid.shape, weight_a, weight_b)
+    total, t = objective.evaluate(grid.values)
     if not np.isfinite(total):
-        _raise_non_finite([grid.values, U, S], grid.box, grid.shape, "loss term")
-    return a_term, b_term, total
-
-
-def _gradient(terms, p_vals, w, spacings, weight_a, weight_b):
-    """d(total)/d(values) from the iterate's _terms, by the stencil adjoints."""
-    G, U, S = terms[:3]
-    n = U.shape[0]
-    pairs = list(zip(*_pairs(n)))
-    source_a = 2.0 * weight_a * w * U
-    overlap = 2.0 * weight_b * w * S
-    out = np.zeros_like(U)
-    for a in range(n):
-        src = source_a * p_vals[a]
-        if weight_b != 0.0:
-            # pairs in triu order hand every row its j terms in ascending j
-            for (i, j), s_ij in zip(pairs, overlap):
-                src[i] += s_ij * G[j, a]
-                src[j] += s_ij * G[i, a]
-        out += diff_axis_T(src, spacings[a], a + 1)
-    return out
+        _raise_non_finite([grid.values, t.U, t.S], grid.box, grid.shape, "loss term")
+    return t.A, t.B, total
 
 
 def loss_gradient(grid: GridField, field: VectorField, weight_a: float = 1.0,
                   weight_b: float = 1.0) -> np.ndarray:
     """d(total)/d(values): exact adjoint of the stencil expressions."""
-    p_vals = _field_on_grid(field, grid.box, grid.shape)
-    w = trapezoid_weights(grid.box, grid.shape)
-    terms = _terms(grid.values, p_vals, w, grid.spacings)
-    grad = _gradient(terms, p_vals, w, grid.spacings, weight_a, weight_b)
+    objective = _Objective(field, grid.box, grid.shape, weight_a, weight_b)
+    grad = objective.gradient(objective.evaluate(grid.values)[1])
     if not np.all(np.isfinite(grad)):
         # dense rows smear a bad input along its grid line: name the input first
         _raise_non_finite([grid.values, grad], grid.box, grid.shape, "loss gradient")
@@ -327,9 +399,10 @@ _MAX_SWEEP_ROUNDS = 40
 class FitStats:
     """Work counters of fit(), summed over the ladder levels."""
 
-    loss_evals: int = 0   # loss evaluations, one per scored iterate
+    loss_evals: int = 0   # totals summed from materialized terms (scored trials)
     gradients: int = 0    # loss gradients
-    backtracks: int = 0   # rejected descent trials
+    backtracks: int = 0   # rejected descent trials, screened or scored
+    screened: int = 0     # backtracks the step quartic rejected unscored
     sweeps: int = 0       # recombination sweeps
     line_moves: int = 0   # accepted recombination line moves
 
@@ -356,7 +429,7 @@ class FitResult:
 
 
 def _node_diagnostics(terms, weight_a, weight_b):
-    U, S = terms[1:3]
+    U, S = terms.U, terms.S
     node_mean_a = np.array([float(np.mean(x * x)) for x in U])
     node_mean_b = float(np.mean([np.mean(x * x) for x in S])) if len(S) else 0.0
     unit_mean = np.array([float(np.mean(x)) + 1.0 for x in U])
@@ -455,48 +528,41 @@ def _pair_alignment(G):
 def _shifted_cheb(u, k):
     # T_k on [0, 1], k = 2..4; T_1 is affine in w, so its line is w's
     s = 2.0 * u - 1.0
+    s2 = s * s
     if k == 2:
-        return 2.0 * s * s - 1.0
+        return 2.0 * s2 - 1.0
     if k == 3:
-        return 4.0 * s ** 3 - 3.0 * s
-    return 8.0 * s ** 4 - 8.0 * s * s + 1.0
+        return (4.0 * s2 - 3.0) * s
+    return (8.0 * s2 - 8.0) * s2 + 1.0
 
 
-def _line_move(evaluate, values, total, i, basis):
+def _line_move(objective, values, total, terms, i, basis):
     """Exact minimizer of the loss along values[i] + c * basis, if it helps.
 
-    Moving one coordinate leaves the loss exactly quadratic in c, so the
-    parabola through three samples has its vertex at the minimum along the
-    line, and the move jumps there.  The jump
-    is taken only when it strictly decreases the loss and leaves the gradient
-    fields of distinct coordinates well separated.  Returns (values, total,
-    terms) of the jump, or None.
+    Moving one coordinate moves only G[i], by c * grad(basis), so the loss is
+    exactly quadratic in c: step_poly gives it, and its vertex is the minimum
+    along the line.  Only the vertex is scored, from G with that row moved.
+    The jump is taken only when it strictly decreases the loss and leaves the
+    gradient fields of distinct coordinates well separated.  Returns
+    (values, total, terms) of the jump, or None.
     """
-    def moved(c):
-        out = values.copy()
-        out[i] = out[i] + c * basis
-        return _pin_corner(out)
-
-    s = 0.1
-    tp = evaluate(moved(s))[0]
-    tm = evaluate(moved(-s))[0]
-    if not (np.isfinite(tp) and np.isfinite(tm)):
-        return None
-    a = (tp - 2.0 * total + tm) / (2.0 * s * s)
-    b = (tp - tm) / (2.0 * s)
+    dG = np.zeros_like(terms.G)
+    dG[i] = objective.derivatives(basis[None])[0]
+    _, b, a = objective.step_poly(terms, dG)[:3]
     if a <= 1e-300:
         return None
     c = -b / (2.0 * a)
     if not np.isfinite(c) or abs(c) > 1e3:
         return None
-    cand = moved(c)
-    tc, terms = evaluate(cand)
-    if np.isfinite(tc) and tc < total and _pair_alignment(terms[0]) < 0.8:
-        return cand, tc, terms
+    tc, cand_terms = objective.score(terms.G + c * dG)
+    if np.isfinite(tc) and tc < total and _pair_alignment(cand_terms.G) < 0.8:
+        cand = values.copy()
+        cand[i] = cand[i] + c * basis
+        return _pin_corner(cand), tc, cand_terms
     return None
 
 
-def _recombine_sweep(evaluate, values, total, terms, stats):
+def _recombine_sweep(objective, values, total, terms):
     """Trade content between coordinates along directions descent cannot see.
 
     Any function of w = y_i - y_j with zero unit-rate defect leaves A alone,
@@ -505,6 +571,7 @@ def _recombine_sweep(evaluate, values, total, terms, stats):
     of it jumps across, repeating until a full pass finds nothing.  Returns
     the best (values, total, terms) found.
     """
+    stats = objective.stats
     stats.sweeps += 1
     for _ in range(_MAX_SWEEP_ROUNDS):
         improved = False
@@ -516,7 +583,7 @@ def _recombine_sweep(evaluate, values, total, terms, stats):
                 u = (w - lo) / (hi - lo)
                 bases += [_shifted_cheb(u, k) for k in range(2, 5)]
             for basis in bases:
-                got = _line_move(evaluate, values, total, i, basis)
+                got = _line_move(objective, values, total, terms, i, basis)
                 if got is not None:
                     values, total, terms = got
                     stats.line_moves += 1
@@ -533,21 +600,13 @@ def _descend(field, values, box, shape, iters, cfg, stats, record=None,
     Returns (values, total, terms, steps_run, stalled, met_target).  Every
     accepted step strictly decreases the loss; when backtracking fails, or
     progress over a window slows to a crawl, a recombination sweep tries to
-    jump the iterate across a loss valley before giving up.  Each scored
-    iterate gets one _terms call, whose terms the next gradient, the target
-    check and the caller reuse.
+    jump the iterate across a loss valley before giving up.  The backtracks
+    after a rejected momentum trial lie on values - s * direction, where the
+    loss is the quartic step_poly: it screens them (see the module notes).
     """
-    p_vals = _field_on_grid(field, box, shape)
-    w = trapezoid_weights(box, shape)
-    spacings = _spacings(box, shape)
+    objective = _Objective(field, box, shape, cfg.weight_a, cfg.weight_b, stats)
     values = _pin_corner(values)
-
-    def evaluate(vals):
-        stats.loss_evals += 1
-        terms = _terms(vals, p_vals, w, spacings)
-        return cfg.weight_a * terms[3] + cfg.weight_b * terms[4], terms
-
-    total, terms = evaluate(values)
+    total, terms = objective.evaluate(values)
     if not np.isfinite(total):
         raise FloatingPointError("loss is non-finite at the initial iterate")
     step = cfg.step_size
@@ -558,20 +617,37 @@ def _descend(field, values, box, shape, iters, cfg, stats, record=None,
     it = 0
     while it < iters:
         stats.gradients += 1
-        grad = _gradient(terms, p_vals, w, spacings, cfg.weight_a, cfg.weight_b)
-        if not np.all(np.isfinite(grad)):
+        grad = objective.gradient(terms)
+        # non-finite when grad is (or when the sum merely overflows); only its
+        # finiteness and zero are read, which no summation order changes
+        norm2 = np.vdot(grad, grad)
+        if not np.isfinite(norm2):
             _raise_non_finite([grad], box, shape, "loss gradient")
-        if float(np.sum(grad * grad)) == 0.0:
+        if norm2 == 0.0:
             break
         passes = _smoothing_passes(it, iters)
         direction = _smoothed(grad, passes) if passes else grad
 
         accepted = False
         trial_step = step
+        quartic = None
         for attempt in range(_MAX_BACKTRACKS + 1):
-            kick = cfg.momentum * velocity if attempt == 0 else 0.0
-            trial = _pin_corner(values - trial_step * direction + kick)
-            trial_total, trial_terms = evaluate(trial)
+            if attempt == 0:
+                trial = _pin_corner(values - trial_step * direction
+                                    + cfg.momentum * velocity)
+                trial_total, trial_terms = objective.evaluate(trial)
+            else:
+                if quartic is None:
+                    dG = objective.derivatives(direction)
+                    quartic = objective.step_poly(terms, dG)
+                change = sum(c * (-trial_step) ** k for k, c in enumerate(quartic))
+                if math.isfinite(change) and change >= 0.0:
+                    stats.screened += 1
+                    stats.backtracks += 1
+                    trial_step *= 0.5
+                    continue
+                trial = _pin_corner(values - trial_step * direction)
+                trial_total, trial_terms = objective.score(terms.G - trial_step * dG)
             if np.isfinite(trial_total) and trial_total < total:
                 velocity = trial - values
                 values, total, terms = trial, trial_total, trial_terms
@@ -581,6 +657,7 @@ def _descend(field, values, box, shape, iters, cfg, stats, record=None,
                 break
             stats.backtracks += 1
             trial_step *= 0.5
+        if not accepted:
             velocity = np.zeros_like(values)
         it += 1
         if record is not None:
@@ -590,7 +667,7 @@ def _descend(field, values, box, shape, iters, cfg, stats, record=None,
         if it % _CHECK_EVERY == 0:
             window_last = total
         if not accepted or slow:
-            v2, t2, terms2 = _recombine_sweep(evaluate, values, total, terms, stats)
+            v2, t2, terms2 = _recombine_sweep(objective, values, total, terms)
             if t2 < total:
                 values, total, terms = v2, t2, terms2
                 velocity = np.zeros_like(values)
@@ -675,7 +752,7 @@ def fit(field: VectorField, box, shape, cfg: Optional[FitConfig] = None) -> FitR
             met_target = met
             budget_left = steps < budgets[li]
 
-    a_term, b_term = terms[3:]
+    a_term, b_term = terms.A, terms.B
     node_a, node_b, unit_mean, concentration = _node_diagnostics(
         terms, cfg.weight_a, cfg.weight_b
     )

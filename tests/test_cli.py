@@ -324,6 +324,33 @@ def test_kef_check_usage_error_writes_nothing(argv, message, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+PHI_ARGV = ["kef-check", "--system", "hyperbolic-b", "--phi", "x1*x2", "--lambda", "0",
+            "--grid", "0.9x1.1x2,0.2x0.3x2"]
+
+
+@pytest.mark.parametrize("option", [
+    ["--surface", "line-b"],
+    ["--force"],
+    ["--horizon", "5"],
+    ["--abs-tol", "nan"],
+    ["--rel-tol", "1e-8"],
+])
+def test_kef_check_phi_mode_rejects_the_charting_options(option, tmp_path, capsys):
+    # --phi never charts, so a charting option there would be silently ignored
+    code = main(PHI_ARGV + option + ["--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert f"--phi mode does not take {option[0]}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("option", [["--phi", "x1*x2"], ["--lambda", "0"]])
+def test_kef_check_minimal_set_mode_rejects_phi_and_lambda(option, tmp_path, capsys):
+    code = main(CHART_ARGV["kef-check"] + option + ["--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert f"--minimal-set mode does not take {option[0]}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # varfit
 
@@ -354,7 +381,7 @@ def test_varfit_writes_grids_history_manifest(tmp_path, capsys):
     assert isinstance(summary["level_totals"], list)
     assert "elevated_residual" in summary
     assert set(summary["stats"]) == {
-        "loss_evals", "gradients", "backtracks", "sweeps", "line_moves"}
+        "loss_evals", "gradients", "backtracks", "screened", "sweeps", "line_moves"}
     assert summary["stats"]["gradients"] == summary["iterations_run"]
     assert set(manifest["timings"]) == {"fit_s", "write_s"}
     assert manifest["seed"] == 0

@@ -13,7 +13,9 @@ from flowbox.varfit import (
     FitResult,
     GridField,
     _coarse_ladder,
+    _Objective,
     _prolong,
+    _shifted_cheb,
     _smoothed,
     _smoother,
     diff_axis,
@@ -250,16 +252,43 @@ def test_loss_of_analytic_restriction_shrinks_fourth_order():
     assert vals[32] / vals[64] > 8.0
 
 
+# a 2-D field, a 3-D one (three overlap pairs in the gradient's bookkeeping)
+# and a 1-D one (no pairs at all)
+LOSS_CASES = (
+    (AR, [[4.0, 6.0], [1.0, 3.0]], (7, 9)),
+    (drift("x2, -x1 + x3, 1", dim=3),
+     [[0.0, 1.0], [1.0, 2.0], [-1.0, 0.5]], (5, 6, 7)),
+    (parse_system("x1", dim=1, domain=[(0.01, 50.0)]), [[1.0, 2.0]], (11,)),
+)
+
+
+def ref_loss(values, field, box, weight_a, weight_b):
+    # per-coordinate, per-pair loops over the reference stencils
+    shape = values.shape[1:]
+    n = len(shape)
+    h = (box[:, 1] - box[:, 0]) / (np.array(shape) - 1)
+    p_vals = field.eval_grid(mesh_grid(box, shape))
+    w = trapezoid_weights(box, shape)
+    G = [[ref_diff_axis(values[i], h[a], a) for a in range(n)] for i in range(n)]
+    a_term = sum(float(np.sum(w * (sum(G[i][a] * p_vals[a] for a in range(n)) - 1.0) ** 2))
+                 for i in range(n))
+    b_term = sum(float(np.sum(w * sum(G[i][a] * G[j][a] for a in range(n)) ** 2))
+                 for i in range(n) for j in range(i + 1, n))
+    return a_term, b_term, weight_a * a_term + weight_b * b_term
+
+
+@pytest.mark.parametrize("field, box, shape", LOSS_CASES)
+def test_loss_matches_the_loop_reference(field, box, shape, rng):
+    box = np.array(box)
+    values = rng.standard_normal((len(shape),) + shape)
+    got = loss(GridField(box=box, values=values), field, 1.3, 0.7)
+    ref = ref_loss(values, field, box, 1.3, 0.7)
+    assert got == pytest.approx(ref, rel=1e-12)
+
+
 def test_loss_gradient_matches_directional_differences(rng):
-    # 3 random states x 20 random directions, central differences, on a
-    # 2-D field, a 3-D one (three overlap pairs in the gradient's
-    # bookkeeping) and a 1-D one (no pairs at all)
-    for field, box, shape in (
-        (AR, [[4.0, 6.0], [1.0, 3.0]], (7, 9)),
-        (drift("x2, -x1 + x3, 1", dim=3),
-         [[0.0, 1.0], [1.0, 2.0], [-1.0, 0.5]], (5, 6, 7)),
-        (parse_system("x1", dim=1, domain=[(0.01, 50.0)]), [[1.0, 2.0]], (11,)),
-    ):
+    # 3 random states x 20 random directions, central differences
+    for field, box, shape in LOSS_CASES:
         box = np.array(box)
         n = len(shape)
         for _ in range(3):
@@ -277,6 +306,48 @@ def test_loss_gradient_matches_directional_differences(rng):
                 fd = (tp - tm) / (2.0 * eps)
                 an = float(np.sum(grad * d))
                 assert an == pytest.approx(fd, rel=1e-5, abs=1e-12)
+
+
+@pytest.mark.parametrize("field, box, shape", LOSS_CASES)
+def test_line_polynomials_match_the_loss(field, box, shape, rng):
+    # along a descent line the total is an exact quartic in the step, along a
+    # one-coordinate move an exact quadratic in its coefficient
+    box = np.array(box)
+    n = len(shape)
+    values = rng.standard_normal((n,) + shape)
+    objective = _Objective(field, box, shape, 1.3, 0.7)
+    total, terms = objective.evaluate(values)
+
+    def exact(moved):
+        return loss(GridField(box=box, values=moved), field, 1.3, 0.7)[2]
+
+    d = rng.standard_normal((n,) + shape)
+    quartic = objective.step_poly(terms, objective.derivatives(d))
+    # the slope along d is the gradient's projection on it
+    slope = float(np.sum(objective.gradient(terms) * d))
+    assert quartic[1] == pytest.approx(slope, rel=1e-10)
+    for s in (1e-3, 0.02, 0.3, 1.0, 4.0):
+        predicted = total + np.polynomial.polynomial.polyval(-s, quartic)
+        assert predicted == pytest.approx(exact(values - s * d), rel=1e-12)
+
+    i = n - 1
+    basis = rng.standard_normal(shape)
+    row = np.zeros((n, n) + shape)
+    row[i] = objective.derivatives(basis[None])[0]
+    quadratic = objective.step_poly(terms, row)
+    assert quadratic[3] == quadratic[4] == 0.0
+    for c in (-0.7, 0.05, 2.0):
+        moved = values.copy()
+        moved[i] += c * basis
+        predicted = total + np.polynomial.polynomial.polyval(c, quadratic)
+        assert predicted == pytest.approx(exact(moved), rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_shifted_chebyshev_bases(k, rng):
+    u = rng.uniform(0.0, 1.0, (5, 7))
+    ref = np.polynomial.chebyshev.chebval(2.0 * u - 1.0, np.eye(k + 1)[k])
+    np.testing.assert_allclose(_shifted_cheb(u, k), ref, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("evaluate", [loss, loss_gradient])
@@ -360,6 +431,31 @@ def test_fit_history_strictly_bookkept(reg_fit_small):
     # corner stays pinned at zero so the minimizer is unique
     assert r.grid.values[0, 0, 0] == 0.0
     assert r.grid.values[1, 0, 0] == 0.0
+
+
+def test_fit_maintained_terms_do_not_drift(reg_fit_small):
+    # backtracks are scored from linearly updated derivatives and line moves
+    # from one moved row; the returned terms must still match a fresh loss
+    r = reg_fit_small
+    a, b, _ = loss(r.grid, AR)
+    assert r.loss_a == pytest.approx(a, rel=1e-9)
+    assert r.loss_b == pytest.approx(b, rel=1e-9)
+    assert r.history[-1] == r.total
+    assert 0 < r.stats.screened <= r.stats.backtracks
+
+
+def test_screening_changes_no_descent_decision(reg_fit_small, monkeypatch):
+    # a quartic that predicts nothing makes every halving a scored trial: the
+    # same rejections, now all scored, and each screened one costs one score
+    r = reg_fit_small
+    assert r.stats.sweeps == 0  # so no line move needs the polynomial either
+    monkeypatch.setattr(_Objective, "step_poly", lambda self, t, dG: (np.nan,) * 5)
+    scored = fit(AR, BOX_REG, (32, 32), FitConfig(iterations=600, seed=0))
+    assert scored.stats.screened == 0
+    assert scored.stats.backtracks == r.stats.backtracks
+    assert scored.stats.loss_evals == r.stats.loss_evals + r.stats.screened
+    assert np.array_equal(scored.history, r.history)
+    assert np.array_equal(scored.grid.values, r.grid.values)
 
 
 def test_fit_is_deterministic(reg_fit_small):
