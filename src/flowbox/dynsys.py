@@ -79,23 +79,30 @@ class VectorField:
             raise ValueError("domain must be (dim, 2) with lo < hi per axis")
         object.__setattr__(self, "domain", dom)
 
-    def contains(self, x, slack: float = 1e-12) -> bool:
+    def contains(self, x, slack: float = 1e-12):
+        """Whether each row of x (..., N) lies in the domain box widened by
+        slack; a single point gives one bool."""
         x = np.asarray(x, dtype=float)
-        return bool(
-            np.all(x >= self.domain[:, 0] - slack)
-            and np.all(x <= self.domain[:, 1] + slack)
-        )
+        return np.all((x >= self.domain[:, 0] - slack)
+                      & (x <= self.domain[:, 1] + slack), axis=-1)
 
     def eval(self, x, check_domain: bool = True) -> np.ndarray:
-        """Evaluate P(x) as a length-N vector."""
+        """P at every row of x (..., N), shape (..., N); a single point is the
+        stack with no leading axis.  With check_domain, a row outside the
+        box raises OutOfDomainError naming the first such row."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"expected a point of shape ({self.dim},), got {x.shape}")
-        if check_domain and not self.contains(x):
-            raise OutOfDomainError(
-                f"{self.name}: point {x.tolist()} is outside the domain box"
-            )
-        return np.array([c(*x) for c in self.components], dtype=float)
+        if x.shape[-1:] != (self.dim,):
+            raise ValueError(f"expected points (..., {self.dim}), got shape {x.shape}")
+        if check_domain:
+            outside = ~self.contains(x)
+            if np.any(outside):
+                raise OutOfDomainError(f"{self.name}: point {x[outside][0].tolist()}"
+                                       " is outside the domain box")
+        cols = np.moveaxis(x, -1, 0)
+        out = np.empty(x.shape)
+        for i, c in enumerate(self.components):
+            out[..., i] = c(*cols)
+        return out
 
     def eval_grid(self, coords: Sequence[np.ndarray]) -> np.ndarray:
         """Evaluate P on broadcastable coordinate arrays; returns (N, *shape)."""

@@ -9,6 +9,11 @@ Validity regions matter: logarithms need positive arguments, angle functions
 have branch cuts, and patch parameterizations exclude a point.  Each
 reference solution carries an `excluded` predicate plus a sampler that only
 produces points where every formula in the bundle is smooth.
+
+Every closed form maps a row stack x of shape (..., N) to (..., *V), the
+value axis last, so a single point is the stack with no leading axis.
+Powers use np.float_power, the C library's pow for arrays and scalars alike
+(`**` on an array rounds differently from `**` on a scalar).
 """
 from __future__ import annotations
 
@@ -49,12 +54,23 @@ def _wrap(angle):
 
 
 def _angle_gap(theta, target):
-    return abs(_wrap(theta - target))
+    return np.abs(_wrap(theta - target))
+
+
+def _r(x):
+    return np.hypot(x[..., 0], x[..., 1])
 
 
 def _polar(x):
-    r = float(np.hypot(x[0], x[1]))
-    return r, float(arg_angle(x[1], x[0]))
+    return _r(x), arg_angle(x[..., 1], x[..., 0])
+
+
+def _r2(x):
+    return np.float_power(x[..., 0], 2) + np.float_power(x[..., 1], 2)
+
+
+def _nowhere(x):
+    return np.zeros(np.shape(x)[:-1], dtype=bool)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -104,7 +120,7 @@ class ReferenceSolution:
     unit_time: Optional[Callable] = None
     chart_h: Optional[Callable] = None
     surface_name: Optional[str] = None
-    excluded: Callable = lambda x: False
+    excluded: Callable = _nowhere
     validity: str = ""
     sample_valid: Optional[Callable] = None
     failed_candidates: tuple = ()
@@ -114,12 +130,13 @@ def evaluate_reference_flowbox(ref: ReferenceSolution, x) -> np.ndarray:
     if ref.flowbox is None:
         raise ValueError(f"{ref.system_id} has no global flowbox")
     x = np.asarray(x, dtype=float)
-    if ref.excluded(x):
+    bad = ref.excluded(x)
+    if np.any(bad):
         raise ExcludedRegionError(
-            f"{ref.system_id}: {x.tolist()} is outside the validity region"
-            f" ({ref.validity})"
+            f"{ref.system_id}: {x[bad][0].tolist()} is outside the validity"
+            f" region ({ref.validity})"
         )
-    return np.asarray(ref.flowbox(x), dtype=float)
+    return ref.flowbox(x)
 
 
 def _rejection(lo, hi, excluded):
@@ -159,51 +176,42 @@ def _source_a() -> ReferenceSolution:
     field = builtin("source-a")
 
     def measurement(x):
-        return float(np.log(np.hypot(x[0], x[1])))
+        return np.log(_r(x))
 
-    def chart_h(x):
+    def circle_param(x):
         # circle-a parameter: normalized angle measured from the excluded
         # point (-1, 0)
-        th = arg_angle(x[1], x[0])
-        return np.array([np.mod(th - np.pi, 2.0 * np.pi) / (2.0 * np.pi)])
-
-    def fb(x):
-        return np.array([chart_h(x)[0], measurement(x)])
+        th = arg_angle(x[..., 1], x[..., 0])
+        return np.mod(th - np.pi, 2.0 * np.pi) / (2.0 * np.pi)
 
     def excluded(x):
         r, th = _polar(x)
-        if r < 0.05:
-            return True
         # patch excludes the ray through (-1, 0); the angle family below has
         # its cut on the ray through (0, -1)
-        return _angle_gap(th, np.pi) < 0.1 or _angle_gap(th, -np.pi / 2) < 0.1
+        return ((r < 0.05) | (_angle_gap(th, np.pi) < 0.1)
+                | (_angle_gap(th, -np.pi / 2) < 0.1))
 
     def angle_power(n):
-        return lambda x: float(arg_angle(x[0], x[1])) * float(
-            np.hypot(x[0], x[1])
-        ) ** n
+        return lambda x: arg_angle(x[..., 0], x[..., 1]) * np.float_power(_r(x), n)
 
     eigenfunctions = tuple(
         ReferenceEigenfunction(f"angle*r^{n}", float(n), angle_power(n))
         for n in (1, 2, 3)
     ) + (
-        ReferenceEigenfunction("x2/r", 0.0, lambda x: float(x[1] / np.hypot(x[0], x[1]))),
-        ReferenceEigenfunction("r", 1.0, lambda x: float(np.hypot(x[0], x[1]))),
+        ReferenceEigenfunction("x2/r", 0.0, lambda x: x[..., 1] / _r(x)),
+        ReferenceEigenfunction("r", 1.0, _r),
     )
     return ReferenceSolution(
         system_id="source-a",
         field=field,
         eigenfunctions=eigenfunctions,
         unit_time=measurement,
-        chart_h=chart_h,
+        chart_h=lambda x: circle_param(x)[..., None],
         surface_name="circle-a",
-        flowbox=fb,
+        flowbox=lambda x: np.stack([circle_param(x), measurement(x)], axis=-1),
         excluded=excluded,
         validity="r > 0.05, away from the rays through (-1,0) and (0,-1)",
-        sample_valid=_annulus(
-            0.3, 3.0, -np.pi + 0.2, np.pi - 0.45,
-            lambda x: excluded(np.asarray(x, dtype=float)),
-        ),
+        sample_valid=_annulus(0.3, 3.0, -np.pi + 0.2, np.pi - 0.45, excluded),
     )
 
 
@@ -215,43 +223,38 @@ def _hyperbolic_b() -> ReferenceSolution:
     field = builtin("hyperbolic-b")
 
     def measurement(x):
-        return float(-np.log(x[0]))
+        return -np.log(x[..., 0])
 
-    def chart_h(x):
-        return np.array([x[0] * x[1] / 4.0])
-
-    def fb(x):
-        return np.array([x[0] * x[1] / 4.0, -np.log(x[0])])
+    def conserved(x):
+        return x[..., 0] * x[..., 1] / 4.0
 
     def excluded(x):
-        prod = x[0] * x[1]
-        return x[0] <= 0.01 or prod <= 1e-4 or prod >= 3.99
+        prod = x[..., 0] * x[..., 1]
+        return (x[..., 0] <= 0.01) | (prod <= 1e-4) | (prod >= 3.99)
 
     def power_pair(n):
-        return lambda x: float(x[0] ** (1 - n) * x[1])
+        return lambda x: np.float_power(x[..., 0], 1 - n) * x[..., 1]
 
     eigenfunctions = tuple(
         ReferenceEigenfunction(f"x1^{1 - n}*x2", float(n), power_pair(n))
         for n in (1, 2, 3)
     ) + (
-        ReferenceEigenfunction("x1*x2", 0.0, lambda x: float(x[0] * x[1])),
-        ReferenceEigenfunction("1/x1", 1.0, lambda x: float(1.0 / x[0])),
+        ReferenceEigenfunction("x1*x2", 0.0, lambda x: x[..., 0] * x[..., 1]),
+        ReferenceEigenfunction("1/x1", 1.0, lambda x: 1.0 / x[..., 0]),
     )
     return ReferenceSolution(
         system_id="hyperbolic-b",
         field=field,
         eigenfunctions=eigenfunctions,
         unit_time=measurement,
-        chart_h=chart_h,
+        chart_h=lambda x: conserved(x)[..., None],
         surface_name="line-b",
-        flowbox=fb,
+        flowbox=lambda x: np.stack([conserved(x), measurement(x)], axis=-1),
         excluded=excluded,
         validity="x1 > 0.01 and x1*x2 in (1e-4, 3.99)",
         # x1 stays >= 0.7 so third derivatives of x1^(-2)*x2 keep the
         # finite-difference residual of the n=3 family below 1e-8
-        sample_valid=_rejection(
-            (0.7, 0.1), (2.5, 1.5), lambda x: excluded(x)
-        ),
+        sample_valid=_rejection((0.7, 0.1), (2.5, 1.5), excluded),
     )
 
 
@@ -265,23 +268,21 @@ def _rotation_c() -> ReferenceSolution:
     def local_time(x):
         # increases at unit rate along orbits but wraps after one revolution:
         # no surface can absorb the wrap, so this is local only
-        return float(arg_angle(x[0], x[1]))
+        return arg_angle(x[..., 0], x[..., 1])
 
     def excluded(x):
         r, th = _polar(x)
         # the local time formula has its cut on the ray through (0, -1)
-        return r < 0.05 or _angle_gap(th, -np.pi / 2) < 0.1
+        return (r < 0.05) | (_angle_gap(th, -np.pi / 2) < 0.1)
 
     def circular(n):
-        return lambda x: float(x[0] ** 2 + x[1] ** 2) * np.exp(
-            1j * n * arg_angle(x[0], x[1])
-        )
+        return lambda x: _r2(x) * np.exp(1j * n * local_time(x))
 
     eigenfunctions = tuple(
         ReferenceEigenfunction(f"r^2*exp({n}i*angle)", complex(0.0, n), circular(n))
         for n in (1, 2, 3)
     ) + (
-        ReferenceEigenfunction("r^2", 0.0, lambda x: float(x[0] ** 2 + x[1] ** 2)),
+        ReferenceEigenfunction("r^2", 0.0, _r2),
     )
     return ReferenceSolution(
         system_id="rotation-c",
@@ -295,10 +296,7 @@ def _rotation_c() -> ReferenceSolution:
         flowbox=None,
         excluded=excluded,
         validity="r > 0.05, away from the ray through (0,-1); time is local",
-        sample_valid=_annulus(
-            0.3, 3.0, -np.pi + 0.1, np.pi,
-            lambda x: excluded(np.asarray(x, dtype=float)),
-        ),
+        sample_valid=_annulus(0.3, 3.0, -np.pi + 0.1, np.pi, excluded),
     )
 
 
@@ -308,35 +306,30 @@ def _rotation_c() -> ReferenceSolution:
 
 
 def _linear_reference(system_id, pairs, forms, unit_scale, fb_real, excluded,
-                      validity, sampler, extra_eigenfunctions=()):
+                      validity, sampler):
     """pairs: ((eigenvalue, right eigenvector), ...)
     forms: ((label, eigenvalue, coefficient row), ...) with <row, x> linear
     unit_scale: eigenvalues dividing Log of each form, aligned with forms
-    fb_real: maps the complex unit coordinates y to real flowbox coordinates
+    fb_real: maps the complex unit coordinates y (..., n) to real flowbox
+    coordinates (..., N)
     """
     field = builtin(system_id)
     rows = [np.asarray(c, dtype=complex) for _, _, c in forms]
 
     def linear_form(row):
-        return lambda x: complex(np.dot(row, x))
+        return lambda x: np.vecdot(x, row)
 
     eigenfunctions = tuple(
         ReferenceEigenfunction(label, complex(lam), linear_form(row))
         for (label, lam, _), row in zip(forms, rows)
-    ) + tuple(extra_eigenfunctions)
+    )
 
     def unit_coords(x):
-        x = np.asarray(x, dtype=float)
-        return np.array(
-            [np.log(complex(np.dot(row, x))) / lam
-             for row, lam in zip(rows, unit_scale)]
-        )
+        return np.stack([np.log(np.vecdot(x, row)) / lam
+                         for row, lam in zip(rows, unit_scale)], axis=-1)
 
     def fb(x):
         return fb_real(unit_coords(x))
-
-    def unit_time(x):
-        return float(np.real(fb(x)[-1]))
 
     return ReferenceSolution(
         system_id=system_id,
@@ -344,8 +337,8 @@ def _linear_reference(system_id, pairs, forms, unit_scale, fb_real, excluded,
         eigenfunctions=eigenfunctions,
         eigenpairs=pairs,
         unit_coords=unit_coords,
-        flowbox=lambda x: np.real(fb(x)),
-        unit_time=unit_time,
+        flowbox=fb,
+        unit_time=lambda x: fb(x)[..., -1],
         excluded=excluded,
         validity=validity,
         sample_valid=sampler,
@@ -358,10 +351,7 @@ def _linear_ar() -> ReferenceSolution:
     row2 = np.array([1.0, -1.0]) / s   # eigenvalue 8
 
     def excluded(x):
-        return (
-            abs(float(np.dot(row1, x))) < 1e-6
-            or abs(float(np.dot(row2, x))) < 1e-6
-        )
+        return (np.abs(np.vecdot(x, row1)) < 1e-6) | (np.abs(np.vecdot(x, row2)) < 1e-6)
 
     def sampler(rng, n):
         # both eigencoordinates >= 0.3 keeps the log third derivatives small
@@ -385,8 +375,9 @@ def _linear_ar() -> ReferenceSolution:
         unit_scale=(3.0, 8.0),
         # two real unit-speed coordinates: half difference is conserved,
         # half sum advances at unit rate
-        fb_real=lambda y: np.array(
-            [np.real(y[0] - y[1]) / 2.0, np.real(y[0] + y[1]) / 2.0]
+        fb_real=lambda y: np.stack(
+            [np.real(y[..., 0] - y[..., 1]) / 2.0, np.real(y[..., 0] + y[..., 1]) / 2.0],
+            axis=-1,
         ),
         excluded=excluded,
         validity="both eigencoordinates bounded away from zero",
@@ -403,12 +394,18 @@ _AC_V1 = np.array(
 )
 
 
+def _first_unit_coord(y):
+    # the imaginary part of y1 is conserved, the real part advances at unit
+    # rate
+    return np.stack([np.imag(y[..., 0]), np.real(y[..., 0])], axis=-1)
+
+
 def _linear_ac() -> ReferenceSolution:
     margin = 0.05
 
     def excluded(x):
-        phi = complex(np.dot(_AC_ROW, x))
-        return abs(phi) < 1e-6 or np.pi - abs(np.angle(phi)) < margin
+        phi = np.vecdot(x, _AC_ROW)
+        return (np.abs(phi) < 1e-6) | (np.pi - np.abs(np.angle(phi)) < margin)
 
     def sampler(rng, n):
         out = []
@@ -429,9 +426,8 @@ def _linear_ac() -> ReferenceSolution:
             ("conj spiral form", np.conj(_AC_LAMBDA), np.conj(_AC_ROW)),
         ),
         unit_scale=(_AC_LAMBDA, np.conj(_AC_LAMBDA)),
-        # y2 = conj(y1); the imaginary part of y1 is conserved, the real part
-        # advances at unit rate
-        fb_real=lambda y: np.array([np.imag(y[0]), np.real(y[0])]),
+        # y2 = conj(y1)
+        fb_real=_first_unit_coord,
         excluded=excluded,
         validity="spiral form off zero and off the log branch cut",
         sampler=sampler,
@@ -446,7 +442,7 @@ def _linear_ai() -> ReferenceSolution:
     def excluded(x):
         r, th = _polar(x)
         # arg of the form is -theta: the log cut sits on theta = -pi
-        return r < 1e-6 or np.pi - abs(th) < margin
+        return (r < 1e-6) | (np.pi - np.abs(th) < margin)
 
     def sampler(rng, n):
         out = []
@@ -469,9 +465,8 @@ def _linear_ai() -> ReferenceSolution:
             ("(x1+i*x2)/sqrt2", -1j, np.conj(row1)),
         ),
         unit_scale=(1j, -1j),
-        # y1 = -theta - i*ln(r/sqrt2): imaginary part conserved, real part
-        # advances at unit rate
-        fb_real=lambda y: np.array([np.imag(y[0]), np.real(y[0])]),
+        # y1 = -theta - i*ln(r/sqrt2)
+        fb_real=_first_unit_coord,
         excluded=excluded,
         validity="r > 0 away from the ray through (-1,0)",
         sampler=sampler,
@@ -486,24 +481,24 @@ def _limit_cycle() -> ReferenceSolution:
     field = builtin("limit-cycle")
 
     def radial_coord(x):
-        r2 = float(x[0] ** 2 + x[1] ** 2)
-        return 0.5 * np.log(r2) - 0.5 * np.log(abs(1.0 - r2))
+        r2 = _r2(x)
+        return 0.5 * np.log(r2) - 0.5 * np.log(np.abs(1.0 - r2))
 
     def angle_coord(x):
-        return float(arg_angle(x[1], x[0]))
+        return arg_angle(x[..., 1], x[..., 0])
 
     def fb(x):
         y1 = radial_coord(x)
         y2 = angle_coord(x)
-        return np.array([(y1 - y2) / 2.0, (y1 + y2) / 2.0])
+        return np.stack([(y1 - y2) / 2.0, (y1 + y2) / 2.0], axis=-1)
 
     def excluded(x):
         r, th = _polar(x)
-        return (
-            r < 0.05
-            or abs(1.0 - r) < 0.1
-            or _angle_gap(th, np.pi) < 0.1
-        )
+        return (r < 0.05) | (np.abs(1.0 - r) < 0.1) | (_angle_gap(th, np.pi) < 0.1)
+
+    def phase(x):
+        r = _r(x)
+        return x[..., 0] / r + 1j * (x[..., 1] / r)
 
     def sampler(rng, n):
         # r stays off the band around 1 where |1-r^2| amplifies the
@@ -521,24 +516,17 @@ def _limit_cycle() -> ReferenceSolution:
         return np.array(out)
 
     eigenfunctions = (
-        ReferenceEigenfunction(
-            "r/sqrt|1-r^2|", 1.0, lambda x: float(np.exp(radial_coord(x)))
-        ),
-        ReferenceEigenfunction(
-            "(x1+i*x2)/r",
-            1j,
-            lambda x: complex(x[0], x[1]) / float(np.hypot(x[0], x[1])),
-        ),
+        ReferenceEigenfunction("r/sqrt|1-r^2|", 1.0, lambda x: np.exp(radial_coord(x))),
+        ReferenceEigenfunction("(x1+i*x2)/r", 1j, phase),
     )
     return ReferenceSolution(
         system_id="limit-cycle",
         field=field,
         eigenfunctions=eigenfunctions,
-        unit_coords=lambda x: np.array(
-            [radial_coord(x), angle_coord(x)], dtype=complex
-        ),
+        unit_coords=lambda x: np.stack([radial_coord(x), angle_coord(x)],
+                                       axis=-1).astype(complex),
         flowbox=fb,
-        unit_time=lambda x: float(fb(x)[1]),
+        unit_time=lambda x: fb(x)[..., 1],
         excluded=excluded,
         validity="r away from 0 and 1, away from the ray through (-1,0)",
         sample_valid=sampler,
@@ -553,9 +541,10 @@ def _appendix() -> ReferenceSolution:
     field = builtin("appendix")
 
     eigenfunctions = (
-        ReferenceEigenfunction("x1", 1.0, lambda x: float(x[0])),
+        ReferenceEigenfunction("x1", 1.0, lambda x: x[..., 0]),
         ReferenceEigenfunction(
-            "x2 - x1^2/3", -1.0, lambda x: float(x[1] - x[0] ** 2 / 3.0)
+            "x2 - x1^2/3", -1.0,
+            lambda x: x[..., 1] - np.float_power(x[..., 0], 2) / 3.0,
         ),
     )
     # x2 doubles along the invariant parabola x2 = x1^2/3 exactly like an
@@ -565,8 +554,8 @@ def _appendix() -> ReferenceSolution:
         FailedCandidate(
             label="x2",
             eigenvalue=2.0,
-            fn=lambda x: float(x[1]),
-            residual=lambda x: float(x[0] ** 2 - 3.0 * x[1]),
+            fn=lambda x: x[..., 1],
+            residual=lambda x: np.float_power(x[..., 0], 2) - 3.0 * x[..., 1],
             orbit_seed=np.array([1.0, 1.0 / 3.0]),
         ),
     )
@@ -576,7 +565,7 @@ def _appendix() -> ReferenceSolution:
         eigenfunctions=eigenfunctions,
         failed_candidates=failed,
         validity="entire plane",
-        sample_valid=_rejection((-2.0, -2.0), (2.0, 2.0), lambda x: False),
+        sample_valid=_rejection((-2.0, -2.0), (2.0, 2.0), _nowhere),
     )
 
 

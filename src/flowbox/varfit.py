@@ -18,15 +18,13 @@ on the gradient and jumping loss valleys with exact recombination moves, which
 is what it takes to land in the flowbox basin from a random affine start.
 
 The loss is a polynomial of the derivative stack G[i, a] = dy_i/dx_a, which is
-linear in y: along a descent line it is an exact quartic in the step, along a
-one-coordinate move an exact quadratic.  fit() scores a step's first
-(momentum) trial from its own derivatives; the backtracks after it are
-screened by the quartic, and a halving predicted to decrease the loss is
-scored from G - s * grad(direction) without a derivative product.  A
-recombination move scores only the vertex of its quadratic.  Every accepted
-iterate is compared on a total summed from its materialized terms.
-FitStats.loss_evals counts those sums, backtracks every rejected descent
-trial and screened the backtracks the quartic rejected unscored.
+linear in y: along a one-coordinate move it is an exact quadratic.  fit()
+scores a step's first (momentum) trial from its own derivatives and each
+halving after it from G - s * grad(direction), without a derivative
+product.  A recombination move scores only the vertex of its quadratic.
+Every accepted iterate is compared on a total summed from its materialized
+terms.  FitStats.loss_evals counts those sums and backtracks every rejected
+descent trial.
 """
 from __future__ import annotations
 
@@ -333,24 +331,14 @@ class _Objective:
         return out
 
     def step_poly(self, t, dG):
-        """Coefficients c[0..4] of total(G + s dG) - total(G) = sum c[k] s^k.
-
-        Along the line U moves by s dU and S by s dS + s^2 dSS, so the change
-        is an exact quartic in s, from weighted inner products of those rows;
-        a dG with one nonzero row leaves dSS = 0, so a quadratic.
-        """
+        """(b, a) with total(G + s dG) - total(G) = b s + a s^2, for a dG with
+        one nonzero row: U moves by s dU and S by s dS, since no pair has
+        both rows moving."""
         dU = np.einsum("ia...,a...->i...", dG, self.p_vals)
         dS = _pair_products(t.G, dG) + _pair_products(dG, t.G)
-        dSS = _pair_products(dG, dG)
         wa, wb, w = self.weight_a, self.weight_b, self.w
-        w_dSS = w * dSS
-        return (
-            0.0,
-            2.0 * (wa * _dot(t.wU, dU) + wb * _dot(t.wS, dS)),
-            wa * _dot(w * dU, dU) + wb * (_dot(w * dS, dS) + 2.0 * _dot(t.wS, dSS)),
-            2.0 * wb * _dot(w_dSS, dS),
-            wb * _dot(w_dSS, dSS),
-        )
+        return (2.0 * (wa * _dot(t.wU, dU) + wb * _dot(t.wS, dS)),
+                wa * _dot(w * dU, dU) + wb * _dot(w * dS, dS))
 
 
 def loss(grid: GridField, field: VectorField, weight_a: float = 1.0,
@@ -401,8 +389,7 @@ class FitStats:
 
     loss_evals: int = 0   # totals summed from materialized terms (scored trials)
     gradients: int = 0    # loss gradients
-    backtracks: int = 0   # rejected descent trials, screened or scored
-    screened: int = 0     # backtracks the step quartic rejected unscored
+    backtracks: int = 0   # rejected descent trials
     sweeps: int = 0       # recombination sweeps
     line_moves: int = 0   # accepted recombination line moves
 
@@ -548,7 +535,7 @@ def _line_move(objective, values, total, terms, i, basis):
     """
     dG = np.zeros_like(terms.G)
     dG[i] = objective.derivatives(basis[None])[0]
-    _, b, a = objective.step_poly(terms, dG)[:3]
+    b, a = objective.step_poly(terms, dG)
     if a <= 1e-300:
         return None
     c = -b / (2.0 * a)
@@ -601,8 +588,8 @@ def _descend(field, values, box, shape, iters, cfg, stats, record=None,
     accepted step strictly decreases the loss; when backtracking fails, or
     progress over a window slows to a crawl, a recombination sweep tries to
     jump the iterate across a loss valley before giving up.  The backtracks
-    after a rejected momentum trial lie on values - s * direction, where the
-    loss is the quartic step_poly: it screens them (see the module notes).
+    after a rejected momentum trial lie on values - s * direction, so each
+    is scored from G - s * grad(direction) (see the module notes).
     """
     objective = _Objective(field, box, shape, cfg.weight_a, cfg.weight_b, stats)
     values = _pin_corner(values)
@@ -630,22 +617,15 @@ def _descend(field, values, box, shape, iters, cfg, stats, record=None,
 
         accepted = False
         trial_step = step
-        quartic = None
+        dG = None
         for attempt in range(_MAX_BACKTRACKS + 1):
             if attempt == 0:
                 trial = _pin_corner(values - trial_step * direction
                                     + cfg.momentum * velocity)
                 trial_total, trial_terms = objective.evaluate(trial)
             else:
-                if quartic is None:
+                if dG is None:
                     dG = objective.derivatives(direction)
-                    quartic = objective.step_poly(terms, dG)
-                change = sum(c * (-trial_step) ** k for k, c in enumerate(quartic))
-                if math.isfinite(change) and change >= 0.0:
-                    stats.screened += 1
-                    stats.backtracks += 1
-                    trial_step *= 0.5
-                    continue
                 trial = _pin_corner(values - trial_step * direction)
                 trial_total, trial_terms = objective.score(terms.G - trial_step * dG)
             if np.isfinite(trial_total) and trial_total < total:

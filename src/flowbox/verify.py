@@ -21,7 +21,7 @@ import numpy as np
 
 from . import chart as chart_mod
 from . import dynsys, kef, refsol
-from .fdiff import fd_gradient
+from .fdiff import fd_gradient_rows
 from .odeint import RunStats, flow_batch
 
 __all__ = ["VERIFY_SUITES", "STREAM_STRIDE", "check_kpde_residuals",
@@ -88,63 +88,70 @@ def _worked_chart(system_id):
 
 
 def _chart_coords(chart, points, system_id, stats, worst):
-    """(coords, None) of points from one evaluate_grid batch, or (None,
-    detail) for the first point whose status is not ok, recorded as worst."""
+    """(coords (R, N), None) of points from one evaluate_grid batch, or
+    (None, detail) for the first point whose status is not ok, recorded as
+    worst."""
     rows = chart_mod.evaluate_grid(chart, points, stats=stats)
     for x, _, status in rows:
         if status != chart_mod.STATUS_OK:
             worst.see(math.nan, f"{system_id}:{status}", x)
             return None, f"{system_id} chart point {worst.point} has status {status}"
-    return [z for _, z, _ in rows], None
+    return np.array([z for _, z, _ in rows]), None
 
 
-def _kpde_defects(ref, x):
-    """[(label, |<grad phi, P> - lambda phi|)] of each closed-form
-    eigenfunction phi of `ref` at x."""
-    return [(eig.label, abs(kef.kpde_residual(eig.fn, eig.eigenvalue, ref.field, x)))
+def _rate(fn, xs, p):
+    """<grad fn, P> at the rows xs (R, N), p = P(xs): shape (R, *V) for fn
+    values of shape V, from one fd_gradient_rows call and one matrix
+    product per row."""
+    grad = fd_gradient_rows(fn, xs)
+    return (p[:, None, :] @ grad.reshape(p.shape + (-1,))).reshape(
+        grad.shape[:1] + grad.shape[2:])
+
+
+def _kpde_defects(ref, xs, p):
+    """[(label, |<grad phi, P> - lambda phi| per row)] of each eigenfunction."""
+    return [(eig.label, np.abs(_rate(eig.fn, xs, p) - eig.eigenvalue * eig.fn(xs)))
             for eig in ref.eigenfunctions]
 
 
-def _real_form_defects(ref, x):
-    """[(label, residual)] of the real form of each eigenfunction at x: with
-    phi = u + iv at eigenvalue a + ib, u must advance along the field as
-    a u - b v and v as b u + a v."""
-    p = ref.field.eval(x)
+def _real_form_defects(ref, xs, p):
+    """[(label, residual per row)] of the real form of each eigenfunction:
+    with phi = u + iv at eigenvalue a + ib, u must advance along the field
+    as a u - b v and v as b u + a v.  The real and imaginary parts of a
+    complex central difference are those of u and v, bit for bit."""
     out = []
     for eig in ref.eigenfunctions:
         a, b = eig.eigenvalue.real, eig.eigenvalue.imag
-        u, v = float(np.real(eig.fn(x))), float(np.imag(eig.fn(x)))
-        du = fd_gradient(lambda y: float(np.real(eig.fn(y))), x)
-        dv = fd_gradient(lambda y: float(np.imag(eig.fn(y))), x)
-        out.append((eig.label, max(abs(float(np.dot(du, p)) - (a * u - b * v)),
-                                   abs(float(np.dot(dv, p)) - (b * u + a * v)))))
+        phi, rate = eig.fn(xs), _rate(eig.fn, xs, p)
+        du = np.abs(rate.real - (a * phi.real - b * phi.imag))
+        dv = np.abs(rate.imag - (b * phi.real + a * phi.imag))
+        out.append((eig.label, np.maximum(du, dv)))
     return out
 
 
-def _unit_rate_defects(ref, x):
-    """[(label, |rate - 1|)] of the unit-time measurement and the unit
-    coordinates of `ref` at x; empty when it documents neither."""
-    p = ref.field.eval(x)
+def _unit_rate_defects(ref, xs, p):
+    """[(label, |rate - 1| per row)] of the unit-time measurement and of the
+    unit coordinates of `ref` (their worst); empty when it documents neither."""
     out = []
     if ref.unit_time is not None:
-        grad = fd_gradient(ref.unit_time, x)
-        out.append(("unit_time", abs(float(np.dot(grad, p)) - 1.0)))
+        out.append(("unit_time", np.abs(_rate(ref.unit_time, xs, p) - 1.0)))
     if ref.unit_coords is not None:
-        jac = fd_gradient(ref.unit_coords, x)  # (N, n_coords) complex
-        rates = np.tensordot(p, jac, axes=([0], [0]))
-        out.append(("unit_coords", float(np.max(np.abs(rates - 1.0)))))
+        rates = _rate(ref.unit_coords, xs, p)
+        out.append(("unit_coords", np.max(np.abs(rates - 1.0), axis=-1)))
     return out
 
 
 def _sampled_check(defects, system_ids, seed, what):
-    """The worst of defects(ref, x) over SAMPLE_POINTS valid points per
-    system, the idx-th system drawing from stream seed + idx."""
+    """The worst of defects(ref, xs, P(xs)) over SAMPLE_POINTS valid points
+    xs per system, the idx-th system drawing from stream seed + idx."""
     worst = _Worst()
     for idx, system_id in enumerate(system_ids):
         ref = refsol.reference(system_id)
-        for x in ref.sample_valid(_rng(seed + idx), SAMPLE_POINTS):
-            for label, value in defects(ref, x):
-                worst.see(value, f"{system_id}:{label}", x)
+        xs = ref.sample_valid(_rng(seed + idx), SAMPLE_POINTS)
+        columns = defects(ref, xs, ref.field.eval(xs))
+        for k, x in enumerate(xs):
+            for label, values in columns:
+                worst.see(values[k], f"{system_id}:{label}", x)
     return worst.result(worst.value <= PDE_TOL,
                         f"max {what} {worst.value:.3g} ({worst.at})")
 
@@ -172,8 +179,9 @@ def _law_pairs(ref, rng):
     the validity region of `ref`, among at most MAX_LAW_TRIES candidates.
 
     Candidates are drawn one at a time, as a loop that flows each in turn
-    would draw them, and flowed in blocks of as many as are still missing;
-    a candidate's flow error is raised if the loop would have reached it.
+    would draw them, and flowed in blocks of as many as are still missing.
+    So such a loop reaches every candidate of a block, and the block's first
+    flow error is raised.
     """
     pairs = []
     tries = 0
@@ -182,13 +190,11 @@ def _law_pairs(ref, rng):
         xs = np.array([ref.sample_valid(rng, 1)[0] for _ in range(block)])
         tries += block
         xts, errors = flow_batch(ref.field, xs, T_STEP)
-        for x, xt, err in zip(xs, xts, errors):
+        for err in errors:
             if err is not None:
                 raise err
-            if ref.field.contains(xt) and not ref.excluded(xt):
-                pairs.append((x, xt))
-                if len(pairs) == SAMPLE_POINTS:
-                    break
+        valid = ref.field.contains(xts) & ~ref.excluded(xts)
+        pairs += zip(xs[valid], xts[valid])
     return pairs
 
 
@@ -207,19 +213,20 @@ def check_flowbox_law(seed=0):
         if len(pairs) < SAMPLE_POINTS:
             return worst.result(False, f"{system_id}: only {len(pairs)} valid"
                                 f" pairs in {MAX_LAW_TRIES} tries", stats)
-        ends = [x for x, _ in pairs] + [xt for _, xt in pairs]
+        ends = np.array([x for x, _ in pairs] + [xt for _, xt in pairs])
         if kind == "chart":
             zs, bad = _chart_coords(_worked_chart(system_id)[1], ends,
                                     system_id, stats, worst)
             if bad:
                 return worst.result(False, bad, stats)
         else:
-            zs = [np.asarray(ref.flowbox(x)) for x in ends]
+            zs = ref.flowbox(ends)
+        n = len(pairs)
         expected = np.zeros(ref.field.dim)
         expected[-1] = T_STEP
-        for (x, _), z0, zt in zip(pairs, zs, zs[len(pairs):]):
-            worst.see(float(np.max(np.abs(zt - z0 - expected))),
-                      f"{system_id}:{kind}", x)
+        defects = np.max(np.abs(zs[n:] - zs[:n] - expected), axis=-1)
+        for (x, _), defect in zip(pairs, defects):
+            worst.see(defect, f"{system_id}:{kind}", x)
     return worst.result(
         worst.value <= CHART_TOL,
         f"max flowbox-law defect {worst.value:.3g} ({worst.at}) at t = {T_STEP}"
@@ -241,10 +248,10 @@ def check_chart_vs_refsol(seed=0):
         zs, bad = _chart_coords(built, pts, system_id, stats, worst)
         if bad:
             return worst.result(False, bad, stats)
-        for x, z in zip(pts, zs):
-            dm = abs(z[-1] - ref.unit_time(x))
-            dh = float(np.max(np.abs(z[:-1] - ref.chart_h(x))))
-            worst.see(max(dm, dh), f"{system_id}:chart", x)
+        dm = np.abs(zs[:, -1] - ref.unit_time(pts))
+        dh = np.max(np.abs(zs[:, :-1] - ref.chart_h(pts)), axis=-1)
+        for x, defect in zip(pts, np.maximum(dm, dh)):
+            worst.see(defect, f"{system_id}:chart", x)
     return worst.result(
         worst.value <= CHART_TOL,
         f"max |chart - closed form| {worst.value:.3g} ({worst.at}) over"

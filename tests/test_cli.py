@@ -381,7 +381,7 @@ def test_varfit_writes_grids_history_manifest(tmp_path, capsys):
     assert isinstance(summary["level_totals"], list)
     assert "elevated_residual" in summary
     assert set(summary["stats"]) == {
-        "loss_evals", "gradients", "backtracks", "screened", "sweeps", "line_moves"}
+        "loss_evals", "gradients", "backtracks", "sweeps", "line_moves"}
     assert summary["stats"]["gradients"] == summary["iterations_run"]
     assert set(manifest["timings"]) == {"fit_s", "write_s"}
     assert manifest["seed"] == 0

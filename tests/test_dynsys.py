@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -81,6 +82,21 @@ def test_domain_enforcement():
     )
     assert not field.contains([0.0, 10.1])
     assert field.contains([0.0, 10.0])
+
+
+def test_eval_takes_row_stacks(rng):
+    # a stack's rows evaluate as single points do, and a row outside the
+    # box fails the whole call, named
+    field = builtin("limit-cycle")
+    stack = rng.uniform(-2.0, 2.0, (3, 4, 2))
+    rows = np.array([[field.eval(x) for x in row] for row in stack])
+    np.testing.assert_array_equal(field.eval(stack), rows)
+    stack[2, 1] = (0.5, 10.5)
+    np.testing.assert_array_equal(field.contains(stack), np.arange(12).reshape(3, 4) != 9)
+    with pytest.raises(OutOfDomainError, match=re.escape("[0.5, 10.5]")):
+        field.eval(stack)
+    with pytest.raises(ValueError, match=re.escape("expected points (..., 2)")):
+        field.eval(np.zeros((4, 3)))
 
 
 def test_jacobian_matches_finite_differences(rng):

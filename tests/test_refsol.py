@@ -3,6 +3,8 @@
 Every closed form is differentiated by finite differences and pushed through
 the actual vector fields; nothing here trusts the formulas it is checking.
 """
+import re
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,59 @@ FB_IDS = [
     "linear-ai",
     "limit-cycle",
 ]
+
+
+# a point inside each system's excluded region; None where nothing is
+EXCLUDED_POINT = {
+    "appendix": None,
+    "hyperbolic-b": (-1.0, 1.0),
+    "limit-cycle": (1.0, 0.0),
+    "linear-ac": (0.0, 0.0),
+    "linear-ai": (0.0, 0.0),
+    "linear-ar": (1.0, 1.0),
+    "rotation-c": (0.01, 0.0),
+    "source-a": (0.01, 0.0),
+}
+
+
+def closed_forms(ref):
+    """(name, callable) of every closed form of ref."""
+    calls = [(e.label, e.fn) for e in ref.eigenfunctions]
+    calls += [(f"{c.label}.{part}", getattr(c, part))
+              for c in ref.failed_candidates for part in ("fn", "residual")]
+    calls += [(name, getattr(ref, name))
+              for name in ("unit_time", "unit_coords", "flowbox", "chart_h", "excluded")
+              if getattr(ref, name) is not None]
+    return calls
+
+
+@pytest.mark.parametrize("sid", ALL_IDS)
+def test_stacked_closed_forms_equal_per_row_calls(sid, rng):
+    # every closed form maps (..., N) to (..., *V); a single point is the
+    # stack with no leading axis
+    ref = reference(sid)
+    stack = ref.sample_valid(rng, 12).reshape(3, 4, 2)
+    for name, fn in closed_forms(ref):
+        got = np.asarray(fn(stack))
+        rows = np.array([[np.asarray(fn(x)) for x in row] for row in stack])
+        assert got.shape == (3, 4) + np.shape(fn(stack[0, 0])), name
+        np.testing.assert_allclose(got, rows, rtol=1e-15, atol=0,
+                                   err_msg=f"{sid}/{name}")
+
+    # the predicate flags exactly the excluded row, and the flowbox refuses
+    # the stack, naming that row
+    mixed = stack.copy()
+    flagged = np.zeros((3, 4), dtype=bool)
+    bad = EXCLUDED_POINT[sid]
+    if bad is not None:
+        mixed[1, 2] = bad
+        flagged[1, 2] = True
+    np.testing.assert_array_equal(ref.excluded(mixed), flagged)
+    if ref.flowbox is not None:
+        np.testing.assert_array_equal(evaluate_reference_flowbox(ref, stack),
+                                      ref.flowbox(stack))
+        with pytest.raises(ExcludedRegionError, match=re.escape(str(list(bad)))):
+            evaluate_reference_flowbox(ref, mixed)
 
 
 def test_registry():

@@ -310,8 +310,8 @@ def test_loss_gradient_matches_directional_differences(rng):
 
 @pytest.mark.parametrize("field, box, shape", LOSS_CASES)
 def test_line_polynomials_match_the_loss(field, box, shape, rng):
-    # along a descent line the total is an exact quartic in the step, along a
-    # one-coordinate move an exact quadratic in its coefficient
+    # a halving is scored from G - s * grad(d), since G is linear in the
+    # values; along a one-coordinate move the total is an exact quadratic
     box = np.array(box)
     n = len(shape)
     values = rng.standard_normal((n,) + shape)
@@ -322,25 +322,24 @@ def test_line_polynomials_match_the_loss(field, box, shape, rng):
         return loss(GridField(box=box, values=moved), field, 1.3, 0.7)[2]
 
     d = rng.standard_normal((n,) + shape)
-    quartic = objective.step_poly(terms, objective.derivatives(d))
-    # the slope along d is the gradient's projection on it
-    slope = float(np.sum(objective.gradient(terms) * d))
-    assert quartic[1] == pytest.approx(slope, rel=1e-10)
+    dG = objective.derivatives(d)
     for s in (1e-3, 0.02, 0.3, 1.0, 4.0):
-        predicted = total + np.polynomial.polynomial.polyval(-s, quartic)
-        assert predicted == pytest.approx(exact(values - s * d), rel=1e-12)
+        scored = objective.score(terms.G - s * dG)[0]
+        assert scored == pytest.approx(exact(values - s * d), rel=1e-12)
 
     i = n - 1
     basis = rng.standard_normal(shape)
+    moved_dir = np.zeros((n,) + shape)
+    moved_dir[i] = basis
     row = np.zeros((n, n) + shape)
     row[i] = objective.derivatives(basis[None])[0]
-    quadratic = objective.step_poly(terms, row)
-    assert quadratic[3] == quadratic[4] == 0.0
+    b, a = objective.step_poly(terms, row)
+    # the slope along the move is the gradient's projection on it
+    slope = float(np.sum(objective.gradient(terms) * moved_dir))
+    assert b == pytest.approx(slope, rel=1e-10)
     for c in (-0.7, 0.05, 2.0):
-        moved = values.copy()
-        moved[i] += c * basis
-        predicted = total + np.polynomial.polynomial.polyval(c, quadratic)
-        assert predicted == pytest.approx(exact(moved), rel=1e-12)
+        predicted = total + b * c + a * c * c
+        assert predicted == pytest.approx(exact(values + c * moved_dir), rel=1e-12)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -441,21 +440,16 @@ def test_fit_maintained_terms_do_not_drift(reg_fit_small):
     assert r.loss_a == pytest.approx(a, rel=1e-9)
     assert r.loss_b == pytest.approx(b, rel=1e-9)
     assert r.history[-1] == r.total
-    assert 0 < r.stats.screened <= r.stats.backtracks
+    assert 0 < r.stats.backtracks
 
 
-def test_screening_changes_no_descent_decision(reg_fit_small, monkeypatch):
-    # a quartic that predicts nothing makes every halving a scored trial: the
-    # same rejections, now all scored, and each screened one costs one score
+def test_every_descent_trial_is_scored(reg_fit_small):
+    # with no recombination sweep, a level scores its start and then every
+    # trial of every step: the momentum trial and each rejected halving
     r = reg_fit_small
-    assert r.stats.sweeps == 0  # so no line move needs the polynomial either
-    monkeypatch.setattr(_Objective, "step_poly", lambda self, t, dG: (np.nan,) * 5)
-    scored = fit(AR, BOX_REG, (32, 32), FitConfig(iterations=600, seed=0))
-    assert scored.stats.screened == 0
-    assert scored.stats.backtracks == r.stats.backtracks
-    assert scored.stats.loss_evals == r.stats.loss_evals + r.stats.screened
-    assert np.array_equal(scored.history, r.history)
-    assert np.array_equal(scored.grid.values, r.grid.values)
+    assert r.stats.sweeps == 0
+    assert r.stats.loss_evals == (len(r.level_totals) + r.stats.gradients
+                                  + r.stats.backtracks)
 
 
 def test_fit_is_deterministic(reg_fit_small):

@@ -50,3 +50,18 @@ def test_law_pairs_equal_a_loop_of_single_flows():
         for (x, xt), (y, yt) in zip(got, expected):
             np.testing.assert_array_equal(x, y)
             np.testing.assert_array_equal(xt, yt)
+
+
+def test_sampled_suites_catch_a_perturbed_angle(monkeypatch):
+    # every angle in refsol goes through arg_angle: perturbing it must show
+    # in the suites that differentiate the closed forms
+    angle = refsol.arg_angle
+    monkeypatch.setattr(refsol, "arg_angle", lambda a, b: angle(a, b) + 1e-6 * a)
+    ok, _, metrics = verify.check_kpde_residuals(0)
+    assert not ok
+    assert metrics["worst"] > 1e3 * verify.PDE_TOL
+    assert metrics["worst_at"] == "rotation-c:r^2*exp(3i*angle)"
+    ok, _, metrics = verify.check_unit_velocity(0)
+    assert not ok
+    assert metrics["worst"] > 1e2 * verify.PDE_TOL
+    assert metrics["worst_at"] == "limit-cycle:unit_coords"
