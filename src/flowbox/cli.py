@@ -372,15 +372,13 @@ def cmd_kef_check(args) -> int:
         except ExpressionError as err:
             raise UsageError(f"bad --phi: {err}")
 
-        def phi(x):
-            return node.evaluate(tuple(np.asarray(x, dtype=float)))
-
         labels = [args.phi]
         recorded.update({"phi": args.phi, "lambda": str(eigenvalue)})
         timings = {"audit_s": time.perf_counter() - clock}
         clock = time.perf_counter()
-        results = [[kef_mod.residual_status(phi, eigenvalue, field, point, fd_step)
-                    for point in points]]
+        results = [kef_mod.phi_residuals(  # over the stack's columns, a constant broadcast
+            lambda rows: np.broadcast_to(node.evaluate(tuple(rows.T)), rows.shape[:-1]),
+            eigenvalue, field, points, fd_step)]
     timings["evaluate_s"] = time.perf_counter() - clock
 
     clock = time.perf_counter()

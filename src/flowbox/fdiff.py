@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
-__all__ = ["stencil", "fd_gradient", "fd_gradient_rows", "fd_jacobian"]
+__all__ = ["stencil", "fd_gradient", "fd_gradient_rows", "rate", "fd_jacobian"]
 
 
 @functools.lru_cache(maxsize=64)
@@ -37,18 +38,22 @@ def fd_gradient_rows(fn, x, step: float = 1e-5) -> np.ndarray:
     return (f[rows + (0,)] - f[rows + (1,)]) / (2.0 * step)
 
 
-def _per_row(fn):
-    """fn of one point as a function of (R, N) rows, called row by row, so the
-    first failing stencil point raises first."""
-    return lambda pts: np.asarray([fn(p) for p in pts])
+def rate(grad, p):
+    """<grad, p> (..., *V) at every row, for a gradient grad (..., N, *V) as
+    fd_gradient_rows gives it and p (..., N): one matrix product per row,
+    summed like np.dot at one point."""
+    p = np.asarray(p)
+    values = grad.shape[p.ndim:]
+    out = p[..., None, :] @ grad.reshape(p.shape + (math.prod(values),))
+    return out.reshape(p.shape[:-1] + values)[()]
 
 
 def fd_gradient(fn, x, step: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar (possibly complex) function;
-    a vector-valued fn gives shape (N, *V)."""
-    return fd_gradient_rows(_per_row(fn), x, step)
+    """Central-difference gradient of fn of one point, called point by point
+    so the first failing stencil point raises; vector fn gives (N, *V)."""
+    return fd_gradient_rows(lambda pts: np.asarray([fn(p) for p in pts]), x, step)
 
 
 def fd_jacobian(fn, x, step: float = 1e-5) -> np.ndarray:
     """Central-difference Jacobian of a vector function; columns index x."""
-    return np.moveaxis(fd_gradient_rows(_per_row(fn), x, step), 0, -1)
+    return np.moveaxis(fd_gradient(fn, x, step), 0, -1)

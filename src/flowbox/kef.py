@@ -14,10 +14,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .chart import POINT_ERRORS, STATUS_OK, Chart, _flowbox_batch, error_status, flowbox
+from .chart import POINT_ERRORS, STATUS_OK, Chart, _flowbox_batch, _flowbox_rows, error_status
 from .dynsys import VectorField
-from .fdiff import fd_gradient, fd_jacobian, stencil
-from .odeint import DEFAULT_CONFIG, IntegratorConfig, flow
+from .fdiff import fd_gradient_rows, rate, stencil
+from .odeint import DEFAULT_CONFIG, IntegratorConfig, _split_on_error, flow
+from .chart import flowbox  # noqa: F401 (bindings the benchmark tracer patches)
+from .fdiff import fd_gradient, fd_jacobian  # noqa: F401 (likewise)
 
 __all__ = [
     "KoopmanEigenfunction",
@@ -25,7 +27,7 @@ __all__ = [
     "build_kef",
     "kpde_residual",
     "kef_residuals",
-    "residual_status",
+    "phi_residuals",
     "orbit_eigen_check",
     "koopman_advance",
     "minimal_set",
@@ -34,10 +36,10 @@ __all__ = [
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class KoopmanEigenfunction:
-    """phi(x) = profile(h(x)) * exp(eigenvalue * m(x)).
+    """phi(x) = profile(h(x)) * exp(eigenvalue * m(x)) at every row of x.
 
-    profile : callable on the conserved parameters (ignored input for 1-D
-        fields, where h is empty); None means the constant 1
+    profile : callable mapping the conserved parameters of rows, h (..., N-1),
+        to (...) (for 1-D fields h has no columns); None means the constant 1
     """
 
     eigenvalue: complex
@@ -46,13 +48,14 @@ class KoopmanEigenfunction:
     label: str = ""
 
     def __call__(self, x):
-        return self.at(flowbox(self.chart, x))
+        """phi at every row of x (..., N); the first row whose chart fails raises."""
+        return self.at(_flowbox_rows(self.chart, x))
 
     def at(self, z):
-        """phi from the flowbox coordinates z = (h, m) of a point."""
-        h, m = z[:-1], z[-1]
-        amp = 1.0 if self.profile is None else self.profile(h)
-        return amp * np.exp(self.eigenvalue * m)
+        """phi from the flowbox coordinates z = (h, m) of rows, (..., N)."""
+        z = np.asarray(z, dtype=float)
+        amp = 1.0 if self.profile is None else self.profile(z[..., :-1])
+        return amp * np.exp(self.eigenvalue * z[..., -1])
 
 
 def build_kef(
@@ -68,65 +71,72 @@ def build_kef(
 
 def kpde_residual(phi, eigenvalue: complex, field: VectorField, x,
                   fd_step: float = 1e-5):
-    """<grad phi, P>(x) - lambda * phi(x), gradient by central differences."""
+    """<grad phi, P> - lambda * phi at every row of x (..., N), phi mapping row
+    stacks; the gradient by central differences over one call of phi."""
     x = np.asarray(x, dtype=float)
-    lam = complex(eigenvalue)
-    grad = fd_gradient(phi, x, step=fd_step)
-    p = field.eval(x)
-    return complex(np.dot(grad, p) - lam * complex(phi(x)))
+    grad = fd_gradient_rows(phi, x, step=fd_step)
+    return rate(grad, field.eval(x)) - complex(eigenvalue) * phi(x)
 
 
-def _stencil_coords(chart: Chart, points, fd_step: float, stats=None) -> Callable:
-    """flowbox(chart, y) for y among the points and their central-difference
-    stencils, all charted by one batched search (work counters added to
-    `stats` when given): a lookup that raises what flowbox would raise."""
-    unique = {}
-    for x in points:
-        for y in stencil(x, fd_step).reshape(-1, x.size):
-            unique.setdefault(y.tobytes(), y)
-        unique.setdefault(x.tobytes(), x)
-    charted = dict(zip(unique, _flowbox_batch(chart, list(unique.values()), stats)))
-
-    def coords(y):
-        z = charted[y.tobytes()]
-        if isinstance(z, BaseException):
-            raise z
-        return z
-
-    return coords
+def _residual_rows(evaluate, eigenvalues, field, points, fd_step) -> list:
+    """Per function, [(residual or None, status)] at points (..., N); evaluate
+    maps each point's stencil rows, then the point, stacked (P (2N+1), N), to
+    K functions' values and per row the POINT_ERRORS exception raised or None.
+    A point's status is its first error: stencil, field.eval at it, its row."""
+    points = np.asarray(points, dtype=float).reshape(-1, field.dim)
+    P, N = points.shape
+    values, errors = evaluate(np.concatenate(
+        [stencil(points, fd_step).reshape(P, 2 * N, N), points[:, None]], axis=1
+    ).reshape(-1, N))
+    field_errors = [None] * P
+    p = _split_on_error(field.eval, points, POINT_ERRORS, field_errors.__setitem__, (N,))
+    errors = np.reshape(np.array(errors, dtype=object), (P, 2 * N + 1))
+    first = [next((e for e in (*row[:-1], f, row[-1]) if e is not None), None)
+             for row, f in zip(errors, field_errors)]
+    out = []
+    for vals, lam in zip(values, eigenvalues):
+        vals = np.reshape(vals, (P, 2 * N + 1))
+        grad = fd_gradient_rows(lambda _: vals[:, :-1].reshape(-1), points, fd_step)
+        res = rate(grad, p) - complex(lam) * vals[:, -1]
+        out.append([(complex(r), STATUS_OK) if e is None else (None, error_status(e))
+                    for r, e in zip(res, first)])
+    return out
 
 
 def kef_residuals(kefs: Sequence[KoopmanEigenfunction], field: VectorField,
                   points, fd_step: float = 1e-5, stats=None) -> list:
     """kpde_residual of eigenfunctions sharing one chart, at many points.
 
-    Every point and its central-difference stencil are charted by one
-    batched search (work counters added to `stats` when given), and each
-    residual is assembled by kpde_residual from the batch's coordinates, so
-    it equals the per-point value bit for bit.  Returns, per eigenfunction,
-    [(residual or None, status)] in point order; a failed row's status is
-    that of the first failure the per-point call meets: the stencil points
-    in fd_gradient's order, then field.eval(x), then x.
+    Each point's stencil rows and the point are charted by one batched
+    search (work counters added to `stats` when given), and each residual
+    equals the per-point value bit for bit.  Returns, per eigenfunction,
+    [(residual or None, status)] in point order; a failed point's status is
+    that of its first failure: the stencil rows in stencil order, then
+    field.eval at the point, then the point's chart.
     """
     chart = kefs[0].chart
     if any(k.chart is not chart for k in kefs):
         raise ValueError("kef_residuals needs eigenfunctions of one chart")
-    points = [np.asarray(x, dtype=float) for x in points]
-    coords = _stencil_coords(chart, points, fd_step, stats)
-    return [
-        [residual_status(lambda y, member=member: member.at(coords(y)),
-                         member.eigenvalue, field, x, fd_step) for x in points]
-        for member in kefs
-    ]
+
+    def charted(rows):
+        z, errors = _flowbox_batch(chart, rows, stats)
+        return [k.at(z) for k in kefs], errors
+
+    return _residual_rows(charted, [k.eigenvalue for k in kefs], field, points, fd_step)
 
 
-def residual_status(phi, eigenvalue: complex, field: VectorField, x,
-                    fd_step: float = 1e-5):
-    """(kpde_residual, "ok"), or (None, status) of the point's failure."""
-    try:
-        return kpde_residual(phi, eigenvalue, field, x, fd_step=fd_step), STATUS_OK
-    except POINT_ERRORS as err:
-        return None, error_status(err)
+def phi_residuals(phi, eigenvalue: complex, field: VectorField, points,
+                  fd_step: float = 1e-5) -> list:
+    """kpde_residual of phi at many points, as kef_residuals gives it for one
+    eigenfunction.  phi maps row stacks (R, N) to R values and is called over
+    every point's stencil rows and the point at once; a call that raises one
+    of POINT_ERRORS is split in halves until the raising rows stand alone."""
+
+    def evaluated(rows):
+        errors = [None] * len(rows)
+        return [_split_on_error(phi, rows, POINT_ERRORS, errors.__setitem__)], errors
+
+    return _residual_rows(evaluated, [eigenvalue], field, points, fd_step)[0]
 
 
 def orbit_eigen_check(
@@ -189,15 +199,12 @@ class MinimalSet:
         return len(self.members)
 
     def coordinates(self, x) -> np.ndarray:
-        """Recover (h, m) from member values alone: ratios then a log."""
-        z = flowbox(self.chart, x)
-        vals = np.array([float(np.real(f.at(z))) for f in self.members])
-        last = vals[-1]
-        return np.concatenate([vals[:-1] / last, [np.log(last)]])
-
-
-def _member_profile(index: int) -> Callable:
-    return lambda h: float(h[index])
+        """Recover (h, m) at every row of x (..., N) from member values alone:
+        ratios then a log."""
+        z = _flowbox_rows(self.chart, x)
+        vals = np.stack([np.real(f.at(z)) for f in self.members], axis=-1)
+        last = vals[..., -1:]
+        return np.concatenate([vals[..., :-1] / last, np.log(last)], axis=-1)
 
 
 def minimal_set(
@@ -215,31 +222,24 @@ def minimal_set(
     """
     n = chart.dim
     members = tuple(
-        build_kef(chart, 1.0, profile=_member_profile(i), label=f"h{i + 1}*exp(m)")
+        build_kef(chart, 1.0, profile=lambda h, i=i: h[..., i], label=f"h{i + 1}*exp(m)")
         for i in range(n - 1)
     ) + (build_kef(chart, 1.0, profile=None, label="exp(m)"),)
 
-    if audit_points is None:
-        audit_points = []
-    audit_points = [np.asarray(pt, dtype=float) for pt in audit_points]
-    coords = _stencil_coords(chart, audit_points, fd_step)
+    points = np.asarray(() if audit_points is None else audit_points, dtype=float).reshape(-1, n)
 
-    def member_vector(x):
-        z = coords(x)
-        return np.array([complex(f.at(z)) for f in members])
+    def member_rows(rows):
+        z = _flowbox_rows(chart, rows)
+        return np.stack([f.at(z) for f in members], axis=-1)
 
-    audit = []
-    min_rank = n
-    for pt in audit_points:
-        jac = fd_jacobian(member_vector, pt, step=fd_step)
-        sv = np.linalg.svd(np.asarray(jac, dtype=complex), compute_uv=False)
-        rank = int(np.sum(sv >= rank_tol * max(sv[0], 1e-300)))
-        audit.append((pt, sv))
-        min_rank = min(min_rank, rank)
+    jac = np.swapaxes(fd_gradient_rows(member_rows, points, fd_step), -1, -2)
+    sv = np.linalg.svd(jac, compute_uv=False)  # (P, min(n, members))
+    ranks = np.sum(sv >= rank_tol * np.maximum(sv[:, :1], 1e-300), axis=1)
+    min_rank = int(min(ranks, default=n))
     return MinimalSet(
         chart=chart,
         members=members,
         rank=min_rank,
-        rank_audit=tuple(audit),
+        rank_audit=tuple(zip(points, sv)),
         independent=(min_rank == n),
     )

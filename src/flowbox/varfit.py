@@ -66,6 +66,15 @@ def _spacings(box: np.ndarray, shape: Sequence[int]) -> np.ndarray:
     return (box[:, 1] - box[:, 0]) / (np.asarray(shape) - 1)
 
 
+def _check_grid(box: np.ndarray, shape: Sequence[int]) -> None:
+    """Refuse a box (N, 2) without lo < hi on every axis, or a grid with
+    fewer than 3 nodes on an axis."""
+    if np.any(box[:, 1] <= box[:, 0]):
+        raise ValueError("box must have lo < hi on every axis")
+    if any(s < 3 for s in shape):
+        raise ValueError("need at least 3 nodes per axis")
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class GridField:
     """N coordinate functions sampled on a regular grid over a box.
@@ -82,14 +91,11 @@ class GridField:
         n = box.shape[0]
         if box.shape != (n, 2):
             raise ValueError("box must have shape (N, 2)")
-        if np.any(box[:, 1] <= box[:, 0]):
-            raise ValueError("box must have lo < hi on every axis")
         if values.ndim != n + 1 or values.shape[0] != n:
             raise ValueError(
                 f"values must have shape (N, *grid shape), got {values.shape}"
             )
-        if any(s < 3 for s in values.shape[1:]):
-            raise ValueError("need at least 3 nodes per axis")
+        _check_grid(box, values.shape[1:])
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "values", values)
 
@@ -695,6 +701,7 @@ def fit(field: VectorField, box, shape, cfg: Optional[FitConfig] = None) -> FitR
         raise ValueError(f"box must have shape ({field_dim}, 2)")
     if len(shape) != field_dim:
         raise ValueError(f"shape must list {field_dim} axis sizes")
+    _check_grid(box, shape)
 
     if isinstance(cfg.init, GridField):
         if cfg.init.shape != shape or not np.allclose(cfg.init.box, box):

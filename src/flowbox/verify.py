@@ -21,7 +21,7 @@ import numpy as np
 
 from . import chart as chart_mod
 from . import dynsys, kef, refsol
-from .fdiff import fd_gradient_rows
+from .fdiff import fd_gradient_rows, rate
 from .odeint import RunStats, flow_batch
 
 __all__ = ["VERIFY_SUITES", "STREAM_STRIDE", "check_kpde_residuals",
@@ -99,22 +99,13 @@ def _chart_coords(chart, points, system_id, stats, worst):
     return np.array([z for _, z, _ in rows]), None
 
 
-def _rate(fn, xs, p):
-    """<grad fn, P> at the rows xs (R, N), p = P(xs): shape (R, *V) for fn
-    values of shape V, from one fd_gradient_rows call and one matrix
-    product per row."""
-    grad = fd_gradient_rows(fn, xs)
-    return (p[:, None, :] @ grad.reshape(p.shape + (-1,))).reshape(
-        grad.shape[:1] + grad.shape[2:])
-
-
-def _kpde_defects(ref, xs, p):
+def _kpde_defects(ref, xs, rate_of):
     """[(label, |<grad phi, P> - lambda phi| per row)] of each eigenfunction."""
-    return [(eig.label, np.abs(_rate(eig.fn, xs, p) - eig.eigenvalue * eig.fn(xs)))
+    return [(eig.label, np.abs(rate_of(eig.fn) - eig.eigenvalue * eig.fn(xs)))
             for eig in ref.eigenfunctions]
 
 
-def _real_form_defects(ref, xs, p):
+def _real_form_defects(ref, xs, rate_of):
     """[(label, residual per row)] of the real form of each eigenfunction:
     with phi = u + iv at eigenvalue a + ib, u must advance along the field
     as a u - b v and v as b u + a v.  The real and imaginary parts of a
@@ -122,33 +113,35 @@ def _real_form_defects(ref, xs, p):
     out = []
     for eig in ref.eigenfunctions:
         a, b = eig.eigenvalue.real, eig.eigenvalue.imag
-        phi, rate = eig.fn(xs), _rate(eig.fn, xs, p)
-        du = np.abs(rate.real - (a * phi.real - b * phi.imag))
-        dv = np.abs(rate.imag - (b * phi.real + a * phi.imag))
+        phi, dphi = eig.fn(xs), rate_of(eig.fn)
+        du = np.abs(dphi.real - (a * phi.real - b * phi.imag))
+        dv = np.abs(dphi.imag - (b * phi.real + a * phi.imag))
         out.append((eig.label, np.maximum(du, dv)))
     return out
 
 
-def _unit_rate_defects(ref, xs, p):
+def _unit_rate_defects(ref, xs, rate_of):
     """[(label, |rate - 1| per row)] of the unit-time measurement and of the
     unit coordinates of `ref` (their worst); empty when it documents neither."""
     out = []
     if ref.unit_time is not None:
-        out.append(("unit_time", np.abs(_rate(ref.unit_time, xs, p) - 1.0)))
+        out.append(("unit_time", np.abs(rate_of(ref.unit_time) - 1.0)))
     if ref.unit_coords is not None:
-        rates = _rate(ref.unit_coords, xs, p)
+        rates = rate_of(ref.unit_coords)
         out.append(("unit_coords", np.max(np.abs(rates - 1.0), axis=-1)))
     return out
 
 
 def _sampled_check(defects, system_ids, seed, what):
-    """The worst of defects(ref, xs, P(xs)) over SAMPLE_POINTS valid points
-    xs per system, the idx-th system drawing from stream seed + idx."""
+    """The worst of defects(ref, xs, rate_of) over SAMPLE_POINTS valid points
+    xs per system, the idx-th system drawing from stream seed + idx;
+    rate_of(fn) is <grad fn, P> at xs from one fd_gradient_rows call."""
     worst = _Worst()
     for idx, system_id in enumerate(system_ids):
         ref = refsol.reference(system_id)
         xs = ref.sample_valid(_rng(seed + idx), SAMPLE_POINTS)
-        columns = defects(ref, xs, ref.field.eval(xs))
+        p = ref.field.eval(xs)
+        columns = defects(ref, xs, lambda fn: rate(fd_gradient_rows(fn, xs), p))
         for k, x in enumerate(xs):
             for label, values in columns:
                 worst.see(values[k], f"{system_id}:{label}", x)
@@ -270,15 +263,15 @@ def check_appendix_counterexample(seed=0):
         cand.fn, cand.eigenvalue, ref.field, cand.orbit_seed, 1.0
     )
     worst.see(dev, "appendix:orbit", cand.orbit_seed)
-    one_one = np.array([1.0, 1.0])
-    res_11 = kef.kpde_residual(cand.fn, cand.eigenvalue, ref.field, one_one)
-    worst.see(abs(res_11 - (-2.0)), "appendix:residual(1,1)", one_one)
-    for x in ref.sample_valid(_rng(seed), COUNTEREXAMPLE_POINTS):
-        res = kef.kpde_residual(cand.fn, cand.eigenvalue, ref.field, x)
-        worst.see(abs(res - cand.residual(x)), f"appendix:{cand.label}", x)
+    xs = np.vstack([[1.0, 1.0], ref.sample_valid(_rng(seed), COUNTEREXAMPLE_POINTS)])
+    res = (rate(fd_gradient_rows(cand.fn, xs), ref.field.eval(xs))
+           - complex(cand.eigenvalue) * cand.fn(xs))
+    worst.see(abs(res[0] - (-2.0)), "appendix:residual(1,1)", xs[0])
+    for x, defect in zip(xs[1:], np.abs(res[1:] - cand.residual(xs[1:]))):
+        worst.see(defect, f"appendix:{cand.label}", x)
     return worst.result(
         worst.value <= CHART_TOL,
-        f"orbit deviation {dev:.3g}, residual at (1,1) = {res_11.real:.6g},"
+        f"orbit deviation {dev:.3g}, residual at (1,1) = {res[0].real:.6g},"
         f" worst defect {worst.value:.3g} ({worst.at})",
     )
 

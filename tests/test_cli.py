@@ -324,6 +324,39 @@ def test_kef_check_usage_error_writes_nothing(argv, message, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _residual_rows(out):
+    lines = (out / "kef_residuals.csv").read_text().splitlines()
+    return [line.split(",") for line in lines[1:]]
+
+
+def test_kef_check_phi_fails_only_the_rows_whose_stencil_leaves_the_domain(tmp_path):
+    # ln(x1) raises on the whole stack; the rows with x1 <= 0 stand alone
+    code = main(["kef-check", "--system", "linear-ar", "--phi", "ln(x1)*x2",
+                 "--lambda", "1", "--grid=-0.5x1x4,0.5x2x2", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    rows = _residual_rows(tmp_path)
+    assert [(r[0], r[5]) for r in rows[:4]] == [
+        ("-0.5", "domain-error"), ("-0.5", "domain-error"),
+        ("0", "domain-error"), ("0", "domain-error")]
+    assert all(r[3:5] == ["nan", "nan"] for r in rows[:4])
+    assert [r[3:] for r in rows[4:]] == [
+        ["0.80685281963978961", "0", "ok"], ["-14.371890650560132", "0", "ok"],
+        ["2.1250000000729581", "0", "ok"], ["1.0000000000343332", "0", "ok"]]
+
+
+def test_kef_check_phi_fails_the_rows_where_the_field_raises(tmp_path):
+    spec = tmp_path / "inverse.json"
+    spec.write_text(json.dumps({"name": "inverse", "dim": 2,
+                                "components": ["1/x1", "x2"]}))
+    code = main(["kef-check", "--system-file", str(spec), "--phi", "x2",
+                 "--lambda", "1", "--grid=-1x1x3,0.5x2x2", "--out", str(tmp_path / "out")])
+    assert code == EXIT_OK
+    rows = _residual_rows(tmp_path / "out")
+    # x2 and its stencil evaluate everywhere: the field at x = (0, .) raises
+    assert [r[5] for r in rows] == ["ok", "ok", "domain-error", "domain-error", "ok", "ok"]
+    assert [r[0] for r in rows if r[5] != "ok"] == ["0", "0"]
+
+
 PHI_ARGV = ["kef-check", "--system", "hyperbolic-b", "--phi", "x1*x2", "--lambda", "0",
             "--grid", "0.9x1.1x2,0.2x0.3x2"]
 
@@ -415,6 +448,20 @@ def test_varfit_numeric_failure_exit_code(tmp_path, capsys):
     ])
     assert code == EXIT_NUMERIC
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")  # refused before any arithmetic
+@pytest.mark.parametrize("grid, message", [
+    ("6x4x33,1x3x33", "box must have lo < hi on every axis"),
+    ("1x1x9,1x3x9", "box must have lo < hi on every axis"),
+    ("4x6x2,1x3x2", "need at least 3 nodes per axis"),
+])
+def test_varfit_refuses_a_bad_grid_before_fitting(grid, message, tmp_path, capsys):
+    code = main(["varfit", "--system", "linear-ar", "--grid", grid,
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert f"flowbox: error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_varfit_runs_are_byte_identical(tmp_path):

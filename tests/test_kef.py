@@ -12,7 +12,7 @@ from flowbox.chart import (
     flowbox,
     surface_from_json,
 )
-from flowbox.fdiff import fd_jacobian
+from flowbox.fdiff import fd_gradient, fd_jacobian
 from flowbox.kef import (
     build_kef,
     kef_residuals,
@@ -37,7 +37,7 @@ def src_chart(tight_cfg):
 # h = x1 x2 / 4, so profile(h) = 4 h at eigenvalue n rebuilds x1^(1-n) x2.
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_chart_eigenfunction_matches_closed_form(hyp_chart, n):
-    phi = build_kef(hyp_chart, n, profile=lambda h: 4.0 * h[0])
+    phi = build_kef(hyp_chart, n, profile=lambda h: 4.0 * h[..., 0])
     for x in [(1.3, 0.8), (0.9, 1.4), (1.8, 0.4)]:
         want = x[0] ** (1 - n) * x[1]
         assert complex(phi(np.array(x))) == pytest.approx(want, rel=1e-7)
@@ -54,7 +54,7 @@ def test_trivial_profile_gives_exp_m(hyp_chart):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_kpde_residual_small_on_eigenfunctions(hyp_chart, n):
     field = dynsys.builtin("hyperbolic-b")
-    phi = build_kef(hyp_chart, n, profile=lambda h: 4.0 * h[0])
+    phi = build_kef(hyp_chart, n, profile=lambda h: 4.0 * h[..., 0])
     for x in [(1.3, 0.8), (0.9, 1.4)]:
         res = kpde_residual(phi, n, field, np.array(x))
         assert abs(res) < 1e-5
@@ -62,7 +62,7 @@ def test_kpde_residual_small_on_eigenfunctions(hyp_chart, n):
 
 def test_kpde_residual_detects_wrong_eigenvalue(hyp_chart):
     field = dynsys.builtin("hyperbolic-b")
-    phi = build_kef(hyp_chart, 2.0, profile=lambda h: 4.0 * h[0])
+    phi = build_kef(hyp_chart, 2.0, profile=lambda h: 4.0 * h[..., 0])
     x = np.array([1.3, 0.8])
     res = kpde_residual(phi, 2.5, field, x)
     # residual picks up the mismatch term 0.5 * phi(x)
@@ -71,14 +71,14 @@ def test_kpde_residual_detects_wrong_eigenvalue(hyp_chart):
 
 def test_kpde_residual_complex_eigenvalue():
     field = dynsys.builtin("linear-ai")
-    phi = lambda x: x[0] + 1j * x[1]
+    phi = lambda x: x[..., 0] + 1j * x[..., 1]
     for x in [(1.0, 0.5), (-0.3, 1.2)]:
         assert abs(kpde_residual(phi, -1j, field, np.array(x))) < 1e-8
 
 
 def test_orbit_eigen_check_on_and_off(hyp_chart, tight_cfg):
     field = dynsys.builtin("hyperbolic-b")
-    phi = build_kef(hyp_chart, 2.0, profile=lambda h: 4.0 * h[0])
+    phi = build_kef(hyp_chart, 2.0, profile=lambda h: 4.0 * h[..., 0])
     dev = orbit_eigen_check(phi, 2.0, field, (1.3, 0.8), 0.5, cfg=tight_cfg)
     assert dev < 1e-6
     # wrong eigenvalue leaves a factor e^{0.25} at the far end
@@ -105,7 +105,7 @@ def test_orbit_eigen_check_edge_cases(tight_cfg):
 
 def test_koopman_advance_eigen_relation(hyp_chart, tight_cfg):
     field = dynsys.builtin("hyperbolic-b")
-    phi = build_kef(hyp_chart, 2.0, profile=lambda h: 4.0 * h[0])
+    phi = build_kef(hyp_chart, 2.0, profile=lambda h: 4.0 * h[..., 0])
     x = np.array([1.2, 0.9])
     tau = 0.3
     got = koopman_advance(phi, field, x, tau, cfg=tight_cfg)
@@ -198,14 +198,20 @@ def test_kef_residuals_equal_per_point_residuals():
                        indexing="ij")
     points = np.stack([a.ravel() for a in axes], axis=-1)
 
+    def residual(member, x, fd_step):
+        # the eigenvalue-PDE residual point by point: every stencil point and
+        # x charted alone, the first failure raising
+        grad = fd_gradient(lambda y: complex(member(y)), x, step=fd_step)
+        p = field.eval(x)
+        return complex(np.dot(grad, p) - member.eigenvalue * complex(member(x)))
+
     def statuses(points, fd_step):
         batched = kef_residuals(members, field, points, fd_step)
         seen = []
         for member, rows in zip(members, batched):
             for x, (res, status) in zip(points, rows):
                 try:
-                    expected = kpde_residual(member, member.eigenvalue, field, x,
-                                             fd_step=fd_step)
+                    expected = residual(member, np.asarray(x, dtype=float), fd_step)
                 except POINT_ERRORS as err:
                     assert (res, status) == (None, error_status(err))
                 else:
@@ -222,3 +228,15 @@ def test_kef_residuals_equal_per_point_residuals():
     # itself is not in omega
     assert statuses([[0.05, 0.02], [-0.02, -0.02]], 0.1) == 2 * [
         "not-in-omega", "off-patch"]
+
+
+def test_stacked_residuals_and_members_equal_their_row_by_row_calls(hyp_chart):
+    field = dynsys.builtin("hyperbolic-b")
+    phi = build_kef(hyp_chart, 2.0, profile=lambda h: 4.0 * h[..., 0])
+    X = np.stack(np.meshgrid(np.linspace(0.8, 1.6, 3), np.linspace(0.3, 1.2, 4),
+                             indexing="ij"), axis=-1)  # (3, 4, 2)
+    values, residuals = phi(X), kpde_residual(phi, 2.0, field, X)
+    assert values.shape == residuals.shape == (3, 4)
+    for lead in np.ndindex(3, 4):
+        assert values[lead] == phi(X[lead])
+        assert residuals[lead] == kpde_residual(phi, 2.0, field, X[lead])
