@@ -51,6 +51,7 @@ __all__ = [
     "halton",
     "check_transversal",
     "check_nonrecurrent",
+    "check_nonrecurrent_batch",
     "build_chart",
     "evaluate_m",
     "evaluate_h",
@@ -173,7 +174,10 @@ def _projection_inverse(surface: Surface, n_per_axis: int = 32, tol: float = 1e-
 
     Rows iterate together; a row stops once its step is below tol.  Each
     step is the minimum-norm least-squares solution, with lstsq's default
-    cutoff for small singular values.
+    cutoff for small singular values.  A call raises OffPatch when a row is
+    still moving after max_iter steps, and DegenerateSurfaceError when dX/dtau
+    at a row's solution has a singular value at or below that cutoff, so
+    its parameters are not determined.
     """
     N, d = surface.dim, surface.dim - 1
     if d == 0:
@@ -204,6 +208,13 @@ def _projection_inverse(surface: Surface, n_per_axis: int = 32, tol: float = 1e-
             tau[rows] = t + delta
             # a NaN step is not below tol: such a row runs to max_iter
             rows = rows[~(np.linalg.norm(delta, axis=1) < tol)]
+        if rows.size:
+            raise OffPatch(
+                f"{surface.name}: the projection of x={X[rows[0]].tolist()} onto the"
+                f" patch still moves after {max_iter} Gauss-Newton steps"
+            )
+        s = np.linalg.svd(_param_jacobian(surface, tau), compute_uv=False)
+        _first_degenerate(surface, tau, s[:, -1] <= rcond * s[:, 0])
         return tau.reshape(x.shape[:-1] + (d,))
 
     return inverse
@@ -409,7 +420,11 @@ def check_transversal(surface: Surface, field: VectorField, n_samples: int = 64)
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class NonRecurrenceReport:
-    """Outcome of the orbit-seeded recurrence audit."""
+    """Outcome of the orbit-seeded recurrence audit.
+
+    `stats` is the RunStats of the batched search that seeded the report's
+    orbits; the reports of one check_nonrecurrent_batch call share it.
+    """
 
     tested_points: int
     violations: tuple            # (seed point, crossing times) with > 1 crossing
@@ -431,40 +446,63 @@ def check_nonrecurrent(
     Any orbit crossing more than once (the seed itself counts as one crossing)
     makes the surface recurrent.  An orbit whose search fails with one of
     POINT_ERRORS is recorded with its message and fails the verdict, since
-    its crossings are unknown; other errors propagate.  All seeded orbits are
-    searched as one batch.
+    its crossings are unknown; other errors propagate.  The one-surface case
+    of check_nonrecurrent_batch.
     """
+    (report,) = check_nonrecurrent_batch([surface], field, n_orbits, horizon, cfg)
+    return report
+
+
+def check_nonrecurrent_batch(
+    surfaces: Sequence[Surface],
+    field: VectorField,
+    n_orbits: int = 16,
+    horizon: Optional[float] = None,
+    cfg: Optional[IntegratorConfig] = None,
+) -> list:
+    """check_nonrecurrent for several surfaces under one field and horizon:
+    their reports, in order, with the orbits seeded on every surface
+    searched as one batch."""
     cfg = cfg or DEFAULT_CONFIG
     horizon = cfg.horizon if horizon is None else float(horizon)
-    trans = check_transversal(surface, field, max(n_orbits, 16))
-    trans_failures = tuple(
-        (tau, ip) for tau, ip in trans if abs(ip) < TRANSVERSALITY_TOL
-    )
-    violations = []
-    failures = []
-    taus = halton(surface.dim - 1, n_orbits if surface.dim > 1 else 1)
-    seeds = np.asarray(surface.param(taus), dtype=float)
+    trans_failures = [
+        tuple((tau, ip) for tau, ip in check_transversal(surface, field, max(n_orbits, 16))
+              if abs(ip) < TRANSVERSALITY_TOL)
+        for surface in surfaces
+    ]
+    seeds = [
+        np.asarray(surface.param(halton(surface.dim - 1, n_orbits if surface.dim > 1 else 1)),
+                   dtype=float)
+        for surface in surfaces
+    ]
+    owners = [surface for surface, x in zip(surfaces, seeds) for _ in x]
     results, stats = find_crossings_batch(
-        field, seeds, surface, horizon=horizon, cfg=cfg
+        field, np.concatenate(seeds), owners, horizon=horizon, cfg=cfg
     )
-    for x0, events in zip(seeds, results):
-        if isinstance(events, POINT_ERRORS):
-            failures.append((x0, str(events)))
-            continue
-        if isinstance(events, BaseException):
-            raise events
-        crossing_times = [e.t for e in events if e.direction != 0 and e.on_patch]
-        if len(crossing_times) > 1:
-            violations.append((x0, tuple(crossing_times)))
-    verdict = "fail" if (violations or trans_failures or failures) else "pass"
-    return NonRecurrenceReport(
-        tested_points=len(taus),
-        violations=tuple(violations),
-        transversality_failures=trans_failures,
-        integration_failures=tuple(failures),
-        verdict=verdict,
-        stats=stats,
-    )
+    reports = []
+    start = 0
+    for x, trans in zip(seeds, trans_failures):
+        violations = []
+        failures = []
+        for x0, events in zip(x, results[start:start + len(x)]):
+            if isinstance(events, POINT_ERRORS):
+                failures.append((x0, str(events)))
+                continue
+            if isinstance(events, BaseException):
+                raise events
+            crossing_times = [e.t for e in events if e.direction != 0 and e.on_patch]
+            if len(crossing_times) > 1:
+                violations.append((x0, tuple(crossing_times)))
+        start += len(x)
+        reports.append(NonRecurrenceReport(
+            tested_points=len(x),
+            violations=tuple(violations),
+            transversality_failures=trans,
+            integration_failures=tuple(failures),
+            verdict="fail" if (violations or trans or failures) else "pass",
+            stats=stats,
+        ))
+    return reports
 
 
 # ---------------------------------------------------------------------------

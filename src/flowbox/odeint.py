@@ -11,9 +11,10 @@ A field error (ArithmeticError) fails only the lanes whose own rows raise it.
 Surfaces follow the same row contract (see ``chart.Surface``): the crossing
 search makes one ``level`` call per batched step and per root iteration, and
 builds every event of a search from one ``param_inverse`` call, one level
-call over the central-difference stencils and one field call.  A surface
-call that raises is split like a field call, so a point whose own rows raise
-fails alone.
+call over the central-difference stencils and one field call.  With one
+surface per point, each of these is one call per distinct surface.  A
+surface call that raises is split like a field call, so a point whose own
+rows raise fails alone.
 
 Crossings of a surface's level function are found by scanning each accepted
 step for a sign change of the level.  The root is then located on the step's
@@ -21,7 +22,10 @@ continuous extension (Shampine's 4th-order interpolant for Dormand-Prince,
 the coefficients scipy's ``RK45`` uses), by Illinois regula falsi on the
 step fraction ``theta`` in [0, 1].  Refinement therefore costs no field
 evaluations, and a root that cannot be brought onto the surface is an
-``IntegrationError``, never a silently accepted best effort.
+``IntegrationError``, never a silently accepted best effort.  Each step's
+interpolant is self-contained, so the sign changes are kept during the sweep
+and all refined together after it (Hairer, Norsett & Wanner, Solving ODEs I,
+section II.6).
 ``find_crossings`` is the one-point case of ``find_crossings_batch``.
 """
 from __future__ import annotations
@@ -122,8 +126,10 @@ class RunStats:
     rhs_calls : VectorField.eval_grid calls, including those that split a
         call which raised ArithmeticError down to its raising rows
     rhs_evals : lane field evaluations, each running lane once per stage
-    level_calls : surface level calls, including those that split a call
-        which raised down to its raising rows
+    level_calls : surface level calls, one per surface group (the points
+        sharing a surface) per batched step and per root iteration of the
+        whole search, plus the start and event-stencil calls and those that
+        split a call which raised down to its raising rows
     level_evals : level values asked for, each row once
     crossings_refined : sign changes located on the interpolant
     root_iterations : root-find iterations, summed over crossings
@@ -270,20 +276,46 @@ def _split_on_error(fn, xs, catch, fail, row_shape=(), first=0):
     ])
 
 
-def _levels(surface, xs, fail, stats: RunStats) -> np.ndarray:
-    """surface.level over the rows of xs (R, N); a row whose level raises
-    any exception is reported to fail(i, err) and reads NaN."""
+def _surface_groups(surface, count: int) -> tuple:
+    """(surfaces, group): the distinct surfaces of a crossing search in order
+    of first appearance, and per point the index of its own.  `surface` is
+    one surface for all `count` points or a sequence of one per point."""
+    given = [surface] * count if hasattr(surface, "level") else list(surface)
+    if len(given) != count:
+        raise ValueError(f"got {len(given)} surfaces for {count} points")
+    first = {}
+    group = np.array([first.setdefault(id(s), len(first)) for s in given], dtype=int)
+    return list({id(s): s for s in given}.values()), group
 
-    def call(rows):
+
+def _per_surface(fn, surfaces, group, xs, fail, row_shape=()) -> np.ndarray:
+    """fn(surface, rows) over the rows of xs (R, N), row r under
+    surfaces[group[r]]: one call per surface present, in order of first
+    appearance, split by _split_on_error, so a row that raises any exception
+    is reported to fail(r, err) and reads NaN."""
+    out = np.empty((len(xs),) + row_shape)
+    for g, surface in enumerate(surfaces):
+        rows = np.flatnonzero(group == g)  # no call when empty
+        out[rows] = _split_on_error(
+            lambda pts, s=surface: fn(s, pts), xs[rows], Exception,
+            lambda i, err, rows=rows: fail(rows[i], err), row_shape,
+        )
+    return out
+
+
+def _levels(surfaces, group, xs, fail, stats: RunStats) -> np.ndarray:
+    """The level of every row of xs (R, N) under its surface (_per_surface)."""
+
+    def level(surface, rows):
         stats.level_calls += 1
         return np.asarray(surface.level(rows), dtype=float).reshape(len(rows))
 
     stats.level_evals += len(xs)
-    return _split_on_error(call, xs, Exception, fail)
+    return _per_surface(level, surfaces, group, xs, fail)
 
 
 def _integrate(field: VectorField, x0, sign, T: float, cfg: IntegratorConfig,
-               stats: RunStats, on_accept=None, partner=None):
+               stats: RunStats, on_accept=None, on_raise=None):
     """Integrate dx/dt = sign * P(x) over [0, T] on every lane of x0 (L, N).
 
     `sign` holds +1 or -1 per lane.  After each batched step,
@@ -293,8 +325,8 @@ def _integrate(field: VectorField, x0, sign, T: float, cfg: IntegratorConfig,
     None.  A lane stops when it reaches T, leaves the domain box (the state
     outside the box is its last accepted sample), fails (its field rows
     raise, or its steps run out or underflow), or is stopped by on_accept.
-    `partner` optionally names per lane another lane (or -1): when a lane's
-    field rows raise, its partner is stopped at the end of that pass.
+    ``on_raise(lanes)`` optionally sees, at the end of a pass, the lanes
+    whose field rows raised in it and returns lane indices to stop as well.
     Finished lanes are dropped from the compact state of the running lanes.
 
     Returns (outcome, errors): per lane one of _DONE/_EXIT/_FAILED (a stopped
@@ -319,7 +351,7 @@ def _integrate(field: VectorField, x0, sign, T: float, cfg: IntegratorConfig,
         return field.eval_grid(list(xs.T)).T
 
     def field_failed(row, err):
-        if partner is not None:
+        if on_raise is not None:
             raised.append(ids[row])
         fail([row], lambda _: err)
 
@@ -419,7 +451,7 @@ def _integrate(field: VectorField, x0, sign, T: float, cfg: IntegratorConfig,
         if broken is not None:
             keep = ~broken if keep is None else keep & ~broken
         if raised:
-            stopped = np.isin(ids, partner[raised])
+            stopped = np.isin(ids, on_raise(np.array(raised)))
             raised.clear()
             if stopped.any():
                 outcome[ids[stopped]] = _FAILED
@@ -508,10 +540,11 @@ def trace_orbit(field: VectorField, x0, t_span, cfg: Optional[IntegratorConfig] 
 # Crossing detection
 
 
-def _events(field, surface, t, x, level, stats: RunStats) -> list:
-    """The CrossingEvent at each row of x (E, N), or the exception its
-    event raises, from one param_inverse call, one level call over the
-    central-difference stencils of the rows and one field call.
+def _events(field, surfaces, group, t, x, level, stats: RunStats) -> list:
+    """The CrossingEvent at each row of x (E, N), row e on the surface
+    surfaces[group[e]], or the exception its event raises, from one
+    param_inverse call and one level call over the central-difference
+    stencils of the rows per surface, and one field call.
 
     A row's exception is the first of its param_inverse error, its first
     failing stencil point's level error (axis by axis, + before -) and its
@@ -526,16 +559,19 @@ def _events(field, surface, t, x, level, stats: RunStats) -> list:
                 errors[event_of[i]] = err
         return fail
 
-    def params_of(xs):
+    def params_of(surface, xs):
         return np.asarray(surface.param_inverse(xs), dtype=float).reshape(len(xs), N - 1)
 
     own = fail_at(np.arange(E))
-    params = _split_on_error(params_of, x, Exception, own, (N - 1,))
+    params = _per_surface(params_of, surfaces, group, x, own, (N - 1,))
     on_patch = np.all((params > 0.0) & (params < 1.0), axis=1)
 
-    at_stencil = fail_at(np.repeat(np.arange(E), 2 * N))  # 2N stencil points per row
-    grad = fd_gradient_rows(lambda pts: _levels(surface, pts, at_stencil, stats),
-                            x, DIRECTION_STEP)
+    event_of = np.repeat(np.arange(E), 2 * N)  # 2N stencil points per row
+    at_stencil = fail_at(event_of)
+    grad = fd_gradient_rows(
+        lambda pts: _levels(surfaces, group[event_of], pts, at_stencil, stats),
+        x, DIRECTION_STEP,
+    )
     p = _split_on_error(lambda xs: field.eval_grid(list(xs.T)).T, x, Exception, own, (N,))
     ip = np.sum(grad * p, axis=1)
     direction = np.where(ip > 0.0, 1, np.where(ip < 0.0, -1, 0))
@@ -565,37 +601,53 @@ def _interpolate(x_old, h, stages, theta):
 class _CrossingScan:
     """Per-lane sign-change and zero-hit scan of accepted samples.
 
-    Lane i is point i % P swept forward (i < P) or backward (i >= P).  It
-    mirrors a scan over the full list of samples: a leading on-surface
-    stretch (|level| <= ON_SURFACE_TOL) is skipped, and sample pairs from
-    the first off-surface sample on are searched for sign changes.  A lane
-    is armed once it has seen an off-surface sample; a pair is searched only
-    if its lane was armed before the pair's newer sample.
+    Lane i is point i % P swept forward (i < P) or backward (i >= P), on the
+    surface surfaces[group[i]].  It mirrors a scan over the full list of
+    samples: a leading on-surface stretch (|level| <= ON_SURFACE_TOL) is
+    skipped, and sample pairs from the first off-surface sample on are
+    searched for sign changes.  A lane is armed once it has seen an
+    off-surface sample; a pair is searched only if its lane was armed before
+    the pair's newer sample.
+
+    A sign change is kept as a bracket (its step's start, end, size and
+    seven stages, and both levels) and located later by refine(), all
+    pending brackets together: a root depends on its own step alone.  The
+    first bracket of a lane whose root fails ends the lane there (ended()).
     """
 
-    def __init__(self, field, surface, l0, sign, stats):
+    def __init__(self, field, surfaces, group, l0, sign, partner, stats):
         L = len(l0)
         self.field = field
-        self.surface = surface
+        self.surfaces = surfaces
+        self.group = group
         self.sign = sign
+        self.partner = partner
         self.stats = stats
         self.last = np.array(l0, dtype=float)   # level at the newest sample
         self.armed = np.abs(self.last) > ON_SURFACE_TOL
-        self.crossings = [[] for _ in range(L)]  # (t, x, level) in sample order
-        self.errors = [None] * L
+        self.records = [[] for _ in range(L)]   # per lane, indices into found in sample order
+        self.found = []     # per record (t, x, level), the exception of a failed bracket, or None
+        self.pending = []   # column tuples of unrefined brackets, see _refine
+        self.errors = [None] * L  # level errors of the scan itself
         self.failed = np.zeros(L, dtype=bool)
 
-    def _fail(self, lane, err):
-        self.errors[lane] = err
-        self.failed[lane] = True
+    def _levels(self, lanes, xs, fail):
+        return _levels(self.surfaces, self.group[lanes], xs, fail, self.stats)
 
-    def _levels(self, lanes, xs):
-        # a lane whose level raises fails alone, not the batch
-        return _levels(self.surface, xs, lambda r, err: self._fail(lanes[r], err),
-                       self.stats)
+    def _record(self, lanes, found):
+        """One record per lane, each found[i] = found; their indices i."""
+        start = len(self.found)
+        for lane in lanes:
+            self.records[lane].append(len(self.found))
+            self.found.append(found)
+        return np.arange(start, len(self.found))
 
     def __call__(self, lanes, t_old, x_old, t_new, x_new, h, stages):
-        lnew = self._levels(lanes, x_new)
+        def fail(r, err):  # a lane whose level raises fails alone, not the batch
+            self.errors[lanes[r]] = err
+            self.failed[lanes[r]] = True
+
+        lnew = self._levels(lanes, x_new, fail)
         lp = self.last[lanes]
         self.last[lanes] = lnew
         armed = self.armed[lanes]
@@ -606,30 +658,67 @@ class _CrossingScan:
             scan = armed & ~self.failed[lanes]
             hit = scan & (lnew == 0.0)
             change = scan & ~hit & (lp != 0.0) & ((lp > 0.0) != (lnew > 0.0))
-            sign = self.sign[lanes]
             for r in np.flatnonzero(hit):
-                hit_at = (sign[r] * t_new[r], x_new[r].copy(), 0.0)
-                self.crossings[lanes[r]].append(hit_at)
+                self._record([lanes[r]], (self.sign[lanes[r]] * t_new[r], x_new[r].copy(), 0.0))
             rows = np.flatnonzero(change)
             if rows.size:
-                self._refine(
-                    lanes[rows], t_old[rows], x_old[rows], x_new[rows], h[rows],
-                    stages(rows), lp[rows], lnew[rows], sign[rows],
-                )
+                self.pending.append((
+                    self._record(lanes[rows], None), lanes[rows], t_old[rows],
+                    x_old[rows], x_new[rows], h[rows], np.stack(stages(rows), axis=1),
+                    lp[rows], lnew[rows],
+                ))
         failed = self.failed[lanes]
         return lanes[failed] if failed.any() else None
 
-    def _refine(self, lanes, t_old, x_old, x_new, h, stages, l_a, l_b, sign):
+    def refine(self, lanes=None):
+        """Locate every pending bracket, or those of the given lanes, in one
+        root-find pass."""
+        if not self.pending:
+            return
+        cols = [np.concatenate(c) for c in zip(*self.pending)]
+        self.pending = []
+        if lanes is not None:
+            mine = np.isin(cols[1], lanes)
+            if not mine.all():
+                self.pending = [tuple(c[~mine] for c in cols)]
+            cols = [c[mine] for c in cols]
+        if len(cols[0]):
+            self._refine(*cols)
+
+    def stop_partners(self, lanes):
+        """on_raise of _integrate: the partners of the lanes whose field rows
+        raised, unless the lane ended earlier at a failed bracket, as it
+        would have stopped there."""
+        lanes = lanes[self.partner[lanes] >= 0]
+        self.refine(lanes)
+        return self.partner[[lane for lane in lanes if self.ended(lane)[1] is None]]
+
+    def ended(self, lane):
+        """(crossings, failure) of a refined lane: its (t, x, level) in sample
+        order up to its first failed bracket, and that bracket's exception
+        (None when every bracket was located)."""
+        crossings = []
+        for i in self.records[lane]:
+            if isinstance(self.found[i], BaseException):
+                return crossings, self.found[i]
+            crossings.append(self.found[i])
+        return crossings, None
+
+    def _refine(self, ids, lanes, t_old, x_old, x_new, h, stages, l_a, l_b):
         """Illinois regula falsi on theta in [0, 1] over the interpolant.
 
-        Stops per crossing at |level| <= CROSSING_LEVEL_TOL or when the
-        bracket collapses to 1e-13 in time; a secant point that is not
-        strictly inside the bracket is replaced by its midpoint.  The smallest
-        |level| seen (the step ends included) is the crossing; if it is still
-        above ON_SURFACE_TOL the lane fails with an IntegrationError.
+        Row r is the bracket found[ids[r]] of lane lanes[r], with stages
+        (m, 7, N).  Stops per crossing at |level| <= CROSSING_LEVEL_TOL or
+        when the bracket collapses to 1e-13 in time; a secant point that is
+        not strictly inside the bracket is replaced by its midpoint.  The
+        smallest |level| seen (the step ends included) is the crossing; if
+        it is still above ON_SURFACE_TOL the bracket fails with an
+        IntegrationError, and a level that raises fails it with that error.
         """
         self.stats.crossings_refined += len(lanes)
         m = len(lanes)
+        errors = [None] * m
+        raised = np.zeros(m, dtype=bool)
         lo, hi = np.zeros(m), np.ones(m)
         f_lo = l_a.copy()                     # true level at the low end
         g_lo, g_hi = l_a.copy(), l_b.copy()   # Illinois-scaled secant weights
@@ -651,8 +740,12 @@ class _CrossingScan:
             bisect = ~((theta > a) & (theta < b))
             theta = np.where(bisect, 0.5 * (a + b), theta)
 
-            xs = _interpolate(x_old[rows], h[rows], [k[rows] for k in stages], theta)
-            ls = self._levels(lanes[rows], xs)
+            xs = _interpolate(x_old[rows], h[rows], stages[rows].transpose(1, 0, 2), theta)
+
+            def fail(i, err, rows=rows):
+                errors[rows[i]], raised[rows[i]] = err, True
+
+            ls = self._levels(lanes[rows], xs, fail)
 
             better = np.abs(ls) < np.abs(best_l[rows])
             best_theta[rows[better]] = theta[better]
@@ -671,22 +764,21 @@ class _CrossingScan:
             done = (
                 (np.abs(ls) <= CROSSING_LEVEL_TOL)
                 | (hi[rows] - lo[rows] <= collapse[rows])
-                | self.failed[lanes[rows]]
+                | raised[rows]
             )
             active[rows[done]] = False
 
-        for r, lane in enumerate(lanes):
-            if self.failed[lane]:
-                continue
+        sign = self.sign[lanes]
+        for r in range(m):
             t_c = sign[r] * (t_old[r] + best_theta[r] * h[r])
-            if not abs(best_l[r]) <= ON_SURFACE_TOL:
-                self._fail(lane, IntegrationError(
+            if errors[r] is None and not abs(best_l[r]) <= ON_SURFACE_TOL:
+                errors[r] = IntegrationError(
                     f"{self.field.name}: crossing near t={t_c:.6g} did not converge:"
                     f" |level| = {abs(best_l[r]):.3g} > {ON_SURFACE_TOL:g}"
                     f" at x={best_x[r].tolist()}"
-                ))
-                continue
-            self.crossings[lane].append((t_c, best_x[r].copy(), best_l[r]))
+                )
+            self.found[ids[r]] = errors[r] if errors[r] is not None else (
+                t_c, best_x[r], best_l[r])
 
 
 def find_crossings_batch(
@@ -699,11 +791,14 @@ def find_crossings_batch(
     """find_crossings for many points as one lane-batched integration, whose
     lanes are each point's forward and backward sweep.
 
-    Returns (results, stats): results[i] is the sorted CrossingEvent list of
-    points[i], or the exception find_crossings would raise for it; stats is
-    the RunStats of the whole batch.  A field error (ArithmeticError) on
-    either lane, forward first, is a point's outcome; then the forward lane's
-    scan and stepper errors, then the backward lane's.
+    `surface` is one surface for every point or a sequence of one per point;
+    each surface call is made once per surface present, in order of first
+    appearance.  Returns (results, stats): results[i] is the sorted
+    CrossingEvent list of points[i], or the exception find_crossings would
+    raise for it; stats is the RunStats of the whole batch.  A field error
+    (ArithmeticError) on either lane, forward first, is a point's outcome;
+    then the forward lane's scan and stepper errors, then the backward
+    lane's.  Every sign change is refined after the sweep, in one pass.
     """
     cfg = cfg or DEFAULT_CONFIG
     horizon = cfg.horizon if horizon is None else float(horizon)
@@ -716,12 +811,13 @@ def find_crossings_batch(
     X = np.asarray(points, dtype=float).reshape(len(points), field.dim)
     stats = RunStats()
     P = len(X)
+    surfaces, group = _surface_groups(surface, P)
     results = [None] * P
 
     def level_failed(p, err):  # the point's own failure, re-raised by find_crossings
         results[p] = err
 
-    l0 = _levels(surface, X, level_failed, stats)
+    l0 = _levels(surfaces, group, X, level_failed, stats)
     live = [p for p in range(P) if results[p] is None]
     Q = len(live)
     lanes_x = np.concatenate([X[live], X[live]]) if Q else np.zeros((0, X.shape[1]))
@@ -729,28 +825,37 @@ def find_crossings_batch(
     l0_lanes = np.concatenate([l0[live], l0[live]])
     # a forward lane's field error is its point's outcome: the backward lane stops
     partner = np.concatenate([np.arange(Q, 2 * Q), np.full(Q, -1)])
-    scan = _CrossingScan(field, surface, l0_lanes, sign, stats)
-    _, errors = _integrate(field, lanes_x, sign, horizon, cfg, stats, scan, partner)
+    scan = _CrossingScan(field, surfaces, np.concatenate([group[live], group[live]]),
+                         l0_lanes, sign, partner, stats)
+    _, errors = _integrate(field, lanes_x, sign, horizon, cfg, stats, scan,
+                           scan.stop_partners)
+    scan.refine()
+
+    def outcome(lane):
+        """(crossings, scan error, stepper error): a lane whose bracket
+        failed ended there, before any later error of its own."""
+        crossings, failure = scan.ended(lane)
+        if failure is not None:
+            return crossings, failure, None
+        return crossings, scan.errors[lane], errors[lane]
 
     # (point, t, x, level) of every event: per point the on-surface start,
     # then per lane (forward first) its crossings
     rows = []
     for q, p in enumerate(live):
-        fwd, bwd = q, Q + q
-        raised = [e for e in (errors[fwd], errors[bwd]) if isinstance(e, ArithmeticError)]
-        err = next((e for e in (*raised, scan.errors[fwd], errors[fwd],
-                                scan.errors[bwd], errors[bwd]) if e is not None), None)
+        (c_fwd, s_fwd, i_fwd), (c_bwd, s_bwd, i_bwd) = outcome(q), outcome(Q + q)
+        raised = [e for e in (i_fwd, i_bwd) if isinstance(e, ArithmeticError)]
+        err = next((e for e in (*raised, s_fwd, i_fwd, s_bwd, i_bwd) if e is not None), None)
         if err is not None:
             results[p] = err
             continue
         results[p] = []
         if abs(l0[p]) <= ON_SURFACE_TOL:
             rows.append((p, 0.0, X[p], l0[p]))
-        for lane in (fwd, bwd):
-            rows += [(p, *c) for c in scan.crossings[lane]]
+        rows += [(p, *c) for c in c_fwd + c_bwd]
     if rows:
         owner, t, x, level = zip(*rows)
-        events = _events(field, surface, t, np.array(x), level, stats)
+        events = _events(field, surfaces, group[list(owner)], t, np.array(x), level, stats)
         for p, event in zip(owner, events):
             if not isinstance(results[p], list):
                 continue  # the point already failed at an earlier event

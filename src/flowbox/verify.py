@@ -279,18 +279,20 @@ def check_appendix_counterexample(seed=0):
 def check_recurrence_audit(seed=0):
     """Rotation surfaces are recurrent; the source/saddle surfaces are not.
 
-    Orbits are seeded on a Halton lattice, so the seed is unused.  The worst
+    Orbits are seeded on a Halton lattice, so the seed is unused.  The
+    rotation segments are audited as one batch and each worked system as
+    its own (their fields differ); `stats` sums those batches.  The worst
     value is the fewest crossings on any rotation segment's most recurrent
     orbit; 2 or more flags the segment.
     """
     worst = _Worst(lowest=True)
     stats = RunStats()
-    rotation = dynsys.builtin("rotation-c")
-    for value, lo, hi, axis, name in ROTATION_SEGMENTS:
-        seg = chart_mod.line_surface(value, lo, hi, axis=axis, name=name)
-        report = chart_mod.check_nonrecurrent(seg, rotation, n_orbits=N_ORBITS,
-                                              horizon=ROTATION_HORIZON)
-        stats.add(report.stats)
+    segments = [chart_mod.line_surface(value, lo, hi, axis=axis, name=name)
+                for value, lo, hi, axis, name in ROTATION_SEGMENTS]
+    reports = chart_mod.check_nonrecurrent_batch(
+        segments, dynsys.builtin("rotation-c"), n_orbits=N_ORBITS, horizon=ROTATION_HORIZON)
+    stats.add(reports[0].stats)  # one batch for all segments
+    for (*_, name), report in zip(ROTATION_SEGMENTS, reports):
         if report.verdict != "fail" or not report.violations:
             return worst.result(False, f"{name} was not flagged recurrent", stats)
         x0, times = max(report.violations, key=lambda v: len(v[1]))

@@ -16,6 +16,7 @@ from flowbox.chart import (
     builtin_surface,
     builtin_surface_names,
     check_nonrecurrent,
+    check_nonrecurrent_batch,
     check_transversal,
     circle_surface,
     conservation_residual,
@@ -203,6 +204,39 @@ def test_degenerate_surface_names_its_first_degenerate_sample():
         check_transversal(s, builtin("hyperbolic-b"), 8)
 
 
+def test_projection_inverse_refuses_a_degenerate_solution():
+    # dX/dtau vanishes, so the inverse cannot tell one tau from another
+    flat = surface_from_json({"dim": 2, "param": ["1", "1"], "level": "x1 - 1"})
+    with pytest.raises(DegenerateSurfaceError, match=r"degenerate parameterization"):
+        flat.param_inverse([[1.0, 0.5]])
+    chart = build_chart(builtin("hyperbolic-b"), flat, audit_transversal=False)
+    rows = evaluate_grid(chart, [np.array([0.9, 0.2]), np.array([1.1, 0.3])])
+    assert [status for _, _, status in rows] == ["chart-error", "chart-error"]
+
+
+def test_projection_inverse_that_does_not_converge_is_off_patch():
+    # X(t) = (1, cbrt(t - 1/2)): Gauss-Newton doubles t - 1/2 at each step
+    # towards x2 = 0, but converges towards x2 = 0.5 (t = 0.625)
+    def param(tau):
+        u = np.asarray(tau, dtype=float)[..., 0] - 0.5
+        return np.stack([np.ones_like(u), np.cbrt(u)], axis=-1)
+
+    def jacobian(tau):
+        u = np.asarray(tau, dtype=float)[..., 0] - 0.5
+        return np.stack([np.zeros_like(u), np.abs(u) ** (-2.0 / 3.0) / 3.0], axis=-1)[..., None]
+
+    s = Surface(dim=2, param=param, level=lambda x: np.asarray(x)[..., 0] - 1.0,
+                param_jacobian=jacobian, name="cbrt")
+    with pytest.raises(OffPatch, match=r"x=\[1\.0, 0\.0\] .* still moves after 50"):
+        s.param_inverse([[1.0, 0.5], [1.0, 0.0]])
+    np.testing.assert_allclose(s.param_inverse([1.0, 0.5]), [0.625], atol=1e-12)
+    # hyperbolic-b conserves x1 * x2: the orbits cross at x2 = 0 and x2 = 0.5;
+    # the audit would sample dX/dtau at t = 1/2, where it is infinite
+    chart = build_chart(builtin("hyperbolic-b"), s, audit_transversal=False)
+    rows = evaluate_grid(chart, [np.array([0.5, 0.0]), np.array([2.0, 0.25])])
+    assert [status for _, _, status in rows] == ["off-patch", "ok"]
+
+
 # ---------------------------------------------------------------------------
 # audits
 
@@ -247,6 +281,30 @@ def test_worked_surfaces_pass_recurrence_audit(tight_cfg):
             cfg=tight_cfg,
         )
         assert report.verdict == "pass", (system, report)
+
+
+def test_batched_audit_equals_one_audit_per_surface(tight_cfg):
+    # three segments recurrent under rotation-c, audited as one batch and
+    # one by one
+    field = builtin("rotation-c")
+    surfaces = [builtin_surface("segment-c"), line_surface(0.5, 0.0, 1.0, name="half"),
+                line_surface(1.0, 0.1, 0.9, axis=1, name="x2-seg")]
+    reports = check_nonrecurrent_batch(surfaces, field, n_orbits=6,
+                                       horizon=4.0 * np.pi, cfg=tight_cfg)
+    summed = RunStats()
+    for surface, report in zip(surfaces, reports):
+        alone = check_nonrecurrent(surface, field, n_orbits=6, horizon=4.0 * np.pi,
+                                   cfg=tight_cfg)
+        summed.add(alone.stats)
+        assert report.stats is reports[0].stats
+        assert (report.verdict, report.tested_points) == (alone.verdict, alone.tested_points)
+        assert [(x0.tolist(), times) for x0, times in report.violations] == \
+            [(x0.tolist(), times) for x0, times in alone.violations]
+        assert report.integration_failures == alone.integration_failures == ()
+    assert [r.verdict for r in reports] == ["fail"] * 3
+    for name in ("lanes", "accepted_steps", "rejected_steps", "rhs_evals",
+                 "crossings_refined", "root_iterations"):
+        assert getattr(reports[0].stats, name) == getattr(summed, name), name
 
 
 def test_recurrence_audit_fails_when_seeded_orbits_fail():

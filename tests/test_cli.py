@@ -147,6 +147,20 @@ def test_chart_build_audit_refuses_a_degenerate_surface(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_chart_build_force_charts_no_point_on_a_degenerate_surface(tmp_path, capsys):
+    # --force skips the audit that refuses this surface; its Gauss-Newton
+    # inverse then fails every point instead of returning the seed tau
+    flat = json.dumps({"name": "flat", "dim": 2, "param": ["1", "1"], "level": "x1 - 1"})
+    code = main([
+        "chart-build", "--force", "--system", "hyperbolic-b", "--surface", flat,
+        "--grid", "0.9x1.1x2,0.2x0.3x2", "--out", str(tmp_path),
+    ])
+    assert code == EXIT_OK
+    assert "0/4 points ok" in capsys.readouterr().out
+    rows = (tmp_path / "chart_grid.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[2:] for row in rows] == [["nan", "nan", "chart-error"]] * 4
+
+
 def test_chart_build_audits_circle_seeds_within_rounding_of_the_surface(tmp_path):
     # the audit's seeds on circle-a have level -1.1e-16: one crossing each
     code = main([

@@ -5,13 +5,22 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from flowbox.chart import builtin_surface, circle_surface, line_surface, surface_from_json
+from flowbox.chart import (
+    Surface,
+    build_chart,
+    builtin_surface,
+    circle_surface,
+    evaluate_grid,
+    line_surface,
+    surface_from_json,
+)
 from flowbox.dynsys import builtin, parse_system
 from flowbox.expressions import DomainError
 from flowbox.odeint import (
     DomainExit,
     IntegrationError,
     IntegratorConfig,
+    RunStats,
     StepLimitExceeded,
     find_crossings,
     find_crossings_batch,
@@ -398,6 +407,93 @@ def test_surface_errors_fail_only_their_own_points():
             assert fields(got) == fields(want)
     assert failed == 4
     assert find_crossings_batch(field, points, faulty)[1] == stats
+
+
+def _event_fields(events):
+    return [(e.t, e.x.tolist(), e.params.tolist(), e.direction, e.level, e.on_patch)
+            for e in events]
+
+
+def test_one_surface_per_point_equals_one_batch_per_surface():
+    # three surfaces under one field, interleaved over the points: grouping
+    # rows by surface changes no lane, so every event is bit-identical to a
+    # batch of that surface's points alone, and the lane counters add up
+    field = builtin("hyperbolic-b")
+    surfaces = [
+        builtin_surface("line-b"),
+        line_surface(0.5, 0.0, 8.0, name="line-x1-05"),
+        surface_from_json({"dim": 2, "param": ["4*t1", "1"], "level": "x2 - 1"}),
+    ]
+    points = [[0.5, 2.0], [1.5, 0.5], [2.0, 0.8], [0.3, 3.0], [1.2, 0.7],
+              [0.8, 1.5], [3.0, 0.2], [0.6, 0.9], [1.0, 1.0]]
+    owners = [surfaces[i % 3] for i in range(len(points))]
+    results, stats = find_crossings_batch(field, points, owners)
+    summed = RunStats()
+    for k, surface in enumerate(surfaces):
+        mine = list(range(k, len(points), 3))
+        alone, run = find_crossings_batch(field, [points[i] for i in mine], surface)
+        summed.add(run)
+        for i, want in zip(mine, alone):
+            assert isinstance(want, list) and want
+            assert _event_fields(results[i]) == _event_fields(want)
+    # each surface is called once per pass, as in its own batch
+    for name in ("lanes", "accepted_steps", "rejected_steps", "rhs_evals", "level_calls",
+                 "level_evals", "crossings_refined", "root_iterations"):
+        assert getattr(stats, name) == getattr(summed, name), name
+    assert stats.rhs_calls < summed.rhs_calls
+
+
+def test_grouped_surface_errors_fail_only_their_own_points():
+    # line-b's level raises below x2 = 0; a second surface sharing the batch
+    # meets the same start points with a level that never raises
+    field = builtin("hyperbolic-b")
+    plain = builtin_surface("line-b")
+    faulty = dataclasses.replace(
+        plain, level=_raising_on(plain.level, "level", lambda row: row[1] < 0.0))
+    other = line_surface(0.5, -4.0, 4.0, name="line-x1-05")
+    points = [[2.0, -1.0], [2.0, -1.0], [0.5, 2.0], [0.8, -0.5], [0.8, -0.5]]
+    owners = [faulty, other, faulty, other, faulty]
+    results, _ = find_crossings_batch(field, points, owners)
+    assert [type(r) for r in results] == [_RowError, list, list, list, _RowError]
+    assert results[0].row.tolist() == [2.0, -1.0]
+    for i in (1, 3):
+        (want,), _ = find_crossings_batch(field, [points[i]], other)
+        assert _event_fields(results[i]) == _event_fields(want)
+
+
+def test_failed_crossing_ends_its_lane_before_a_later_field_error(tight_cfg):
+    # the jump level changes sign across x1 = 1 but is never near zero, so
+    # the forward lane's crossing fails; that lane later leaves the domain
+    # of sqrt at x1 = 2, which must not replace its crossing's error.  With
+    # a second sqrt, the backward lane leaves the domain at x1 = 0.1, later
+    # than the forward lane does, and its error wins as it did when the
+    # failed crossing stopped the forward lane at once.  Messages are those
+    # of the search that refined each crossing during the sweep.
+    base = line_surface(1.0, 0.0, 4.0)
+    jump = Surface(
+        dim=2,
+        param=base.param,
+        level=lambda x: np.where(np.asarray(x)[..., 0] >= 1.0, 1.0, -1.0),
+        param_inverse=base.param_inverse,
+        name="jump",
+    )
+    points = [[0.5, 2.0], [0.5, 1.0], [1.5, 1.0]]
+    field = parse_system("x1, -x2 + 0*sqrt(2 - x1)", 2, name="sqrt-source")
+    results, _ = find_crossings_batch(field, points, jump, horizon=5.0, cfg=tight_cfg)
+    assert [(type(r), str(r)) for r in results] == [
+        (IntegrationError, "sqrt-source: crossing near t=0.691161 did not converge:"
+         " |level| = 1 > 1e-09 at x=[0.9980155861342155, 1.0019883595946768]"),
+        (IntegrationError, "sqrt-source: crossing near t=0.683956 did not converge:"
+         " |level| = 1 > 1e-09 at x=[0.9908512941784318, 0.5046165887232412]"),
+        (DomainError, "sqrt of a negative value"),
+    ]
+    chart = build_chart(field, jump, cfg=tight_cfg, horizon=5.0, audit_transversal=False)
+    assert [status for _, _, status in evaluate_grid(chart, np.array(points))] == [
+        "integration-error", "integration-error", "domain-error"]
+    both = parse_system("x1, -x2 + 0*sqrt(2 - x1) + 0*sqrt(x1 - 0.1)", 2)
+    results, _ = find_crossings_batch(both, points, jump, horizon=5.0, cfg=tight_cfg)
+    assert [(type(r), str(r)) for r in results] == [
+        (DomainError, "sqrt of a negative value")] * 3
 
 
 def test_flow_batch_lanes_equal_single_flows():
