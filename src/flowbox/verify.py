@@ -24,7 +24,7 @@ from . import dynsys, kef, refsol
 from .fdiff import fd_gradient_rows, rate
 from .odeint import RunStats, flow_batch
 
-__all__ = ["VERIFY_SUITES", "STREAM_STRIDE", "check_kpde_residuals",
+__all__ = ["VERIFY_SUITES", "SLOW_SUITES", "STREAM_STRIDE", "check_kpde_residuals",
            "check_real_form_identities", "check_unit_velocity",
            "check_flowbox_law", "check_chart_vs_refsol",
            "check_appendix_counterexample", "check_recurrence_audit"]
@@ -322,3 +322,5 @@ VERIFY_SUITES = (
     ("appendix-counterexample", check_appendix_counterexample),
     ("recurrence-audit", check_recurrence_audit),
 )
+# the suites that search crossings: about 80% of a verify-all run's time
+SLOW_SUITES = ("flowbox-law", "chart-vs-refsol", "recurrence-audit")

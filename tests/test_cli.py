@@ -1,8 +1,11 @@
+import gc
 import importlib.util
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -680,7 +683,7 @@ def test_verify_all_runs_every_suite(tmp_path, capsys):
     assert [(r["suite"], len(r["metrics"]["worst_point"])) for r in report["suites"]] \
         == [(n, 2) for n in names]
     timings = json.loads((tmp_path / "manifest.json").read_text())["timings"]
-    assert set(timings) == {f"{n}_s" for n in names}
+    assert set(timings) == {f"{n}_s" for n in names} | {"cpu_s"}
 
 
 def test_verify_suite_names_match_benchmark(monkeypatch):
@@ -715,17 +718,71 @@ def test_verify_all_reports_failures(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_all_gives_each_suite_its_own_seed(capsys, monkeypatch):
-    seeds = {}
-
+    # suites may run in forked workers: each reports its seed on stdout
     def suite(name):
-        def run(seed=0):
-            seeds[name] = seed
-            return True, "fine", {}
-        return name, run
+        return name, lambda seed=0: (True, f"seed {seed}", {})
 
     monkeypatch.setattr(cli, "VERIFY_SUITES", tuple(map(suite, ("ax", "b", "cx"))))
     assert main(["verify-all", "--filter", "x", "--seed", "7"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()[:-1]
+    seeds = {line.split()[1].rstrip(":"): int(line.split()[-1]) for line in lines}
     assert seeds == {"ax": 7, "cx": 7 + 2 * cli.STREAM_STRIDE}
+
+
+def test_verify_all_output_does_not_depend_on_the_worker_count(tmp_path, capsys,
+                                                              monkeypatch):
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(cli, "_available_cpus", lambda: cpus)
+        out = tmp_path / str(cpus)
+        assert main(["verify-all", "--seed", "3", "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        summary = manifest.pop("summary")
+        assert summary.pop("workers") == cpus
+        assert summary.pop("children_peak_rss_mb") >= 0.0
+        assert manifest.pop("timings")["cpu_s"] >= 0.0
+        del manifest["started"], manifest["finished"]
+        runs.append((capsys.readouterr().out,
+                     (out / "verify_report.json").read_bytes(), summary, manifest))
+    assert runs[0] == runs[1]
+
+
+def _fine(seed=0):
+    return True, "fine", {}
+
+
+def test_verify_all_survives_a_suite_that_kills_its_worker(tmp_path, capsys,
+                                                          monkeypatch):
+    def slow(seed=0):  # still running when its neighbour's worker dies
+        time.sleep(0.2)
+        return _fine()
+
+    def dies(seed=0):
+        os._exit(3)
+
+    monkeypatch.setattr(cli, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "VERIFY_SUITES", (
+        ("a", slow), ("dies", dies), ("b", _fine), ("c", _fine)))
+    clock = time.perf_counter()
+    code = main(["verify-all", "--out", str(tmp_path)])
+    assert time.perf_counter() - clock < 30.0
+    assert code == EXIT_AUDIT
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("FAIL  dies: crashed: BrokenProcessPool: ")
+    assert lines[:1] + lines[2:] == [
+        "PASS  a: fine", "PASS  b: fine", "PASS  c: fine",
+        "verify-all: FAILURES present"]
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    assert [r["passed"] for r in report["suites"]] == [True, False, True, True]
+    assert multiprocessing.active_children() == []
+
+
+def test_verify_all_leaves_no_process_behind(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "VERIFY_SUITES", (("a", _fine), ("b", _fine)))
+    assert main(["verify-all"]) == EXIT_OK
+    assert multiprocessing.active_children() == []
+    assert gc.get_freeze_count() == 0  # repeated runs pin no garbage
 
 
 def test_module_runs_as_a_script():
