@@ -18,6 +18,7 @@ import gc
 import hashlib
 import json
 import os
+import pickle
 import sys
 import time
 from pathlib import Path
@@ -504,25 +505,9 @@ def cmd_varfit(args) -> int:
 # verify-all
 
 
-# the (name, fn, seed) suites of the running verify-all; a forked worker
-# inherits them through its pool's initializer and receives only indices
-_jobs = ()
-
-
-def _adopt_jobs(jobs, cpus=None) -> None:
-    """Hold `jobs` for _run_job.  A forked worker also takes a CPU of its own
-    from the queue `cpus` and stays on it: left free, the two workers on a
-    2-CPU VM often shared one CPU (verify-all 0.27 s median, against 0.18 s
-    pinned and 0.28 s in process)."""
-    global _jobs
-    _jobs = jobs
-    if cpus is not None:
-        os.sched_setaffinity(0, {cpus.get()})
-
-
-def _run_job(k: int) -> tuple:
-    """(ok, detail, metrics, seconds) of the k-th adopted suite."""
-    name, fn, seed = _jobs[k]
+def _run_job(job) -> tuple:
+    """(ok, detail, metrics, seconds) of one (name, fn, seed) suite."""
+    _, fn, seed = job
     clock = time.perf_counter()
     try:
         ok, detail, metrics = fn(seed=seed)
@@ -538,32 +523,57 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _forked_pool(workers: int, jobs):
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+def _work(jobs, tasks: int, results: int, worker: int) -> None:
+    """A forked worker, which never returns: it runs the suites whose indices
+    it reads from the task pipe, on a CPU of its own (left free, two workers on
+    a 2-CPU VM often shared one: verify-all 0.27 s median, against 0.18 s)."""
+    code = 1
+    try:
+        if hasattr(os, "sched_setaffinity"):
+            allowed = sorted(os.sched_getaffinity(0))
+            os.sched_setaffinity(0, {allowed[worker % len(allowed)]})
+        with open(results, "wb") as pipe:
+            # a one-byte pipe read is atomic, so each index reaches one worker
+            while task := os.read(tasks, 1):
+                pickle.dump((task[0], _run_job(jobs[task[0]])), pipe)
+                pipe.flush()
+        code = 0
+    finally:
+        os._exit(code)  # never unwind into the parent's stack
 
-    fork = multiprocessing.get_context("fork")
-    cpus = None
-    if hasattr(os, "sched_setaffinity"):
-        cpus = fork.SimpleQueue()
-        allowed = sorted(os.sched_getaffinity(0))
-        for k in range(workers):
-            cpus.put(allowed[k % len(allowed)])
-    return ProcessPoolExecutor(workers, mp_context=fork, initializer=_adopt_jobs,
-                               initargs=(jobs, cpus))
 
-
-def _alone(jobs, k: int) -> tuple:
-    """_run_job(k) in a worker of its own; a worker that dies is a crashed suite."""
-    from concurrent.futures.process import BrokenProcessPool
-
-    clock = time.perf_counter()
-    with _forked_pool(1, jobs) as pool:
-        try:
-            return pool.submit(_run_job, k).result()
-        except BrokenProcessPool as err:
-            return (False, f"crashed: {type(err).__name__}: {err}", {},
-                    time.perf_counter() - clock)
+def _fork_workers(jobs, order, workers: int) -> tuple:
+    """({k: outcome} of the suites whose results came back, [wait status of
+    each worker]) once `workers` forked workers have run the suites `order`."""
+    tasks, feed = os.pipe()
+    os.write(feed, bytes(order))  # one byte per suite index
+    os.close(feed)  # so the workers read EOF once every index is taken
+    children = []
+    # the collector leaves frozen objects alone, so the heap pages the
+    # workers inherit stay shared
+    gc.freeze()
+    try:
+        for worker in range(workers):
+            reader, writer = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _work(jobs, tasks, writer, worker)
+            os.close(writer)
+            children.append((pid, reader))
+    finally:
+        gc.unfreeze()  # repeated in-process runs must not pin garbage
+        os.close(tasks)
+    outcomes, statuses = {}, []
+    for pid, reader in children:
+        with open(reader, "rb") as pipe:
+            while True:
+                try:
+                    k, outcome = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):  # the end, or a death
+                    break
+                outcomes[k] = outcome
+        statuses.append(os.waitpid(pid, 0)[1])
+    return outcomes, statuses
 
 
 def _suite_outcomes(jobs) -> tuple:
@@ -572,32 +582,19 @@ def _suite_outcomes(jobs) -> tuple:
     a single CPU or without fork."""
     workers = min(len(jobs), _available_cpus())
     if workers < 2 or not hasattr(os, "fork"):
-        _adopt_jobs(jobs)
-        outcomes = list(map(_run_job, range(len(jobs))))
-        _adopt_jobs(())
-        return outcomes, 1
-    from concurrent.futures.process import BrokenProcessPool
-
+        return list(map(_run_job, jobs)), 1
     # the slow suites go first: in declared order two of them could end on
     # one worker while the other idles (0.23 s median against 0.18 s)
     order = sorted(range(len(jobs)), key=lambda k: jobs[k][0] not in SLOW_SUITES)
-    with _forked_pool(workers, jobs) as pool:
-        # the workers fork at the first submit; the collector leaves frozen
-        # objects alone, so the heap pages they inherit stay shared
-        gc.freeze()
-        try:
-            futures = {k: pool.submit(_run_job, k) for k in order}
-        finally:
-            gc.unfreeze()  # repeated in-process runs must not pin garbage
-        outcomes = []
-        for k in range(len(jobs)):
-            try:
-                outcomes.append(futures[k].result())
-            except BrokenProcessPool:
-                outcomes.append(None)
-    # a worker that died broke the pool for every suite still in it: each of
-    # those runs again alone, so only a suite that kills its worker crashes
-    return [o or _alone(jobs, k) for k, o in enumerate(outcomes)], workers
+    outcomes, _ = _fork_workers(jobs, order, workers)
+    # a suite whose worker died runs again alone, and crashes only if it
+    # kills that worker too
+    for k in sorted(set(range(len(jobs))) - outcomes.keys()):
+        clock = time.perf_counter()
+        again, (status,) = _fork_workers(jobs, [k], 1)
+        detail = f"crashed: worker exited with code {os.waitstatus_to_exitcode(status)}"
+        outcomes[k] = again.get(k) or (False, detail, {}, time.perf_counter() - clock)
+    return [outcomes[k] for k in range(len(jobs))], workers
 
 
 def _children_peak_rss_mb() -> float:

@@ -1,8 +1,8 @@
 import gc
 import importlib.util
 import json
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -751,6 +751,12 @@ def _fine(seed=0):
     return True, "fine", {}
 
 
+def _no_child_left():
+    # sees every child of this process, forked by multiprocessing or not
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_verify_all_survives_a_suite_that_kills_its_worker(tmp_path, capsys,
                                                           monkeypatch):
     def slow(seed=0):  # still running when its neighbour's worker dies
@@ -760,29 +766,60 @@ def test_verify_all_survives_a_suite_that_kills_its_worker(tmp_path, capsys,
     def dies(seed=0):
         os._exit(3)
 
+    def killed(seed=0):
+        os.kill(os.getpid(), signal.SIGKILL)
+
     monkeypatch.setattr(cli, "_available_cpus", lambda: 2)
-    monkeypatch.setattr(cli, "VERIFY_SUITES", (
-        ("a", slow), ("dies", dies), ("b", _fine), ("c", _fine)))
-    clock = time.perf_counter()
-    code = main(["verify-all", "--out", str(tmp_path)])
-    assert time.perf_counter() - clock < 30.0
-    assert code == EXIT_AUDIT
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[1].startswith("FAIL  dies: crashed: BrokenProcessPool: ")
-    assert lines[:1] + lines[2:] == [
-        "PASS  a: fine", "PASS  b: fine", "PASS  c: fine",
-        "verify-all: FAILURES present"]
-    report = json.loads((tmp_path / "verify_report.json").read_text())
-    assert [r["passed"] for r in report["suites"]] == [True, False, True, True]
-    assert multiprocessing.active_children() == []
+    cases = [
+        # one worker dies; its suite runs again alone and kills that one too
+        ((("a", slow), ("dies", dies), ("b", _fine), ("c", _fine)),
+         {"dies": "crashed: worker exited with code 3"}),
+        # both workers die, leaving suites no worker took
+        ((("a", slow), ("dies", dies), ("b", _fine), ("killed", killed),
+          ("c", _fine), ("d", _fine)),
+         {"dies": "crashed: worker exited with code 3",
+          "killed": "crashed: worker exited with code -9"}),
+    ]
+    for suites, crashes in cases:
+        monkeypatch.setattr(cli, "VERIFY_SUITES", suites)
+        clock = time.perf_counter()
+        code = main(["verify-all", "--out", str(tmp_path)])
+        assert time.perf_counter() - clock < 30.0
+        assert code == EXIT_AUDIT
+        assert capsys.readouterr().out.splitlines() == [
+            f"FAIL  {name}: {crashes[name]}" if name in crashes
+            else f"PASS  {name}: fine" for name, _ in suites
+        ] + ["verify-all: FAILURES present"]
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        assert [r["passed"] for r in report["suites"]] == [
+            name not in crashes for name, _ in suites]
+        _no_child_left()
 
 
 def test_verify_all_leaves_no_process_behind(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_available_cpus", lambda: 2)
     monkeypatch.setattr(cli, "VERIFY_SUITES", (("a", _fine), ("b", _fine)))
     assert main(["verify-all"]) == EXIT_OK
-    assert multiprocessing.active_children() == []
+    _no_child_left()
     assert gc.get_freeze_count() == 0  # repeated runs pin no garbage
+
+
+def test_verify_all_imports_no_process_pool():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from flowbox import cli\n"
+        "cli._available_cpus = lambda: 2\n"
+        "assert cli.main(['verify-all', '--filter', 'i']) == 0\n"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures')"
+        " if m in sys.modules))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout.count("PASS  ") >= 2
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_module_runs_as_a_script():
