@@ -21,7 +21,7 @@ import numpy as np
 
 from . import expressions as ex
 from .dynsys import OutOfDomainError, VectorField
-from .fdiff import fd_gradient_rows, rate
+from .fdiff import fd_gradient_rows
 from .odeint import (
     DEFAULT_CONFIG,
     IntegrationError,
@@ -53,10 +53,7 @@ __all__ = [
     "check_nonrecurrent",
     "check_nonrecurrent_batch",
     "build_chart",
-    "evaluate_m",
-    "evaluate_h",
     "flowbox",
-    "conservation_residual",
     "evaluate_grid",
     "error_status",
     "POINT_ERRORS",
@@ -522,15 +519,6 @@ class Chart:
     def dim(self) -> int:
         return self.field.dim
 
-    def m(self, x) -> float:
-        return evaluate_m(self, x)
-
-    def h(self, x) -> np.ndarray:
-        return evaluate_h(self, x)
-
-    def coords(self, x) -> np.ndarray:
-        return flowbox(self, x)
-
 
 def build_chart(
     field: VectorField,
@@ -586,28 +574,11 @@ def _unique_crossing(chart: Chart, x, events):
     )
 
 
-def evaluate_m(chart: Chart, x) -> float:
-    """Unit-velocity measurement: time since the orbit left the surface."""
-    return flowbox(chart, x)[-1]
-
-
-def evaluate_h(chart: Chart, x) -> np.ndarray:
-    """Conserved surface parameters of the crossing point, in (0,1)^{N-1}."""
-    return flowbox(chart, x)[:-1]
-
-
 def flowbox(chart: Chart, x) -> np.ndarray:
-    """Flowbox coordinates (h_1, ..., h_{N-1}, m) from a single crossing search."""
+    """Flowbox coordinates (h_1, ..., h_{N-1}, m) from a single crossing search:
+    h the conserved surface parameters of the crossing point, in (0,1)^{N-1},
+    and m the time since the orbit left the surface."""
     return _flowbox_rows(chart, x)
-
-
-def conservation_residual(h, field: VectorField, x, fd_step: float = 1e-5):
-    """<grad h, P> at every row of x (..., N) by central differences, shape (...)
-    or, for vector-valued h, (..., k); h is a callable on row stacks or a Chart
-    (its h, the first failing row raising its error)."""
-    fn = (lambda rows: _flowbox_rows(h, rows)[..., :-1]) if isinstance(h, Chart) else h
-    x = np.asarray(x, dtype=float)
-    return rate(fd_gradient_rows(fn, x, step=fd_step), field.eval(x))
 
 
 # status labels used by grid evaluation and the CLI export

@@ -110,6 +110,8 @@ def parse_grid_spec(spec: str, dim: int):
             res = int(fields[2]) if len(fields) == 3 else None
         except ValueError:
             raise UsageError(f"bad number in grid axis {part!r}") from None
+        if not np.isfinite([lo, hi]).all():
+            raise UsageError(f"grid bounds must be finite in {part!r}")
         if res is not None and res < 1:
             raise UsageError(f"resolution must be >= 1 in {part!r}")
         entries.append((lo, hi, res))
@@ -607,6 +609,8 @@ def _children_peak_rss_mb() -> float:
 
 
 def cmd_verify_all(args) -> int:
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     started = _now()
     cpu = os.times()
     # the k-th suite runs at seed + k * STREAM_STRIDE, filtered or not

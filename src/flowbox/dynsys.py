@@ -22,8 +22,6 @@ __all__ = [
     "builtin_names",
     "parse_system",
     "system_from_json",
-    "system_to_json",
-    "is_equilibrium",
 ]
 
 DEFAULT_HALF_WIDTH = 10.0
@@ -47,12 +45,8 @@ class VectorField:
         ``components[i](x1, ..., xN)`` returns dx_i/dt; must broadcast.
     domain : (N, 2) array
         Per-axis [lo, hi] bounds; trajectories are tracked inside this box.
-    equilibria : tuple of points
-        Known fixed points (informational; checked by tests).
     jacobian : callable, optional
         ``jacobian(x) -> (N, N)`` analytic Jacobian when available.
-    component_text : tuple of str, optional
-        Printable component expressions.
     note : str
         One-line remark shown by the CLI listing.
     """
@@ -61,9 +55,7 @@ class VectorField:
     dim: int
     components: tuple
     domain: np.ndarray
-    equilibria: tuple = ()
     jacobian: Optional[Callable] = None
-    component_text: Optional[tuple] = None
     note: str = ""
 
     def __post_init__(self):
@@ -114,13 +106,6 @@ class VectorField:
         return out
 
 
-def is_equilibrium(field: VectorField, x, tol: float = 1e-12) -> bool:
-    """True when ||P(x)|| <= tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return bool(np.linalg.norm(field.eval(x)) <= tol)
-
-
 # ---------------------------------------------------------------------------
 # Parsing fields from text / JSON
 
@@ -144,7 +129,6 @@ def parse_system(text: str, dim: int, name: str = "user", domain=None) -> Vector
         dim=dim,
         components=tuple(_ast_component(n) for n in nodes),
         domain=np.asarray(domain, dtype=float),
-        component_text=tuple(ex.to_text(n) for n in nodes),
     )
 
 
@@ -164,22 +148,8 @@ def system_from_json(spec) -> VectorField:
     )
 
 
-def system_to_json(field: VectorField) -> dict:
-    if field.component_text is None:
-        raise ValueError(f"{field.name} has no printable component expressions")
-    return {
-        "name": field.name,
-        "dim": field.dim,
-        "components": list(field.component_text),
-        "domain": field.domain.tolist(),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Built-in systems
-
-_ORIGIN2 = ((0.0, 0.0),)
-
 
 def _linear_field(name, matrix, note, half_width) -> VectorField:
     A = np.asarray(matrix, dtype=float)
@@ -188,21 +158,12 @@ def _linear_field(name, matrix, note, half_width) -> VectorField:
     def row(i):
         return lambda *xs: sum(A[i, j] * xs[j] for j in range(n))
 
-    text = tuple(
-        " + ".join(
-            f"{float(A[i, j])!r}*x{j + 1}" for j in range(n) if A[i, j] != 0.0
-        )
-        or "0"
-        for i in range(n)
-    )
     return VectorField(
         name=name,
         dim=n,
         components=tuple(row(i) for i in range(n)),
         domain=[(-half_width, half_width)] * n,
-        equilibria=(tuple([0.0] * n),),
         jacobian=lambda x, A=A: A,
-        component_text=text,
         note=note,
     )
 
@@ -215,9 +176,7 @@ def _build_registry() -> dict:
         dim=2,
         components=(lambda x1, x2: x1, lambda x1, x2: x2),
         domain=[(-10.0, 10.0)] * 2,
-        equilibria=_ORIGIN2,
         jacobian=lambda x: np.eye(2),
-        component_text=("x1", "x2"),
         note="radial source; orbits are rays from the origin",
     )
     reg["hyperbolic-b"] = VectorField(
@@ -225,9 +184,7 @@ def _build_registry() -> dict:
         dim=2,
         components=(lambda x1, x2: -x1, lambda x1, x2: x2),
         domain=[(-10.0, 10.0)] * 2,
-        equilibria=_ORIGIN2,
         jacobian=lambda x: np.diag([-1.0, 1.0]),
-        component_text=("-x1", "x2"),
         note="saddle; x1*x2 is conserved",
     )
     reg["rotation-c"] = VectorField(
@@ -235,9 +192,7 @@ def _build_registry() -> dict:
         dim=2,
         components=(lambda x1, x2: x2, lambda x1, x2: -x1),
         domain=[(-10.0, 10.0)] * 2,
-        equilibria=_ORIGIN2,
         jacobian=lambda x: np.array([[0.0, 1.0], [-1.0, 0.0]]),
-        component_text=("x2", "-x1"),
         note="closed circular orbits; no non-recurrent surface exists",
     )
     reg["linear-ar"] = _linear_field(
@@ -266,14 +221,12 @@ def _build_registry() -> dict:
             lambda x1, x2: x1 + x2 * (1.0 - x1 * x1 - x2 * x2),
         ),
         domain=[(-10.0, 10.0)] * 2,
-        equilibria=_ORIGIN2,
         jacobian=lambda x: np.array(
             [
                 [1.0 - 3.0 * x[0] ** 2 - x[1] ** 2, -1.0 - 2.0 * x[0] * x[1]],
                 [1.0 - 2.0 * x[0] * x[1], 1.0 - x[0] ** 2 - 3.0 * x[1] ** 2],
             ]
         ),
-        component_text=("-x2 + x1*(1 - x1^2 - x2^2)", "x1 + x2*(1 - x1^2 - x2^2)"),
         note="attracting unit circle; unit angular speed",
     )
     reg["appendix"] = VectorField(
@@ -281,9 +234,7 @@ def _build_registry() -> dict:
         dim=2,
         components=(lambda x1, x2: x1, lambda x1, x2: -x2 + x1 * x1),
         domain=[(-10.0, 10.0)] * 2,
-        equilibria=_ORIGIN2,
         jacobian=lambda x: np.array([[1.0, 0.0], [2.0 * x[0], -1.0]]),
-        component_text=("x1", "-x2 + x1^2"),
         note="orbit-wise eigenfunction counterexample system",
     )
     return reg

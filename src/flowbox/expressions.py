@@ -22,7 +22,6 @@ __all__ = [
     "DomainError",
     "parse_expression",
     "parse_expression_list",
-    "to_text",
 ]
 
 
@@ -272,45 +271,3 @@ def parse_expression_list(text: str, variables: Sequence[str]) -> list:
         raise ExpressionError(f"unexpected {value!r}", pos)
     return nodes
 
-
-# ---------------------------------------------------------------------------
-# Printing.  to_text(parse_expression(s, v), ...) evaluates identically to s.
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
-
-
-def _prec(node: Node) -> int:
-    if isinstance(node, Bin):
-        return _PREC[node.op]
-    if isinstance(node, Neg):
-        return 3
-    return 5
-
-
-def to_text(node: Node) -> str:
-    if isinstance(node, Num):
-        # negative literals only arise in programmatic ASTs; parenthesize so
-        # they reparse as unary minus
-        return repr(node.value) if node.value >= 0 else f"({node.value!r})"
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Call):
-        return f"{node.name}({', '.join(to_text(a) for a in node.args)})"
-    if isinstance(node, Neg):
-        inner = to_text(node.operand)
-        if _prec(node.operand) < 3:
-            inner = f"({inner})"
-        return f"-{inner}"
-    lhs, rhs = to_text(node.lhs), to_text(node.rhs)
-    p = _PREC[node.op]
-    if node.op == "^":
-        if _prec(node.lhs) <= p:  # right associative
-            lhs = f"({lhs})"
-        if _prec(node.rhs) < p:
-            rhs = f"({rhs})"
-    else:
-        if _prec(node.lhs) < p:
-            lhs = f"({lhs})"
-        if _prec(node.rhs) < p or (node.op in "-/" and _prec(node.rhs) == p):
-            rhs = f"({rhs})"
-    return f"{lhs} {node.op} {rhs}" if node.op in "+-" else f"{lhs}{node.op}{rhs}"

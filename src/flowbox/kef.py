@@ -29,7 +29,6 @@ __all__ = [
     "kef_residuals",
     "phi_residuals",
     "orbit_eigen_check",
-    "koopman_advance",
     "minimal_set",
 ]
 
@@ -170,13 +169,6 @@ def orbit_eigen_check(
         dev = abs(complex(phi(xt)) - expected) / max(abs(expected), 1e-300)
         worst = max(worst, dev)
     return worst
-
-
-def koopman_advance(g, field: VectorField, x, tau: float,
-                    cfg: Optional[IntegratorConfig] = None):
-    """(U^tau g)(x) = g(flow(x, tau)): the operator side of the eigen relation."""
-    cfg = cfg or DEFAULT_CONFIG
-    return g(flow(field, np.asarray(x, dtype=float), float(tau), cfg=cfg))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

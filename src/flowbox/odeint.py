@@ -162,19 +162,6 @@ class Orbit:
     def __len__(self):
         return len(self.times)
 
-    def to_csv(self, path_or_buf) -> None:
-        """Write t, x1..xN rows with 17 significant digits and \\n endings."""
-        n = self.states.shape[1]
-        lines = ["t," + ",".join(f"x{i + 1}" for i in range(n))]
-        for t, x in zip(self.times, self.states):
-            lines.append(",".join(format(v, ".17g") for v in (t, *x)))
-        text = "\n".join(lines) + "\n"
-        if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
-            with open(path_or_buf, "w", newline="") as fh:
-                fh.write(text)
-        else:
-            path_or_buf.write(text)
-
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class CrossingEvent:

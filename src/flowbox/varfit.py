@@ -33,7 +33,7 @@ import functools
 import itertools
 import json
 import math
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -124,12 +124,11 @@ class GridField:
 class FitConfig:
     """Knobs for fit().
 
-    iterations is the total step budget; with a random-affine start it is
-    split across the coarse-to-fine ladder (coarser levels get geometrically
-    smaller shares, the requested grid gets the rest).  target > 0 stops the
-    final level early once both node-mean defects drop below it; the default
-    0 runs the full budget.  init is either "random-affine" or a GridField
-    on the same box/shape, which is polished in place without the ladder.
+    iterations is the total step budget, split across the coarse-to-fine
+    ladder (coarser levels get geometrically smaller shares, the requested
+    grid gets the rest).  seed starts the PRNG of the random-affine start.
+    target > 0 stops the final level early once both node-mean defects drop
+    below it; the default 0 runs the full budget.
     """
 
     step_size: float = 1.0
@@ -139,7 +138,6 @@ class FitConfig:
     weight_b: float = 1.0
     seed: int = 0
     target: float = 0.0
-    init: Union[str, GridField] = "random-affine"
 
     def __post_init__(self):
         if not (math.isfinite(self.step_size) and self.step_size > 0):
@@ -148,12 +146,12 @@ class FitConfig:
             raise ValueError(f"momentum must lie in [0, 1): {self.momentum}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1: {self.iterations}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0: {self.seed}")
         for name in ("weight_a", "weight_b", "target"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0: {value}")
-        if isinstance(self.init, str) and self.init != "random-affine":
-            raise ValueError("init must be 'random-affine' or a GridField")
 
 
 # ---------------------------------------------------------------------------
@@ -680,8 +678,7 @@ def fit(field: VectorField, box, shape, cfg: Optional[FitConfig] = None) -> FitR
     shape, so large-scale structure settles before fine-scale detail exists
     to fight it.  Each level runs smoothed-gradient descent with momentum
     (smoothing annealed away as the level's budget is spent) plus
-    recombination sweeps when progress stalls.  A supplied init grid skips
-    the ladder and is polished in place.
+    recombination sweeps when progress stalls.
 
     Deterministic for a fixed cfg: initialization comes from the seeded PRNG
     and every accepted step strictly decreases the loss, so history is
@@ -703,15 +700,9 @@ def fit(field: VectorField, box, shape, cfg: Optional[FitConfig] = None) -> FitR
         raise ValueError(f"shape must list {field_dim} axis sizes")
     _check_grid(box, shape)
 
-    if isinstance(cfg.init, GridField):
-        if cfg.init.shape != shape or not np.allclose(cfg.init.box, box):
-            raise ValueError("supplied init grid does not match box/shape")
-        values = cfg.init.values.copy()
-        ladder = [shape]
-    else:
-        ladder = _coarse_ladder(shape)
-        p_coarse = _field_on_grid(field, box, ladder[0])
-        values = _affine_init(box, ladder[0], p_coarse, cfg.seed)
+    ladder = _coarse_ladder(shape)
+    p_coarse = _field_on_grid(field, box, ladder[0])
+    values = _affine_init(box, ladder[0], p_coarse, cfg.seed)
     budgets = _budget_split(cfg.iterations, len(ladder))
 
     history: list = []
@@ -819,9 +810,9 @@ def rotate_to_flowbox(grid: GridField) -> GridField:
 # Persistence
 
 
-def save_grid(grid: GridField, csv_path, sidecar: Optional[dict] = None,
-              json_path=None) -> None:
-    """CSV of node coordinates and values, plus a JSON sidecar with box/shape."""
+def save_grid(grid: GridField, csv_path, sidecar: Optional[dict] = None) -> None:
+    """CSV of node coordinates and values, plus a JSON sidecar with box/shape
+    at csv_path + ".json"."""
     n = grid.dim
     mesh = grid.mesh()
     header = ",".join([f"x{i + 1}" for i in range(n)] + [f"y{i + 1}" for i in range(n)])
@@ -836,17 +827,14 @@ def save_grid(grid: GridField, csv_path, sidecar: Optional[dict] = None,
     }
     if sidecar:
         meta.update(sidecar)
-    if json_path is None:
-        json_path = str(csv_path) + ".json"
-    with open(json_path, "w") as fh:
+    with open(str(csv_path) + ".json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def load_grid(csv_path, json_path=None) -> GridField:
-    if json_path is None:
-        json_path = str(csv_path) + ".json"
-    with open(json_path) as fh:
+def load_grid(csv_path) -> GridField:
+    """The grid save_grid wrote to csv_path and its sidecar."""
+    with open(str(csv_path) + ".json") as fh:
         meta = json.load(fh)
     box = np.asarray(meta["box"], dtype=float)
     shape = tuple(int(s) for s in meta["shape"])

@@ -61,6 +61,8 @@ def test_parse_grid_spec_per_axis_resolution():
         ("4x6x32x9,1x3x9", 2),  # too many fields
         ("4xsix,1x3x9", 2),     # not a number
         ("4x6,1x3x0", 2),       # zero resolution
+        ("nanx2x3,0.2x1.2x3", 2),  # non-finite bounds
+        ("0.8xinfx3,0.2x1.2x3", 2),
     ],
 )
 def test_parse_grid_spec_rejects(spec, dim):
@@ -524,6 +526,7 @@ def test_varfit_output_does_not_depend_on_the_blas_thread_count(tmp_path):
 @pytest.mark.parametrize("option", [
     "--momentum=1.5", "--target=-1", "--target=nan", "--step-size=nan",
     "--step-size=inf", "--weight-a=nan", "--weight-b=inf", "--iterations=0",
+    "--seed=-1",
 ])
 def test_varfit_rejects_bad_options(option, tmp_path, capsys):
     code = main([
@@ -531,7 +534,9 @@ def test_varfit_rejects_bad_options(option, tmp_path, capsys):
         "--iterations", "5", option, "--out", str(tmp_path / "out"),
     ])
     assert code == EXIT_USAGE
-    assert "flowbox: error:" in capsys.readouterr().err
+    # the error names the field the option sets
+    field = option[2:].split("=")[0].replace("-", "_")
+    assert f"flowbox: error: {field} " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -664,6 +669,15 @@ def test_verify_all_single_suite_with_report(tmp_path, capsys):
     assert report["passed"] is True
     assert len(report["suites"]) == 1
     assert (tmp_path / "manifest.json").exists()
+
+
+def test_verify_all_rejects_a_negative_seed(tmp_path, capsys):
+    code = main(["verify-all", "--seed", "-1", "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "--seed" in captured.err
+    assert captured.out == ""  # no suite ran
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_all_writes_a_report_only_where_out_says(tmp_path, monkeypatch):

@@ -9,7 +9,6 @@ from flowbox.expressions import (
     ExpressionError,
     parse_expression,
     parse_expression_list,
-    to_text,
 )
 
 X12 = ["x1", "x2"]
@@ -108,24 +107,6 @@ def test_expression_list():
     # atan2 commas must not split the list
     nodes = parse_expression_list("atan2(x1, x2), x1", X12)
     assert len(nodes) == 2
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "x1^2 - 3*x2",
-        "-x2 + x1*(1 - x1^2 - x2^2)",
-        "atan2(x2, x1) + ln(exp(x1))",
-        "2^3^x1",
-        "-(x1 + x2)/4",
-        "sqrt(x1^2 + x2^2)",
-    ],
-)
-def test_to_text_round_trip(text):
-    node = parse_expression(text, X12)
-    back = parse_expression(to_text(node), X12)
-    for pt in [(0.5, 0.25), (1.5, 2.0), (2.0, 0.125)]:
-        assert back.evaluate(pt) == pytest.approx(node.evaluate(pt), rel=1e-14)
 
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False)

@@ -16,7 +16,6 @@ from flowbox.fdiff import fd_gradient, fd_jacobian
 from flowbox.kef import (
     build_kef,
     kef_residuals,
-    koopman_advance,
     kpde_residual,
     minimal_set,
     orbit_eigen_check,
@@ -101,17 +100,6 @@ def test_orbit_eigen_check_edge_cases(tight_cfg):
         orbit_eigen_check(lambda x: 0.0, 1.0, field, (1.0, 1.0), 1.0, cfg=tight_cfg)
     phi = lambda x: x[1]
     assert orbit_eigen_check(phi, 1.0, field, (1.0, 1.0), 0.0, cfg=tight_cfg) == 0.0
-
-
-def test_koopman_advance_eigen_relation(hyp_chart, tight_cfg):
-    field = dynsys.builtin("hyperbolic-b")
-    phi = build_kef(hyp_chart, 2.0, profile=lambda h: 4.0 * h[..., 0])
-    x = np.array([1.2, 0.9])
-    tau = 0.3
-    got = koopman_advance(phi, field, x, tau, cfg=tight_cfg)
-    assert complex(got) == pytest.approx(
-        np.exp(2.0 * tau) * complex(phi(x)), rel=1e-6
-    )
 
 
 def test_minimal_set_saddle(hyp_chart):

@@ -1,5 +1,4 @@
 import dataclasses
-import io
 
 import numpy as np
 import pytest
@@ -119,25 +118,13 @@ def test_config_rejects_nonpositive_or_nonfinite_knobs(name, value):
         IntegratorConfig(**{name: value})
 
 
-def test_orbit_csv_format():
-    field = builtin("rotation-c")
-    orbit = trace_orbit(field, np.array([1.0, 0.0]), (0.0, 0.1))
-    buf = io.StringIO()
-    orbit.to_csv(buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "t,x1,x2"
-    assert len(lines) == len(orbit) + 1
-    first = lines[1].split(",")
-    assert float(first[0]) == 0.0
-    assert float(first[1]) == 1.0
-
-
 def test_trace_orbit_monotone_times(tight_cfg):
     field = builtin("limit-cycle")
     orbit = trace_orbit(field, np.array([0.3, 0.0]), (0.5, -1.0), cfg=tight_cfg)
     diffs = np.diff(orbit.times)
     assert np.all(diffs < 0)
     assert orbit.times[0] == 0.5
+    np.testing.assert_array_equal(orbit.states[0], [0.3, 0.0])
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from flowbox import dynsys, refsol
-from flowbox.chart import build_chart, evaluate_h, evaluate_m
+from flowbox.chart import build_chart, flowbox
 from flowbox.fdiff import fd_gradient
 from flowbox.kef import kpde_residual, orbit_eigen_check
 from flowbox.odeint import flow
@@ -240,10 +240,9 @@ def test_chart_agrees_with_closed_forms(sid, rng, tight_cfg):
     ref = reference(sid)
     chart = build_chart(ref.field, ref.surface_name, cfg=tight_cfg)
     for x in ref.sample_valid(rng, 20):
-        assert evaluate_m(chart, x) == pytest.approx(ref.unit_time(x), abs=1e-6)
-        np.testing.assert_allclose(
-            evaluate_h(chart, x), ref.chart_h(x), atol=1e-6
-        )
+        z = flowbox(chart, x)
+        assert z[-1] == pytest.approx(ref.unit_time(x), abs=1e-6)
+        np.testing.assert_allclose(z[:-1], ref.chart_h(x), atol=1e-6)
 
 
 def test_appendix_failed_candidate(tight_cfg):
