@@ -626,7 +626,7 @@ def _flowbox_batch(chart: Chart, points, stats: Optional[RunStats] = None) -> tu
             if isinstance(events, BaseException):
                 raise events
             event = _unique_crossing(chart, x, events)
-            z[i, :-1], z[i, -1] = event.params, -event.t
+            z[i, :-1], z[i, -1] = event.params, 0.0 - event.t  # +0, not -0, on the surface
         except POINT_ERRORS as err:
             errors[i] = err
     return z, errors

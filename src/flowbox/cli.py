@@ -112,6 +112,8 @@ def parse_grid_spec(spec: str, dim: int):
             raise UsageError(f"bad number in grid axis {part!r}") from None
         if not np.isfinite([lo, hi]).all():
             raise UsageError(f"grid bounds must be finite in {part!r}")
+        if lo >= hi:
+            raise UsageError(f"box must have lo < hi on every axis, got {part!r}")
         if res is not None and res < 1:
             raise UsageError(f"resolution must be >= 1 in {part!r}")
         entries.append((lo, hi, res))

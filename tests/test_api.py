@@ -4,10 +4,12 @@ work, so removing one fails here and not only in a traced benchmark run."""
 import importlib
 import importlib.util
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import flowbox
 import flowbox.cli  # noqa: F401 (loads every module the tracer patches)
@@ -23,6 +25,44 @@ def test_every_name_in_all_resolves():
     for module in modules:
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, (module.__name__, missing)
+
+
+def test_import_flowbox_loads_no_submodule_and_no_numpy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import flowbox\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.startswith(('flowbox.', 'numpy'))))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_star_import_binds_every_name_in_all():
+    scope = {}
+    exec("from flowbox import *", scope)
+    assert set(flowbox.__all__) <= set(scope)
+
+
+def test_package_dir_and_unknown_names():
+    assert "__all__" in dir(flowbox)
+    assert set(flowbox.__all__) <= set(dir(flowbox))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        flowbox.no_such_name  # noqa: B018
+
+
+def test_each_reexport_is_its_submodules_public_object():
+    exported = [name for names in flowbox._EXPORTS.values() for name in names]
+    assert sorted(["__version__", *exported]) == sorted(flowbox.__all__)
+    for module_name, names in flowbox._EXPORTS.items():
+        module = importlib.import_module(f"flowbox.{module_name}")
+        for name in names:
+            assert name in module.__all__, (module_name, name)
+            assert getattr(flowbox, name) is getattr(module, name), (module_name, name)
 
 
 def _load(monkeypatch, name):

@@ -360,6 +360,7 @@ def test_point_on_surface_maps_to_zero_time(tight_cfg):
     z = flowbox(chart, x)
     assert z[-1] == pytest.approx(0.0, abs=1e-9)
     np.testing.assert_allclose(z[0], 0.5, atol=1e-9)
+    assert not np.signbit(flowbox(chart, [1.0, 0.5])[-1])  # 0, not -0
 
 
 def test_m_advances_like_time(tight_cfg):

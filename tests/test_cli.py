@@ -63,6 +63,8 @@ def test_parse_grid_spec_per_axis_resolution():
         ("4x6,1x3x0", 2),       # zero resolution
         ("nanx2x3,0.2x1.2x3", 2),  # non-finite bounds
         ("0.8xinfx3,0.2x1.2x3", 2),
+        ("1x1x3,0.5x0.5x2", 2),  # lo == hi
+        ("2x1x3,0x1x3", 2),      # lo > hi
     ],
 )
 def test_parse_grid_spec_rejects(spec, dim):
@@ -129,6 +131,14 @@ def test_chart_build_writes_grid_and_manifest(tmp_path, capsys):
     assert stats["audit"]["lanes"] > 0
     assert set(manifest["timings"]) == {"audit_s", "evaluate_s", "write_s"}
     assert "chart-build: 12/12 points ok" in capsys.readouterr().out
+
+
+def test_chart_build_writes_m_on_the_surface_as_zero(tmp_path):
+    assert main(["chart-build", "--system", "hyperbolic-b", "--surface", "line-b",
+                 "--grid", "0.5x1.5x3,0.5x1x2", "--out", str(tmp_path)]) == EXIT_OK
+    rows = (tmp_path / "chart_grid.csv").read_text().splitlines()[1:]
+    on_surface = [row.split(",") for row in rows if row.startswith("1,")]
+    assert [row[3] for row in on_surface] == ["0", "0"]
 
 
 def test_chart_build_audit_blocks_recurrent_surface(tmp_path, capsys):
