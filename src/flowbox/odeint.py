@@ -1,9 +1,10 @@
 """Orbit integration and surface-crossing detection.
 
-One stepper: adaptive Dormand-Prince RK45 with an elementary step-size
-controller, run over a lane axis.  Each lane is one starting point with its
-own time, step size, attempt count and outcome; all lanes step together and
-the field is evaluated for every running lane at once through
+One stepper: adaptive Dormand-Prince 8(5,3) (DOP853: 12 stages plus the
+first-same-as-last one, Hairer's combined 5th/3rd-order error estimate) with
+an elementary step-size controller, run over a lane axis.  Each lane is one
+starting point with its own time, step size, attempt count and outcome; all
+lanes step together and the field is evaluated for every running lane at once through
 ``VectorField.eval_grid``.  Backward time is a lane whose field is negated.
 A field error (ArithmeticError) fails only the lanes whose own rows raise it.
 ``flow`` and ``trace_orbit`` are one-lane runs.
@@ -18,14 +19,15 @@ rows raise fails alone.
 
 Crossings of a surface's level function are found by scanning each accepted
 step for a sign change of the level.  The root is then located on the step's
-continuous extension (Shampine's 4th-order interpolant for Dormand-Prince,
-the coefficients scipy's ``RK45`` uses), by Illinois regula falsi on the
-step fraction ``theta`` in [0, 1].  Refinement therefore costs no field
+continuous extension (DOP853's 7th-order dense output), by Illinois regula
+falsi on the step fraction ``theta`` in [0, 1].  The extension costs three
+extra stages per bracketing step, each one batched field call over all
+brackets of a refinement pass; the root find itself costs no field
 evaluations, and a root that cannot be brought onto the surface is an
 ``IntegrationError``, never a silently accepted best effort.  Each step's
 interpolant is self-contained, so the sign changes are kept during the sweep
 and all refined together after it (Hairer, Norsett & Wanner, Solving ODEs I,
-section II.6).
+sections II.5, II.6 and II.10).
 ``find_crossings`` is the one-point case of ``find_crossings_batch``.
 """
 from __future__ import annotations
@@ -93,7 +95,7 @@ class DomainExit(IntegrationError):
 
 @dataclasses.dataclass(frozen=True)
 class IntegratorConfig:
-    """Accuracy knobs of the adaptive Dormand-Prince stepper.
+    """Accuracy knobs of the adaptive Dormand-Prince 8(5,3) stepper.
 
     abs_tol, rel_tol : per-component error weights
     max_steps : attempted-step budget per lane and sweep
@@ -125,7 +127,8 @@ class RunStats:
     accepted_steps, rejected_steps : lane steps, summed over lanes
     rhs_calls : VectorField.eval_grid calls, including those that split a
         call which raised ArithmeticError down to its raising rows
-    rhs_evals : lane field evaluations, each running lane once per stage
+    rhs_evals : lane field evaluations, each running lane once per stage,
+        and each refined crossing three times for its dense output
     level_calls : surface level calls, one per surface group (the points
         sharing a surface) per batched step and per root iteration of the
         whole search, plus the start and event-stencil calls and those that
@@ -184,44 +187,179 @@ class CrossingEvent:
 
 
 # ---------------------------------------------------------------------------
-# Dormand-Prince 5(4) coefficients
+# Dormand-Prince 8(5,3) coefficients (DOP853; Hairer, Norsett & Wanner,
+# Solving ODEs I, sections II.5, II.6 and II.10), ported as literals from
+# SciPy's scipy/integrate/_ivp/dop853_coefficients.py (Copyright (c) SciPy
+# Developers, BSD-3-Clause).
+#
+# _STAGES[s] holds the (weight, stage) terms of stage s: stages 0..11 are the
+# step's, row 12 the 8th-order weights (stage 12 is P(x_new), first same as
+# last) and rows 13..15 the extra stages of the dense output.  _E5_TERMS are
+# the 5th-order error weights; the 3rd-order error weights are the 8th-order
+# weights less _B3.  _D_TERMS are the stage weights of the dense output's
+# coefficients 3..6.
 
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+_STAGES = [
+    [],
+    [
+        (5.26001519587677318785587544488e-2, 0),
+    ],  # 1
+    [
+        (1.97250569845378994544595329183e-2, 0),
+        (5.91751709536136983633785987549e-2, 1),
+    ],  # 2
+    [
+        (2.95875854768068491816892993775e-2, 0),
+        (8.87627564304205475450678981324e-2, 2),
+    ],  # 3
+    [
+        (2.41365134159266685502369798665e-1, 0),
+        (-8.84549479328286085344864962717e-1, 2),
+        (9.24834003261792003115737966543e-1, 3),
+    ],  # 4
+    [
+        (3.7037037037037037037037037037e-2, 0),
+        (1.70828608729473871279604482173e-1, 3),
+        (1.25467687566822425016691814123e-1, 4),
+    ],  # 5
+    [
+        (3.7109375e-2, 0), (1.70252211019544039314978060272e-1, 3),
+        (6.02165389804559606850219397283e-2, 4), (-1.7578125e-2, 5),
+    ],  # 6
+    [
+        (3.70920001185047927108779319836e-2, 0),
+        (1.70383925712239993810214054705e-1, 3),
+        (1.07262030446373284651809199168e-1, 4),
+        (-1.53194377486244017527936158236e-2, 5),
+        (8.27378916381402288758473766002e-3, 6),
+    ],  # 7
+    [
+        (6.24110958716075717114429577812e-1, 0), (-3.36089262944694129406857109825, 3),
+        (-8.68219346841726006818189891453e-1, 4),
+        (2.75920996994467083049415600797e1, 5), (2.01540675504778934086186788979e1, 6),
+        (-4.34898841810699588477366255144e1, 7),
+    ],  # 8
+    [
+        (4.77662536438264365890433908527e-1, 0), (-2.48811461997166764192642586468, 3),
+        (-5.90290826836842996371446475743e-1, 4),
+        (2.12300514481811942347288949897e1, 5), (1.52792336328824235832596922938e1, 6),
+        (-3.32882109689848629194453265587e1, 7),
+        (-2.03312017085086261358222928593e-2, 8),
+    ],  # 9
+    [
+        (-9.3714243008598732571704021658e-1, 0), (5.18637242884406370830023853209, 3),
+        (1.09143734899672957818500254654, 4), (-8.14978701074692612513997267357, 5),
+        (-1.85200656599969598641566180701e1, 6),
+        (2.27394870993505042818970056734e1, 7), (2.49360555267965238987089396762, 8),
+        (-3.0467644718982195003823669022, 9),
+    ],  # 10
+    [
+        (2.27331014751653820792359768449, 0), (-1.05344954667372501984066689879e1, 3),
+        (-2.00087205822486249909675718444, 4), (-1.79589318631187989172765950534e1, 5),
+        (2.79488845294199600508499808837e1, 6), (-2.85899827713502369474065508674, 7),
+        (-8.87285693353062954433549289258, 8), (1.23605671757943030647266201528e1, 9),
+        (6.43392746015763530355970484046e-1, 10),
+    ],  # 11
+    [
+        (5.42937341165687622380535766363e-2, 0), (4.45031289275240888144113950566, 5),
+        (1.89151789931450038304281599044, 6), (-5.8012039600105847814672114227, 7),
+        (3.1116436695781989440891606237e-1, 8),
+        (-1.52160949662516078556178806805e-1, 9),
+        (2.01365400804030348374776537501e-1, 10),
+        (4.47106157277725905176885569043e-2, 11),
+    ],  # 12
+    [
+        (5.61675022830479523392909219681e-2, 0),
+        (2.53500210216624811088794765333e-1, 6),
+        (-2.46239037470802489917441475441e-1, 7),
+        (-1.24191423263816360469010140626e-1, 8),
+        (1.5329179827876569731206322685e-1, 9),
+        (8.20105229563468988491666602057e-3, 10),
+        (7.56789766054569976138603589584e-3, 11), (-8.298e-3, 12),
+    ],  # 13
+    [
+        (3.18346481635021405060768473261e-2, 0),
+        (2.83009096723667755288322961402e-2, 5),
+        (5.35419883074385676223797384372e-2, 6),
+        (-5.49237485713909884646569340306e-2, 7),
+        (-1.08347328697249322858509316994e-4, 10),
+        (3.82571090835658412954920192323e-4, 11),
+        (-3.40465008687404560802977114492e-4, 12),
+        (1.41312443674632500278074618366e-1, 13),
+    ],  # 14
+    [
+        (-4.28896301583791923408573538692e-1, 0),
+        (-4.69762141536116384314449447206, 5), (7.68342119606259904184240953878, 6),
+        (4.06898981839711007970213554331, 7), (3.56727187455281109270669543021e-1, 8),
+        (-1.39902416515901462129418009734e-3, 12),
+        (2.9475147891527723389556272149, 13), (-9.15095847217987001081870187138, 14),
+    ],  # 15
 ]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
-_DP_ERR = _DP_B5 - _DP_B4
-# Shampine's continuous extension: stage j enters x(theta) with weight
-# theta * (P[j,0] + P[j,1] theta + P[j,2] theta^2 + P[j,3] theta^3); stage 1
-# has an all-zero row and is skipped.
-_DP_P = np.array([
-    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
-     -12715105075 / 11282082432],
-    [0.0, 0.0, 0.0, 0.0],
-    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-     87487479700 / 32700410799],
-    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
-     -10690763975 / 1880347072],
-    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-     701980252875 / 199316789632],
-    [0.0, -282668133 / 205662961, 2019193451 / 616988883,
-     -1453857185 / 822651844],
-    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-])
-
-# (weight, stage) terms with non-zero weight, as Python floats
-_A_TERMS = [[(float(w), j) for j, w in enumerate(row) if w != 0.0] for row in _DP_A]
-_B5_TERMS = [(float(w), j) for j, w in enumerate(_DP_B5) if w != 0.0]
-_ERR_TERMS = [(float(w), j) for j, w in enumerate(_DP_ERR) if w != 0.0]
-_P_TERMS = [(row, j) for j, row in enumerate(_DP_P.tolist()) if any(row)]
+_E5_TERMS = [
+    (0.1312004499419488073250102996e-1, 0), (-0.1225156446376204440720569753e+1, 5),
+    (-0.4957589496572501915214079952, 6), (0.1664377182454986536961530415e+1, 7),
+    (-0.3503288487499736816886487290, 8), (0.3341791187130174790297318841, 9),
+    (0.8192320648511571246570742613e-1, 10), (-0.2235530786388629525884427845e-1, 11),
+]
+_B3 = {0: 0.244094488188976377952755905512, 8: 0.733846688281611857341361741547,
+       11: 0.220588235294117647058823529412e-1}
+_D_TERMS = [
+    [
+        (-0.84289382761090128651353491142e+1, 0), (0.56671495351937776962531783590, 5),
+        (-0.30689499459498916912797304727e+1, 6),
+        (0.23846676565120698287728149680e+1, 7),
+        (0.21170345824450282767155149946e+1, 8), (-0.87139158377797299206789907490, 9),
+        (0.22404374302607882758541771650e+1, 10),
+        (0.63157877876946881815570249290, 11),
+        (-0.88990336451333310820698117400e-1, 12),
+        (0.18148505520854727256656404962e+2, 13),
+        (-0.91946323924783554000451984436e+1, 14),
+        (-0.44360363875948939664310572000e+1, 15),
+    ],
+    [
+        (0.10427508642579134603413151009e+2, 0),
+        (0.24228349177525818288430175319e+3, 5),
+        (0.16520045171727028198505394887e+3, 6),
+        (-0.37454675472269020279518312152e+3, 7),
+        (-0.22113666853125306036270938578e+2, 8),
+        (0.77334326684722638389603898808e+1, 9),
+        (-0.30674084731089398182061213626e+2, 10),
+        (-0.93321305264302278729567221706e+1, 11),
+        (0.15697238121770843886131091075e+2, 12),
+        (-0.31139403219565177677282850411e+2, 13),
+        (-0.93529243588444783865713862664e+1, 14),
+        (0.35816841486394083752465898540e+2, 15),
+    ],
+    [
+        (0.19985053242002433820987653617e+2, 0),
+        (-0.38703730874935176555105901742e+3, 5),
+        (-0.18917813819516756882830838328e+3, 6),
+        (0.52780815920542364900561016686e+3, 7),
+        (-0.11573902539959630126141871134e+2, 8),
+        (0.68812326946963000169666922661e+1, 9),
+        (-0.10006050966910838403183860980e+1, 10),
+        (0.77771377980534432092869265740, 11),
+        (-0.27782057523535084065932004339e+1, 12),
+        (-0.60196695231264120758267380846e+2, 13),
+        (0.84320405506677161018159903784e+2, 14),
+        (0.11992291136182789328035130030e+2, 15),
+    ],
+    [
+        (-0.25693933462703749003312586129e+2, 0),
+        (-0.15418974869023643374053993627e+3, 5),
+        (-0.23152937917604549567536039109e+3, 6),
+        (0.35763911791061412378285349910e+3, 7),
+        (0.93405324183624310003907691704e+2, 8),
+        (-0.37458323136451633156875139351e+2, 9),
+        (0.10409964950896230045147246184e+3, 10),
+        (0.29840293426660503123344363579e+2, 11),
+        (-0.43533456590011143754432175058e+2, 12),
+        (0.96324553959188282948394950600e+2, 13),
+        (-0.39177261675615439165231486172e+2, 14),
+        (-0.14972683625798562581422125276e+3, 15),
+    ],
+]
+_E3_TERMS = [(w - _B3.get(j, 0.0), j) for w, j in _STAGES[12]]
 
 # lane outcomes of _integrate
 _DONE, _EXIT, _FAILED = range(3)
@@ -238,6 +376,14 @@ def _combine(terms, stages):
     for w, j in rest:
         acc = acc + w * stages[j]
     return acc
+
+
+def _sum_sq(q):
+    """Row sums of q * q over the columns of q (R, N), in a fixed order."""
+    ssq = q[:, 0] * q[:, 0]
+    for j in range(1, q.shape[1]):
+        ssq = ssq + q[:, j] * q[:, j]
+    return ssq
 
 
 def _split_on_error(fn, xs, catch, fail, row_shape=(), first=0):
@@ -261,6 +407,19 @@ def _split_on_error(fn, xs, catch, fail, row_shape=(), first=0):
         _split_on_error(fn, xs[:half], catch, fail, row_shape, first),
         _split_on_error(fn, xs[half:], catch, fail, row_shape, first + half),
     ])
+
+
+def _field_rows(field: VectorField, xs, fail, stats: RunStats) -> np.ndarray:
+    """The field at every row of xs (R, N), counted in stats and split by
+    _split_on_error, so a row that raises ArithmeticError goes to fail(r,
+    err) and reads NaN."""
+
+    def call(rows):
+        stats.rhs_calls += 1
+        return field.eval_grid(list(rows.T)).T
+
+    stats.rhs_evals += len(xs)
+    return _split_on_error(call, xs, ArithmeticError, fail, (xs.shape[1],))
 
 
 def _surface_groups(surface, count: int) -> tuple:
@@ -307,11 +466,12 @@ def _integrate(field: VectorField, x0, sign, T: float, cfg: IntegratorConfig,
 
     `sign` holds +1 or -1 per lane.  After each batched step,
     ``on_accept(lanes, t_old, x_old, t_new, x_new, h, stages)`` sees the lanes
-    whose step was accepted (``stages(rows)`` returns that step's seven stage
-    derivatives for the given rows) and returns lane indices to stop, or
-    None.  A lane stops when it reaches T, leaves the domain box (the state
-    outside the box is its last accepted sample), fails (its field rows
-    raise, or its steps run out or underflow), or is stopped by on_accept.
+    whose step was accepted (``stages(rows)`` returns that step's 13 stage
+    derivatives for the given rows, the last at x_new) and returns lane
+    indices to stop, or None.  A lane stops when it reaches T, leaves the
+    domain box (the state outside the box is its last accepted sample), fails
+    (its field rows raise, or its steps run out or underflow), or is stopped
+    by on_accept.
     ``on_raise(lanes)`` optionally sees, at the end of a pass, the lanes
     whose field rows raised in it and returns lane indices to stop as well.
     Finished lanes are dropped from the compact state of the running lanes.
@@ -333,18 +493,13 @@ def _integrate(field: VectorField, x0, sign, T: float, cfg: IntegratorConfig,
     hi = field.domain[:, 1] + 1e-12
     raised = []  # lanes whose field rows raised in this pass
 
-    def field_rows(xs):
-        stats.rhs_calls += 1
-        return field.eval_grid(list(xs.T)).T
-
     def field_failed(row, err):
         if on_raise is not None:
             raised.append(ids[row])
         fail([row], lambda _: err)
 
     def rhs(xs):
-        stats.rhs_evals += len(xs)
-        return _split_on_error(field_rows, xs, ArithmeticError, field_failed, (N,)) * sg
+        return _field_rows(field, xs, field_failed, stats) * sg
 
     def fail(rows, make):
         for lane, t_lane in zip(ids[rows], t[rows]):
@@ -366,7 +521,7 @@ def _integrate(field: VectorField, x0, sign, T: float, cfg: IntegratorConfig,
         attempts += 1
         if attempts > cfg.max_steps:
             fail(slice(None), lambda _: StepLimitExceeded(
-                f"{field.name}: exceeded {cfg.max_steps} attempted steps (rk45)"
+                f"{field.name}: exceeded {cfg.max_steps} attempted steps (dop853)"
             ))
             break
         h = np.minimum(h, T - t)
@@ -381,18 +536,18 @@ def _integrate(field: VectorField, x0, sign, T: float, cfg: IntegratorConfig,
 
         hc = h[:, None]
         K = [k0]
-        for s in range(1, 6):
-            K.append(rhs(x + hc * _combine(_A_TERMS[s], K)))
-        x_new = x + hc * _combine(_B5_TERMS, K)
+        for s in range(1, 12):
+            K.append(rhs(x + hc * _combine(_STAGES[s], K)))
+        x_new = x + hc * _combine(_STAGES[12], K)
         K.append(rhs(x_new))  # first-same-as-last: the last stage is P(x_new)
-        err = hc * _combine(_ERR_TERMS, K)
-        q = err / (cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(x), np.abs(x_new)))
-        ssq = q[:, 0] * q[:, 0]
-        for j in range(1, N):
-            ssq = ssq + q[:, j] * q[:, j]
-        err_norm = np.sqrt(ssq / N)
+        # Hairer's 5(3) error norm h |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) N):
+        # 0 where both vanish, while np.maximum keeps a NaN norm NaN
+        weight = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(x), np.abs(x_new))
+        ssq5 = _sum_sq(_combine(_E5_TERMS, K) / weight)
+        ssq3 = _sum_sq(_combine(_E3_TERMS, K) / weight)
+        err_norm = h * ssq5 / np.sqrt(np.maximum(ssq5 + 0.01 * ssq3, 1e-300) * N)
 
-        # lanes that field_rows failed in this step leave with the NaN ones
+        # lanes whose field rows failed in this step leave with the NaN ones
         err_norm[outcome[ids] == _FAILED] = np.nan
         ok = err_norm <= 1.0
         n_ok = int(np.count_nonzero(ok))
@@ -413,7 +568,7 @@ def _integrate(field: VectorField, x0, sign, T: float, cfg: IntegratorConfig,
             finished = outside | (T - t_new <= end_tol)
             if n_ok == len(ids):
                 acc, pos = ids, slice(None)
-                t_old, x_old, t, x, k0 = t, x, t_new, x_new, K[6]
+                t_old, x_old, t, x, k0 = t, x, t_new, x_new, K[12]
                 x_acc, t_acc, h_acc = x_new, t_new, h
             else:
                 finished &= ok
@@ -423,7 +578,7 @@ def _integrate(field: VectorField, x0, sign, T: float, cfg: IntegratorConfig,
                 okc = ok[:, None]
                 t = np.where(ok, t_new, t)
                 x = np.where(okc, x_new, x)
-                k0 = np.where(okc, K[6], k0)
+                k0 = np.where(okc, K[12], k0)
             outcome[ids[finished & outside]] = _EXIT
             if on_accept is not None:
                 stop = on_accept(
@@ -443,9 +598,10 @@ def _integrate(field: VectorField, x0, sign, T: float, cfg: IntegratorConfig,
             if stopped.any():
                 outcome[ids[stopped]] = _FAILED
                 keep = ~stopped if keep is None else keep & ~stopped
-        # elementary controller; a zero error norm grows the step 5x
-        factor = 0.9 * np.maximum(err_norm, 1e-300) ** -0.2
-        h = h * np.fmin(5.0, np.maximum(0.2, factor))
+        # elementary controller for the 8th-order error; a zero error norm
+        # grows the step 10x
+        factor = 0.9 * np.maximum(err_norm, 1e-300) ** -0.125
+        h = h * np.fmin(10.0, np.maximum(0.2, factor))
         if keep is not None:
             ids, x, t, h, k0, sg = (a[keep] for a in (ids, x, t, h, k0, sg))
     return outcome, errors
@@ -576,13 +732,36 @@ def _events(field, surfaces, group, t, x, level, stats: RunStats) -> list:
     ]
 
 
-def _interpolate(x_old, h, stages, theta):
-    """Dense output x(t_old + theta h) of one Dormand-Prince step, per row."""
-    terms = [
-        ((theta * (p0 + theta * (p1 + theta * (p2 + theta * p3))))[:, None], j)
-        for (p0, p1, p2, p3), j in _P_TERMS
-    ]
-    return x_old + h[:, None] * _combine(terms, stages)
+def _dense_output(field, sign, x_old, x_new, h, stages, fail, stats: RunStats):
+    """Coefficients F (7, m, N) of DOP853's 7th-order continuous extension of
+    one accepted step per row.
+
+    Row r is a step of size h[r] from x_old[r] to x_new[r] with its 13
+    stages stages[r] (13, N), under the field sign[r] * P.  The three extra
+    stages cost one batched field call each (_field_rows); a row that raises
+    goes to fail(r, err) and its coefficients read NaN.
+    """
+    K = list(stages.transpose(1, 0, 2))
+    hc = h[:, None]
+    for s in range(13, 16):
+        xs = x_old + hc * _combine(_STAGES[s], K)
+        K.append(_field_rows(field, xs, fail, stats) * sign[:, None])
+    delta = x_new - x_old
+    h_old, h_new = hc * K[0], hc * K[12]
+    return np.stack([delta, h_old - delta, 2.0 * delta - h_new - h_old,
+                     *(hc * _combine(terms, K) for terms in _D_TERMS)])
+
+
+def _dense_at(x_old, F, theta):
+    """x(t_old + theta h) per row from _dense_output's coefficients F:
+    x_old + t (F0 + u (F1 + t (F2 + u (F3 + t (F4 + u (F5 + t F6)))))) with
+    t = theta and u = 1 - theta."""
+    th = theta[:, None]
+    one = 1.0 - th
+    x = F[6] * th
+    for i in range(5, -1, -1):
+        x = (x + F[i]) * (th if i % 2 == 0 else one)
+    return x_old + x
 
 
 class _CrossingScan:
@@ -597,7 +776,7 @@ class _CrossingScan:
     the pair's newer sample.
 
     A sign change is kept as a bracket (its step's start, end, size and
-    seven stages, and both levels) and located later by refine(), all
+    13 stages, and both levels) and located later by refine(), all
     pending brackets together: a root depends on its own step alone.  The
     first bracket of a lane whose root fails ends the lane there (ended()).
     """
@@ -695,17 +874,25 @@ class _CrossingScan:
         """Illinois regula falsi on theta in [0, 1] over the interpolant.
 
         Row r is the bracket found[ids[r]] of lane lanes[r], with stages
-        (m, 7, N).  Stops per crossing at |level| <= CROSSING_LEVEL_TOL or
-        when the bracket collapses to 1e-13 in time; a secant point that is
-        not strictly inside the bracket is replaced by its midpoint.  The
-        smallest |level| seen (the step ends included) is the crossing; if
-        it is still above ON_SURFACE_TOL the bracket fails with an
-        IntegrationError, and a level that raises fails it with that error.
+        (m, 13, N), on the dense output of its step.  Stops per crossing at
+        |level| <= CROSSING_LEVEL_TOL or when the bracket collapses to 1e-13
+        in time; a secant point that is not strictly inside the bracket is
+        replaced by its midpoint.  The smallest |level| seen (the step ends
+        included) is the crossing; if it is still above ON_SURFACE_TOL the
+        bracket fails with an IntegrationError, and a level or dense-output
+        field row that raises fails it with that error.
         """
         self.stats.crossings_refined += len(lanes)
         m = len(lanes)
         errors = [None] * m
         raised = np.zeros(m, dtype=bool)
+
+        def fail(r, err):
+            if errors[r] is None:
+                errors[r], raised[r] = err, True
+
+        F = _dense_output(self.field, self.sign[lanes], x_old, x_new, h, stages, fail,
+                          self.stats)
         lo, hi = np.zeros(m), np.ones(m)
         f_lo = l_a.copy()                     # true level at the low end
         g_lo, g_hi = l_a.copy(), l_b.copy()   # Illinois-scaled secant weights
@@ -715,7 +902,7 @@ class _CrossingScan:
         best_l = np.where(end_b, l_b, l_a)
         best_x = np.where(end_b[:, None], x_new, x_old)
         collapse = 1e-13 * np.maximum(1.0, h) / h
-        active = np.ones(m, dtype=bool)
+        active = ~raised
         for _ in range(MAX_ROOT_ITERATIONS):
             rows = np.flatnonzero(active)
             if not rows.size:
@@ -727,12 +914,9 @@ class _CrossingScan:
             bisect = ~((theta > a) & (theta < b))
             theta = np.where(bisect, 0.5 * (a + b), theta)
 
-            xs = _interpolate(x_old[rows], h[rows], stages[rows].transpose(1, 0, 2), theta)
-
-            def fail(i, err, rows=rows):
-                errors[rows[i]], raised[rows[i]] = err, True
-
-            ls = self._levels(lanes[rows], xs, fail)
+            xs = _dense_at(x_old[rows], F[:, rows], theta)
+            ls = self._levels(lanes[rows], xs,
+                              lambda i, err, rows=rows: fail(rows[i], err))
 
             better = np.abs(ls) < np.abs(best_l[rows])
             best_theta[rows[better]] = theta[better]

@@ -35,11 +35,14 @@ def test_import_flowbox_loads_no_submodule_and_no_numpy():
         "import flowbox\n"
         "print(sorted(m for m in sys.modules"
         " if m.startswith(('flowbox.', 'numpy'))))\n"
+        # the integrator's tables are literals: no command pulls in SciPy
+        "import flowbox.cli\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    assert done.stdout.splitlines()[-2:] == ["[]", "[]"]
 
 
 def test_star_import_binds_every_name_in_all():

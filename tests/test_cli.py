@@ -125,9 +125,11 @@ def test_chart_build_writes_grid_and_manifest(tmp_path, capsys):
     evaluate = stats["evaluate"]
     assert evaluate["lanes"] == 2 * manifest["summary"]["points"]
     assert evaluate["crossings_refined"] == manifest["summary"]["points"]
-    # one evaluation per lane to start, then six per attempted step
+    # one evaluation per lane to start, then twelve per attempted step and
+    # three per refined crossing for its dense output
     steps = evaluate["accepted_steps"] + evaluate["rejected_steps"]
-    assert evaluate["rhs_evals"] == evaluate["lanes"] + 6 * steps
+    assert evaluate["rhs_evals"] == (evaluate["lanes"] + 12 * steps
+                                     + 3 * evaluate["crossings_refined"])
     assert stats["audit"]["lanes"] > 0
     assert set(manifest["timings"]) == {"audit_s", "evaluate_s", "write_s"}
     assert "chart-build: 12/12 points ok" in capsys.readouterr().out

@@ -13,9 +13,13 @@ from flowbox.chart import (
     line_surface,
     surface_from_json,
 )
-from flowbox.dynsys import builtin, parse_system
+from flowbox.dynsys import VectorField, builtin, parse_system
 from flowbox.expressions import DomainError
 from flowbox.odeint import (
+    _E3_TERMS,
+    _E5_TERMS,
+    _STAGES,
+    DEFAULT_CONFIG,
     DomainExit,
     IntegrationError,
     IntegratorConfig,
@@ -27,6 +31,7 @@ from flowbox.odeint import (
     flow_batch,
     trace_orbit,
 )
+from flowbox.odeint import _dense_at, _dense_output, _integrate
 
 
 def test_flow_matches_matrix_exponential(tight_cfg):
@@ -125,6 +130,101 @@ def test_trace_orbit_monotone_times(tight_cfg):
     assert np.all(diffs < 0)
     assert orbit.times[0] == 0.5
     np.testing.assert_array_equal(orbit.states[0], [0.3, 0.0])
+
+
+# ---------------------------------------------------------------------------
+# the Dormand-Prince 8(5,3) tableau and its dense output
+
+
+def _dense_steps(field, x0, T):
+    """(x_old, h, dense output F) and x_new of every accepted step of one
+    forward lane from x0 over [0, T] at DEFAULT_CONFIG."""
+    steps = []
+
+    def keep(lanes, t_old, x_old, t_new, x_new, h, stages):
+        steps.append((x_old[0], x_new[0], h[0], np.stack(stages([0]), axis=1)[0]))
+
+    _, errors = _integrate(field, np.array([x0], dtype=float), 1.0, T, DEFAULT_CONFIG,
+                           RunStats(), keep)
+    assert errors == [None]
+    x_old, x_new, h, stages = (np.array(column) for column in zip(*steps))
+
+    def fail(r, err):
+        raise AssertionError(f"row {r} raised {err!r}")
+
+    F = _dense_output(field, np.ones(len(h)), x_old, x_new, h, stages, fail, RunStats())
+    return x_old, h, F, x_new
+
+
+def test_tableau_order_conditions_error_weights_and_dense_ends():
+    # c from the row sums of the stage matrix; the 8th-order weights
+    # integrate c^k exactly for k <= 7
+    c = [sum(w for w, _ in _STAGES[s]) for s in range(16)]
+    assert c[0] == 0.0
+    b = {j: w for w, j in _STAGES[12]}
+    for k in range(8):
+        quadrature = sum(w * c[j] ** k for j, w in b.items())
+        assert quadrature == pytest.approx(1 / (k + 1), abs=1e-14), k
+    np.testing.assert_allclose(c[12:], [1.0, 0.1, 0.2, 7 / 9], rtol=0, atol=1e-15)
+    for terms in (_E5_TERMS, _E3_TERMS):
+        assert sum(w for w, _ in terms) == pytest.approx(0.0, abs=1e-15)
+    x_old, h, F, x_new = _dense_steps(builtin("limit-cycle"), [0.4, 0.1], 3.0)
+    np.testing.assert_array_equal(_dense_at(x_old, F, np.zeros(len(h))), x_old)
+    np.testing.assert_allclose(_dense_at(x_old, F, np.ones(len(h))), x_new,
+                               rtol=0, atol=1e-15)
+
+
+def test_dense_output_matches_flow_inside_the_step(tight_cfg):
+    field = builtin("limit-cycle")
+    x_old, h, F, _ = _dense_steps(field, [0.4, 0.1], 3.0)
+    cfg = DEFAULT_CONFIG
+    for theta in (0.1, 0.35, 0.5, 0.8):
+        dense = _dense_at(x_old, F, np.full(len(h), theta))
+        for x, h_r, y in zip(x_old, h, dense):
+            exact = flow(field, x, theta * h_r, cfg=tight_cfg)
+            bound = 10 * (cfg.abs_tol + cfg.rel_tol * np.abs(exact))
+            assert np.all(np.abs(y - exact) <= bound), (theta, y - exact)
+
+
+def test_rotation_over_two_turns_takes_few_steps():
+    x0 = np.array([1.0, 0.5])
+    T = 4.0 * np.pi
+    orbit = trace_orbit(builtin("rotation-c"), x0, (0.0, T), cfg=DEFAULT_CONFIG)
+    assert len(orbit) - 1 <= 40  # accepted steps
+    c, s = np.cos(T), np.sin(T)
+    exact = [x0[0] * c + x0[1] * s, -x0[0] * s + x0[1] * c]
+    np.testing.assert_allclose(orbit.states[-1], exact, rtol=0, atol=1e-8)
+
+
+def test_dense_output_field_error_fails_its_bracket(monkeypatch):
+    # after the sweep, the field raises at rows with x2 > 1: the dense output
+    # of the second point's bracket does, so that point's crossing fails with
+    # the field's own error and its event is never built (the search's last
+    # field call, for the events, raises nothing); the first point's
+    # crossing is unchanged
+    field = builtin("hyperbolic-b")
+    surface = line_surface(1.0, 0.0, 4.0)
+    points = [[0.5, 0.5], [0.5, 4.0]]
+    plain, stats = find_crossings_batch(field, points, surface, horizon=2.0)
+    assert [len(r) for r in plain] == [1, 1]
+    sweep_calls = stats.rhs_calls - 3  # three dense-output stage calls follow
+    original = VectorField.eval_grid
+    calls, raised = [0], {}
+
+    def eval_grid(self, coords):
+        calls[0] += 1
+        if calls[0] > sweep_calls and np.any(np.asarray(coords[1]) > 1.0):
+            raised[calls[0]] = ZeroDivisionError(f"no field at call {calls[0]}")
+            raise raised[calls[0]]
+        return original(self, coords)
+
+    monkeypatch.setattr(VectorField, "eval_grid", eval_grid)
+    results, _ = find_crossings_batch(field, points, surface, horizon=2.0)
+    assert results[1] in raised.values()
+    assert max(raised) < calls[0]
+    (event,), (expected,) = results[0], plain[0]
+    assert event.t == expected.t
+    np.testing.assert_array_equal(event.x, expected.x)
 
 
 # ---------------------------------------------------------------------------
@@ -468,10 +568,10 @@ def test_failed_crossing_ends_its_lane_before_a_later_field_error(tight_cfg):
     field = parse_system("x1, -x2 + 0*sqrt(2 - x1)", 2, name="sqrt-source")
     results, _ = find_crossings_batch(field, points, jump, horizon=5.0, cfg=tight_cfg)
     assert [(type(r), str(r)) for r in results] == [
-        (IntegrationError, "sqrt-source: crossing near t=0.691161 did not converge:"
-         " |level| = 1 > 1e-09 at x=[0.9980155861342155, 1.0019883595946768]"),
-        (IntegrationError, "sqrt-source: crossing near t=0.683956 did not converge:"
-         " |level| = 1 > 1e-09 at x=[0.9908512941784318, 0.5046165887232412]"),
+        (IntegrationError, "sqrt-source: crossing near t=0.687378 did not converge:"
+         " |level| = 1 > 1e-09 at x=[0.9942476485077836, 1.0057856324838779]"),
+        (IntegrationError, "sqrt-source: crossing near t=0.505818 did not converge:"
+         " |level| = 1 > 1e-09 at x=[0.8291711436462874, 0.6030118194915103]"),
         (DomainError, "sqrt of a negative value"),
     ]
     chart = build_chart(field, jump, cfg=tight_cfg, horizon=5.0, audit_transversal=False)
