@@ -10,7 +10,8 @@ A field error (ArithmeticError) fails only the lanes whose own rows raise it.
 ``flow`` and ``trace_orbit`` are one-lane runs.
 
 Surfaces follow the same row contract (see ``chart.Surface``): the crossing
-search makes one ``level`` call per batched step and per root iteration, and
+search makes one ``level`` call per batched step, per refinement pass and
+per root iteration, and
 builds every event of a search from one ``param_inverse`` call, one level
 call over the central-difference stencils and one field call.  With one
 surface per point, each of these is one call per distinct surface.  A
@@ -18,10 +19,13 @@ surface call that raises is split like a field call, so a point whose own
 rows raise fails alone.
 
 Crossings of a surface's level function are found by scanning each accepted
-step for a sign change of the level.  The root is then located on the step's
-continuous extension (DOP853's 7th-order dense output), by Illinois regula
-falsi on the step fraction ``theta`` in [0, 1].  The extension costs three
-extra stages per bracketing step, each one batched field call over all
+step for a sign change of the level, at its end and at ``SCAN_THETAS`` on
+the step's cubic Hermite interpolant, which costs no field evaluation; so an
+excursion past the surface that begins and ends inside one step is still two
+crossings once a sample falls inside it.  Each root is then located on the
+step's continuous extension (DOP853's 7th-order dense output), by Illinois
+regula falsi on the step fraction ``theta`` in [0, 1].  The extension costs
+three extra stages per bracketing step, each one batched field call over all
 brackets of a refinement pass; the root find itself costs no field
 evaluations, and a root that cannot be brought onto the surface is an
 ``IntegrationError``, never a silently accepted best effort.  Each step's
@@ -63,6 +67,11 @@ ON_SURFACE_TOL = 1e-9     # |level| below this counts as "already on S"
 CROSSING_LEVEL_TOL = 1e-12  # root-find target for |level| on the interpolant
 MAX_ROOT_ITERATIONS = 200  # per crossing; the bracket collapses long before
 DIRECTION_STEP = 1e-7     # central-difference step of the level gradient
+# step fractions at which the crossing scan samples the level inside each
+# accepted step, between its two ends.  DOP853 takes about five times fewer
+# steps than a 5(4) pair at the same tolerance, so five samples per step keep
+# about the sample density of that pair's steps.
+SCAN_THETAS = np.array([0.2, 0.4, 0.6, 0.8])
 
 
 class IntegrationError(RuntimeError):
@@ -128,12 +137,15 @@ class RunStats:
     rhs_calls : VectorField.eval_grid calls, including those that split a
         call which raised ArithmeticError down to its raising rows
     rhs_evals : lane field evaluations, each running lane once per stage,
-        and each refined crossing three times for its dense output
+        and each step that brackets a crossing three times for its dense
+        output
     level_calls : surface level calls, one per surface group (the points
-        sharing a surface) per batched step and per root iteration of the
-        whole search, plus the start and event-stencil calls and those that
-        split a call which raised down to its raising rows
-    level_evals : level values asked for, each row once
+        sharing a surface) per batched step, per refinement pass and per root
+        iteration of the whole search, plus the start and event-stencil
+        calls and those that split a call which raised down to its raising
+        rows
+    level_evals : level values asked for, each row once (a batched step asks
+        for its end and the samples inside it)
     crossings_refined : sign changes located on the interpolant
     root_iterations : root-find iterations, summed over crossings
     """
@@ -439,6 +451,9 @@ def _per_surface(fn, surfaces, group, xs, fail, row_shape=()) -> np.ndarray:
     surfaces[group[r]]: one call per surface present, in order of first
     appearance, split by _split_on_error, so a row that raises any exception
     is reported to fail(r, err) and reads NaN."""
+    if len(surfaces) == 1:  # every row on one surface: no gather or scatter
+        return _split_on_error(lambda pts: fn(surfaces[0], pts), xs, Exception,
+                               fail, row_shape)
     out = np.empty((len(xs),) + row_shape)
     for g, surface in enumerate(surfaces):
         rows = np.flatnonzero(group == g)  # no call when empty
@@ -465,10 +480,10 @@ def _integrate(field: VectorField, x0, sign, T: float, cfg: IntegratorConfig,
     """Integrate dx/dt = sign * P(x) over [0, T] on every lane of x0 (L, N).
 
     `sign` holds +1 or -1 per lane.  After each batched step,
-    ``on_accept(lanes, t_old, x_old, t_new, x_new, h, stages)`` sees the lanes
-    whose step was accepted (``stages(rows)`` returns that step's 13 stage
-    derivatives for the given rows, the last at x_new) and returns lane
-    indices to stop, or None.  A lane stops when it reaches T, leaves the
+    ``on_accept(lanes, t_old, x_old, t_new, x_new, h, stage)`` sees the lanes
+    whose step was accepted (``stage(j)`` returns stage derivative j of their
+    step, 0 <= j < 13: the first at x_old, the last at x_new) and returns
+    lane indices to stop, or None.  A lane stops when it reaches T, leaves the
     domain box (the state outside the box is its last accepted sample), fails
     (its field rows raise, or its steps run out or underflow), or is stopped
     by on_accept.
@@ -581,10 +596,8 @@ def _integrate(field: VectorField, x0, sign, T: float, cfg: IntegratorConfig,
                 k0 = np.where(okc, K[12], k0)
             outcome[ids[finished & outside]] = _EXIT
             if on_accept is not None:
-                stop = on_accept(
-                    acc, t_old, x_old, t_acc, x_acc, h_acc,
-                    lambda rows: [k[pos][rows] for k in K],
-                )
+                stop = on_accept(acc, t_old, x_old, t_acc, x_acc, h_acc,
+                                 lambda j: K[j][pos])
                 if stop is not None:
                     outcome[stop] = _FAILED
                     finished |= np.isin(ids, stop)
@@ -625,7 +638,7 @@ def flow_batch(field: VectorField, points, t: float,
     final = X.copy()
     t_last = np.zeros(len(X))
 
-    def keep_last(lanes, t_old, x_old, t_new, x_new, h, stages):
+    def keep_last(lanes, t_old, x_old, t_new, x_new, h, stage):
         final[lanes] = x_new
         t_last[lanes] = t_new
 
@@ -660,7 +673,7 @@ def trace_orbit(field: VectorField, x0, t_span, cfg: Optional[IntegratorConfig] 
     x0 = np.asarray(x0, dtype=float)
     times, states = [0.0], [x0.copy()]
 
-    def record(lanes, t_old, x_old, t_new, x_new, h, stages):
+    def record(lanes, t_old, x_old, t_new, x_new, h, stage):
         times.append(float(t_new[0]))
         states.append(x_new[0].copy())
 
@@ -732,6 +745,28 @@ def _events(field, surfaces, group, t, x, level, stats: RunStats) -> list:
     ]
 
 
+def _cubic_hermite_weights(theta):
+    """Weights of x_old, x_new, h P(x_old) and h P(x_new) in a step's cubic
+    Hermite interpolant at the step fractions theta (k,), each (k, 1, 1)."""
+    t = theta[:, None, None]
+    return ((t - 1.0) ** 2 * (2.0 * t + 1.0), t * t * (3.0 - 2.0 * t),
+            t * (t - 1.0) ** 2, t * t * (t - 1.0))
+
+
+_SCAN_WEIGHTS = _cubic_hermite_weights(SCAN_THETAS)
+
+
+def _scan_points(x_old, x_new, h, k_old, k_new):
+    """Each row's cubic Hermite interpolant (SCAN_THETAS, m, N) at
+    SCAN_THETAS over its step of size h[r] from x_old[r] to x_new[r], with
+    derivatives k_old[r] and k_new[r] at the ends; no field call.  Summed
+    elementwise in a fixed order, so a row's points do not depend on the
+    other rows of the batch."""
+    hc = h[:, None]
+    w_old, w_new, d_old, d_new = _SCAN_WEIGHTS
+    return w_old * x_old + w_new * x_new + d_old * (hc * k_old) + d_new * (hc * k_new)
+
+
 def _dense_output(field, sign, x_old, x_new, h, stages, fail, stats: RunStats):
     """Coefficients F (7, m, N) of DOP853's 7th-order continuous extension of
     one accepted step per row.
@@ -755,8 +790,9 @@ def _dense_output(field, sign, x_old, x_new, h, stages, fail, stats: RunStats):
 def _dense_at(x_old, F, theta):
     """x(t_old + theta h) per row from _dense_output's coefficients F:
     x_old + t (F0 + u (F1 + t (F2 + u (F3 + t (F4 + u (F5 + t F6)))))) with
-    t = theta and u = 1 - theta."""
-    th = theta[:, None]
+    t = theta and u = 1 - theta.  theta is one value per row (m,) or an
+    array (k, 1) of values for every row, giving (k, m, N)."""
+    th = theta[..., None]
     one = 1.0 - th
     x = F[6] * th
     for i in range(5, -1, -1):
@@ -764,21 +800,40 @@ def _dense_at(x_old, F, theta):
     return x_old + x
 
 
+def _grid_brackets(levels):
+    """The sign changes and exact zeros of each column of levels (k + 2, m),
+    the level at the grid of a step, its ends first and last.
+
+    Returns (change, zero): change[j, r] marks the pair (j, j + 1) of column
+    r whose levels are both nonzero and of opposite sign, zero[j, r] an
+    interior level (row j + 1) that is exactly 0.
+    """
+    side = levels > 0.0
+    nonzero = levels != 0.0
+    change = (side[:-1] != side[1:]) & nonzero[:-1] & nonzero[1:]
+    return change, ~nonzero[1:-1]
+
+
 class _CrossingScan:
-    """Per-lane sign-change and zero-hit scan of accepted samples.
+    """Per-lane sign-change and zero-hit scan of accepted steps.
 
     Lane i is point i % P swept forward (i < P) or backward (i >= P), on the
     surface surfaces[group[i]].  It mirrors a scan over the full list of
     samples: a leading on-surface stretch (|level| <= ON_SURFACE_TOL) is
     skipped, and sample pairs from the first off-surface sample on are
     searched for sign changes.  A lane is armed once it has seen an
-    off-surface sample; a pair is searched only if its lane was armed before
-    the pair's newer sample.
+    off-surface sample; a step is searched only if its lane was armed
+    before the step's end.
 
-    A sign change is kept as a bracket (its step's start, end, size and
-    13 stages, and both levels) and located later by refine(), all
-    pending brackets together: a root depends on its own step alone.  The
-    first bracket of a lane whose root fails ends the lane there (ended()).
+    Each step is sampled at its end and at SCAN_THETAS on its cubic Hermite
+    interpolant (no field call), all in one level call, so an excursion past
+    the surface that starts and ends inside one step is seen.  An exact
+    zero at the step's end is an event on the spot.  A step with any other
+    sign change or exact zero among its samples is kept as a bracket (its
+    start, end, size and 13 stages, and the levels at both ends) and
+    located later by refine(), all pending brackets together: a root depends
+    on its own step alone.  The first bracket of a lane whose root fails
+    ends the lane there (ended()).
     """
 
     def __init__(self, field, surfaces, group, l0, sign, partner, stats):
@@ -792,13 +847,22 @@ class _CrossingScan:
         self.last = np.array(l0, dtype=float)   # level at the newest sample
         self.armed = np.abs(self.last) > ON_SURFACE_TOL
         self.records = [[] for _ in range(L)]   # per lane, indices into found in sample order
-        self.found = []     # per record (t, x, level), the exception of a failed bracket, or None
+        # per record a list of crossings (t, x, level) in time order, ending
+        # at the exception of a failed bracket if any; None until refined
+        self.found = []
         self.pending = []   # column tuples of unrefined brackets, see _refine
         self.errors = [None] * L  # level errors of the scan itself
         self.failed = np.zeros(L, dtype=bool)
 
     def _levels(self, lanes, xs, fail):
-        return _levels(self.surfaces, self.group[lanes], xs, fail, self.stats)
+        """Levels (k, m) of the points xs (k, m, N), or (m,) of xs (m, N), in
+        one call per surface: xs[..., r, :] lies on the surface of lane
+        lanes[r], and a point that raises goes to fail(r, err)."""
+        m, N = len(lanes), xs.shape[-1]
+        flat = xs.reshape(-1, N)
+        levels = _levels(self.surfaces, self.group[np.tile(lanes, len(flat) // m)], flat,
+                         lambda i, err: fail(i % m, err), self.stats)
+        return levels.reshape(xs.shape[:-1])
 
     def _record(self, lanes, found):
         """One record per lane, each found[i] = found; their indices i."""
@@ -808,31 +872,35 @@ class _CrossingScan:
             self.found.append(found)
         return np.arange(start, len(self.found))
 
-    def __call__(self, lanes, t_old, x_old, t_new, x_new, h, stages):
+    def __call__(self, lanes, t_old, x_old, t_new, x_new, h, stage):
         def fail(r, err):  # a lane whose level raises fails alone, not the batch
-            self.errors[lanes[r]] = err
-            self.failed[lanes[r]] = True
+            if not self.failed[lanes[r]]:  # the first error in time order
+                self.errors[lanes[r]] = err
+                self.failed[lanes[r]] = True
 
-        lnew = self._levels(lanes, x_new, fail)
-        lp = self.last[lanes]
+        # the interior samples, then the step's end: rows in time order
+        inner = _scan_points(x_old, x_new, h, stage(0), stage(12))
+        levels = self._levels(lanes, np.concatenate([inner, x_new[None]]), fail)
+        lp, lnew = self.last[lanes], levels[-1]
         self.last[lanes] = lnew
         armed = self.armed[lanes]
         self.armed[lanes] = armed | (np.abs(lnew) > ON_SURFACE_TOL)
         # only a sign change or an exact zero makes an event
-        maybe = ((lp > 0.0) != (lnew > 0.0)) | (lnew == 0.0)
-        if maybe.any():
+        change, zero = _grid_brackets(np.concatenate([lp[None], levels]))
+        bracket = change.any(axis=0) | zero.any(axis=0)
+        hit = lnew == 0.0
+        if bracket.any() or hit.any():
             scan = armed & ~self.failed[lanes]
-            hit = scan & (lnew == 0.0)
-            change = scan & ~hit & (lp != 0.0) & ((lp > 0.0) != (lnew > 0.0))
-            for r in np.flatnonzero(hit):
-                self._record([lanes[r]], (self.sign[lanes[r]] * t_new[r], x_new[r].copy(), 0.0))
-            rows = np.flatnonzero(change)
+            rows = np.flatnonzero(scan & bracket)
             if rows.size:
                 self.pending.append((
                     self._record(lanes[rows], None), lanes[rows], t_old[rows],
-                    x_old[rows], x_new[rows], h[rows], np.stack(stages(rows), axis=1),
+                    x_old[rows], x_new[rows], h[rows],
+                    np.stack([stage(j)[rows] for j in range(13)], axis=1),
                     lp[rows], lnew[rows],
                 ))
+            for r in np.flatnonzero(scan & hit):
+                self._record([lanes[r]], [(self.sign[lanes[r]] * t_new[r], x_new[r].copy(), 0.0)])
         failed = self.failed[lanes]
         return lanes[failed] if failed.any() else None
 
@@ -865,24 +933,27 @@ class _CrossingScan:
         (None when every bracket was located)."""
         crossings = []
         for i in self.records[lane]:
-            if isinstance(self.found[i], BaseException):
-                return crossings, self.found[i]
-            crossings.append(self.found[i])
+            for found in self.found[i]:
+                if isinstance(found, BaseException):
+                    return crossings, found
+                crossings.append(found)
         return crossings, None
 
     def _refine(self, ids, lanes, t_old, x_old, x_new, h, stages, l_a, l_b):
-        """Illinois regula falsi on theta in [0, 1] over the interpolant.
+        """Illinois regula falsi on theta in [0, 1] over the dense output.
 
-        Row r is the bracket found[ids[r]] of lane lanes[r], with stages
-        (m, 13, N), on the dense output of its step.  Stops per crossing at
-        |level| <= CROSSING_LEVEL_TOL or when the bracket collapses to 1e-13
-        in time; a secant point that is not strictly inside the bracket is
-        replaced by its midpoint.  The smallest |level| seen (the step ends
-        included) is the crossing; if it is still above ON_SURFACE_TOL the
-        bracket fails with an IntegrationError, and a level or dense-output
-        field row that raises fails it with that error.
+        Row r is the bracketing step found[ids[r]] of lane lanes[r], with
+        stages (m, 13, N).  Its level is sampled again at SCAN_THETAS, now on
+        the dense output; every exact zero there is a crossing, and every
+        sign change between neighbouring samples a sub-bracket, all located
+        together.  Stops per sub-bracket at |level| <= CROSSING_LEVEL_TOL or
+        when it collapses to 1e-13 in time; a secant point that is not
+        strictly inside it is replaced by its midpoint.  The smallest |level|
+        seen (its ends included) is the crossing; if it is still above
+        ON_SURFACE_TOL the sub-bracket fails with an IntegrationError, which
+        ends the step's crossings.  A level or dense-output field row that
+        raises fails the whole step with that error.
         """
-        self.stats.crossings_refined += len(lanes)
         m = len(lanes)
         errors = [None] * m
         raised = np.zeros(m, dtype=bool)
@@ -893,63 +964,82 @@ class _CrossingScan:
 
         F = _dense_output(self.field, self.sign[lanes], x_old, x_new, h, stages, fail,
                           self.stats)
-        lo, hi = np.zeros(m), np.ones(m)
-        f_lo = l_a.copy()                     # true level at the low end
-        g_lo, g_hi = l_a.copy(), l_b.copy()   # Illinois-scaled secant weights
-        last_side = np.full(m, -1)
-        end_b = np.abs(l_b) < np.abs(l_a)
-        best_theta = np.where(end_b, 1.0, 0.0)
-        best_l = np.where(end_b, l_b, l_a)
-        best_x = np.where(end_b[:, None], x_new, x_old)
-        collapse = 1e-13 * np.maximum(1.0, h) / h
-        active = ~raised
+        grid_theta = np.concatenate([[0.0], SCAN_THETAS, [1.0]])
+        grid_x = np.concatenate([x_old[None], _dense_at(x_old, F, SCAN_THETAS[:, None]),
+                                 x_new[None]])
+        grid_l = np.concatenate([l_a[None], self._levels(lanes, grid_x[1:-1], fail),
+                                 l_b[None]])
+        change, zero = _grid_brackets(grid_l)
+        change &= ~raised
+        zero &= ~raised
+        # sub-bracket b spans grid points j[b] and j[b] + 1 of step row[b]
+        j, row = np.nonzero(change)
+        self.stats.crossings_refined += len(row)
+        lo, hi = grid_theta[j], grid_theta[j + 1]
+        f_lo = grid_l[j, row]                         # true level at the low end
+        g_lo, g_hi = f_lo.copy(), grid_l[j + 1, row]  # Illinois-scaled secant weights
+        last_side = np.full(len(row), -1)
+        end = j + (np.abs(g_hi) < np.abs(g_lo))
+        best_theta, best_l, best_x = grid_theta[end], grid_l[end, row], grid_x[end, row]
+        collapse = (1e-13 * np.maximum(1.0, h) / h)[row]
+        active = ~raised[row]
         for _ in range(MAX_ROOT_ITERATIONS):
-            rows = np.flatnonzero(active)
-            if not rows.size:
+            b = np.flatnonzero(active)
+            if not b.size:
                 break
-            self.stats.root_iterations += rows.size
-            a, b = lo[rows], hi[rows]
-            ga, gb = g_lo[rows], g_hi[rows]
-            theta = (a * gb - b * ga) / (gb - ga)
-            bisect = ~((theta > a) & (theta < b))
-            theta = np.where(bisect, 0.5 * (a + b), theta)
+            self.stats.root_iterations += b.size
+            a, c = lo[b], hi[b]
+            ga, gc = g_lo[b], g_hi[b]
+            theta = (a * gc - c * ga) / (gc - ga)
+            bisect = ~((theta > a) & (theta < c))
+            theta = np.where(bisect, 0.5 * (a + c), theta)
 
-            xs = _dense_at(x_old[rows], F[:, rows], theta)
-            ls = self._levels(lanes[rows], xs,
-                              lambda i, err, rows=rows: fail(rows[i], err))
+            rb = row[b]
+            xs = _dense_at(x_old[rb], F[:, rb], theta)
+            ls = self._levels(lanes[rb], xs, lambda i, err, rb=rb: fail(rb[i], err))
 
-            better = np.abs(ls) < np.abs(best_l[rows])
-            best_theta[rows[better]] = theta[better]
-            best_l[rows[better]] = ls[better]
-            best_x[rows[better]] = xs[better]
+            better = np.abs(ls) < np.abs(best_l[b])
+            best_theta[b[better]] = theta[better]
+            best_l[b[better]] = ls[better]
+            best_x[b[better]] = xs[better]
 
-            to_lo = (ls > 0.0) == (f_lo[rows] > 0.0)
-            r_lo, r_hi = rows[to_lo], rows[~to_lo]
-            lo[r_lo], f_lo[r_lo], g_lo[r_lo] = theta[to_lo], ls[to_lo], ls[to_lo]
-            hi[r_hi], g_hi[r_hi] = theta[~to_lo], ls[~to_lo]
+            to_lo = (ls > 0.0) == (f_lo[b] > 0.0)
+            b_lo, b_hi = b[to_lo], b[~to_lo]
+            lo[b_lo], f_lo[b_lo], g_lo[b_lo] = theta[to_lo], ls[to_lo], ls[to_lo]
+            hi[b_hi], g_hi[b_hi] = theta[~to_lo], ls[~to_lo]
             # the same end replaced twice running: halve the stale end's weight
-            g_hi[r_lo[last_side[r_lo] == 0]] *= 0.5
-            g_lo[r_hi[last_side[r_hi] == 1]] *= 0.5
-            last_side[rows] = np.where(to_lo, 0, 1)
+            g_hi[b_lo[last_side[b_lo] == 0]] *= 0.5
+            g_lo[b_hi[last_side[b_hi] == 1]] *= 0.5
+            last_side[b] = np.where(to_lo, 0, 1)
 
             done = (
                 (np.abs(ls) <= CROSSING_LEVEL_TOL)
-                | (hi[rows] - lo[rows] <= collapse[rows])
-                | raised[rows]
+                | (hi[b] - lo[b] <= collapse[b])
+                | raised[rb]
             )
-            active[rows[done]] = False
+            active[b[done]] = False
 
-        sign = self.sign[lanes]
-        for r in range(m):
-            t_c = sign[r] * (t_old[r] + best_theta[r] * h[r])
-            if errors[r] is None and not abs(best_l[r]) <= ON_SURFACE_TOL:
-                errors[r] = IntegrationError(
-                    f"{self.field.name}: crossing near t={t_c:.6g} did not converge:"
-                    f" |level| = {abs(best_l[r]):.3g} > {ON_SURFACE_TOL:g}"
-                    f" at x={best_x[r].tolist()}"
+        # every step's crossings in time order: the exact zeros at grid
+        # points g, then the sub-brackets, an exact zero before the
+        # sub-bracket that starts at its grid point
+        g, r_zero = np.nonzero(zero)
+        owner = np.concatenate([r_zero, row])
+        theta = np.concatenate([grid_theta[g + 1], best_theta])
+        t_c = self.sign[lanes][owner] * (t_old[owner] + theta * h[owner])
+        x_c = np.concatenate([grid_x[g + 1, r_zero], best_x])
+        l_c = np.concatenate([np.zeros(len(g)), best_l])
+        found = [[] for _ in range(m)]
+        for i in np.lexsort((np.concatenate([g + 1.0, j + 0.5]), owner)):
+            crossing = (t_c[i], x_c[i], l_c[i])
+            if not abs(l_c[i]) <= ON_SURFACE_TOL:
+                crossing = IntegrationError(
+                    f"{self.field.name}: crossing near t={t_c[i]:.6g} did not converge:"
+                    f" |level| = {abs(l_c[i]):.3g} > {ON_SURFACE_TOL:g}"
+                    f" at x={x_c[i].tolist()}"
                 )
-            self.found[ids[r]] = errors[r] if errors[r] is not None else (
-                t_c, best_x[r], best_l[r])
+            found[owner[i]].append(crossing)
+        for r in range(m):
+            self.found[ids[r]] = [errors[r]] if raised[r] else found[r]
 
 
 def find_crossings_batch(
@@ -1050,9 +1140,10 @@ def find_crossings(
     """All crossings of the orbit through x0 with a surface, both time
     directions, sorted by time.
 
-    A crossing is a sign change or exact zero of the level between accepted
-    samples, or a start within ON_SURFACE_TOL of the surface; a touch that
-    keeps the level's sign is none.  Level-set crossings whose parameters
+    A crossing is a sign change or exact zero of the level between the
+    samples of each accepted step (its ends and SCAN_THETAS inside it), or a
+    start within ON_SURFACE_TOL of the surface; a touch that keeps the
+    level's sign is none.  Level-set crossings whose parameters
     land outside (0,1)^{N-1} are kept but flagged off-patch.  Sweeps that leave the field's domain box are
     truncated at the exit point.  A sweep that leaves an expression's domain
     is not: the field's error (e.g. expressions.DomainError) ends the search.

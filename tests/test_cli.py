@@ -126,7 +126,8 @@ def test_chart_build_writes_grid_and_manifest(tmp_path, capsys):
     assert evaluate["lanes"] == 2 * manifest["summary"]["points"]
     assert evaluate["crossings_refined"] == manifest["summary"]["points"]
     # one evaluation per lane to start, then twelve per attempted step and
-    # three per refined crossing for its dense output
+    # three per bracketing step for its dense output, here one step per
+    # refined crossing
     steps = evaluate["accepted_steps"] + evaluate["rejected_steps"]
     assert evaluate["rhs_evals"] == (evaluate["lanes"] + 12 * steps
                                      + 3 * evaluate["crossings_refined"])

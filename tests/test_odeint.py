@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from flowbox import odeint
 from flowbox.chart import (
     Surface,
     build_chart,
@@ -13,7 +14,7 @@ from flowbox.chart import (
     line_surface,
     surface_from_json,
 )
-from flowbox.dynsys import VectorField, builtin, parse_system
+from flowbox.dynsys import builtin, parse_system
 from flowbox.expressions import DomainError
 from flowbox.odeint import (
     _E3_TERMS,
@@ -25,13 +26,15 @@ from flowbox.odeint import (
     IntegratorConfig,
     RunStats,
     StepLimitExceeded,
+    _dense_at,
+    _dense_output,
+    _integrate,
     find_crossings,
     find_crossings_batch,
     flow,
     flow_batch,
     trace_orbit,
 )
-from flowbox.odeint import _dense_at, _dense_output, _integrate
 
 
 def test_flow_matches_matrix_exponential(tight_cfg):
@@ -141,8 +144,8 @@ def _dense_steps(field, x0, T):
     forward lane from x0 over [0, T] at DEFAULT_CONFIG."""
     steps = []
 
-    def keep(lanes, t_old, x_old, t_new, x_new, h, stages):
-        steps.append((x_old[0], x_new[0], h[0], np.stack(stages([0]), axis=1)[0]))
+    def keep(lanes, t_old, x_old, t_new, x_new, h, stage):
+        steps.append((x_old[0], x_new[0], h[0], np.stack([stage(j)[0] for j in range(13)])))
 
     _, errors = _integrate(field, np.array([x0], dtype=float), 1.0, T, DEFAULT_CONFIG,
                            RunStats(), keep)
@@ -197,31 +200,30 @@ def test_rotation_over_two_turns_takes_few_steps():
 
 
 def test_dense_output_field_error_fails_its_bracket(monkeypatch):
-    # after the sweep, the field raises at rows with x2 > 1: the dense output
-    # of the second point's bracket does, so that point's crossing fails with
-    # the field's own error and its event is never built (the search's last
-    # field call, for the events, raises nothing); the first point's
-    # crossing is unchanged
+    # the dense output's extra stages see a field that raises at rows with
+    # x2 > 1: those of the second point's bracket do, so that point's
+    # crossing fails with the field's own error and its event is never
+    # built; the first point's bracket lies below x2 = 1 and its crossing is
+    # unchanged.  The sweep and the events see the plain field.
     field = builtin("hyperbolic-b")
     surface = line_surface(1.0, 0.0, 4.0)
     points = [[0.5, 0.5], [0.5, 4.0]]
-    plain, stats = find_crossings_batch(field, points, surface, horizon=2.0)
+    plain, _ = find_crossings_batch(field, points, surface, horizon=2.0)
     assert [len(r) for r in plain] == [1, 1]
-    sweep_calls = stats.rhs_calls - 3  # three dense-output stage calls follow
-    original = VectorField.eval_grid
-    calls, raised = [0], {}
+    raised = []
 
-    def eval_grid(self, coords):
-        calls[0] += 1
-        if calls[0] > sweep_calls and np.any(np.asarray(coords[1]) > 1.0):
-            raised[calls[0]] = ZeroDivisionError(f"no field at call {calls[0]}")
-            raise raised[calls[0]]
-        return original(self, coords)
+    class RaisingAbove:
+        def eval_grid(self, coords):
+            if np.any(np.asarray(coords[1]) > 1.0):
+                raised.append(ZeroDivisionError("no field above x2 = 1"))
+                raise raised[-1]
+            return field.eval_grid(coords)
 
-    monkeypatch.setattr(VectorField, "eval_grid", eval_grid)
+    dense_output = odeint._dense_output
+    monkeypatch.setattr(odeint, "_dense_output",
+                        lambda _, *args: dense_output(RaisingAbove(), *args))
     results, _ = find_crossings_batch(field, points, surface, horizon=2.0)
-    assert results[1] in raised.values()
-    assert max(raised) < calls[0]
+    assert results[1] in raised
     (event,), (expected,) = results[0], plain[0]
     assert event.t == expected.t
     np.testing.assert_array_equal(event.x, expected.x)
@@ -229,6 +231,28 @@ def test_dense_output_field_error_fails_its_bracket(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # crossing detection
+
+
+def test_excursion_inside_one_step_is_two_crossings():
+    # the recurrence audit's orbit from (1, 0.125) on seg-x1-1 runs past
+    # x1 = 1 for 2 atan(0.125) = 0.249 time units every turn, so it crosses
+    # at t = 2 pi k and 2 pi k + 0.249.  The backward lane's crossings at
+    # t = -2 pi + 0.249 and -2 pi fall inside one accepted step, which the
+    # samples inside each step must still see.
+    field = builtin("rotation-c")
+    surface = line_surface(1.0, 0.0, 1.0, axis=0)
+    x0, horizon = np.array([1.0, 0.125]), 4.0 * np.pi
+    turn, excursion = 2.0 * np.pi, 2.0 * np.arctan(0.125)
+    orbit = trace_orbit(field, x0, (0.0, -horizon), cfg=DEFAULT_CONFIG)
+    assert not np.any((orbit.times < -turn + excursion) & (orbit.times > -turn))
+    times = [e.t for e in find_crossings(field, x0, surface, horizon=horizon)]
+    expected = [-2 * turn + excursion, -turn, -turn + excursion, 0.0, excursion,
+                turn, turn + excursion]
+    # the return at t = -4 pi lies on the horizon's end, where rounding of
+    # the last sample decides whether it counts
+    inner = [t for t in times if abs(t) < horizon - 1e-6]
+    np.testing.assert_allclose(inner, expected, rtol=0, atol=1e-7)
+    assert len(times) - len(inner) <= 1
 
 
 def test_rotation_crossings_spaced_half_turn(tight_cfg):
@@ -570,8 +594,8 @@ def test_failed_crossing_ends_its_lane_before_a_later_field_error(tight_cfg):
     assert [(type(r), str(r)) for r in results] == [
         (IntegrationError, "sqrt-source: crossing near t=0.687378 did not converge:"
          " |level| = 1 > 1e-09 at x=[0.9942476485077836, 1.0057856324838779]"),
-        (IntegrationError, "sqrt-source: crossing near t=0.505818 did not converge:"
-         " |level| = 1 > 1e-09 at x=[0.8291711436462874, 0.6030118194915103]"),
+        (IntegrationError, "sqrt-source: crossing near t=0.665239 did not converge:"
+         " |level| = 1 > 1e-09 at x=[0.9724779143139427, 0.5141504939469571]"),
         (DomainError, "sqrt of a negative value"),
     ]
     chart = build_chart(field, jump, cfg=tight_cfg, horizon=5.0, audit_transversal=False)
