@@ -357,11 +357,11 @@ def cmd_kef_check(args) -> int:
     n = field.dim
 
     clock = time.perf_counter()
-    stats = RunStats()
+    audit, stats = RunStats(), RunStats()
     if args.minimal_set:
         if not args.surface:
             raise UsageError("--minimal-set needs --surface")
-        built, _, options = _audited_chart(args, field, recurrence_audit=False)
+        built, audit, options = _audited_chart(args, field, recurrence_audit=False)
         members = kef_mod.minimal_set(built).members
         labels = [member.label for member in members]
         recorded.update({"minimal_set": True, **options})
@@ -412,6 +412,7 @@ def cmd_kef_check(args) -> int:
         "mean_abs_residual": float(np.mean(magnitudes)) if magnitudes else None,
         "fd_step": fd_step,
         "stats": {
+            "audit": dataclasses.asdict(audit),
             "evaluate": dataclasses.asdict(stats),
             "evaluate_rhs_evals_per_point": (
                 stats.rhs_evals / len(points) if len(points) else 0.0

@@ -11,27 +11,25 @@ A field error (ArithmeticError) fails only the lanes whose own rows raise it.
 
 Surfaces follow the same row contract (see ``chart.Surface``): the crossing
 search makes one ``level`` call per batched step, per refinement pass and
-per root iteration, and
-builds every event of a search from one ``param_inverse`` call, one level
-call over the central-difference stencils and one field call.  With one
-surface per point, each of these is one call per distinct surface.  A
-surface call that raises is split like a field call, so a point whose own
-rows raise fails alone.
+per root iteration, and builds every event of a search from one
+``param_inverse`` call, one field call and one level call.  With one surface
+per point, each of these is one call per distinct surface.  A surface call
+that raises is split like a field call, so a point whose own rows raise
+fails alone.
 
-Crossings of a surface's level function are found by scanning each accepted
-step for a sign change of the level, at its end and at ``SCAN_THETAS`` on
-the step's cubic Hermite interpolant, which costs no field evaluation; so an
-excursion past the surface that begins and ends inside one step is still two
-crossings once a sample falls inside it.  Each root is then located on the
-step's continuous extension (DOP853's 7th-order dense output), by Illinois
-regula falsi on the step fraction ``theta`` in [0, 1].  The extension costs
-three extra stages per bracketing step, each one batched field call over all
-brackets of a refinement pass; the root find itself costs no field
-evaluations, and a root that cannot be brought onto the surface is an
-``IntegrationError``, never a silently accepted best effort.  Each step's
-interpolant is self-contained, so the sign changes are kept during the sweep
-and all refined together after it (Hairer, Norsett & Wanner, Solving ODEs I,
-sections II.5, II.6 and II.10).
+Crossings of a surface's level l are found from l and its rate along the
+flow, l' = <grad l, P>, one central difference of l along P.  A step across
+which l or l' changes sign is a bracket.  On the step's continuous extension
+(DOP853's 7th-order dense output) a root of l' splits it at l's turning
+point, and each piece across which l changes sign holds one crossing; both
+roots are found by Illinois regula falsi on the step fraction ``theta``.  So
+an excursion past the surface inside one step is two crossings, as long as l
+turns at most once per step.  The extension costs three field evaluations
+per bracket, the root finds none, and a root that cannot be brought onto the
+surface is an ``IntegrationError``, never a silently accepted best effort.
+Brackets are kept during the sweep and all refined together after it
+(Hairer, Norsett & Wanner, Solving ODEs I, sections II.5, II.6 and II.10;
+Shampine, Gladwell & Brankin, ACM TOMS 17 (1991), on event pairs in a step).
 ``find_crossings`` is the one-point case of ``find_crossings_batch``.
 """
 from __future__ import annotations
@@ -43,7 +41,6 @@ from typing import Optional
 import numpy as np
 
 from .dynsys import VectorField
-from .fdiff import fd_gradient_rows
 from .fdiff import fd_gradient  # noqa: F401 (a binding the benchmark tracer patches)
 
 __all__ = [
@@ -66,12 +63,7 @@ __all__ = [
 ON_SURFACE_TOL = 1e-9     # |level| below this counts as "already on S"
 CROSSING_LEVEL_TOL = 1e-12  # root-find target for |level| on the interpolant
 MAX_ROOT_ITERATIONS = 200  # per crossing; the bracket collapses long before
-DIRECTION_STEP = 1e-7     # central-difference step of the level gradient
-# step fractions at which the crossing scan samples the level inside each
-# accepted step, between its two ends.  DOP853 takes about five times fewer
-# steps than a 5(4) pair at the same tolerance, so five samples per step keep
-# about the sample density of that pair's steps.
-SCAN_THETAS = np.array([0.2, 0.4, 0.6, 0.8])
+RATE_STEP = 1e-7  # time step of the central difference of the level along the flow
 
 
 class IntegrationError(RuntimeError):
@@ -137,17 +129,17 @@ class RunStats:
     rhs_calls : VectorField.eval_grid calls, including those that split a
         call which raised ArithmeticError down to its raising rows
     rhs_evals : lane field evaluations, each running lane once per stage,
-        and each step that brackets a crossing three times for its dense
-        output
+        and three evaluations per bracketed step for its dense output
     level_calls : surface level calls, one per surface group (the points
         sharing a surface) per batched step, per refinement pass and per root
-        iteration of the whole search, plus the start and event-stencil
-        calls and those that split a call which raised down to its raising
-        rows
-    level_evals : level values asked for, each row once (a batched step asks
-        for its end and the samples inside it)
+        iteration of the whole search, plus the start and event calls and
+        those that split a call which raised down to its raising rows
+    level_evals : level values asked for, each row once (an accepted step
+        asks for three: the level at its end and the two points of its rate
+        there, and a lane's first step two more for its rate at the start)
     crossings_refined : sign changes located on the interpolant
-    root_iterations : root-find iterations, summed over crossings
+    root_iterations : root-find iterations, summed over crossings and
+        turning points
     """
 
     lanes: int = 0
@@ -696,15 +688,25 @@ def trace_orbit(field: VectorField, x0, t_span, cfg: Optional[IntegratorConfig] 
 # Crossing detection
 
 
+def _rate(before, after):
+    """The level's rate along the flow from its values RATE_STEP apart."""
+    return (after - before) / (2.0 * RATE_STEP)
+
+
+def _opposite(a, b):
+    """Where a and b are nonzero and of opposite sign (never at NaN)."""
+    return ((a > 0.0) & (b < 0.0)) | ((a < 0.0) & (b > 0.0))
+
+
 def _events(field, surfaces, group, t, x, level, stats: RunStats) -> list:
     """The CrossingEvent at each row of x (E, N), row e on the surface
     surfaces[group[e]], or the exception its event raises, from one
-    param_inverse call and one level call over the central-difference
-    stencils of the rows per surface, and one field call.
+    param_inverse call and one level call per surface and one field call:
+    the direction is the sign of the level's rate along P, from the level
+    at x -+ RATE_STEP P(x).
 
-    A row's exception is the first of its param_inverse error, its first
-    failing stencil point's level error (axis by axis, + before -) and its
-    field error.
+    A row's exception is the first of its param_inverse error, its field
+    error and its level error (before, then after the row).
     """
     E, N = x.shape
     errors = [None] * E
@@ -722,15 +724,12 @@ def _events(field, surfaces, group, t, x, level, stats: RunStats) -> list:
     params = _per_surface(params_of, surfaces, group, x, own, (N - 1,))
     on_patch = np.all((params > 0.0) & (params < 1.0), axis=1)
 
-    event_of = np.repeat(np.arange(E), 2 * N)  # 2N stencil points per row
-    at_stencil = fail_at(event_of)
-    grad = fd_gradient_rows(
-        lambda pts: _levels(surfaces, group[event_of], pts, at_stencil, stats),
-        x, DIRECTION_STEP,
-    )
-    p = _split_on_error(lambda xs: field.eval_grid(list(xs.T)).T, x, Exception, own, (N,))
-    ip = np.sum(grad * p, axis=1)
-    direction = np.where(ip > 0.0, 1, np.where(ip < 0.0, -1, 0))
+    step = RATE_STEP * _split_on_error(lambda xs: field.eval_grid(list(xs.T)).T, x,
+                                       Exception, own, (N,))
+    twice = np.tile(np.arange(E), 2)
+    rate = _rate(*_levels(surfaces, group[twice], np.concatenate([x - step, x + step]),
+                          fail_at(twice), stats).reshape(2, E))
+    direction = np.where(rate > 0.0, 1, np.where(rate < 0.0, -1, 0))
 
     return [
         errors[e] if errors[e] is not None else CrossingEvent(
@@ -743,28 +742,6 @@ def _events(field, surfaces, group, t, x, level, stats: RunStats) -> list:
         )
         for e in range(E)
     ]
-
-
-def _cubic_hermite_weights(theta):
-    """Weights of x_old, x_new, h P(x_old) and h P(x_new) in a step's cubic
-    Hermite interpolant at the step fractions theta (k,), each (k, 1, 1)."""
-    t = theta[:, None, None]
-    return ((t - 1.0) ** 2 * (2.0 * t + 1.0), t * t * (3.0 - 2.0 * t),
-            t * (t - 1.0) ** 2, t * t * (t - 1.0))
-
-
-_SCAN_WEIGHTS = _cubic_hermite_weights(SCAN_THETAS)
-
-
-def _scan_points(x_old, x_new, h, k_old, k_new):
-    """Each row's cubic Hermite interpolant (SCAN_THETAS, m, N) at
-    SCAN_THETAS over its step of size h[r] from x_old[r] to x_new[r], with
-    derivatives k_old[r] and k_new[r] at the ends; no field call.  Summed
-    elementwise in a fixed order, so a row's points do not depend on the
-    other rows of the batch."""
-    hc = h[:, None]
-    w_old, w_new, d_old, d_new = _SCAN_WEIGHTS
-    return w_old * x_old + w_new * x_new + d_old * (hc * k_old) + d_new * (hc * k_new)
 
 
 def _dense_output(field, sign, x_old, x_new, h, stages, fail, stats: RunStats):
@@ -790,8 +767,8 @@ def _dense_output(field, sign, x_old, x_new, h, stages, fail, stats: RunStats):
 def _dense_at(x_old, F, theta):
     """x(t_old + theta h) per row from _dense_output's coefficients F:
     x_old + t (F0 + u (F1 + t (F2 + u (F3 + t (F4 + u (F5 + t F6)))))) with
-    t = theta and u = 1 - theta.  theta is one value per row (m,) or an
-    array (k, 1) of values for every row, giving (k, m, N)."""
+    t = theta and u = 1 - theta.  theta (..., m) holds step fractions of the
+    m rows, giving (..., m, N)."""
     th = theta[..., None]
     one = 1.0 - th
     x = F[6] * th
@@ -800,40 +777,69 @@ def _dense_at(x_old, F, theta):
     return x_old + x
 
 
-def _grid_brackets(levels):
-    """The sign changes and exact zeros of each column of levels (k + 2, m),
-    the level at the grid of a step, its ends first and last.
+def _illinois(f, lo, hi, f_lo, f_hi, tol, collapse, stats: RunStats):
+    """Illinois regula falsi on theta in each bracket [lo[b], hi[b]] whose
+    values f_lo[b] and f_hi[b] are nonzero and of opposite sign.
 
-    Returns (change, zero): change[j, r] marks the pair (j, j + 1) of column
-    r whose levels are both nonzero and of opposite sign, zero[j, r] an
-    interior level (row j + 1) that is exactly 0.
+    f(b, theta) gives the values at theta[i] of brackets b[i], NaN where a
+    value cannot be had.  A bracket stops at |value| <= tol, at NaN, or once
+    it is no wider than collapse[b]; a secant point that is not strictly
+    inside it is replaced by its midpoint.  Returns (theta, value) per
+    bracket at the smallest |value| seen, its ends included.
     """
-    side = levels > 0.0
-    nonzero = levels != 0.0
-    change = (side[:-1] != side[1:]) & nonzero[:-1] & nonzero[1:]
-    return change, ~nonzero[1:-1]
+    lo, hi, f_lo = lo.copy(), hi.copy(), f_lo.copy()  # f_lo: true value at lo
+    g_lo, g_hi = f_lo.copy(), f_hi.copy()  # Illinois-scaled secant weights
+    last_side = np.full(len(lo), -1)
+    at_hi = np.abs(g_hi) < np.abs(g_lo)
+    best_theta, best_f = np.where(at_hi, hi, lo), np.where(at_hi, g_hi, g_lo)
+    active = np.ones(len(lo), dtype=bool)
+    for _ in range(MAX_ROOT_ITERATIONS):
+        b = np.flatnonzero(active)
+        if not b.size:
+            break
+        stats.root_iterations += b.size
+        a, c = lo[b], hi[b]
+        ga, gc = g_lo[b], g_hi[b]
+        theta = (a * gc - c * ga) / (gc - ga)
+        theta = np.where((theta > a) & (theta < c), theta, 0.5 * (a + c))
+        fs = f(b, theta)
+
+        better = np.abs(fs) < np.abs(best_f[b])
+        best_theta[b[better]] = theta[better]
+        best_f[b[better]] = fs[better]
+
+        to_lo = (fs > 0.0) == (f_lo[b] > 0.0)
+        b_lo, b_hi = b[to_lo], b[~to_lo]
+        lo[b_lo], f_lo[b_lo], g_lo[b_lo] = theta[to_lo], fs[to_lo], fs[to_lo]
+        hi[b_hi], g_hi[b_hi] = theta[~to_lo], fs[~to_lo]
+        # the same end replaced twice running: halve the stale end's weight
+        g_hi[b_lo[last_side[b_lo] == 0]] *= 0.5
+        g_lo[b_hi[last_side[b_hi] == 1]] *= 0.5
+        last_side[b] = np.where(to_lo, 0, 1)
+
+        done = (np.abs(fs) <= tol) | (hi[b] - lo[b] <= collapse[b]) | np.isnan(fs)
+        active[b[done]] = False
+    return best_theta, best_f
 
 
 class _CrossingScan:
-    """Per-lane sign-change and zero-hit scan of accepted steps.
+    """Per-lane scan of accepted steps for crossings of the level l.
 
     Lane i is point i % P swept forward (i < P) or backward (i >= P), on the
-    surface surfaces[group[i]].  It mirrors a scan over the full list of
-    samples: a leading on-surface stretch (|level| <= ON_SURFACE_TOL) is
-    skipped, and sample pairs from the first off-surface sample on are
-    searched for sign changes.  A lane is armed once it has seen an
-    off-surface sample; a step is searched only if its lane was armed
-    before the step's end.
+    surface surfaces[group[i]].  A leading on-surface stretch (|l| <=
+    ON_SURFACE_TOL) is the start's own crossing: until an off-surface step
+    end arms a lane, its steps start at l = 0, so only a turning point off
+    the surface begins a search there.
 
-    Each step is sampled at its end and at SCAN_THETAS on its cubic Hermite
-    interpolant (no field call), all in one level call, so an excursion past
-    the surface that starts and ends inside one step is seen.  An exact
-    zero at the step's end is an event on the spot.  A step with any other
-    sign change or exact zero among its samples is kept as a bracket (its
-    start, end, size and 13 stages, and the levels at both ends) and
-    located later by refine(), all pending brackets together: a root depends
-    on its own step alone.  The first bracket of a lane whose root fails
-    ends the lane there (ended()).
+    Each step asks, in one level call, for l and its rate along the flow at
+    its end (P there is the step's last stage; a lane's first step also asks
+    for the rate at its start).  An exact zero of l at a step's end is an
+    event on the spot.  A step across which l or its rate changes sign is
+    kept as a bracket and located later by refine(), all pending brackets
+    together: a root depends on its own step alone.  This assumes at most
+    one turning point of l per accepted step: two leave the rate's sign at
+    the ends unchanged and hide the excursion between them.  The first
+    bracket of a lane whose root fails ends the lane there (ended()).
     """
 
     def __init__(self, field, surfaces, group, l0, sign, partner, stats):
@@ -845,6 +851,7 @@ class _CrossingScan:
         self.partner = partner
         self.stats = stats
         self.last = np.array(l0, dtype=float)   # level at the newest sample
+        self.rate = np.zeros(L)                 # its rate, from the first step on
         self.armed = np.abs(self.last) > ON_SURFACE_TOL
         self.records = [[] for _ in range(L)]   # per lane, indices into found in sample order
         # per record a list of crossings (t, x, level) in time order, ending
@@ -853,16 +860,6 @@ class _CrossingScan:
         self.pending = []   # column tuples of unrefined brackets, see _refine
         self.errors = [None] * L  # level errors of the scan itself
         self.failed = np.zeros(L, dtype=bool)
-
-    def _levels(self, lanes, xs, fail):
-        """Levels (k, m) of the points xs (k, m, N), or (m,) of xs (m, N), in
-        one call per surface: xs[..., r, :] lies on the surface of lane
-        lanes[r], and a point that raises goes to fail(r, err)."""
-        m, N = len(lanes), xs.shape[-1]
-        flat = xs.reshape(-1, N)
-        levels = _levels(self.surfaces, self.group[np.tile(lanes, len(flat) // m)], flat,
-                         lambda i, err: fail(i % m, err), self.stats)
-        return levels.reshape(xs.shape[:-1])
 
     def _record(self, lanes, found):
         """One record per lane, each found[i] = found; their indices i."""
@@ -878,28 +875,35 @@ class _CrossingScan:
                 self.errors[lanes[r]] = err
                 self.failed[lanes[r]] = True
 
-        # the interior samples, then the step's end: rows in time order
-        inner = _scan_points(x_old, x_new, h, stage(0), stage(12))
-        levels = self._levels(lanes, np.concatenate([inner, x_new[None]]), fail)
-        lp, lnew = self.last[lanes], levels[-1]
-        self.last[lanes] = lnew
+        # rows in time order: the rate points of a first step's start, then
+        # the step's end between its own
+        first = np.flatnonzero(t_old == 0.0)
+        d_old, d_new = RATE_STEP * stage(0)[first], RATE_STEP * stage(12)
+        at = np.arange(len(lanes))
+        owner = np.concatenate([first, first, at, at, at])
+        levels = _levels(self.surfaces, self.group[lanes[owner]], np.concatenate([
+            x_old[first] - d_old, x_old[first] + d_old, x_new - d_new, x_new, x_new + d_new,
+        ]), lambda i, err: fail(owner[i], err), self.stats)
+        self.rate[lanes[first]] = _rate(*levels[:2 * len(first)].reshape(2, -1))
+        before, lnew, after = levels[2 * len(first):].reshape(3, -1)
         armed = self.armed[lanes]
+        lp = np.where(armed, self.last[lanes], 0.0)  # until armed, a step starts on S
+        rp, rnew = self.rate[lanes], _rate(before, after)
+        self.last[lanes], self.rate[lanes] = lnew, rnew
         self.armed[lanes] = armed | (np.abs(lnew) > ON_SURFACE_TOL)
-        # only a sign change or an exact zero makes an event
-        change, zero = _grid_brackets(np.concatenate([lp[None], levels]))
-        bracket = change.any(axis=0) | zero.any(axis=0)
-        hit = lnew == 0.0
+        bracket = _opposite(lp, lnew) | _opposite(rp, rnew)
+        hit = armed & (lnew == 0.0)
         if bracket.any() or hit.any():
-            scan = armed & ~self.failed[lanes]
-            rows = np.flatnonzero(scan & bracket)
+            live = ~self.failed[lanes]
+            rows = np.flatnonzero(live & bracket)
             if rows.size:
                 self.pending.append((
                     self._record(lanes[rows], None), lanes[rows], t_old[rows],
                     x_old[rows], x_new[rows], h[rows],
                     np.stack([stage(j)[rows] for j in range(13)], axis=1),
-                    lp[rows], lnew[rows],
+                    lp[rows], lnew[rows], rp[rows], rnew[rows],
                 ))
-            for r in np.flatnonzero(scan & hit):
+            for r in np.flatnonzero(live & hit):
                 self._record([lanes[r]], [(self.sign[lanes[r]] * t_new[r], x_new[r].copy(), 0.0)])
         failed = self.failed[lanes]
         return lanes[failed] if failed.any() else None
@@ -939,20 +943,17 @@ class _CrossingScan:
                 crossings.append(found)
         return crossings, None
 
-    def _refine(self, ids, lanes, t_old, x_old, x_new, h, stages, l_a, l_b):
-        """Illinois regula falsi on theta in [0, 1] over the dense output.
+    def _refine(self, ids, lanes, t_old, x_old, x_new, h, stages, l_a, l_b, r_a, r_b):
+        """The crossings of the bracketed steps, on their dense output.
 
-        Row r is the bracketing step found[ids[r]] of lane lanes[r], with
-        stages (m, 13, N).  Its level is sampled again at SCAN_THETAS, now on
-        the dense output; every exact zero there is a crossing, and every
-        sign change between neighbouring samples a sub-bracket, all located
-        together.  Stops per sub-bracket at |level| <= CROSSING_LEVEL_TOL or
-        when it collapses to 1e-13 in time; a secant point that is not
-        strictly inside it is replaced by its midpoint.  The smallest |level|
-        seen (its ends included) is the crossing; if it is still above
-        ON_SURFACE_TOL the sub-bracket fails with an IntegrationError, which
-        ends the step's crossings.  A level or dense-output field row that
-        raises fails the whole step with that error.
+        Row r is the step found[ids[r]] of lane lanes[r], with stages (m, 13,
+        N), and the level l_a, l_b and its rate r_a, r_b at its ends.  A step
+        whose rate changes sign is split where the rate (a difference in
+        theta) has its root, to within RATE_STEP in time.  Each piece across
+        which the level changes sign holds one crossing: the point of least
+        |level| its root find saw, stopping at CROSSING_LEVEL_TOL or 1e-13 in
+        time.  Above ON_SURFACE_TOL it is an IntegrationError, which ends the
+        step's crossings; a level or field row that raises fails the step.
         """
         m = len(lanes)
         errors = [None] * m
@@ -964,80 +965,55 @@ class _CrossingScan:
 
         F = _dense_output(self.field, self.sign[lanes], x_old, x_new, h, stages, fail,
                           self.stats)
-        grid_theta = np.concatenate([[0.0], SCAN_THETAS, [1.0]])
-        grid_x = np.concatenate([x_old[None], _dense_at(x_old, F, SCAN_THETAS[:, None]),
-                                 x_new[None]])
-        grid_l = np.concatenate([l_a[None], self._levels(lanes, grid_x[1:-1], fail),
-                                 l_b[None]])
-        change, zero = _grid_brackets(grid_l)
-        change &= ~raised
-        zero &= ~raised
-        # sub-bracket b spans grid points j[b] and j[b] + 1 of step row[b]
-        j, row = np.nonzero(change)
+
+        def levels(rows, theta):  # at step fractions theta (..., n) of steps rows (n,)
+            xs = _dense_at(x_old[rows], F[:, rows], theta)
+            at = np.broadcast_to(rows, theta.shape).reshape(-1)
+            return _levels(self.surfaces, self.group[lanes[at]], xs.reshape(-1, xs.shape[-1]),
+                           lambda i, err: fail(at[i], err), self.stats).reshape(theta.shape)
+
+        turn = np.flatnonzero(_opposite(r_a, r_b) & ~raised)
+        d = RATE_STEP / h[turn]
+        theta_t, _ = _illinois(
+            lambda b, theta: _rate(*levels(turn[b], theta + np.stack([-d[b], d[b]]))),
+            np.zeros(len(turn)), np.ones(len(turn)), r_a[turn], r_b[turn], 0.0, d,
+            self.stats,
+        )
+        l_t = levels(turn, theta_t)
+        # a step from the surface that turns on it has not left it
+        l_t[(l_a[turn] == 0.0) & (np.abs(l_t) <= ON_SURFACE_TOL)] = 0.0
+
+        # the pieces: each step whole, or up to and from its turning point
+        row = np.concatenate([np.arange(m), turn])
+        lo = np.concatenate([np.zeros(m), theta_t])
+        hi = np.ones(len(row))
+        hi[turn] = theta_t
+        f_lo = np.concatenate([l_a, l_t])
+        f_hi = np.concatenate([l_b, l_b[turn]])
+        f_hi[turn] = l_t
+        piece = np.flatnonzero(_opposite(f_lo, f_hi) & ~raised[row])
+        piece = piece[np.lexsort((lo[piece], row[piece]))]  # time order per step
+        row = row[piece]
         self.stats.crossings_refined += len(row)
-        lo, hi = grid_theta[j], grid_theta[j + 1]
-        f_lo = grid_l[j, row]                         # true level at the low end
-        g_lo, g_hi = f_lo.copy(), grid_l[j + 1, row]  # Illinois-scaled secant weights
-        last_side = np.full(len(row), -1)
-        end = j + (np.abs(g_hi) < np.abs(g_lo))
-        best_theta, best_l, best_x = grid_theta[end], grid_l[end, row], grid_x[end, row]
-        collapse = (1e-13 * np.maximum(1.0, h) / h)[row]
-        active = ~raised[row]
-        for _ in range(MAX_ROOT_ITERATIONS):
-            b = np.flatnonzero(active)
-            if not b.size:
-                break
-            self.stats.root_iterations += b.size
-            a, c = lo[b], hi[b]
-            ga, gc = g_lo[b], g_hi[b]
-            theta = (a * gc - c * ga) / (gc - ga)
-            bisect = ~((theta > a) & (theta < c))
-            theta = np.where(bisect, 0.5 * (a + c), theta)
+        theta, level = _illinois(
+            lambda b, theta: levels(row[b], theta),
+            lo[piece], hi[piece], f_lo[piece], f_hi[piece], CROSSING_LEVEL_TOL,
+            (1e-13 * np.maximum(1.0, h) / h)[row], self.stats,
+        )
+        x = _dense_at(x_old[row], F[:, row], theta)
+        x[theta == 1.0] = x_new[row[theta == 1.0]]  # the step's own end
+        t = self.sign[lanes][row] * (t_old[row] + theta * h[row])
 
-            rb = row[b]
-            xs = _dense_at(x_old[rb], F[:, rb], theta)
-            ls = self._levels(lanes[rb], xs, lambda i, err, rb=rb: fail(rb[i], err))
-
-            better = np.abs(ls) < np.abs(best_l[b])
-            best_theta[b[better]] = theta[better]
-            best_l[b[better]] = ls[better]
-            best_x[b[better]] = xs[better]
-
-            to_lo = (ls > 0.0) == (f_lo[b] > 0.0)
-            b_lo, b_hi = b[to_lo], b[~to_lo]
-            lo[b_lo], f_lo[b_lo], g_lo[b_lo] = theta[to_lo], ls[to_lo], ls[to_lo]
-            hi[b_hi], g_hi[b_hi] = theta[~to_lo], ls[~to_lo]
-            # the same end replaced twice running: halve the stale end's weight
-            g_hi[b_lo[last_side[b_lo] == 0]] *= 0.5
-            g_lo[b_hi[last_side[b_hi] == 1]] *= 0.5
-            last_side[b] = np.where(to_lo, 0, 1)
-
-            done = (
-                (np.abs(ls) <= CROSSING_LEVEL_TOL)
-                | (hi[b] - lo[b] <= collapse[b])
-                | raised[rb]
-            )
-            active[b[done]] = False
-
-        # every step's crossings in time order: the exact zeros at grid
-        # points g, then the sub-brackets, an exact zero before the
-        # sub-bracket that starts at its grid point
-        g, r_zero = np.nonzero(zero)
-        owner = np.concatenate([r_zero, row])
-        theta = np.concatenate([grid_theta[g + 1], best_theta])
-        t_c = self.sign[lanes][owner] * (t_old[owner] + theta * h[owner])
-        x_c = np.concatenate([grid_x[g + 1, r_zero], best_x])
-        l_c = np.concatenate([np.zeros(len(g)), best_l])
         found = [[] for _ in range(m)]
-        for i in np.lexsort((np.concatenate([g + 1.0, j + 0.5]), owner)):
-            crossing = (t_c[i], x_c[i], l_c[i])
-            if not abs(l_c[i]) <= ON_SURFACE_TOL:
+        for r, t_c, x_c, l_c in zip(row, t, x, level):
+            crossing = (t_c, x_c, l_c)
+            if not abs(l_c) <= ON_SURFACE_TOL:
                 crossing = IntegrationError(
-                    f"{self.field.name}: crossing near t={t_c[i]:.6g} did not converge:"
-                    f" |level| = {abs(l_c[i]):.3g} > {ON_SURFACE_TOL:g}"
-                    f" at x={x_c[i].tolist()}"
+                    f"{self.field.name}: crossing near t={t_c:.6g} did not converge:"
+                    f" |level| = {abs(l_c):.3g} > {ON_SURFACE_TOL:g}"
+                    f" at x={x_c.tolist()}"
                 )
-            found[owner[i]].append(crossing)
+            found[r].append(crossing)
         for r in range(m):
             self.found[ids[r]] = [errors[r]] if raised[r] else found[r]
 
@@ -1059,7 +1035,7 @@ def find_crossings_batch(
     raise for it; stats is the RunStats of the whole batch.  A field error
     (ArithmeticError) on either lane, forward first, is a point's outcome;
     then the forward lane's scan and stepper errors, then the backward
-    lane's.  Every sign change is refined after the sweep, in one pass.
+    lane's.  Every bracketed step is refined after the sweep, in one pass.
     """
     cfg = cfg or DEFAULT_CONFIG
     horizon = cfg.horizon if horizon is None else float(horizon)
@@ -1140,11 +1116,14 @@ def find_crossings(
     """All crossings of the orbit through x0 with a surface, both time
     directions, sorted by time.
 
-    A crossing is a sign change or exact zero of the level between the
-    samples of each accepted step (its ends and SCAN_THETAS inside it), or a
-    start within ON_SURFACE_TOL of the surface; a touch that keeps the
-    level's sign is none.  Level-set crossings whose parameters
-    land outside (0,1)^{N-1} are kept but flagged off-patch.  Sweeps that leave the field's domain box are
+    A crossing is a sign change of the level on an accepted step's dense
+    output, an exact zero at a step's end, or a start within ON_SURFACE_TOL
+    of the surface; a touch that keeps the level's sign is none.  A step
+    holds a crossing when the level changes sign across it, and two when the
+    level leaves its sign and returns inside it, seen as a sign change of
+    the level's rate along the flow (at most one turning point of the level
+    per step).  Level-set crossings whose parameters land outside
+    (0,1)^{N-1} are kept but flagged off-patch.  Sweeps that leave the field's domain box are
     truncated at the exit point.  A sweep that leaves an expression's domain
     is not: the field's error (e.g. expressions.DomainError) ends the search.
     Genuine integrator failures, and crossings the root find cannot bring

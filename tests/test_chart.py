@@ -144,7 +144,7 @@ def test_stacked_surface_calls_equal_per_row_calls(name):
         # any leading axes, not only one
         lead = fn(stack.reshape((3, 4) + stack.shape[1:]))
         np.testing.assert_array_equal(lead, expected.reshape((3, 4) + expected.shape[1:]))
-    # the batched level gradient of crossing directions is fd_gradient's arithmetic
+    # the batched level gradient of surface normals is fd_gradient's arithmetic
     np.testing.assert_array_equal(
         fd_gradient_rows(s.level, X, step=1e-7),
         rows(lambda x: fd_gradient(s.level, x, step=1e-7), X),

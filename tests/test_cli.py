@@ -314,6 +314,29 @@ def test_kef_check_writes_deterministic_stats(tmp_path):
     assert stats[0]["evaluate_rhs_evals_per_point"] == evaluate["rhs_evals"] / 4
 
 
+def test_kef_check_stats_have_chart_builds_shape(tmp_path):
+    # both commands report an audit and an evaluate RunStats; kef-check runs
+    # no recurrence audit, so its audit counts are zeros in either mode
+    grid = ["--grid", "0.9x1.1x2,0.2x0.3x2"]
+    runs = {
+        "chart": ["chart-build", "--system", "hyperbolic-b", "--surface", "line-b"],
+        "minimal": ["kef-check", "--system", "hyperbolic-b", "--minimal-set",
+                    "--surface", "line-b"],
+        "phi": PHI_ARGV[:-2],
+    }
+    stats = {}
+    for name, argv in runs.items():
+        assert main(argv + grid + ["--out", str(tmp_path / name)]) == EXIT_OK
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        stats[name] = manifest["summary"]["stats"]
+    fields = set(stats["chart"]["audit"])
+    assert stats["chart"]["audit"]["lanes"] > 0
+    for name in ("minimal", "phi"):
+        assert set(stats[name]["audit"]) == set(stats[name]["evaluate"]) == fields
+        assert not any(stats[name]["audit"].values())
+    assert stats["minimal"]["evaluate"]["lanes"] > 0
+
+
 @pytest.mark.parametrize("step", ["0", "-1e-5", "nan", "inf"])
 def test_kef_check_rejects_bad_fd_step(step, tmp_path, capsys):
     code = main([
@@ -574,11 +597,17 @@ def test_chart_build_counts_batched_level_calls(tmp_path):
     for run in ("a", "b"):
         assert main(argv + ["--out", str(tmp_path / run)]) == EXIT_OK
         manifest = json.loads((tmp_path / run / "manifest.json").read_text())
-        evaluate = manifest["summary"]["stats"]["evaluate"]
-        counts.append((evaluate["level_calls"], evaluate["level_evals"]))
+        counts.append(manifest["summary"]["stats"]["evaluate"])
     assert counts[0] == counts[1]
-    level_calls, level_evals = counts[0]
-    assert level_evals / level_calls > 100
+    evaluate = counts[0]
+    assert evaluate["level_evals"] / evaluate["level_calls"] > 100
+    # three level rows per accepted step (the level and its rate along the
+    # flow at the step's end) and a few per root iteration
+    assert evaluate["level_evals"] <= 40000
+    # no orbit of the saddle turns back toward the line, so the crossing
+    # search adds no bracket, no step and no field evaluation
+    assert evaluate["accepted_steps"] == 8391
+    assert evaluate["rhs_evals"] == 103572
 
 
 # ---------------------------------------------------------------------------

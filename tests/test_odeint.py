@@ -234,25 +234,41 @@ def test_dense_output_field_error_fails_its_bracket(monkeypatch):
 
 
 def test_excursion_inside_one_step_is_two_crossings():
-    # the recurrence audit's orbit from (1, 0.125) on seg-x1-1 runs past
-    # x1 = 1 for 2 atan(0.125) = 0.249 time units every turn, so it crosses
-    # at t = 2 pi k and 2 pi k + 0.249.  The backward lane's crossings at
-    # t = -2 pi + 0.249 and -2 pi fall inside one accepted step, which the
-    # samples inside each step must still see.
+    # the recurrence audit's orbit from (1, y) on seg-x1-1 runs past x1 = 1
+    # for 2 atan(y) time units every turn, so it crosses at t = 2 pi k and
+    # 2 pi k + 2 atan(y).  The backward lane's crossings at t = -2 pi +
+    # 2 atan(y) and -2 pi fall inside one accepted step, where the level's
+    # rate along the flow changes sign and the level does not; for y = 0.005
+    # the forward lane's first step holds its exit at t = 2 atan(y) as well.
     field = builtin("rotation-c")
     surface = line_surface(1.0, 0.0, 1.0, axis=0)
-    x0, horizon = np.array([1.0, 0.125]), 4.0 * np.pi
-    turn, excursion = 2.0 * np.pi, 2.0 * np.arctan(0.125)
-    orbit = trace_orbit(field, x0, (0.0, -horizon), cfg=DEFAULT_CONFIG)
-    assert not np.any((orbit.times < -turn + excursion) & (orbit.times > -turn))
-    times = [e.t for e in find_crossings(field, x0, surface, horizon=horizon)]
-    expected = [-2 * turn + excursion, -turn, -turn + excursion, 0.0, excursion,
-                turn, turn + excursion]
-    # the return at t = -4 pi lies on the horizon's end, where rounding of
-    # the last sample decides whether it counts
-    inner = [t for t in times if abs(t) < horizon - 1e-6]
-    np.testing.assert_allclose(inner, expected, rtol=0, atol=1e-7)
-    assert len(times) - len(inner) <= 1
+    horizon, turn = 4.0 * np.pi, 2.0 * np.pi
+    for y in (0.125, 0.04, 0.01, 0.005):
+        x0, excursion = np.array([1.0, y]), 2.0 * np.arctan(y)
+        orbit = trace_orbit(field, x0, (0.0, -horizon), cfg=DEFAULT_CONFIG)
+        assert not np.any((orbit.times < -turn + excursion) & (orbit.times > -turn))
+        times = [e.t for e in find_crossings(field, x0, surface, horizon=horizon)]
+        expected = [-2 * turn + excursion, -turn, -turn + excursion, 0.0, excursion,
+                    turn, turn + excursion]
+        # the return at t = -4 pi lies on the horizon's end, where rounding
+        # of the last sample decides whether it counts
+        inner = [t for t in times if abs(t) < horizon - 1e-6]
+        # at rate y, a level defect of 1e-8 (the integrator's global error
+        # is below it) moves a crossing by 1e-8 / y
+        np.testing.assert_allclose(inner, expected, rtol=0, atol=1e-8 / y, err_msg=f"y={y}")
+        assert len(times) - len(inner) <= 1
+
+
+def test_grazing_orbit_inside_the_line_has_no_crossing():
+    # the circle of radius 1 - 1e-6 turns just short of x1 = 1 twice: each
+    # turning point is located, its level stays negative, and no crossing
+    # or error comes of it
+    field = builtin("rotation-c")
+    surface = line_surface(1.0, 0.0, 1.0, axis=0)
+    (events,), stats = find_crossings_batch(field, [[0.0, 1.0 - 1e-6]], surface,
+                                            horizon=4.0 * np.pi)
+    assert events == []
+    assert stats.crossings_refined == 0 and stats.root_iterations > 0
 
 
 def test_rotation_crossings_spaced_half_turn(tight_cfg):
@@ -594,8 +610,8 @@ def test_failed_crossing_ends_its_lane_before_a_later_field_error(tight_cfg):
     assert [(type(r), str(r)) for r in results] == [
         (IntegrationError, "sqrt-source: crossing near t=0.687378 did not converge:"
          " |level| = 1 > 1e-09 at x=[0.9942476485077836, 1.0057856324838779]"),
-        (IntegrationError, "sqrt-source: crossing near t=0.665239 did not converge:"
-         " |level| = 1 > 1e-09 at x=[0.9724779143139427, 0.5141504939469571]"),
+        (IntegrationError, "sqrt-source: crossing near t=0.505818 did not converge:"
+         " |level| = 1 > 1e-09 at x=[0.8291711436462874, 0.6030118194915103]"),
         (DomainError, "sqrt of a negative value"),
     ]
     chart = build_chart(field, jump, cfg=tight_cfg, horizon=5.0, audit_transversal=False)
