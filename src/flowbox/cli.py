@@ -2,9 +2,9 @@
 
 Subcommands: systems-list, chart-build, kef-check, varfit, verify-all.
 Every run that writes files also writes a manifest (command, resolved
-arguments, config hash, seed, PRNG, timestamps, outputs, summary) so results
-can be reproduced byte for byte.  A run refused on usage or by an audit
-writes nothing.
+arguments, config hash, seed, PRNG, timestamps, outputs, summary, peak
+resident set) so results can be reproduced byte for byte.  A run refused on
+usage or by an audit writes nothing.
 
 Exit codes: 0 success, 1 usage error, 2 audit or verification failure,
 3 numerical failure.
@@ -15,12 +15,12 @@ import argparse
 import dataclasses
 import datetime
 import gc
-import hashlib
 import json
 import os
 import pickle
 import sys
 import time
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -131,8 +131,22 @@ def parse_grid_spec(spec: str, dim: int):
 
 
 def _config_hash(payload: dict) -> str:
+    """CRC-32 of the payload's canonical JSON: a run fingerprint, not a
+    security digest (zlib is already loaded by numpy; hashlib maps libcrypto)."""
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return format(zlib.crc32(blob.encode()), "08x")
+
+
+def _peak_rss_mb(children: bool = False) -> float:
+    """Peak resident set of this process so far, or with `children` of the
+    largest child process reaped so far; 0.0 where the platform has no
+    getrusage."""
+    try:
+        import resource
+    except ImportError:  # Windows, which has no fork either
+        return 0.0
+    who = resource.RUSAGE_CHILDREN if children else resource.RUSAGE_SELF
+    return resource.getrusage(who).ru_maxrss / 1024.0
 
 
 def _write_manifest(out: Path, command: str, args: dict, outputs: list,
@@ -148,6 +162,7 @@ def _write_manifest(out: Path, command: str, args: dict, outputs: list,
         "finished": _now(),
         "outputs": outputs,
         "summary": summary,
+        "peak_rss_mb": _peak_rss_mb(),
     }
     if timings is not None:
         manifest["timings"] = timings
@@ -448,7 +463,8 @@ def cmd_varfit(args) -> int:
         result = varfit_mod.fit(field, box, shape, cfg)
     except ValueError as err:
         raise UsageError(str(err))
-    timings = {"fit_s": time.perf_counter() - clock}
+    timings = {"fit_s": time.perf_counter() - clock,
+               "levels_s": list(result.level_seconds)}
 
     clock = time.perf_counter()
     out = _out_dir(args.out)
@@ -602,15 +618,6 @@ def _suite_outcomes(jobs) -> tuple:
     return [outcomes[k] for k in range(len(jobs))], workers
 
 
-def _children_peak_rss_mb() -> float:
-    """Peak resident set of the largest child process reaped so far."""
-    try:
-        import resource
-    except ImportError:  # Windows, which has no fork either
-        return 0.0
-    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
-
-
 def cmd_verify_all(args) -> int:
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
@@ -646,7 +653,7 @@ def cmd_verify_all(args) -> int:
             {"passed": all_ok,
              "failed": [r["suite"] for r in results if not r["passed"]],
              "workers": workers,
-             "children_peak_rss_mb": _children_peak_rss_mb()},
+             "children_peak_rss_mb": _peak_rss_mb(children=True)},
             started, seed=args.seed, timings=timings,
         )
     print("verify-all: " + ("all suites passed" if all_ok else "FAILURES present"))

@@ -22,11 +22,13 @@ flow, l' = <grad l, P>, one central difference of l along P.  A step across
 which l or l' changes sign is a bracket.  On the step's continuous extension
 (DOP853's 7th-order dense output) a root of l' splits it at l's turning
 point, and each piece across which l changes sign holds one crossing; both
-roots are found by Illinois regula falsi on the step fraction ``theta``.  So
-an excursion past the surface inside one step is two crossings, as long as l
-turns at most once per step.  The extension costs three field evaluations
-per bracket, the root finds none, and a root that cannot be brought onto the
-surface is an ``IntegrationError``, never a silently accepted best effort.
+roots are found by Illinois regula falsi on the step fraction ``theta``, a
+crossing's starting at the root of the cubic Hermite through the piece's end
+levels and rates.  So an excursion past the surface inside one step is two
+crossings, as long as l turns at most once per step.  The extension costs
+three field evaluations per bracket, the root finds none, and a root that
+cannot be brought onto the surface is an ``IntegrationError``, never a
+silently accepted best effort.
 Brackets are kept during the sweep and all refined together after it
 (Hairer, Norsett & Wanner, Solving ODEs I, sections II.5, II.6 and II.10;
 Shampine, Gladwell & Brankin, ACM TOMS 17 (1991), on event pairs in a step).
@@ -64,6 +66,7 @@ ON_SURFACE_TOL = 1e-9     # |level| below this counts as "already on S"
 CROSSING_LEVEL_TOL = 1e-12  # root-find target for |level| on the interpolant
 MAX_ROOT_ITERATIONS = 200  # per crossing; the bracket collapses long before
 RATE_STEP = 1e-7  # time step of the central difference of the level along the flow
+HERMITE_BITS = 24  # bisections of a crossing's first iterate on its cubic Hermite
 
 
 class IntegrationError(RuntimeError):
@@ -777,15 +780,31 @@ def _dense_at(x_old, F, theta):
     return x_old + x
 
 
-def _illinois(f, lo, hi, f_lo, f_hi, tol, collapse, stats: RunStats):
+def _hermite_root(f_lo, f_hi, s_lo, s_hi):
+    """A root u in (0, 1), to 2**-HERMITE_BITS, of the cubic Hermite on [0, 1]
+    through the values f_lo, f_hi (nonzero, of opposite sign) and slopes
+    s_lo, s_hi at its ends: bisection on the cubic alone."""
+    c2 = 3.0 * (f_hi - f_lo) - 2.0 * s_lo - s_hi
+    c3 = 2.0 * (f_lo - f_hi) + s_lo + s_hi
+    above = f_lo > 0.0
+    u, step = np.zeros(len(f_lo)), 0.5
+    for _ in range(HERMITE_BITS):  # u is the low end of a bracket 2 * step wide
+        mid = u + step
+        u = np.where((f_lo + mid * (s_lo + mid * (c2 + mid * c3)) > 0.0) == above, mid, u)
+        step *= 0.5
+    return u + step
+
+
+def _illinois(f, lo, hi, f_lo, f_hi, tol, collapse, stats: RunStats, first=None):
     """Illinois regula falsi on theta in each bracket [lo[b], hi[b]] whose
     values f_lo[b] and f_hi[b] are nonzero and of opposite sign.
 
     f(b, theta) gives the values at theta[i] of brackets b[i], NaN where a
-    value cannot be had.  A bracket stops at |value| <= tol, at NaN, or once
-    it is no wider than collapse[b]; a secant point that is not strictly
-    inside it is replaced by its midpoint.  Returns (theta, value) per
-    bracket at the smallest |value| seen, its ends included.
+    value cannot be had.  The first iterate is first[b] where given, else the
+    secant point.  A bracket stops at |value| <= tol, at NaN, or once it is
+    no wider than collapse[b]; a secant point that is not strictly inside it
+    is replaced by its midpoint.  Returns (theta, value) per bracket at the
+    smallest |value| seen, its ends included.
     """
     lo, hi, f_lo = lo.copy(), hi.copy(), f_lo.copy()  # f_lo: true value at lo
     g_lo, g_hi = f_lo.copy(), f_hi.copy()  # Illinois-scaled secant weights
@@ -793,14 +812,14 @@ def _illinois(f, lo, hi, f_lo, f_hi, tol, collapse, stats: RunStats):
     at_hi = np.abs(g_hi) < np.abs(g_lo)
     best_theta, best_f = np.where(at_hi, hi, lo), np.where(at_hi, g_hi, g_lo)
     active = np.ones(len(lo), dtype=bool)
-    for _ in range(MAX_ROOT_ITERATIONS):
+    for k in range(MAX_ROOT_ITERATIONS):
         b = np.flatnonzero(active)
         if not b.size:
             break
         stats.root_iterations += b.size
         a, c = lo[b], hi[b]
         ga, gc = g_lo[b], g_hi[b]
-        theta = (a * gc - c * ga) / (gc - ga)
+        theta = first if k == 0 and first is not None else (a * gc - c * ga) / (gc - ga)
         theta = np.where((theta > a) & (theta < c), theta, 0.5 * (a + c))
         fs = f(b, theta)
 
@@ -952,8 +971,10 @@ class _CrossingScan:
         theta) has its root, to within RATE_STEP in time.  Each piece across
         which the level changes sign holds one crossing: the point of least
         |level| its root find saw, stopping at CROSSING_LEVEL_TOL or 1e-13 in
-        time.  Above ON_SURFACE_TOL it is an IntegrationError, which ends the
-        step's crossings; a level or field row that raises fails the step.
+        time, from the root of the cubic Hermite through the piece's end
+        levels and slopes in theta (h r_a, h r_b, and 0 at a turning point).
+        Above ON_SURFACE_TOL it is an IntegrationError, which ends the step's
+        crossings; a level or field row that raises fails the step.
         """
         m = len(lanes)
         errors = [None] * m
@@ -991,14 +1012,20 @@ class _CrossingScan:
         f_lo = np.concatenate([l_a, l_t])
         f_hi = np.concatenate([l_b, l_b[turn]])
         f_hi[turn] = l_t
+        # the level's slopes in theta at the pieces' ends; zero at a turning point
+        s_lo = np.concatenate([h * r_a, np.zeros(len(turn))])
+        s_hi = np.concatenate([h * r_b, (h * r_b)[turn]])
+        s_hi[turn] = 0.0
         piece = np.flatnonzero(_opposite(f_lo, f_hi) & ~raised[row])
         piece = piece[np.lexsort((lo[piece], row[piece]))]  # time order per step
         row = row[piece]
         self.stats.crossings_refined += len(row)
+        lo, hi, f_lo, f_hi = lo[piece], hi[piece], f_lo[piece], f_hi[piece]
+        w = hi - lo
         theta, level = _illinois(
-            lambda b, theta: levels(row[b], theta),
-            lo[piece], hi[piece], f_lo[piece], f_hi[piece], CROSSING_LEVEL_TOL,
-            (1e-13 * np.maximum(1.0, h) / h)[row], self.stats,
+            lambda b, theta: levels(row[b], theta), lo, hi, f_lo, f_hi,
+            CROSSING_LEVEL_TOL, (1e-13 * np.maximum(1.0, h) / h)[row], self.stats,
+            first=lo + w * _hermite_root(f_lo, f_hi, w * s_lo[piece], w * s_hi[piece]),
         )
         x = _dense_at(x_old[row], F[:, row], theta)
         x[theta == 1.0] = x_new[row[theta == 1.0]]  # the step's own end

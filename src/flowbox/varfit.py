@@ -33,6 +33,7 @@ import functools
 import itertools
 import json
 import math
+import time
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -413,6 +414,7 @@ class FitResult:
     unit_mean: np.ndarray        # mean <grad y_i, P> per coordinate
     residual_concentration: float  # max node residual / median node residual
     level_totals: tuple          # endpoint loss of each ladder level run
+    level_seconds: tuple         # wall seconds of each, aligned with level_totals
     refinement_gain: Optional[float]  # level_totals[-2] / level_totals[-1]
     elevated_residual: bool      # refinement failed to shrink the residual
     message: str
@@ -707,6 +709,7 @@ def fit(field: VectorField, box, shape, cfg: Optional[FitConfig] = None) -> FitR
 
     history: list = []
     level_totals = []
+    level_seconds = []
     stats = FitStats()
     iterations_run = 0
     stalled = False
@@ -718,12 +721,14 @@ def fit(field: VectorField, box, shape, cfg: Optional[FitConfig] = None) -> FitR
             values = _prolong(values, ladder[li - 1], level_shape)
         if budgets[li] <= 0 and not final:
             continue
+        clock = time.perf_counter()
         values, total, terms, steps, level_stalled, met = _descend(
             field, values, box, level_shape, budgets[li], cfg, stats,
             record=history if final else None,
             target=cfg.target if final else 0.0,
         )
         level_totals.append(total)
+        level_seconds.append(time.perf_counter() - clock)
         iterations_run += steps
         if final:
             stalled = level_stalled
@@ -781,6 +786,7 @@ def fit(field: VectorField, box, shape, cfg: Optional[FitConfig] = None) -> FitR
         unit_mean=unit_mean,
         residual_concentration=concentration,
         level_totals=tuple(level_totals),
+        level_seconds=tuple(level_seconds),
         refinement_gain=refinement_gain,
         elevated_residual=elevated,
         message=message,

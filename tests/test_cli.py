@@ -2,6 +2,7 @@ import gc
 import importlib.util
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -133,6 +134,7 @@ def test_chart_build_writes_grid_and_manifest(tmp_path, capsys):
                                      + 3 * evaluate["crossings_refined"])
     assert stats["audit"]["lanes"] > 0
     assert set(manifest["timings"]) == {"audit_s", "evaluate_s", "write_s"}
+    assert manifest["peak_rss_mb"] > 0.0
     assert "chart-build: 12/12 points ok" in capsys.readouterr().out
 
 
@@ -366,6 +368,38 @@ def test_kef_check_minimal_set_hash_follows_the_integrator_options(tmp_path):
     assert len(hashes) == 2
 
 
+def test_charting_commands_load_no_hashlib(tmp_path):
+    # hashlib maps OpenSSL's libcrypto (about 3.3 MB resident); config_hash
+    # is a CRC-32 from zlib, which numpy loads anyway
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from flowbox.cli import main\n"
+        "loaded = lambda: sorted({'hashlib', '_hashlib'} & set(sys.modules))\n"
+        "print(loaded())\n"
+        "assert main(json.loads(sys.argv[1])) == 0\n"
+        "print(loaded())\n"
+    )
+    hashes = []
+    runs = [CHART_ARGV["chart-build"]] * 2 + [CHART_ARGV["kef-check"]]
+    for k, argv in enumerate(runs):
+        out = tmp_path / str(k)
+        done = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(argv + ["--out", str(out)])],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert (lines[0], lines[-1]) == ("[]", "[]")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert re.fullmatch("[0-9a-f]{8}", manifest["config_hash"])
+        assert manifest["peak_rss_mb"] > 0.0
+        hashes.append(manifest["config_hash"])
+    # one argv, one fingerprint in every process; another command, another
+    assert hashes[0] == hashes[1] != hashes[2]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--minimal-set"], "--minimal-set needs --surface"),
     (["--phi", "x1 + x2"], "need --phi and --lambda"),
@@ -471,7 +505,11 @@ def test_varfit_writes_grids_history_manifest(tmp_path, capsys):
     assert set(summary["stats"]) == {
         "loss_evals", "gradients", "backtracks", "sweeps", "line_moves"}
     assert summary["stats"]["gradients"] == summary["iterations_run"]
-    assert set(manifest["timings"]) == {"fit_s", "write_s"}
+    assert set(manifest["timings"]) == {"fit_s", "levels_s", "write_s"}
+    levels_s = manifest["timings"]["levels_s"]
+    assert len(levels_s) == len(summary["level_totals"])
+    assert all(s >= 0.0 for s in levels_s) and sum(levels_s) <= manifest["timings"]["fit_s"]
+    assert manifest["peak_rss_mb"] > 0.0
     assert manifest["seed"] == 0
     assert "varfit:" in capsys.readouterr().out
 
@@ -604,6 +642,9 @@ def test_chart_build_counts_batched_level_calls(tmp_path):
     # three level rows per accepted step (the level and its rate along the
     # flow at the step's end) and a few per root iteration
     assert evaluate["level_evals"] <= 40000
+    # each crossing's root find starts at the root of the cubic Hermite
+    # through its step's end levels and rates
+    assert evaluate["root_iterations"] < 5 * evaluate["crossings_refined"]
     # no orbit of the saddle turns back toward the line, so the crossing
     # search adds no bracket, no step and no field evaluation
     assert evaluate["accepted_steps"] == 8391
@@ -796,6 +837,7 @@ def test_verify_all_output_does_not_depend_on_the_worker_count(tmp_path, capsys,
         summary = manifest.pop("summary")
         assert summary.pop("workers") == cpus
         assert summary.pop("children_peak_rss_mb") >= 0.0
+        assert manifest.pop("peak_rss_mb") > 0.0
         assert manifest.pop("timings")["cpu_s"] >= 0.0
         del manifest["started"], manifest["finished"]
         runs.append((capsys.readouterr().out,

@@ -28,6 +28,7 @@ from flowbox.odeint import (
     StepLimitExceeded,
     _dense_at,
     _dense_output,
+    _hermite_root,
     _integrate,
     find_crossings,
     find_crossings_batch,
@@ -227,6 +228,22 @@ def test_dense_output_field_error_fails_its_bracket(monkeypatch):
     (event,), (expected,) = results[0], plain[0]
     assert event.t == expected.t
     np.testing.assert_array_equal(event.x, expected.x)
+
+
+def test_hermite_root_is_the_root_of_the_cubic_through_the_ends():
+    # p(u) = (u - r)(u + 1)(u - 2) is its own cubic Hermite through its
+    # values and slopes at u = 0 and 1, and r is its one root in (0, 1)
+    r = np.array([0.3, 1e-3, 0.999, 0.5])
+
+    def p(u):
+        return (u - r) * (u + 1.0) * (u - 2.0)
+
+    def dp(u):
+        return (u + 1.0) * (u - 2.0) + (u - r) * (2.0 * u - 1.0)
+
+    for sign in (1.0, -1.0):
+        u = _hermite_root(sign * p(0.0), sign * p(1.0), sign * dp(0.0), sign * dp(1.0))
+        np.testing.assert_allclose(u, r, rtol=0, atol=2.0 ** -odeint.HERMITE_BITS)
 
 
 # ---------------------------------------------------------------------------
