@@ -526,7 +526,6 @@ def build_chart(
     cfg: Optional[IntegratorConfig] = None,
     horizon: Optional[float] = None,
     audit_transversal: bool = True,
-    n_audit: int = 64,
 ) -> Chart:
     """Assemble a chart; transversality is audited unless explicitly skipped."""
     if isinstance(surface, str):
@@ -538,7 +537,7 @@ def build_chart(
     cfg = cfg or DEFAULT_CONFIG
     horizon = cfg.horizon if horizon is None else float(horizon)
     if audit_transversal:
-        samples = check_transversal(surface, field, n_audit)
+        samples = check_transversal(surface, field)
         bad = [(tau, ip) for tau, ip in samples if abs(ip) < TRANSVERSALITY_TOL]
         if bad:
             tau, ip = min(bad, key=lambda pair: abs(pair[1]))

@@ -60,10 +60,8 @@ EXIT_NUMERIC = 3
 AUDIT_ORBITS = 16
 # IntegratorConfig fields chart-build and kef-check take from the command line
 INTEGRATOR_OPTIONS = ("horizon", "abs_tol", "rel_tol")
-# FitConfig fields varfit takes from the command line, typed by their
-# defaults, in --help order
-FIT_OPTIONS = ("iterations", "seed", "step_size", "momentum", "weight_a",
-               "weight_b", "target")
+# FitConfig fields varfit takes from the command line and records
+FIT_OPTIONS = ("iterations", "seed", "target")
 
 
 class UsageError(ValueError):
@@ -509,7 +507,7 @@ def cmd_varfit(args) -> int:
     )
     if not result.converged or result.elevated_residual:
         reason = (
-            "node-mean targets missed" if not result.converged
+            "node-mean defects above tolerance" if not result.converged
             else "residual stuck across grid refinement"
                  f" (gain {result.refinement_gain:.3g})"
         )
@@ -688,8 +686,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_list = sub.add_parser("systems-list", help="list built-in systems")
     p_list.add_argument("--filter", default="", help="substring filter on names")
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON file with default option values")
+    configured = argparse.ArgumentParser(add_help=False)
+    configured.add_argument("--config", help="JSON file with default option values")
+    common = argparse.ArgumentParser(add_help=False, parents=[configured])
     common.add_argument("--system", help="built-in system name")
     common.add_argument("--system-file", help="JSON system spec file")
     writes = argparse.ArgumentParser(add_help=False, parents=[common])
@@ -722,12 +721,13 @@ def build_parser() -> argparse.ArgumentParser:
         "varfit", parents=[writes],
         help="fit unit-velocity coordinates on a grid variationally",
     )
-    for name in FIT_OPTIONS:
-        default = getattr(varfit_mod.FitConfig, name)
-        p_fit.add_argument("--" + name.replace("_", "-"), type=type(default), default=None)
+    p_fit.add_argument("--iterations", type=int, help="step budget over all grid levels")
+    p_fit.add_argument("--seed", type=int, help="seed of the random-affine start")
+    p_fit.add_argument("--target", type=float,
+                       help="stop once both node-mean defects are at or below it")
 
     p_verify = sub.add_parser(
-        "verify-all", parents=[common],
+        "verify-all", parents=[configured],
         help="run the closed-form verification suites",
     )
     p_verify.add_argument("--filter", default="", help="substring filter on suites")

@@ -32,6 +32,9 @@ __all__ = [
     "minimal_set",
 ]
 
+# Relative singular-value cutoff of minimal_set's rank audit.
+_RANK_TOL = 1e-8
+
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class KoopmanEigenfunction:
@@ -202,14 +205,13 @@ class MinimalSet:
 def minimal_set(
     chart: Chart,
     audit_points: Optional[Sequence] = None,
-    fd_step: float = 1e-5,
-    rank_tol: float = 1e-8,
 ) -> MinimalSet:
     """Build (h_i e^m, e^m), all at eigenvalue 1, and audit their independence.
 
-    The Jacobian of the member tuple is evaluated by central differences at the
-    audit points, whose stencils are charted by one batched search; its
-    numerical rank must equal the state dimension for the members to separate
+    The Jacobian of the member tuple is evaluated by central differences, at
+    fdiff's default step, at the audit points, whose stencils are charted by
+    one batched search; its numerical rank (singular values down to _RANK_TOL
+    of the largest) must equal the state dimension for the members to separate
     orbits and positions along them.
     """
     n = chart.dim
@@ -224,9 +226,9 @@ def minimal_set(
         z = _flowbox_rows(chart, rows)
         return np.stack([f.at(z) for f in members], axis=-1)
 
-    jac = np.swapaxes(fd_gradient_rows(member_rows, points, fd_step), -1, -2)
+    jac = np.swapaxes(fd_gradient_rows(member_rows, points), -1, -2)
     sv = np.linalg.svd(jac, compute_uv=False)  # (P, min(n, members))
-    ranks = np.sum(sv >= rank_tol * np.maximum(sv[:, :1], 1e-300), axis=1)
+    ranks = np.sum(sv >= _RANK_TOL * np.maximum(sv[:, :1], 1e-300), axis=1)
     min_rank = int(min(ranks, default=n))
     return MinimalSet(
         chart=chart,

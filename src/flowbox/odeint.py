@@ -499,8 +499,6 @@ def _integrate(field: VectorField, x0, sign, T: float, cfg: IntegratorConfig,
     stats.lanes += L
     if T <= 0.0 or L == 0:
         return outcome, errors
-    lo = field.domain[:, 0] - 1e-12
-    hi = field.domain[:, 1] + 1e-12
     raised = []  # lanes whose field rows raised in this pass
 
     def field_failed(row, err):
@@ -574,7 +572,7 @@ def _integrate(field: VectorField, x0, sign, T: float, cfg: IntegratorConfig,
         keep = None
         if n_ok:
             t_new = t + h
-            outside = ~np.all((x_new >= lo) & (x_new <= hi), axis=1)
+            outside = ~field.contains(x_new)
             finished = outside | (T - t_new <= end_tol)
             if n_ok == len(ids):
                 acc, pos = ids, slice(None)

@@ -132,27 +132,17 @@ class FitConfig:
     below it; the default 0 runs the full budget.
     """
 
-    step_size: float = 1.0
-    momentum: float = 0.9
     iterations: int = 5000
-    weight_a: float = 1.0
-    weight_b: float = 1.0
     seed: int = 0
     target: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.step_size) and self.step_size > 0):
-            raise ValueError(f"step_size must be positive and finite: {self.step_size}")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ValueError(f"momentum must lie in [0, 1): {self.momentum}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1: {self.iterations}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0: {self.seed}")
-        for name in ("weight_a", "weight_b", "target"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0: {value}")
+        if not (math.isfinite(self.target) and self.target >= 0):
+            raise ValueError(f"target must be finite and >= 0: {self.target}")
 
 
 # ---------------------------------------------------------------------------
@@ -286,17 +276,16 @@ class _Terms(NamedTuple):
 
 class _Objective:
     """The discretized functional on one grid as a polynomial of the
-    derivative stack G: U is affine in G, S bilinear, and the total
-    w_a A + w_b B a weighted sum of their squares.  score() counts every
-    total it sums from materialized _Terms in stats.loss_evals.
+    derivative stack G: U is affine in G, S bilinear, and the total A + B
+    the sum of their weighted squares.  score() counts every total it sums
+    from materialized _Terms in stats.loss_evals.
     """
 
-    def __init__(self, field, box, shape, weight_a, weight_b, stats=None):
+    def __init__(self, field, box, shape, stats=None):
         self.p_vals = _field_on_grid(field, box, shape)
         self.w = trapezoid_weights(box, shape)
         self.spacings = _spacings(box, shape)
-        self.weight_a, self.weight_b = weight_a, weight_b
-        self.p_a = (2.0 * weight_a) * self.p_vals  # the gradient's factor of w U
+        self.two_p = 2.0 * self.p_vals  # the gradient's factor of w U
         self.stats = FitStats() if stats is None else stats
 
     def derivatives(self, values):
@@ -314,7 +303,7 @@ class _Objective:
         S = _pair_products(G, G)
         wU, wS = self.w * U, self.w * S
         t = _Terms(G, U, S, wU, wS, _dot(wU, U), _dot(wS, S))
-        return self.weight_a * t.A + self.weight_b * t.B, t
+        return t.A + t.B, t
 
     def evaluate(self, values):
         """(total, terms) of grid values, shape (N, *shape)."""
@@ -324,12 +313,11 @@ class _Objective:
         """d(total)/d(values) at terms t, by the stencil adjoints."""
         n = len(t.U)
         # src[a, i] pairs with dy_i/dx_a: one contiguous (N, *shape) slab per axis
-        src = self.p_a[:, None] * t.wU
-        if self.weight_b != 0.0:
-            # pairs in triu order hand every row its j terms in ascending j
-            for i, j, s_ij in zip(*_pairs(n), (2.0 * self.weight_b) * t.wS):
-                src[:, i] += s_ij * t.G[j]
-                src[:, j] += s_ij * t.G[i]
+        src = self.two_p[:, None] * t.wU
+        # pairs in triu order hand every row its j terms in ascending j
+        for i, j, s_ij in zip(*_pairs(n), 2.0 * t.wS):
+            src[:, i] += s_ij * t.G[j]
+            src[:, j] += s_ij * t.G[i]
         out = diff_axis_T(src[0], self.spacings[0], 1)
         for a in range(1, n):
             out += diff_axis_T(src[a], self.spacings[a], a + 1)
@@ -341,25 +329,23 @@ class _Objective:
         both rows moving."""
         dU = np.einsum("ia...,a...->i...", dG, self.p_vals)
         dS = _pair_products(t.G, dG) + _pair_products(dG, t.G)
-        wa, wb, w = self.weight_a, self.weight_b, self.w
-        return (2.0 * (wa * _dot(t.wU, dU) + wb * _dot(t.wS, dS)),
-                wa * _dot(w * dU, dU) + wb * _dot(w * dS, dS))
+        w = self.w
+        return (2.0 * (_dot(t.wU, dU) + _dot(t.wS, dS)),
+                _dot(w * dU, dU) + _dot(w * dS, dS))
 
 
-def loss(grid: GridField, field: VectorField, weight_a: float = 1.0,
-         weight_b: float = 1.0) -> tuple:
-    """(A, B, total) of the discretized functional over the grid box."""
-    objective = _Objective(field, grid.box, grid.shape, weight_a, weight_b)
+def loss(grid: GridField, field: VectorField) -> tuple:
+    """(A, B, total = A + B) of the discretized functional over the grid box."""
+    objective = _Objective(field, grid.box, grid.shape)
     total, t = objective.evaluate(grid.values)
     if not np.isfinite(total):
         _raise_non_finite([grid.values, t.U, t.S], grid.box, grid.shape, "loss term")
     return t.A, t.B, total
 
 
-def loss_gradient(grid: GridField, field: VectorField, weight_a: float = 1.0,
-                  weight_b: float = 1.0) -> np.ndarray:
+def loss_gradient(grid: GridField, field: VectorField) -> np.ndarray:
     """d(total)/d(values): exact adjoint of the stencil expressions."""
-    objective = _Objective(field, grid.box, grid.shape, weight_a, weight_b)
+    objective = _Objective(field, grid.box, grid.shape)
     grad = objective.gradient(objective.evaluate(grid.values)[1])
     if not np.all(np.isfinite(grad)):
         # dense rows smear a bad input along its grid line: name the input first
@@ -386,6 +372,10 @@ _MAX_BACKTRACKS = 30
 _CHECK_EVERY = 100
 # Passes a recombination sweep makes at most over all coordinate pairs.
 _MAX_SWEEP_ROUNDS = 40
+# Descent step each level starts from, and after every accepted sweep.
+_STEP_SIZE = 1.0
+# Share of the last accepted step that a momentum trial adds.
+_MOMENTUM = 0.9
 
 
 @dataclasses.dataclass
@@ -421,14 +411,14 @@ class FitResult:
     stats: FitStats
 
 
-def _node_diagnostics(terms, weight_a, weight_b):
+def _node_diagnostics(terms):
     U, S = terms.U, terms.S
     node_mean_a = np.array([float(np.mean(x * x)) for x in U])
     node_mean_b = float(np.mean([np.mean(x * x) for x in S])) if len(S) else 0.0
     unit_mean = np.array([float(np.mean(x)) + 1.0 for x in U])
-    per_node = weight_a * sum(x * x for x in U)
+    per_node = sum(x * x for x in U)
     if len(S):
-        per_node = per_node + weight_b * sum(x * x for x in S)
+        per_node = per_node + sum(x * x for x in S)
     med = float(np.median(per_node))
     concentration = float(np.max(per_node) / max(med, 1e-300))
     return node_mean_a, node_mean_b, unit_mean, concentration
@@ -586,8 +576,7 @@ def _recombine_sweep(objective, values, total, terms):
     return values, total, terms
 
 
-def _descend(field, values, box, shape, iters, cfg, stats, record=None,
-             target=0.0):
+def _descend(field, values, box, shape, iters, stats, record=None, target=0.0):
     """Smoothed-gradient descent with recombination sweeps on one grid.
 
     Returns (values, total, terms, steps_run, stalled, met_target).  Every
@@ -597,12 +586,12 @@ def _descend(field, values, box, shape, iters, cfg, stats, record=None,
     after a rejected momentum trial lie on values - s * direction, so each
     is scored from G - s * grad(direction) (see the module notes).
     """
-    objective = _Objective(field, box, shape, cfg.weight_a, cfg.weight_b, stats)
+    objective = _Objective(field, box, shape, stats)
     values = _pin_corner(values)
     total, terms = objective.evaluate(values)
     if not np.isfinite(total):
         raise FloatingPointError("loss is non-finite at the initial iterate")
-    step = cfg.step_size
+    step = _STEP_SIZE
     velocity = np.zeros_like(values)
     window_last = total
     stalled = False
@@ -627,7 +616,7 @@ def _descend(field, values, box, shape, iters, cfg, stats, record=None,
         for attempt in range(_MAX_BACKTRACKS + 1):
             if attempt == 0:
                 trial = _pin_corner(values - trial_step * direction
-                                    + cfg.momentum * velocity)
+                                    + _MOMENTUM * velocity)
                 trial_total, trial_terms = objective.evaluate(trial)
             else:
                 if dG is None:
@@ -657,15 +646,14 @@ def _descend(field, values, box, shape, iters, cfg, stats, record=None,
             if t2 < total:
                 values, total, terms = v2, t2, terms2
                 velocity = np.zeros_like(values)
-                step = cfg.step_size
+                step = _STEP_SIZE
                 if record is not None and record:
                     record[-1] = total
             elif not accepted:
                 stalled = True
                 break
         if target > 0.0:
-            node_a, node_b, _, _ = _node_diagnostics(terms, cfg.weight_a,
-                                                     cfg.weight_b)
+            node_a, node_b, _, _ = _node_diagnostics(terms)
             if float(np.max(node_a)) <= target and node_b <= target:
                 met_target = True
                 break
@@ -723,7 +711,7 @@ def fit(field: VectorField, box, shape, cfg: Optional[FitConfig] = None) -> FitR
             continue
         clock = time.perf_counter()
         values, total, terms, steps, level_stalled, met = _descend(
-            field, values, box, level_shape, budgets[li], cfg, stats,
+            field, values, box, level_shape, budgets[li], stats,
             record=history if final else None,
             target=cfg.target if final else 0.0,
         )
@@ -736,14 +724,10 @@ def fit(field: VectorField, box, shape, cfg: Optional[FitConfig] = None) -> FitR
             budget_left = steps < budgets[li]
 
     a_term, b_term = terms.A, terms.B
-    node_a, node_b, unit_mean, concentration = _node_diagnostics(
-        terms, cfg.weight_a, cfg.weight_b
-    )
+    node_a, node_b, unit_mean, concentration = _node_diagnostics(terms)
 
-    converged = (
-        met_target
-        or (float(np.max(node_a)) <= _NODE_TOL and node_b <= _NODE_TOL)
-    )
+    # a target looser than _NODE_TOL only stops the fit early
+    converged = float(np.max(node_a)) <= _NODE_TOL and node_b <= _NODE_TOL
     if met_target:
         message = "node-mean targets met"
     elif stalled:
@@ -777,7 +761,7 @@ def fit(field: VectorField, box, shape, cfg: Optional[FitConfig] = None) -> FitR
         history=np.asarray(history),
         loss_a=a_term,
         loss_b=b_term,
-        total=float(cfg.weight_a * a_term + cfg.weight_b * b_term),
+        total=float(a_term + b_term),
         converged=converged,
         stalled=stalled,
         iterations_run=iterations_run,

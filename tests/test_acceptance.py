@@ -177,7 +177,7 @@ def test_acceptance_8_loss_gradient_oracle():
     for _ in range(3):
         values = rng.standard_normal((2,) + shape)
         grid = GridField(box=box, values=values)
-        grad = loss_gradient(grid, field, 1.0, 1.0)
+        grad = loss_gradient(grid, field)
         for _ in range(20):
             d = rng.standard_normal((2,) + shape)
             d /= np.sqrt(np.sum(d * d))

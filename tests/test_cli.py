@@ -597,21 +597,55 @@ def test_varfit_output_does_not_depend_on_the_blas_thread_count(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+REMOVED_FIT_FLAGS = ("--step-size", "--momentum", "--weight-a", "--weight-b")
+
+
 @pytest.mark.parametrize("option", [
     "--momentum=1.5", "--target=-1", "--target=nan", "--step-size=nan",
     "--step-size=inf", "--weight-a=nan", "--weight-b=inf", "--iterations=0",
     "--seed=-1",
 ])
 def test_varfit_rejects_bad_options(option, tmp_path, capsys):
-    code = main([
+    argv = [
         "varfit", "--system", "linear-ar", "--grid", "4x6x9,1x3x9",
         "--iterations", "5", option, "--out", str(tmp_path / "out"),
-    ])
+    ]
+    flag = option.split("=")[0]
+    if flag in REMOVED_FIT_FLAGS:
+        # the descent knobs are varfit constants: the parser refuses the flag
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        code, named = err.value.code, f"unrecognized arguments: {option}"
+    else:
+        # the error names the field the option sets
+        code, named = main(argv), f"flowbox: error: {flag[2:]} "
     assert code == EXIT_USAGE
-    # the error names the field the option sets
-    field = option[2:].split("=")[0].replace("-", "_")
-    assert f"flowbox: error: {field} " in capsys.readouterr().err
+    assert named in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_varfit_refuses_the_removed_descent_knobs(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["varfit", "--system", "linear-ar", "--grid", "4x6x9,1x3x9",
+            "--iterations", "5", "--out", str(out)]
+    # a value the old --momentum accepted
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--momentum", "0.5"])
+    assert err.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --momentum 0.5" in capsys.readouterr().err
+    assert not out.exists()
+    # and a --config file that still names one
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"step_size": 1.0}))
+    assert main(argv + ["--config", str(cfg_path)]) == EXIT_USAGE
+    assert "unknown option 'step_size'" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(SystemExit) as err:
+        main(["varfit", "--help"])
+    assert err.value.code == EXIT_OK
+    usage = capsys.readouterr().out
+    assert "--iterations" in usage and "--target" in usage
+    assert not any(flag in usage for flag in REMOVED_FIT_FLAGS)
 
 
 def test_chart_build_runs_are_byte_identical(tmp_path):
@@ -761,6 +795,20 @@ def test_verify_all_rejects_a_negative_seed(tmp_path, capsys):
     assert "--seed" in captured.err
     assert captured.out == ""  # no suite ran
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("option", ["--system", "--system-file"])
+def test_verify_all_takes_no_system(option, tmp_path, capsys):
+    # the suites fix their own systems, so the option would be ignored
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        main(["verify-all", "--filter", "unit-vel", option, "linear-ar",
+              "--out", str(out)])
+    assert err.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {option}" in captured.err
+    assert captured.out == ""  # no suite ran
+    assert not out.exists()
 
 
 def test_verify_all_writes_a_report_only_where_out_says(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 
@@ -12,6 +13,7 @@ from flowbox.varfit import (
     FitConfig,
     FitResult,
     GridField,
+    _NODE_TOL,
     _coarse_ladder,
     _Objective,
     _prolong,
@@ -220,7 +222,7 @@ def test_loss_vanishes_on_a_rotated_clock_pair():
 def test_loss_overlap_term_and_weights():
     # y_i = x1 for every i solves the unit-rate term under P = e1 but every
     # pair overlaps completely: A = 0, B = pairs * volume.  In 3-D the three
-    # pairs each overlap over the volume 3
+    # pairs each overlap over the volume 3.  Both terms weigh 1 in the total
     for exprs, box, shape, b_exact in (
         ("1, 0", [[0.0, 2.0], [0.0, 1.0]], (9, 9), 2.0),
         ("1, 0, 0", [[0.0, 2.0], [0.0, 1.0], [0.0, 1.5]], (9, 7, 5), 9.0),
@@ -228,10 +230,10 @@ def test_loss_overlap_term_and_weights():
         box = np.array(box)
         x1 = mesh_grid(box, shape)[0]
         g = GridField(box=box, values=np.stack([x1] * len(shape)))
-        a, b, total = loss(g, drift(exprs, dim=len(shape)), weight_a=2.0, weight_b=3.0)
+        a, b, total = loss(g, drift(exprs, dim=len(shape)))
         assert a == pytest.approx(0.0, abs=1e-28)
         assert b == pytest.approx(b_exact, rel=1e-12)
-        assert total == pytest.approx(3.0 * b_exact, rel=1e-12)
+        assert total == pytest.approx(b_exact, rel=1e-12)
 
 
 def test_loss_of_analytic_restriction_shrinks_fourth_order():
@@ -262,7 +264,7 @@ LOSS_CASES = (
 )
 
 
-def ref_loss(values, field, box, weight_a, weight_b):
+def ref_loss(values, field, box):
     # per-coordinate, per-pair loops over the reference stencils
     shape = values.shape[1:]
     n = len(shape)
@@ -274,15 +276,15 @@ def ref_loss(values, field, box, weight_a, weight_b):
                  for i in range(n))
     b_term = sum(float(np.sum(w * sum(G[i][a] * G[j][a] for a in range(n)) ** 2))
                  for i in range(n) for j in range(i + 1, n))
-    return a_term, b_term, weight_a * a_term + weight_b * b_term
+    return a_term, b_term, a_term + b_term
 
 
 @pytest.mark.parametrize("field, box, shape", LOSS_CASES)
 def test_loss_matches_the_loop_reference(field, box, shape, rng):
     box = np.array(box)
     values = rng.standard_normal((len(shape),) + shape)
-    got = loss(GridField(box=box, values=values), field, 1.3, 0.7)
-    ref = ref_loss(values, field, box, 1.3, 0.7)
+    got = loss(GridField(box=box, values=values), field)
+    ref = ref_loss(values, field, box)
     assert got == pytest.approx(ref, rel=1e-12)
 
 
@@ -294,15 +296,13 @@ def test_loss_gradient_matches_directional_differences(rng):
         for _ in range(3):
             values = rng.standard_normal((n,) + shape)
             grid = GridField(box=box, values=values)
-            grad = loss_gradient(grid, field, 1.3, 0.7)
+            grad = loss_gradient(grid, field)
             for _ in range(20):
                 d = rng.standard_normal((n,) + shape)
                 d /= np.sqrt(np.sum(d * d))
                 eps = 1e-6
-                tp = loss(GridField(box=box, values=values + eps * d),
-                          field, 1.3, 0.7)[2]
-                tm = loss(GridField(box=box, values=values - eps * d),
-                          field, 1.3, 0.7)[2]
+                tp = loss(GridField(box=box, values=values + eps * d), field)[2]
+                tm = loss(GridField(box=box, values=values - eps * d), field)[2]
                 fd = (tp - tm) / (2.0 * eps)
                 an = float(np.sum(grad * d))
                 assert an == pytest.approx(fd, rel=1e-5, abs=1e-12)
@@ -315,11 +315,11 @@ def test_line_polynomials_match_the_loss(field, box, shape, rng):
     box = np.array(box)
     n = len(shape)
     values = rng.standard_normal((n,) + shape)
-    objective = _Objective(field, box, shape, 1.3, 0.7)
+    objective = _Objective(field, box, shape)
     total, terms = objective.evaluate(values)
 
     def exact(moved):
-        return loss(GridField(box=box, values=moved), field, 1.3, 0.7)[2]
+        return loss(GridField(box=box, values=moved), field)[2]
 
     d = rng.standard_normal((n,) + shape)
     dG = objective.derivatives(d)
@@ -377,6 +377,9 @@ def test_grid_field_validation():
         GridField(box=np.array([[0.0, 1.0], [0.0, 1.0]]), values=np.zeros((2, 5, 2)))
 
 
+REMOVED_KNOBS = ("step_size", "momentum", "weight_a", "weight_b")
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -397,8 +400,18 @@ def test_grid_field_validation():
     ],
 )
 def test_fit_config_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError, match=next(iter(kwargs))):
+    name = next(iter(kwargs))
+    # the descent knobs are varfit constants now, so FitConfig has no such field
+    error = TypeError if name in REMOVED_KNOBS else ValueError
+    with pytest.raises(error, match=name):
         FitConfig(**kwargs)
+
+
+def test_fit_config_holds_only_budget_seed_and_target():
+    fields = [f.name for f in dataclasses.fields(FitConfig)]
+    assert fields == ["iterations", "seed", "target"]
+    with pytest.raises(TypeError, match="momentum"):
+        FitConfig(momentum=0.5)
 
 
 def test_fit_rejects_mismatched_inputs():
@@ -475,6 +488,16 @@ def test_fit_target_stops_early():
     assert float(np.max(r.node_mean_a)) <= 1e-4
     assert r.node_mean_b <= 1e-4
     assert not r.elevated_residual
+
+
+def test_fit_target_looser_than_the_tolerance_only_stops_early():
+    # a met target ends the fit, but converged still asks for node-mean
+    # defects at or below the tolerance
+    r = fit(AR, BOX_REG, (9, 9), FitConfig(iterations=20, seed=0, target=1e9))
+    assert r.message.startswith("node-mean targets met")
+    assert r.iterations_run == 1
+    assert float(np.max(r.node_mean_a)) > _NODE_TOL
+    assert not r.converged
 
 
 def test_fit_exact_affine_solution_reaches_machine_floor():
@@ -558,7 +581,7 @@ def test_rotate_to_flowbox_on_identity_coordinates():
     np.testing.assert_allclose(z.values[0], (mesh[0] - mesh[2]) / 2.0, atol=1e-14)
     np.testing.assert_allclose(z.values[1], (mesh[1] - mesh[2]) / 2.0, atol=1e-14)
     np.testing.assert_allclose(z.values[2], np.mean(mesh, axis=0), atol=1e-14)
-    a, b, total = loss(z, field, weight_a=1.0, weight_b=0.0)
+    a = loss(z, field)[0]
     # z1, z2 are conserved (rate 0), z3 advances at rate 1: A = 2 * volume
     assert a == pytest.approx(2.0, rel=1e-12)
 
@@ -571,7 +594,7 @@ def test_rotate_to_flowbox_one_dimensional_passthrough():
 def test_rotated_fit_advances_only_the_last_coordinate():
     r = fit(AR, BOX_REG, (32, 32), FitConfig(iterations=1500, seed=0))
     z = rotate_to_flowbox(r.grid)
-    gz = loss(z, AR, weight_a=1.0, weight_b=0.0)[0]
+    gz = loss(z, AR)[0]
     # z1 conserved, z2 at unit rate: defect integral close to volume * 1
     assert gz == pytest.approx(4.0, rel=0.05)
 
