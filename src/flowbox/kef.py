@@ -17,7 +17,7 @@ import numpy as np
 from .chart import POINT_ERRORS, STATUS_OK, Chart, _flowbox_batch, _flowbox_rows, error_status
 from .dynsys import VectorField
 from .fdiff import fd_gradient_rows, rate, stencil
-from .odeint import DEFAULT_CONFIG, IntegratorConfig, _split_on_error, flow
+from .odeint import DEFAULT_CONFIG, IntegratorConfig, RunStats, _split_on_error, flow
 from .chart import flowbox  # noqa: F401 (bindings the benchmark tracer patches)
 from .fdiff import fd_gradient, fd_jacobian  # noqa: F401 (likewise)
 
@@ -149,11 +149,13 @@ def orbit_eigen_check(
     t_final: float,
     n_samples: int = 33,
     cfg: Optional[IntegratorConfig] = None,
+    stats: Optional[RunStats] = None,
 ) -> float:
     """Max relative deviation of phi(flow(x0, t)) from phi(x0) * exp(lambda t).
 
-    The orbit is sampled at n_samples evenly spaced times in [0, t_final].
-    A vanishing phi(x0) leaves nothing to compare against and raises.
+    The orbit is sampled at n_samples evenly spaced times in [0, t_final];
+    the flows' work is added into stats when given.  A vanishing phi(x0)
+    leaves nothing to compare against and raises.
     """
     cfg = cfg or DEFAULT_CONFIG
     x0 = np.asarray(x0, dtype=float)
@@ -167,7 +169,7 @@ def orbit_eigen_check(
     worst = 0.0
     xt = x0
     for i in range(1, n_samples):
-        xt = flow(field, xt, float(times[i] - times[i - 1]), cfg=cfg)
+        xt = flow(field, xt, float(times[i] - times[i - 1]), cfg=cfg, stats=stats)
         expected = base * np.exp(lam * times[i])
         dev = abs(complex(phi(xt)) - expected) / max(abs(expected), 1e-300)
         worst = max(worst, dev)

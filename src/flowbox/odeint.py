@@ -614,8 +614,9 @@ def _integrate(field: VectorField, x0, sign, T: float, cfg: IntegratorConfig,
 
 
 def flow_batch(field: VectorField, points, t: float,
-               cfg: Optional[IntegratorConfig] = None):
-    """flow for many points as one lane-batched integration.
+               cfg: Optional[IntegratorConfig] = None, stats: Optional[RunStats] = None):
+    """flow for many points as one lane-batched integration, its work added
+    into stats when given.
 
     Returns (states, errors): states[i] is flow(points[i], t), NaN where that
     lane failed, and errors[i] the exception flow would raise for it, or
@@ -636,7 +637,8 @@ def flow_batch(field: VectorField, points, t: float,
         t_last[lanes] = t_new
 
     sign = 1.0 if t > 0 else -1.0
-    outcome, errors = _integrate(field, X, sign, abs(t), cfg, RunStats(), keep_last)
+    outcome, errors = _integrate(field, X, sign, abs(t), cfg,
+                                 RunStats() if stats is None else stats, keep_last)
     for lane in np.flatnonzero(outcome == _EXIT):
         t_exit, x_exit = float(t_last[lane]), final[lane].copy()
         errors[lane] = DomainExit(field.name, t_exit, x_exit,
@@ -645,10 +647,11 @@ def flow_batch(field: VectorField, points, t: float,
     return final, errors
 
 
-def flow(field: VectorField, x0, t: float, cfg: Optional[IntegratorConfig] = None):
+def flow(field: VectorField, x0, t: float, cfg: Optional[IntegratorConfig] = None,
+         stats: Optional[RunStats] = None):
     """State of the orbit through x0 after signed time t; the one-point case
     of flow_batch."""
-    (state,), (err,) = flow_batch(field, [x0], t, cfg=cfg)
+    (state,), (err,) = flow_batch(field, [x0], t, cfg=cfg, stats=stats)
     if err is not None:
         raise err
     return state

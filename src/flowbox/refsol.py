@@ -139,33 +139,41 @@ def evaluate_reference_flowbox(ref: ReferenceSolution, x) -> np.ndarray:
     return ref.flowbox(x)
 
 
+def _sampler(draw, rejected):
+    """sample(rng, n): the first n rows of draw(rng, k) that `rejected` does
+    not flag, in drawn order.  draw(rng, k) takes k candidates' doubles from
+    the stream as one block, in the order a loop drawing one candidate at a
+    time takes them; each round draws only the count still missing, so the
+    stream ends where that loop would leave it."""
+
+    def sample(rng, n):
+        out = draw(rng, 0)
+        while len(out) < n:
+            x = draw(rng, n - len(out))
+            out = np.concatenate([out, x[~rejected(x)]])
+        return out
+
+    return sample
+
+
+def _on_circles(r, th):
+    return np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
+
+
 def _rejection(lo, hi, excluded):
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-
-    def sample(rng, n):
-        out = []
-        while len(out) < n:
-            x = rng.uniform(lo, hi)
-            if not excluded(x):
-                out.append(x)
-        return np.array(out)
-
-    return sample
+    return _sampler(lambda rng, k: rng.uniform(lo, hi, size=(k, len(lo))), excluded)
 
 
-def _annulus(r_lo, r_hi, th_lo, th_hi, excluded):
-    def sample(rng, n):
-        out = []
-        while len(out) < n:
-            r = rng.uniform(r_lo, r_hi)
-            th = rng.uniform(th_lo, th_hi)
-            x = np.array([r * np.cos(th), r * np.sin(th)])
-            if not excluded(x):
-                out.append(x)
-        return np.array(out)
+def _annulus(lo, hi, excluded, angle_first=False):
+    """Sampler of the points r (cos th, sin th), (r, th) uniform in [lo, hi),
+    that `excluded` does not flag; lo and hi list the bounds in the order a
+    candidate draws them, th first if angle_first."""
 
-    return sample
+    def draw(rng, k):
+        u = rng.uniform(lo, hi, size=(k, 2)).T
+        return _on_circles(*(u[::-1] if angle_first else u))
+
+    return _sampler(draw, excluded)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +219,7 @@ def _source_a() -> ReferenceSolution:
         flowbox=lambda x: np.stack([circle_param(x), measurement(x)], axis=-1),
         excluded=excluded,
         validity="r > 0.05, away from the rays through (-1,0) and (0,-1)",
-        sample_valid=_annulus(0.3, 3.0, -np.pi + 0.2, np.pi - 0.45, excluded),
+        sample_valid=_annulus((0.3, -np.pi + 0.2), (3.0, np.pi - 0.45), excluded),
     )
 
 
@@ -296,7 +304,7 @@ def _rotation_c() -> ReferenceSolution:
         flowbox=None,
         excluded=excluded,
         validity="r > 0.05, away from the ray through (0,-1); time is local",
-        sample_valid=_annulus(0.3, 3.0, -np.pi + 0.1, np.pi, excluded),
+        sample_valid=_annulus((0.3, -np.pi + 0.1), (3.0, np.pi), excluded),
     )
 
 
@@ -353,17 +361,10 @@ def _linear_ar() -> ReferenceSolution:
     def excluded(x):
         return (np.abs(np.vecdot(x, row1)) < 1e-6) | (np.abs(np.vecdot(x, row2)) < 1e-6)
 
-    def sampler(rng, n):
+    def near_axes(x):
         # both eigencoordinates >= 0.3 keeps the log third derivatives small
         # enough for the 1e-8 finite-difference residual budget
-        out = []
-        while len(out) < n:
-            th = rng.uniform(-np.pi, np.pi)
-            r = rng.uniform(0.6, 1.0)
-            x = r * np.array([np.cos(th), np.sin(th)])
-            if abs(np.dot(row1, x)) >= 0.3 and abs(np.dot(row2, x)) >= 0.3:
-                out.append(x)
-        return np.array(out)
+        return (np.abs(x @ row1) < 0.3) | (np.abs(x @ row2) < 0.3)
 
     return _linear_reference(
         "linear-ar",
@@ -381,7 +382,7 @@ def _linear_ar() -> ReferenceSolution:
         ),
         excluded=excluded,
         validity="both eigencoordinates bounded away from zero",
-        sampler=sampler,
+        sampler=_annulus((-np.pi, 0.6), (np.pi, 1.0), near_axes, angle_first=True),
     )
 
 
@@ -407,16 +408,9 @@ def _linear_ac() -> ReferenceSolution:
         phi = np.vecdot(x, _AC_ROW)
         return (np.abs(phi) < 1e-6) | (np.pi - np.abs(np.angle(phi)) < margin)
 
-    def sampler(rng, n):
-        out = []
-        while len(out) < n:
-            th = rng.uniform(-np.pi, np.pi)
-            r = rng.uniform(0.5, 1.0)
-            x = r * np.array([np.cos(th), np.sin(th)])
-            phi = complex(np.dot(_AC_ROW, x))
-            if abs(phi) >= 0.3 and np.pi - abs(np.angle(phi)) >= 0.25:
-                out.append(x)
-        return np.array(out)
+    def near_cut(x):
+        phi = x @ _AC_ROW
+        return (np.abs(phi) < 0.3) | (np.pi - np.abs(np.angle(phi)) < 0.25)
 
     return _linear_reference(
         "linear-ac",
@@ -430,7 +424,7 @@ def _linear_ac() -> ReferenceSolution:
         fb_real=_first_unit_coord,
         excluded=excluded,
         validity="spiral form off zero and off the log branch cut",
-        sampler=sampler,
+        sampler=_annulus((-np.pi, 0.5), (np.pi, 1.0), near_cut, angle_first=True),
     )
 
 
@@ -443,16 +437,6 @@ def _linear_ai() -> ReferenceSolution:
         r, th = _polar(x)
         # arg of the form is -theta: the log cut sits on theta = -pi
         return (r < 1e-6) | (np.pi - np.abs(th) < margin)
-
-    def sampler(rng, n):
-        out = []
-        while len(out) < n:
-            th = rng.uniform(-np.pi + 0.45, np.pi - 0.3)
-            r = rng.uniform(0.6, 2.0)
-            x = r * np.array([np.cos(th), np.sin(th)])
-            if not excluded(x):
-                out.append(x)
-        return np.array(out)
 
     return _linear_reference(
         "linear-ai",
@@ -469,7 +453,8 @@ def _linear_ai() -> ReferenceSolution:
         fb_real=_first_unit_coord,
         excluded=excluded,
         validity="r > 0 away from the ray through (-1,0)",
-        sampler=sampler,
+        sampler=_annulus((-np.pi + 0.45, 0.6), (np.pi - 0.3, 2.0), excluded,
+                         angle_first=True),
     )
 
 
@@ -500,20 +485,14 @@ def _limit_cycle() -> ReferenceSolution:
         r = _r(x)
         return x[..., 0] / r + 1j * (x[..., 1] / r)
 
-    def sampler(rng, n):
-        # r stays off the band around 1 where |1-r^2| amplifies the
+    def draw(rng, k):
+        # a coin, r and th per candidate, each as rng.uniform's lo + (hi -
+        # lo) u; r stays off the band around 1 where |1-r^2| amplifies the
         # third-derivative error of the finite-difference residual
-        out = []
-        while len(out) < n:
-            if rng.uniform() < 0.5:
-                r = rng.uniform(0.3, 0.8)
-            else:
-                r = rng.uniform(1.25, 2.0)
-            th = rng.uniform(-np.pi + 0.2, np.pi - 0.5)
-            x = r * np.array([np.cos(th), np.sin(th)])
-            if not excluded(x):
-                out.append(x)
-        return np.array(out)
+        coin, u, v = rng.random((k, 3)).T
+        r = np.where(coin < 0.5, 0.3 + (0.8 - 0.3) * u, 1.25 + (2.0 - 1.25) * u)
+        th_lo, th_hi = -np.pi + 0.2, np.pi - 0.5
+        return _on_circles(r, th_lo + (th_hi - th_lo) * v)
 
     eigenfunctions = (
         ReferenceEigenfunction("r/sqrt|1-r^2|", 1.0, lambda x: np.exp(radial_coord(x))),
@@ -529,7 +508,7 @@ def _limit_cycle() -> ReferenceSolution:
         unit_time=lambda x: fb(x)[..., 1],
         excluded=excluded,
         validity="r away from 0 and 1, away from the ray through (-1,0)",
-        sample_valid=sampler,
+        sample_valid=_sampler(draw, excluded),
     )
 
 

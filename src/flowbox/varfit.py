@@ -358,6 +358,8 @@ def loss_gradient(grid: GridField, field: VectorField) -> np.ndarray:
 
 # Node-mean defect level at which a fit counts as converged.
 _NODE_TOL = 1e-2
+# FitResult.message of a fit that stopped at FitConfig.target
+TARGET_MET = "node-mean targets met"
 # Coarsest grid the continuation ladder will drop to, nodes per axis.
 _MIN_COARSE = 9
 # A refinement step that shrinks the total by less than this factor, while
@@ -729,7 +731,7 @@ def fit(field: VectorField, box, shape, cfg: Optional[FitConfig] = None) -> FitR
     # a target looser than _NODE_TOL only stops the fit early
     converged = float(np.max(node_a)) <= _NODE_TOL and node_b <= _NODE_TOL
     if met_target:
-        message = "node-mean targets met"
+        message = TARGET_MET
     elif stalled:
         message = "no descent step found; stopped at the best iterate"
     elif budget_left:

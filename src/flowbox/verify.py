@@ -4,10 +4,11 @@ Every check takes a seed and returns ``(ok, detail, metrics)``: ``detail`` is
 one line that repeats exactly for a given seed, ``metrics`` a JSON-ready dict
 with the worst value (``worst``), where it occurred (``worst_at``,
 ``system:label``), the point (``worst_point``), the number of values checked
-(``points``) and, for checks that search crossings, their summed
-``odeint.RunStats`` (``stats``).  A check draws its samples from PCG64
-streams ``seed`` to ``seed + STREAM_STRIDE - 1``; `verify-all` runs the k-th
-check at ``seed + k * STREAM_STRIDE``, so no two checks share a stream.
+(``points``) and the summed ``odeint.RunStats`` of its integrations
+(``stats``, all zeros for a check that integrates nothing).  A check draws
+its samples from PCG64 streams ``seed`` to ``seed + STREAM_STRIDE - 1``;
+`verify-all` runs the k-th check at ``seed + k * STREAM_STRIDE``, so no two
+checks share a stream.
 Chart-built coordinates come from one ``chart.evaluate_grid`` batch; a point
 whose status is not ``ok`` fails the check, and the detail names the point
 and its status.
@@ -76,9 +77,8 @@ class _Worst:
     def result(self, ok, detail, stats=None):
         metrics = {"worst": self.value if math.isfinite(self.value) else None,
                    "worst_at": self.at, "worst_point": self.point,
-                   "points": self.points}
-        if stats is not None:
-            metrics["stats"] = dataclasses.asdict(stats)
+                   "points": self.points,
+                   "stats": dataclasses.asdict(stats or RunStats())}
         return bool(ok), detail, metrics
 
 
@@ -167,22 +167,23 @@ def check_unit_velocity(seed=0):
                           "|rate - 1|")
 
 
-def _law_pairs(ref, rng):
+def _law_pairs(ref, rng, stats=None):
     """The first SAMPLE_POINTS pairs (x, flow(x, T_STEP)) with both ends in
     the validity region of `ref`, among at most MAX_LAW_TRIES candidates.
 
-    Candidates are drawn one at a time, as a loop that flows each in turn
-    would draw them, and flowed in blocks of as many as are still missing.
-    So such a loop reaches every candidate of a block, and the block's first
-    flow error is raised.
+    Candidates are drawn and flowed in blocks of as many as are still
+    missing.  A block of sample_valid draws the stream exactly as one-point
+    draws would, so a loop that draws and flows one candidate at a time
+    reaches every candidate of a block, and the block's first flow error is
+    raised.  The flows' work is added into `stats`.
     """
     pairs = []
     tries = 0
     while len(pairs) < SAMPLE_POINTS and tries < MAX_LAW_TRIES:
         block = min(SAMPLE_POINTS - len(pairs), MAX_LAW_TRIES - tries)
-        xs = np.array([ref.sample_valid(rng, 1)[0] for _ in range(block)])
+        xs = ref.sample_valid(rng, block)
         tries += block
-        xts, errors = flow_batch(ref.field, xs, T_STEP)
+        xts, errors = flow_batch(ref.field, xs, T_STEP, stats=stats)
         for err in errors:
             if err is not None:
                 raise err
@@ -202,7 +203,7 @@ def check_flowbox_law(seed=0):
     maps += [("refsol", s, seed + 100 + idx) for idx, s in enumerate(fb_ids)]
     for kind, system_id, stream in maps:
         ref = refsol.reference(system_id)
-        pairs = _law_pairs(ref, _rng(stream))
+        pairs = _law_pairs(ref, _rng(stream), stats)
         if len(pairs) < SAMPLE_POINTS:
             return worst.result(False, f"{system_id}: only {len(pairs)} valid"
                                 f" pairs in {MAX_LAW_TRIES} tries", stats)
@@ -259,8 +260,9 @@ def check_appendix_counterexample(seed=0):
     ref = refsol.reference("appendix")
     cand = ref.failed_candidates[0]
     worst = _Worst()
+    stats = RunStats()
     dev = kef.orbit_eigen_check(
-        cand.fn, cand.eigenvalue, ref.field, cand.orbit_seed, 1.0
+        cand.fn, cand.eigenvalue, ref.field, cand.orbit_seed, 1.0, stats=stats
     )
     worst.see(dev, "appendix:orbit", cand.orbit_seed)
     xs = np.vstack([[1.0, 1.0], ref.sample_valid(_rng(seed), COUNTEREXAMPLE_POINTS)])
@@ -272,7 +274,7 @@ def check_appendix_counterexample(seed=0):
     return worst.result(
         worst.value <= CHART_TOL,
         f"orbit deviation {dev:.3g}, residual at (1,1) = {res[0].real:.6g},"
-        f" worst defect {worst.value:.3g} ({worst.at})",
+        f" worst defect {worst.value:.3g} ({worst.at})", stats,
     )
 
 
@@ -322,5 +324,7 @@ VERIFY_SUITES = (
     ("appendix-counterexample", check_appendix_counterexample),
     ("recurrence-audit", check_recurrence_audit),
 )
-# the suites that search crossings: about 80% of a verify-all run's time
-SLOW_SUITES = ("flowbox-law", "chart-vs-refsol", "recurrence-audit")
+# the suites that integrate, longest first (manifest timings, seed 0); the
+# rest take under 10 ms each
+SLOW_SUITES = ("flowbox-law", "chart-vs-refsol", "recurrence-audit",
+               "appendix-counterexample")

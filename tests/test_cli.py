@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import importlib.util
 import json
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowbox import cli
+from flowbox import cli, verify
 from flowbox.cli import (
     EXIT_AUDIT,
     EXIT_NUMERIC,
@@ -23,6 +24,7 @@ from flowbox.cli import (
     parse_eigenvalue,
     parse_grid_spec,
 )
+from flowbox.odeint import RunStats
 from flowbox.varfit import load_grid
 
 
@@ -526,6 +528,24 @@ def test_varfit_diagnostic_on_missed_targets(tmp_path, capsys):
     assert "singular set" in captured.err
 
 
+def test_varfit_diagnostic_on_a_target_stop(tmp_path, capsys):
+    # a target far above the tolerance stops the fit after one step: the
+    # diagnostic names the target, not a singular set
+    code = main([
+        "varfit", "--system", "linear-ar", "--grid", "4x6x9,1x3x9",
+        "--iterations", "20", "--target", "1e9", "--out", str(tmp_path),
+    ])
+    assert code == EXIT_OK
+    captured = capsys.readouterr()
+    assert "NOT converged after 1 iterations" in captured.out
+    assert "diagnostic: the fit stopped at --target 1e+09, above the node-mean" \
+        " tolerance" in captured.err
+    assert "singular set" not in captured.err
+    summary = json.loads((tmp_path / "manifest.json").read_text())["summary"]
+    assert summary["message"] == "node-mean targets met"
+    assert not summary["converged"]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_varfit_numeric_failure_exit_code(tmp_path, capsys):
     spec = tmp_path / "hot.json"
@@ -829,6 +849,32 @@ def test_verify_all_runs_every_suite(tmp_path, capsys):
         == [(n, 2) for n in names]
     timings = json.loads((tmp_path / "manifest.json").read_text())["timings"]
     assert set(timings) == {f"{n}_s" for n in names} | {"cpu_s"}
+    # every suite reports the work of its integrations, zeros where it has none
+    stats = {r["suite"]: r["metrics"]["stats"] for r in report["suites"]}
+    assert {tuple(s) for s in stats.values()} == {tuple(dataclasses.asdict(RunStats()))}
+    closed_form = ("kpde-residuals", "real-form-identities", "unit-velocity")
+    assert [n for n in names if not any(stats[n].values())] == list(closed_form)
+    # flowbox-law at seed 0: 2 lanes per chart point, and 1 per pair flow in
+    # one block of candidates per map
+    assert stats["flowbox-law"]["lanes"] == 2 * 2 * 200 + 8 * 100
+    # appendix-counterexample: 32 one-point flows along its orbit
+    assert stats["appendix-counterexample"]["lanes"] == 32
+
+
+def test_verify_all_dispatches_the_slow_suites_longest_first(monkeypatch):
+    dispatched = []
+
+    def fork_workers(jobs, order, workers):
+        dispatched.extend(jobs[k][0] for k in order)
+        return {k: (True, "fine", {}, 0.0) for k in order}, [0] * workers
+
+    monkeypatch.setattr(cli, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_fork_workers", fork_workers)
+    jobs = [(name, fn, 0) for name, fn in cli.VERIFY_SUITES]
+    cli._suite_outcomes(jobs)
+    slow = list(verify.SLOW_SUITES)
+    assert dispatched == slow + [n for n, _, _ in jobs if n not in slow]
+    assert slow[-1] == "appendix-counterexample"
 
 
 def test_verify_suite_names_match_benchmark(monkeypatch):

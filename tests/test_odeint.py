@@ -668,6 +668,24 @@ def test_flow_batch_lanes_equal_single_flows():
     np.testing.assert_array_equal(exc.value.x_exit, exit_.x_exit)
 
 
+def test_flow_adds_its_work_into_the_given_stats():
+    # lanes step independently: a batch does the work of its one-point flows
+    # in fewer field calls
+    field = parse_system("x1, -x2 + x1 * x2", 2, name="box", domain=[(-2, 2), (-2, 2)])
+    points = [[0.1, 0.2], [-0.3, 0.5], [0.5, -1.5]]
+    batch, singles = RunStats(), RunStats()
+    flow_batch(field, points, 0.8, stats=batch)
+    for x in points:
+        flow(field, np.array(x), 0.8, stats=singles)
+    assert batch.lanes == singles.lanes == 3
+    assert batch.accepted_steps > 3
+    for name in ("accepted_steps", "rejected_steps", "rhs_evals"):
+        assert getattr(batch, name) == getattr(singles, name), name
+    assert batch.rhs_calls < singles.rhs_calls
+    flow_batch(field, points, 0.8, stats=batch)  # adds, never resets
+    assert batch.lanes == 6
+
+
 def test_flow_batch_domain_errors_stay_per_lane(tight_cfg):
     # sqrt(x1) fails the batched evaluation once any lane has x1 < 0
     field = parse_system("-x1, sqrt(x1)", 2, name="sqrt-drift")

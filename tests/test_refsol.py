@@ -99,6 +99,105 @@ def test_registry():
         reference("nope")
 
 
+def _loop(candidate, accept):
+    """The per-candidate rejection loop the samplers replace: draw one
+    candidate at a time until n pass."""
+    def sample(rng, n):
+        out = []
+        while len(out) < n:
+            x = candidate(rng)
+            if accept(x):
+                out.append(x)
+        return np.array(out)
+
+    return sample
+
+
+def _box(lo, hi):
+    return lambda rng: rng.uniform(np.array(lo), np.array(hi))
+
+
+def _r_then_th(r_lo, r_hi, th_lo, th_hi):
+    def candidate(rng):
+        r = rng.uniform(r_lo, r_hi)
+        th = rng.uniform(th_lo, th_hi)
+        return np.array([r * np.cos(th), r * np.sin(th)])
+
+    return candidate
+
+
+def _th_then_r(th_lo, th_hi, r_lo, r_hi):
+    def candidate(rng):
+        th = rng.uniform(th_lo, th_hi)
+        r = rng.uniform(r_lo, r_hi)
+        return r * np.array([np.cos(th), np.sin(th)])
+
+    return candidate
+
+
+def _limit_cycle_candidate(rng):
+    if rng.uniform() < 0.5:
+        r = rng.uniform(0.3, 0.8)
+    else:
+        r = rng.uniform(1.25, 2.0)
+    th = rng.uniform(-np.pi + 0.2, np.pi - 0.5)
+    return r * np.array([np.cos(th), np.sin(th)])
+
+
+def _ar_off_axes(x):
+    s = np.sqrt(2.0)
+    return (abs(np.dot(np.array([1.0, 1.0]) / s, x)) >= 0.3
+            and abs(np.dot(np.array([1.0, -1.0]) / s, x)) >= 0.3)
+
+
+def _ac_off_cut(x):
+    phi = complex(np.dot(refsol._AC_ROW, x))
+    return abs(phi) >= 0.3 and np.pi - abs(np.angle(phi)) >= 0.25
+
+
+# sid -> (one candidate's draws, its acceptance test or None for "not
+# excluded"), as each sampler drew them one candidate at a time
+LOOPS = {
+    "appendix": (_box((-2.0, -2.0), (2.0, 2.0)), None),
+    "hyperbolic-b": (_box((0.7, 0.1), (2.5, 1.5)), None),
+    "limit-cycle": (_limit_cycle_candidate, None),
+    "linear-ac": (_th_then_r(-np.pi, np.pi, 0.5, 1.0), _ac_off_cut),
+    "linear-ai": (_th_then_r(-np.pi + 0.45, np.pi - 0.3, 0.6, 2.0), None),
+    "linear-ar": (_th_then_r(-np.pi, np.pi, 0.6, 1.0), _ar_off_axes),
+    "rotation-c": (_r_then_th(0.3, 3.0, -np.pi + 0.1, np.pi), None),
+    "source-a": (_r_then_th(0.3, 3.0, -np.pi + 0.2, np.pi - 0.45), None),
+}
+
+
+def _pcg(seed):
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("sid", ALL_IDS)
+def test_samplers_draw_the_stream_of_a_per_candidate_loop(sid):
+    # a sampler draws blocks of candidates; its points and the stream after
+    # them are those of the loop that draws one candidate at a time
+    ref = reference(sid)
+    candidate, accept = LOOPS[sid]
+    loop = _loop(candidate, accept or (lambda x: not ref.excluded(x)))
+    for seed in range(10):
+        for n in (1, 7, 100):
+            blocks, one_by_one = _pcg(seed), _pcg(seed)
+            _assert_same_bits(ref.sample_valid(blocks, n), loop(one_by_one, n))
+            assert blocks.random() == one_by_one.random()
+        # drawing a and then b points is drawing a + b
+        split, whole = _pcg(seed), _pcg(seed)
+        _assert_same_bits(
+            np.concatenate([ref.sample_valid(split, 7), ref.sample_valid(split, 30)]),
+            ref.sample_valid(whole, 37))
+        assert split.random() == whole.random()
+
+
 def test_samplers_respect_validity(rng):
     for sid in ALL_IDS:
         ref = reference(sid)
