@@ -417,36 +417,32 @@ def check_transversal(surface: Surface, field: VectorField, n_samples: int = 64)
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class NonRecurrenceReport:
-    """Outcome of the orbit-seeded recurrence audit.
-
-    `stats` is the RunStats of the batched search that seeded the report's
-    orbits; the reports of one check_nonrecurrent_batch call share it.
-    """
+    """Outcome of the orbit-seeded recurrence audit."""
 
     tested_points: int
     violations: tuple            # (seed point, crossing times) with > 1 crossing
     transversality_failures: tuple  # (tau, inner product) below tolerance
     integration_failures: tuple  # (seed point, message) of orbits whose search failed
     verdict: str                 # "pass" | "fail"
-    stats: RunStats = dataclasses.field(default_factory=RunStats)
 
 
 def check_nonrecurrent(
     surface: Surface,
     field: VectorField,
     n_orbits: int = 16,
-    horizon: Optional[float] = None,
     cfg: Optional[IntegratorConfig] = None,
+    stats: Optional[RunStats] = None,
 ) -> NonRecurrenceReport:
     """Seed orbits on S and count on-patch transversal crossings.
 
     Any orbit crossing more than once (the seed itself counts as one crossing)
     makes the surface recurrent.  An orbit whose search fails with one of
     POINT_ERRORS is recorded with its message and fails the verdict, since
-    its crossings are unknown; other errors propagate.  The one-surface case
-    of check_nonrecurrent_batch.
+    its crossings are unknown; other errors propagate.  The orbits are
+    searched over cfg.horizon, their work added into stats when given.  The
+    one-surface case of check_nonrecurrent_batch.
     """
-    (report,) = check_nonrecurrent_batch([surface], field, n_orbits, horizon, cfg)
+    (report,) = check_nonrecurrent_batch([surface], field, n_orbits, cfg, stats)
     return report
 
 
@@ -454,14 +450,12 @@ def check_nonrecurrent_batch(
     surfaces: Sequence[Surface],
     field: VectorField,
     n_orbits: int = 16,
-    horizon: Optional[float] = None,
     cfg: Optional[IntegratorConfig] = None,
+    stats: Optional[RunStats] = None,
 ) -> list:
-    """check_nonrecurrent for several surfaces under one field and horizon:
+    """check_nonrecurrent for several surfaces under one field and config:
     their reports, in order, with the orbits seeded on every surface
     searched as one batch."""
-    cfg = cfg or DEFAULT_CONFIG
-    horizon = cfg.horizon if horizon is None else float(horizon)
     trans_failures = [
         tuple((tau, ip) for tau, ip in check_transversal(surface, field, max(n_orbits, 16))
               if abs(ip) < TRANSVERSALITY_TOL)
@@ -473,9 +467,7 @@ def check_nonrecurrent_batch(
         for surface in surfaces
     ]
     owners = [surface for surface, x in zip(surfaces, seeds) for _ in x]
-    results, stats = find_crossings_batch(
-        field, np.concatenate(seeds), owners, horizon=horizon, cfg=cfg
-    )
+    results = find_crossings_batch(field, np.concatenate(seeds), owners, cfg, stats)
     reports = []
     start = 0
     for x, trans in zip(seeds, trans_failures):
@@ -497,7 +489,6 @@ def check_nonrecurrent_batch(
             transversality_failures=trans,
             integration_failures=tuple(failures),
             verdict="fail" if (violations or trans or failures) else "pass",
-            stats=stats,
         ))
     return reports
 
@@ -513,7 +504,6 @@ class Chart:
     field: VectorField
     surface: Surface
     cfg: IntegratorConfig
-    horizon: float
 
     @property
     def dim(self) -> int:
@@ -524,7 +514,6 @@ def build_chart(
     field: VectorField,
     surface,
     cfg: Optional[IntegratorConfig] = None,
-    horizon: Optional[float] = None,
     audit_transversal: bool = True,
 ) -> Chart:
     """Assemble a chart; transversality is audited unless explicitly skipped."""
@@ -535,7 +524,6 @@ def build_chart(
             f"surface dim {surface.dim} does not match field dim {field.dim}"
         )
     cfg = cfg or DEFAULT_CONFIG
-    horizon = cfg.horizon if horizon is None else float(horizon)
     if audit_transversal:
         samples = check_transversal(surface, field)
         bad = [(tau, ip) for tau, ip in samples if abs(ip) < TRANSVERSALITY_TOL]
@@ -546,7 +534,7 @@ def build_chart(
                 f" |<n, P>| = {abs(ip):.3g} < {TRANSVERSALITY_TOL:g}"
                 f" at tau={np.asarray(tau).tolist()}"
             )
-    return Chart(field=field, surface=surface, cfg=cfg, horizon=horizon)
+    return Chart(field=field, surface=surface, cfg=cfg)
 
 
 def _unique_crossing(chart: Chart, x, events):
@@ -569,7 +557,7 @@ def _unique_crossing(chart: Chart, x, events):
         )
     raise NotInOmega(
         f"orbit through {np.asarray(x).tolist()} does not cross"
-        f" {chart.surface.name} within horizon {chart.horizon:g}"
+        f" {chart.surface.name} within horizon {chart.cfg.horizon:g}"
     )
 
 
@@ -613,11 +601,7 @@ def _flowbox_batch(chart: Chart, points, stats: Optional[RunStats] = None) -> tu
     """flowbox() at many points (R, N) with one batched search: their
     coordinates (R, N), NaN where it fails, and per point the POINT_ERRORS
     exception flowbox() raises there, or None."""
-    results, run = find_crossings_batch(
-        chart.field, points, chart.surface, horizon=chart.horizon, cfg=chart.cfg
-    )
-    if stats is not None:
-        stats.add(run)
+    results = find_crossings_batch(chart.field, points, chart.surface, chart.cfg, stats)
     z = np.full((len(points), chart.dim), np.nan)
     errors = [None] * len(points)
     for i, (x, events) in enumerate(zip(points, results)):

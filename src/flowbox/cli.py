@@ -212,14 +212,15 @@ def _grid_points(args, field) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def _audited_chart(args, field, recurrence_audit: bool) -> tuple:
-    """(chart, audit RunStats, options) of the field through --surface.
+def _audited_chart(args, field, audit: RunStats, recurrence_audit: bool) -> tuple:
+    """(chart, options) of the field through --surface.
 
     The integrator takes --horizon/--abs-tol/--rel-tol over the defaults, and
     a value it rejects is a usage error.  Unless --force, the surface is
     audited for transversality and, with `recurrence_audit`, along
-    AUDIT_ORBITS seeded orbits; a refusal raises AuditFailure.  `options`
-    holds the resolved values every manifest of a chart records.
+    AUDIT_ORBITS seeded orbits, whose work is added into `audit`; a refusal
+    raises AuditFailure.  `options` holds the resolved values every manifest
+    of a chart records.
     """
     surface = _resolve_surface(args.surface)
     if surface.dim != field.dim:
@@ -236,16 +237,23 @@ def _audited_chart(args, field, recurrence_audit: bool) -> tuple:
                                       audit_transversal=not args.force)
     except chart_mod.ChartError as err:  # tangent or degenerate at a sample
         raise AuditFailure(str(err))
-    audit = RunStats()
     if recurrence_audit and not args.force:
         report = chart_mod.check_nonrecurrent(surface, field, n_orbits=AUDIT_ORBITS,
-                                              cfg=cfg)
+                                              cfg=cfg, stats=audit)
         if report.verdict != "pass":
             raise AuditFailure(_recurrence_failure(report, surface, field))
-        audit = report.stats
     options = {"surface": surface.name, "force": bool(args.force),
                **{k: getattr(cfg, k) for k in INTEGRATOR_OPTIONS}}
-    return chart, audit, options
+    return chart, options
+
+
+def _stats_summary(audit: RunStats, evaluate: RunStats, points: int) -> dict:
+    """The manifest's summary.stats of a charting command over `points`."""
+    return {
+        "audit": dataclasses.asdict(audit),
+        "evaluate": dataclasses.asdict(evaluate),
+        "evaluate_rhs_evals_per_point": evaluate.rhs_evals / points if points else 0.0,
+    }
 
 
 def _recurrence_failure(report, surface, field) -> str:
@@ -296,11 +304,11 @@ def cmd_chart_build(args) -> int:
     points = _grid_points(args, field)
 
     clock = time.perf_counter()
-    chart, audit_stats, options = _audited_chart(args, field, recurrence_audit=True)
+    audit_stats, evaluate_stats = RunStats(), RunStats()
+    chart, options = _audited_chart(args, field, audit_stats, recurrence_audit=True)
     timings = {"audit_s": time.perf_counter() - clock}
 
     clock = time.perf_counter()
-    evaluate_stats = RunStats()
     results = chart_mod.evaluate_grid(chart, points, stats=evaluate_stats)
     timings["evaluate_s"] = time.perf_counter() - clock
 
@@ -326,13 +334,7 @@ def cmd_chart_build(args) -> int:
         "ok": ok,
         "ok_fraction": ok / total if total else 0.0,
         "statuses": counts,
-        "stats": {
-            "audit": dataclasses.asdict(audit_stats),
-            "evaluate": dataclasses.asdict(evaluate_stats),
-            "evaluate_rhs_evals_per_point": (
-                evaluate_stats.rhs_evals / total if total else 0.0
-            ),
-        },
+        "stats": _stats_summary(audit_stats, evaluate_stats, total),
     }
     recorded = {"system": field.name, "grid": args.grid, **options}
     timings["write_s"] = time.perf_counter() - clock
@@ -374,7 +376,7 @@ def cmd_kef_check(args) -> int:
     if args.minimal_set:
         if not args.surface:
             raise UsageError("--minimal-set needs --surface")
-        built, audit, options = _audited_chart(args, field, recurrence_audit=False)
+        built, options = _audited_chart(args, field, audit, recurrence_audit=False)
         members = kef_mod.minimal_set(built).members
         labels = [member.label for member in members]
         recorded.update({"minimal_set": True, **options})
@@ -424,13 +426,7 @@ def cmd_kef_check(args) -> int:
         "max_abs_residual": max(magnitudes) if magnitudes else None,
         "mean_abs_residual": float(np.mean(magnitudes)) if magnitudes else None,
         "fd_step": fd_step,
-        "stats": {
-            "audit": dataclasses.asdict(audit),
-            "evaluate": dataclasses.asdict(stats),
-            "evaluate_rhs_evals_per_point": (
-                stats.rhs_evals / len(points) if len(points) else 0.0
-            ),
-        },
+        "stats": _stats_summary(audit, stats, len(points)),
     }
     timings["write_s"] = time.perf_counter() - clock
     _write_manifest(out, "kef-check", recorded, [csv_path.name], summary, started,

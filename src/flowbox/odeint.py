@@ -126,11 +126,14 @@ DEFAULT_CONFIG = IntegratorConfig()
 @dataclasses.dataclass
 class RunStats:
     """Work counters of batched integrations; deterministic for given inputs.
+    An integrating call adds its work into the RunStats it is passed.
 
     lanes : lanes integrated (a crossing search uses two per point)
     accepted_steps, rejected_steps : lane steps, summed over lanes
-    rhs_calls : VectorField.eval_grid calls, including those that split a
-        call which raised ArithmeticError down to its raising rows
+    rhs_calls : the stepper's and the dense output's VectorField.eval_grid
+        calls, including those that split a call which raised
+        ArithmeticError down to its raising rows (an event's direction call
+        is not counted)
     rhs_evals : lane field evaluations, each running lane once per stage,
         and three evaluations per bracketed step for its dense output
     level_calls : surface level calls, one per surface group (the points
@@ -154,10 +157,6 @@ class RunStats:
     level_evals: int = 0
     crossings_refined: int = 0
     root_iterations: int = 0
-
-    def add(self, other: "RunStats") -> None:
-        for f in dataclasses.fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -657,9 +656,10 @@ def flow(field: VectorField, x0, t: float, cfg: Optional[IntegratorConfig] = Non
     return state
 
 
-def trace_orbit(field: VectorField, x0, t_span, cfg: Optional[IntegratorConfig] = None) -> Orbit:
+def trace_orbit(field: VectorField, x0, t_span, cfg: Optional[IntegratorConfig] = None,
+                stats: Optional[RunStats] = None) -> Orbit:
     """Sampled orbit over t_span = (t0, t1), one sample per accepted step; x0
-    is the state at t0.
+    is the state at t0.  Its work is added into stats when given.
 
     Raises DomainExit (carrying the samples, times relative to t0),
     StepLimitExceeded or IntegrationError.
@@ -675,7 +675,7 @@ def trace_orbit(field: VectorField, x0, t_span, cfg: Optional[IntegratorConfig] 
 
     sign = 1.0 if t1 > t0 else -1.0
     outcome, errors = _integrate(field, x0[None, :], sign, abs(t1 - t0), cfg,
-                                 RunStats(), record)
+                                 RunStats() if stats is None else stats, record)
     if errors[0] is not None:
         raise errors[0]
     if outcome[0] == _EXIT:
@@ -1050,31 +1050,24 @@ def find_crossings_batch(
     field: VectorField,
     points,
     surface,
-    horizon: Optional[float] = None,
     cfg: Optional[IntegratorConfig] = None,
-):
+    stats: Optional[RunStats] = None,
+) -> list:
     """find_crossings for many points as one lane-batched integration, whose
-    lanes are each point's forward and backward sweep.
+    lanes are each point's forward and backward sweep over cfg.horizon; the
+    batch's work is added into stats when given.
 
     `surface` is one surface for every point or a sequence of one per point;
     each surface call is made once per surface present, in order of first
-    appearance.  Returns (results, stats): results[i] is the sorted
-    CrossingEvent list of points[i], or the exception find_crossings would
-    raise for it; stats is the RunStats of the whole batch.  A field error
+    appearance.  results[i] is the sorted CrossingEvent list of points[i],
+    or the exception find_crossings would raise for it.  A field error
     (ArithmeticError) on either lane, forward first, is a point's outcome;
     then the forward lane's scan and stepper errors, then the backward
     lane's.  Every bracketed step is refined after the sweep, in one pass.
     """
     cfg = cfg or DEFAULT_CONFIG
-    horizon = cfg.horizon if horizon is None else float(horizon)
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    if horizon > cfg.horizon * (1 + 1e-12):
-        raise ValueError(
-            f"horizon {horizon:.6g} exceeds the integrator horizon {cfg.horizon:.6g}"
-        )
+    stats = RunStats() if stats is None else stats
     X = np.asarray(points, dtype=float).reshape(len(points), field.dim)
-    stats = RunStats()
     P = len(X)
     surfaces, group = _surface_groups(surface, P)
     results = [None] * P
@@ -1092,7 +1085,7 @@ def find_crossings_batch(
     partner = np.concatenate([np.arange(Q, 2 * Q), np.full(Q, -1)])
     scan = _CrossingScan(field, surfaces, np.concatenate([group[live], group[live]]),
                          l0_lanes, sign, partner, stats)
-    _, errors = _integrate(field, lanes_x, sign, horizon, cfg, stats, scan,
+    _, errors = _integrate(field, lanes_x, sign, cfg.horizon, cfg, stats, scan,
                            scan.stop_partners)
     scan.refine()
 
@@ -1131,7 +1124,7 @@ def find_crossings_batch(
     for p in live:
         if isinstance(results[p], list):
             results[p].sort(key=lambda e: e.t)
-    return results, stats
+    return results
 
 
 def find_crossings(
@@ -1155,9 +1148,12 @@ def find_crossings(
     truncated at the exit point.  A sweep that leaves an expression's domain
     is not: the field's error (e.g. expressions.DomainError) ends the search.
     Genuine integrator failures, and crossings the root find cannot bring
-    within ON_SURFACE_TOL of the surface, raise IntegrationError.
+    within ON_SURFACE_TOL of the surface, raise IntegrationError.  A given
+    horizon replaces cfg.horizon.
     """
-    (result,), _ = find_crossings_batch(field, [x0], surface, horizon=horizon, cfg=cfg)
+    if horizon is not None:
+        cfg = dataclasses.replace(cfg or DEFAULT_CONFIG, horizon=float(horizon))
+    (result,) = find_crossings_batch(field, [x0], surface, cfg=cfg)
     if isinstance(result, BaseException):
         raise result
     return result

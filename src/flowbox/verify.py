@@ -23,7 +23,7 @@ import numpy as np
 from . import chart as chart_mod
 from . import dynsys, kef, refsol
 from .fdiff import fd_gradient_rows, rate
-from .odeint import RunStats, flow_batch
+from .odeint import DEFAULT_CONFIG, RunStats, flow_batch
 
 __all__ = ["VERIFY_SUITES", "SLOW_SUITES", "STREAM_STRIDE", "check_kpde_residuals",
            "check_real_form_identities", "check_unit_velocity",
@@ -67,12 +67,28 @@ class _Worst:
         self.sign = -1.0 if lowest else 1.0
         self.value, self.at, self.point, self.points = math.nan, "", None, 0
 
-    def see(self, value, at, x, count=1):
-        self.points += count
-        value = float(value)
-        if (self.point is None or self.sign * value > self.sign * self.value
-                or (math.isnan(value) and not math.isnan(self.value))):
-            self.value, self.at, self.point = value, at, [float(v) for v in x]
+    def see(self, values, at, points, count=None):
+        """Take in values (n,) at points (n, N) labelled `at`, or values
+        (n, k) whose column j is labelled at[j], read row by row; a single
+        value has a single point.  As if seen one at a time, the first worst
+        value wins and the first NaN beats every number.  `count` (default:
+        the number of values) is added to the points checked."""
+        labels = [at] if isinstance(at, str) else list(at)
+        flat = np.asarray(values, dtype=float).reshape(-1)
+        self.points += flat.size if count is None else count
+        if not flat.size:
+            return
+        nan = np.isnan(flat)
+        if nan.any():
+            if self.point is not None and math.isnan(self.value):
+                return
+            i = int(np.argmax(nan))
+        else:
+            i = int(np.argmax(self.sign * flat))
+            if self.point is not None and not self.sign * flat[i] > self.sign * self.value:
+                return
+        x = np.asarray(points, dtype=float).reshape(-1, np.shape(points)[-1])[i // len(labels)]
+        self.value, self.at, self.point = float(flat[i]), labels[i % len(labels)], x.tolist()
 
     def result(self, ok, detail, stats=None):
         metrics = {"worst": self.value if math.isfinite(self.value) else None,
@@ -142,9 +158,8 @@ def _sampled_check(defects, system_ids, seed, what):
         xs = ref.sample_valid(_rng(seed + idx), SAMPLE_POINTS)
         p = ref.field.eval(xs)
         columns = defects(ref, xs, lambda fn: rate(fd_gradient_rows(fn, xs), p))
-        for k, x in enumerate(xs):
-            for label, values in columns:
-                worst.see(values[k], f"{system_id}:{label}", x)
+        worst.see(np.array([values for _, values in columns]).T,  # point by point
+                  [f"{system_id}:{label}" for label, _ in columns], xs)
     return worst.result(worst.value <= PDE_TOL,
                         f"max {what} {worst.value:.3g} ({worst.at})")
 
@@ -219,8 +234,7 @@ def check_flowbox_law(seed=0):
         expected = np.zeros(ref.field.dim)
         expected[-1] = T_STEP
         defects = np.max(np.abs(zs[n:] - zs[:n] - expected), axis=-1)
-        for (x, _), defect in zip(pairs, defects):
-            worst.see(defect, f"{system_id}:{kind}", x)
+        worst.see(defects, f"{system_id}:{kind}", ends[:n])
     return worst.result(
         worst.value <= CHART_TOL,
         f"max flowbox-law defect {worst.value:.3g} ({worst.at}) at t = {T_STEP}"
@@ -244,8 +258,7 @@ def check_chart_vs_refsol(seed=0):
             return worst.result(False, bad, stats)
         dm = np.abs(zs[:, -1] - ref.unit_time(pts))
         dh = np.max(np.abs(zs[:, :-1] - ref.chart_h(pts)), axis=-1)
-        for x, defect in zip(pts, np.maximum(dm, dh)):
-            worst.see(defect, f"{system_id}:chart", x)
+        worst.see(np.maximum(dm, dh), f"{system_id}:chart", pts)
     return worst.result(
         worst.value <= CHART_TOL,
         f"max |chart - closed form| {worst.value:.3g} ({worst.at}) over"
@@ -269,8 +282,7 @@ def check_appendix_counterexample(seed=0):
     res = (rate(fd_gradient_rows(cand.fn, xs), ref.field.eval(xs))
            - complex(cand.eigenvalue) * cand.fn(xs))
     worst.see(abs(res[0] - (-2.0)), "appendix:residual(1,1)", xs[0])
-    for x, defect in zip(xs[1:], np.abs(res[1:] - cand.residual(xs[1:]))):
-        worst.see(defect, f"appendix:{cand.label}", x)
+    worst.see(np.abs(res[1:] - cand.residual(xs[1:])), f"appendix:{cand.label}", xs[1:])
     return worst.result(
         worst.value <= CHART_TOL,
         f"orbit deviation {dev:.3g}, residual at (1,1) = {res[0].real:.6g},"
@@ -292,8 +304,8 @@ def check_recurrence_audit(seed=0):
     segments = [chart_mod.line_surface(value, lo, hi, axis=axis, name=name)
                 for value, lo, hi, axis, name in ROTATION_SEGMENTS]
     reports = chart_mod.check_nonrecurrent_batch(
-        segments, dynsys.builtin("rotation-c"), n_orbits=N_ORBITS, horizon=ROTATION_HORIZON)
-    stats.add(reports[0].stats)  # one batch for all segments
+        segments, dynsys.builtin("rotation-c"), N_ORBITS,
+        dataclasses.replace(DEFAULT_CONFIG, horizon=ROTATION_HORIZON), stats)
     for (*_, name), report in zip(ROTATION_SEGMENTS, reports):
         if report.verdict != "fail" or not report.violations:
             return worst.result(False, f"{name} was not flagged recurrent", stats)
@@ -302,8 +314,7 @@ def check_recurrence_audit(seed=0):
     for system_id in WORKED:
         built = _worked_chart(system_id)[1]
         report = chart_mod.check_nonrecurrent(built.surface, built.field,
-                                              n_orbits=N_ORBITS)
-        stats.add(report.stats)
+                                              n_orbits=N_ORBITS, stats=stats)
         worst.points += report.tested_points
         if report.verdict != "pass":
             detail = f"{built.surface.name} under {system_id} flagged recurrent"

@@ -3,6 +3,7 @@ tracer and probes reach (perfbench/tracer.py, perfbench/probes.py) still
 work, so removing one fails here and not only in a traced benchmark run."""
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 import subprocess
 import sys
@@ -25,6 +26,26 @@ def test_every_name_in_all_resolves():
     for module in modules:
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, (module.__name__, missing)
+
+
+# the public functions that integrate, each adding its work into a passed RunStats
+INTEGRATING = ("flow_batch", "flow", "trace_orbit", "find_crossings_batch",
+               "check_nonrecurrent", "check_nonrecurrent_batch", "evaluate_grid",
+               "kef_residuals", "orbit_eigen_check")
+
+
+def test_integrating_calls_take_stats_and_only_find_crossings_takes_a_horizon():
+    # the horizon is set in IntegratorConfig; find_crossings keeps its
+    # keyword for one-point callers (perfbench/probes.py)
+    params = {}
+    for info in pkgutil.iter_modules(flowbox.__path__):
+        module = importlib.import_module(f"flowbox.{info.name}")
+        for name in module.__all__:
+            if inspect.isfunction(getattr(module, name)):
+                params[name] = inspect.signature(getattr(module, name)).parameters
+    for name in INTEGRATING:
+        assert params[name]["stats"].default is None, name
+    assert [name for name, p in params.items() if "horizon" in p] == ["find_crossings"]
 
 
 def test_import_flowbox_loads_no_submodule_and_no_numpy():

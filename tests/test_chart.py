@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -259,8 +260,7 @@ def test_rotation_surface_is_recurrent(tight_cfg):
         field=field,
         surface=builtin_surface("segment-c"),
         n_orbits=6,
-        horizon=4.0 * np.pi,
-        cfg=tight_cfg,
+        cfg=replace(tight_cfg, horizon=4.0 * np.pi),
     )
     assert report.verdict == "fail"
     assert len(report.violations) > 0
@@ -274,26 +274,23 @@ def test_worked_surfaces_pass_recurrence_audit(tight_cfg):
             field=builtin(system),
             surface=builtin_surface(surface),
             n_orbits=8,
-            horizon=6.0,
-            cfg=tight_cfg,
+            cfg=replace(tight_cfg, horizon=6.0),
         )
         assert report.verdict == "pass", (system, report)
 
 
 def test_batched_audit_equals_one_audit_per_surface(tight_cfg):
     # three segments recurrent under rotation-c, audited as one batch and
-    # one by one
+    # one by one; the batch's work equals that of the single audits, each
+    # adding into the same RunStats
     field = builtin("rotation-c")
+    cfg = replace(tight_cfg, horizon=4.0 * np.pi)
     surfaces = [builtin_surface("segment-c"), line_surface(0.5, 0.0, 1.0, name="half"),
                 line_surface(1.0, 0.1, 0.9, axis=1, name="x2-seg")]
-    reports = check_nonrecurrent_batch(surfaces, field, n_orbits=6,
-                                       horizon=4.0 * np.pi, cfg=tight_cfg)
-    summed = RunStats()
+    batch, summed = RunStats(), RunStats()
+    reports = check_nonrecurrent_batch(surfaces, field, n_orbits=6, cfg=cfg, stats=batch)
     for surface, report in zip(surfaces, reports):
-        alone = check_nonrecurrent(surface, field, n_orbits=6, horizon=4.0 * np.pi,
-                                   cfg=tight_cfg)
-        summed.add(alone.stats)
-        assert report.stats is reports[0].stats
+        alone = check_nonrecurrent(surface, field, n_orbits=6, cfg=cfg, stats=summed)
         assert (report.verdict, report.tested_points) == (alone.verdict, alone.tested_points)
         assert [(x0.tolist(), times) for x0, times in report.violations] == \
             [(x0.tolist(), times) for x0, times in alone.violations]
@@ -301,7 +298,8 @@ def test_batched_audit_equals_one_audit_per_surface(tight_cfg):
     assert [r.verdict for r in reports] == ["fail"] * 3
     for name in ("lanes", "accepted_steps", "rejected_steps", "rhs_evals",
                  "crossings_refined", "root_iterations"):
-        assert getattr(reports[0].stats, name) == getattr(summed, name), name
+        assert getattr(batch, name) == getattr(summed, name), name
+    assert batch.lanes == 2 * 3 * 6
 
 
 def test_recurrence_audit_fails_when_seeded_orbits_fail():
@@ -377,8 +375,8 @@ def test_m_advances_like_time(tight_cfg):
 
 def test_not_in_omega(tight_cfg):
     # orbits of hyperbolic-b in the x1 < 0 half plane never reach x1 = 1
-    chart = build_chart(builtin("hyperbolic-b"), "line-b", cfg=tight_cfg, horizon=5.0)
-    with pytest.raises(NotInOmega):
+    chart = build_chart(builtin("hyperbolic-b"), "line-b", cfg=replace(tight_cfg, horizon=5.0))
+    with pytest.raises(NotInOmega, match="within horizon 5"):
         flowbox(chart, np.array([-1.0, 1.0]))
 
 
@@ -394,8 +392,7 @@ def test_ambiguous_chart_on_recurrent_orbit(tight_cfg):
     chart = build_chart(
         builtin("rotation-c"),
         line_surface(0.0, -3.0, 3.0),
-        cfg=tight_cfg,
-        horizon=7.0,
+        cfg=replace(tight_cfg, horizon=7.0),
         audit_transversal=False,
     )
     with pytest.raises(AmbiguousChart):
@@ -403,7 +400,7 @@ def test_ambiguous_chart_on_recurrent_orbit(tight_cfg):
 
 
 def test_evaluate_grid_statuses_and_single_point_agreement(tight_cfg):
-    chart = build_chart(builtin("hyperbolic-b"), "line-b", cfg=tight_cfg, horizon=5.0)
+    chart = build_chart(builtin("hyperbolic-b"), "line-b", cfg=replace(tight_cfg, horizon=5.0))
     points = [
         np.array([0.5, 2.0]),    # ok
         np.array([-1.0, 1.0]),   # not-in-omega
@@ -435,7 +432,7 @@ def test_evaluate_grid_jump_level_is_integration_error(tight_cfg):
         name="jump",
     )
     chart = build_chart(
-        builtin("hyperbolic-b"), jump, cfg=tight_cfg, horizon=5.0,
+        builtin("hyperbolic-b"), jump, cfg=replace(tight_cfg, horizon=5.0),
         audit_transversal=False,
     )
     # the level changes sign across x1 = 1 but is never near zero there

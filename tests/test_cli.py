@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowbox import cli, verify
+from flowbox import cli, odeint, verify
 from flowbox.cli import (
     EXIT_AUDIT,
     EXIT_NUMERIC,
@@ -859,6 +859,35 @@ def test_verify_all_runs_every_suite(tmp_path, capsys):
     assert stats["flowbox-law"]["lanes"] == 2 * 2 * 200 + 8 * 100
     # appendix-counterexample: 32 one-point flows along its orbit
     assert stats["appendix-counterexample"]["lanes"] == 32
+
+
+def test_every_integrated_lane_is_reported(tmp_path, capsys, monkeypatch):
+    # each lane an integration starts is counted in the RunStats a command
+    # reports: none is added into a RunStats that a library call drops
+    integrated = []
+    integrate = odeint._integrate
+
+    def counting(field, x0, *args, **kwargs):
+        integrated.append(len(x0))
+        return integrate(field, x0, *args, **kwargs)
+
+    monkeypatch.setattr(odeint, "_integrate", counting)
+    monkeypatch.setattr(cli, "_available_cpus", lambda: 1)  # suites in process
+    runs = {
+        "chart": ["chart-build", "--system", "hyperbolic-b", "--surface", "line-b",
+                  "--grid", "0.8x1.2x4,0.2x0.4x3"],
+        "minimal": ["kef-check", "--system", "hyperbolic-b", "--minimal-set",
+                    "--surface", "line-b", "--grid", "0.9x1.1x2,0.2x0.3x2"],
+    }
+    for name, argv in runs.items():
+        integrated.clear()
+        assert main(argv + ["--out", str(tmp_path / name)]) == EXIT_OK
+        stats = json.loads((tmp_path / name / "manifest.json").read_text())["summary"]["stats"]
+        assert sum(integrated) == stats["audit"]["lanes"] + stats["evaluate"]["lanes"] > 0, name
+    integrated.clear()
+    assert main(["verify-all", "--out", str(tmp_path / "verify")]) == EXIT_OK
+    report = json.loads((tmp_path / "verify" / "verify_report.json").read_text())
+    assert sum(integrated) == sum(r["metrics"]["stats"]["lanes"] for r in report["suites"]) > 0
 
 
 def test_verify_all_dispatches_the_slow_suites_longest_first(monkeypatch):

@@ -209,7 +209,8 @@ def test_dense_output_field_error_fails_its_bracket(monkeypatch):
     field = builtin("hyperbolic-b")
     surface = line_surface(1.0, 0.0, 4.0)
     points = [[0.5, 0.5], [0.5, 4.0]]
-    plain, _ = find_crossings_batch(field, points, surface, horizon=2.0)
+    cfg = dataclasses.replace(DEFAULT_CONFIG, horizon=2.0)
+    plain = find_crossings_batch(field, points, surface, cfg)
     assert [len(r) for r in plain] == [1, 1]
     raised = []
 
@@ -223,7 +224,7 @@ def test_dense_output_field_error_fails_its_bracket(monkeypatch):
     dense_output = odeint._dense_output
     monkeypatch.setattr(odeint, "_dense_output",
                         lambda _, *args: dense_output(RaisingAbove(), *args))
-    results, _ = find_crossings_batch(field, points, surface, horizon=2.0)
+    results = find_crossings_batch(field, points, surface, cfg)
     assert results[1] in raised
     (event,), (expected,) = results[0], plain[0]
     assert event.t == expected.t
@@ -282,8 +283,10 @@ def test_grazing_orbit_inside_the_line_has_no_crossing():
     # or error comes of it
     field = builtin("rotation-c")
     surface = line_surface(1.0, 0.0, 1.0, axis=0)
-    (events,), stats = find_crossings_batch(field, [[0.0, 1.0 - 1e-6]], surface,
-                                            horizon=4.0 * np.pi)
+    stats = RunStats()
+    (events,) = find_crossings_batch(field, [[0.0, 1.0 - 1e-6]], surface,
+                                     dataclasses.replace(DEFAULT_CONFIG, horizon=4.0 * np.pi),
+                                     stats)
     assert events == []
     assert stats.crossings_refined == 0 and stats.root_iterations > 0
 
@@ -406,8 +409,9 @@ def test_batch_matches_single_points_under_domain_errors(tight_cfg):
     ]
     points = [[0.5, 1.0], [-0.5, 1.0], [1.5, 2.0], [-1.0, 0.5]]
     for field, surface in cases:
-        results, stats = find_crossings_batch(
-            field, points, surface, horizon=5.0, cfg=tight_cfg
+        stats = RunStats()
+        results = find_crossings_batch(
+            field, points, surface, dataclasses.replace(tight_cfg, horizon=5.0), stats
         )
         assert [isinstance(r, DomainError) for r in results] == [False, True, False, True]
         assert stats.lanes >= 2 * len(points)
@@ -432,7 +436,8 @@ def test_leaving_an_expression_domain_is_a_domain_error_not_an_exit():
     clean = parse_system("1, -x2", 2, name="saddle")
     surface = builtin_surface("line-b")
     points = [[x1, x2] for x1 in (0.8, 1.2, 1.6, 2.0) for x2 in (0.2, 0.7, 1.2)]
-    results, stats = find_crossings_batch(field, points, surface)
+    stats = RunStats()
+    results = find_crossings_batch(field, points, surface, stats=stats)
     assert stats.lanes == 2 * len(points)
     for x, batched in zip(points, results):
         assert len(find_crossings(clean, np.array(x), surface)) == 1
@@ -450,7 +455,8 @@ def test_forward_field_error_stops_the_backward_lane():
     # lanes after their forward lane's error
     field = parse_system("1, -x2 + 0*sqrt(2.5 - x1)", 2, name="sqrt-saddle")
     points = [[a, b] for a in np.linspace(0.8, 2.0, 24) for b in np.linspace(0.2, 1.2, 24)]
-    results, stats = find_crossings_batch(field, points, builtin_surface("line-b"))
+    stats = RunStats()
+    results = find_crossings_batch(field, points, builtin_surface("line-b"), stats=stats)
     assert {(type(r), str(r)) for r in results} == {(DomainError, "sqrt of a negative value")}
     assert stats.lanes == 2 * len(points)
     # at most the step of the failing pass itself per backward lane
@@ -461,9 +467,9 @@ def test_backward_field_error_never_stops_the_forward_lane(tight_cfg):
     # the backward sweep leaves the domain of sqrt at x1 < 0 in its first
     # step; the forward lane still takes every step it takes alone
     field = parse_system("1, -x2 + 0*sqrt(x1)", 2, name="sqrt-left")
-    (result,), stats = find_crossings_batch(
-        field, [[0.0, 1.0]], line_surface(1.0, 0.0, 4.0), horizon=3.0, cfg=tight_cfg
-    )
+    stats = RunStats()
+    (result,) = find_crossings_batch(field, [[0.0, 1.0]], line_surface(1.0, 0.0, 4.0),
+                                     dataclasses.replace(tight_cfg, horizon=3.0), stats)
     assert type(result) is DomainError
     alone = trace_orbit(field, np.array([0.0, 1.0]), (0.0, 3.0), cfg=tight_cfg)
     assert stats.accepted_steps == len(alone) - 1 > 1
@@ -488,7 +494,9 @@ def test_field_error_on_one_lane_wins_over_the_other_lanes_failure(forward):
         field = parse_system("1, 0*sqrt(x1 + 2)", 2)
         surface = dataclasses.replace(line_surface(9.0, 0.0, 4.0), level=level)
     x0 = np.array([5.0, 0.5])
-    (result,), stats = find_crossings_batch(field, [x0], surface, horizon=10.0)
+    stats = RunStats()
+    (result,) = find_crossings_batch(field, [x0], surface,
+                                     dataclasses.replace(DEFAULT_CONFIG, horizon=10.0), stats)
     assert type(result) is DomainError
     assert stats.lanes == 2
     with pytest.raises(DomainError):
@@ -527,8 +535,9 @@ def test_surface_errors_fail_only_their_own_points():
     )
     points = [[0.5, 2.0], [2.0, -1.0], [1.5, 3.0], [0.8, 0.5],
               [0.5, -0.5], [1.0, 2.5], [1.0, 1.0], [3.0, 0.5]]
-    results, stats = find_crossings_batch(field, points, faulty)
-    expected, _ = find_crossings_batch(field, points, plain)
+    stats = RunStats()
+    results = find_crossings_batch(field, points, faulty, stats=stats)
+    expected = find_crossings_batch(field, points, plain)
 
     def fields(events):
         return [(e.t, e.x.tolist(), e.params.tolist(), e.direction, e.level, e.on_patch)
@@ -550,7 +559,9 @@ def test_surface_errors_fail_only_their_own_points():
             assert isinstance(got, list) and got
             assert fields(got) == fields(want)
     assert failed == 4
-    assert find_crossings_batch(field, points, faulty)[1] == stats
+    again = RunStats()
+    find_crossings_batch(field, points, faulty, stats=again)
+    assert again == stats
 
 
 def _event_fields(events):
@@ -571,12 +582,11 @@ def test_one_surface_per_point_equals_one_batch_per_surface():
     points = [[0.5, 2.0], [1.5, 0.5], [2.0, 0.8], [0.3, 3.0], [1.2, 0.7],
               [0.8, 1.5], [3.0, 0.2], [0.6, 0.9], [1.0, 1.0]]
     owners = [surfaces[i % 3] for i in range(len(points))]
-    results, stats = find_crossings_batch(field, points, owners)
-    summed = RunStats()
+    stats, summed = RunStats(), RunStats()
+    results = find_crossings_batch(field, points, owners, stats=stats)
     for k, surface in enumerate(surfaces):
         mine = list(range(k, len(points), 3))
-        alone, run = find_crossings_batch(field, [points[i] for i in mine], surface)
-        summed.add(run)
+        alone = find_crossings_batch(field, [points[i] for i in mine], surface, stats=summed)
         for i, want in zip(mine, alone):
             assert isinstance(want, list) and want
             assert _event_fields(results[i]) == _event_fields(want)
@@ -597,11 +607,11 @@ def test_grouped_surface_errors_fail_only_their_own_points():
     other = line_surface(0.5, -4.0, 4.0, name="line-x1-05")
     points = [[2.0, -1.0], [2.0, -1.0], [0.5, 2.0], [0.8, -0.5], [0.8, -0.5]]
     owners = [faulty, other, faulty, other, faulty]
-    results, _ = find_crossings_batch(field, points, owners)
+    results = find_crossings_batch(field, points, owners)
     assert [type(r) for r in results] == [_RowError, list, list, list, _RowError]
     assert results[0].row.tolist() == [2.0, -1.0]
     for i in (1, 3):
-        (want,), _ = find_crossings_batch(field, [points[i]], other)
+        (want,) = find_crossings_batch(field, [points[i]], other)
         assert _event_fields(results[i]) == _event_fields(want)
 
 
@@ -623,7 +633,8 @@ def test_failed_crossing_ends_its_lane_before_a_later_field_error(tight_cfg):
     )
     points = [[0.5, 2.0], [0.5, 1.0], [1.5, 1.0]]
     field = parse_system("x1, -x2 + 0*sqrt(2 - x1)", 2, name="sqrt-source")
-    results, _ = find_crossings_batch(field, points, jump, horizon=5.0, cfg=tight_cfg)
+    cfg = dataclasses.replace(tight_cfg, horizon=5.0)
+    results = find_crossings_batch(field, points, jump, cfg)
     assert [(type(r), str(r)) for r in results] == [
         (IntegrationError, "sqrt-source: crossing near t=0.687378 did not converge:"
          " |level| = 1 > 1e-09 at x=[0.9942476485077836, 1.0057856324838779]"),
@@ -631,11 +642,11 @@ def test_failed_crossing_ends_its_lane_before_a_later_field_error(tight_cfg):
          " |level| = 1 > 1e-09 at x=[0.8291711436462874, 0.6030118194915103]"),
         (DomainError, "sqrt of a negative value"),
     ]
-    chart = build_chart(field, jump, cfg=tight_cfg, horizon=5.0, audit_transversal=False)
+    chart = build_chart(field, jump, cfg=cfg, audit_transversal=False)
     assert [status for _, _, status in evaluate_grid(chart, np.array(points))] == [
         "integration-error", "integration-error", "domain-error"]
     both = parse_system("x1, -x2 + 0*sqrt(2 - x1) + 0*sqrt(x1 - 0.1)", 2)
-    results, _ = find_crossings_batch(both, points, jump, horizon=5.0, cfg=tight_cfg)
+    results = find_crossings_batch(both, points, jump, cfg)
     assert [(type(r), str(r)) for r in results] == [
         (DomainError, "sqrt of a negative value")] * 3
 
