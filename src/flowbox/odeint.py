@@ -19,19 +19,21 @@ fails alone.
 
 Crossings of a surface's level l are found from l and its rate along the
 flow, l' = <grad l, P>, one central difference of l along P.  A step across
-which l or l' changes sign is a bracket.  On the step's continuous extension
-(DOP853's 7th-order dense output) a root of l' splits it at l's turning
-point, and each piece across which l changes sign holds one crossing; both
-roots are found by Illinois regula falsi on the step fraction ``theta``, a
-crossing's starting at the root of the cubic Hermite through the piece's end
-levels and rates.  So an excursion past the surface inside one step is two
-crossings, as long as l turns at most once per step.  The extension costs
-three field evaluations per bracket, the root finds none, and a root that
-cannot be brought onto the surface is an ``IntegrationError``, never a
-silently accepted best effort.
-Brackets are kept during the sweep and all refined together after it
-(Hairer, Norsett & Wanner, Solving ODEs I, sections II.5, II.6 and II.10;
-Shampine, Gladwell & Brankin, ACM TOMS 17 (1991), on event pairs in a step).
+which l changes sign is a bracket, and so is one across which l' does
+unless l starts moving away from the surface.  On the step's continuous
+extension (DOP853's 7th-order dense output) a root of l' splits it at l's
+turning point, and each piece across which l changes sign holds one
+crossing; both roots are found by Illinois regula falsi on the step
+fraction ``theta``, a crossing's starting at the root of the cubic Hermite
+through the piece's end levels and rates.  So an excursion past the surface
+inside one step is two crossings, as long as l turns at most once per step.
+The extension costs three field evaluations per bracket, the root finds
+none, and a root that cannot be brought onto the surface is an
+``IntegrationError``, never a silently accepted best effort.  All brackets
+are refined together after the sweep, so no lane stops another, and a
+failed bracket ends its lane's crossings, not its integration (Hairer,
+Norsett & Wanner, Solving ODEs I, sections II.5, II.6 and II.10; Shampine,
+Gladwell & Brankin, ACM TOMS 17 (1991), on event pairs in a step).
 ``find_crossings`` is the one-point case of ``find_crossings_batch``.
 """
 from __future__ import annotations
@@ -130,12 +132,12 @@ class RunStats:
 
     lanes : lanes integrated (a crossing search uses two per point)
     accepted_steps, rejected_steps : lane steps, summed over lanes
-    rhs_calls : the stepper's and the dense output's VectorField.eval_grid
-        calls, including those that split a call which raised
-        ArithmeticError down to its raising rows (an event's direction call
-        is not counted)
+    rhs_calls : the stepper's, the dense output's and the crossing events'
+        VectorField.eval_grid calls, including those that split a call which
+        raised ArithmeticError down to its raising rows
     rhs_evals : lane field evaluations, each running lane once per stage,
-        and three evaluations per bracketed step for its dense output
+        three evaluations per bracketed step for its dense output and one
+        per crossing event for its direction
     level_calls : surface level calls, one per surface group (the points
         sharing a surface) per batched step, per refinement pass and per root
         iteration of the whole search, plus the start and event calls and
@@ -470,20 +472,18 @@ def _levels(surfaces, group, xs, fail, stats: RunStats) -> np.ndarray:
 
 
 def _integrate(field: VectorField, x0, sign, T: float, cfg: IntegratorConfig,
-               stats: RunStats, on_accept=None, on_raise=None):
+               stats: RunStats, on_accept=None):
     """Integrate dx/dt = sign * P(x) over [0, T] on every lane of x0 (L, N).
 
     `sign` holds +1 or -1 per lane.  After each batched step,
     ``on_accept(lanes, t_old, x_old, t_new, x_new, h, stage)`` sees the lanes
     whose step was accepted (``stage(j)`` returns stage derivative j of their
     step, 0 <= j < 13: the first at x_old, the last at x_new) and returns
-    lane indices to stop, or None.  A lane stops when it reaches T, leaves the
-    domain box (the state outside the box is its last accepted sample), fails
-    (its field rows raise, or its steps run out or underflow), or is stopped
-    by on_accept.
-    ``on_raise(lanes)`` optionally sees, at the end of a pass, the lanes
-    whose field rows raised in it and returns lane indices to stop as well.
-    Finished lanes are dropped from the compact state of the running lanes.
+    those of them to stop, or None.  A lane stops when it reaches T, leaves
+    the domain box (the state outside the box is its last accepted sample),
+    fails (its field rows raise, or its steps run out or underflow), or is
+    stopped by on_accept.  Finished lanes are dropped from the compact state
+    of the running lanes.
 
     Returns (outcome, errors): per lane one of _DONE/_EXIT/_FAILED (a stopped
     lane is _FAILED), and the exception of each lane that failed in the
@@ -498,15 +498,9 @@ def _integrate(field: VectorField, x0, sign, T: float, cfg: IntegratorConfig,
     stats.lanes += L
     if T <= 0.0 or L == 0:
         return outcome, errors
-    raised = []  # lanes whose field rows raised in this pass
-
-    def field_failed(row, err):
-        if on_raise is not None:
-            raised.append(ids[row])
-        fail([row], lambda _: err)
 
     def rhs(xs):
-        return _field_rows(field, xs, field_failed, stats) * sg
+        return _field_rows(field, xs, lambda row, err: fail([row], lambda _: err), stats) * sg
 
     def fail(rows, make):
         for lane, t_lane in zip(ids[rows], t[rows]):
@@ -597,12 +591,6 @@ def _integrate(field: VectorField, x0, sign, T: float, cfg: IntegratorConfig,
                 keep = ~finished
         if broken is not None:
             keep = ~broken if keep is None else keep & ~broken
-        if raised:
-            stopped = np.isin(ids, on_raise(np.array(raised)))
-            raised.clear()
-            if stopped.any():
-                outcome[ids[stopped]] = _FAILED
-                keep = ~stopped if keep is None else keep & ~stopped
         # elementary controller for the 8th-order error; a zero error norm
         # grows the step 10x
         factor = 0.9 * np.maximum(err_norm, 1e-300) ** -0.125
@@ -728,8 +716,7 @@ def _events(field, surfaces, group, t, x, level, stats: RunStats) -> list:
     params = _per_surface(params_of, surfaces, group, x, own, (N - 1,))
     on_patch = np.all((params > 0.0) & (params < 1.0), axis=1)
 
-    step = RATE_STEP * _split_on_error(lambda xs: field.eval_grid(list(xs.T)).T, x,
-                                       Exception, own, (N,))
+    step = RATE_STEP * _field_rows(field, x, own, stats)
     twice = np.tile(np.arange(E), 2)
     rate = _rate(*_levels(surfaces, group[twice], np.concatenate([x - step, x + step]),
                           fail_at(twice), stats).reshape(2, E))
@@ -854,21 +841,21 @@ class _CrossingScan:
     Each step asks, in one level call, for l and its rate along the flow at
     its end (P there is the step's last stage; a lane's first step also asks
     for the rate at its start).  An exact zero of l at a step's end is an
-    event on the spot.  A step across which l or its rate changes sign is
-    kept as a bracket and located later by refine(), all pending brackets
-    together: a root depends on its own step alone.  This assumes at most
-    one turning point of l per accepted step: two leave the rate's sign at
-    the ends unchanged and hide the excursion between them.  The first
-    bracket of a lane whose root fails ends the lane there (ended()).
+    event on the spot.  A step across which l changes sign, or its rate does
+    unless l starts away from S, is kept as a bracket; refine() locates all
+    of them after the sweep, as a root depends on its own step alone.  This
+    assumes at most one turning point of l per accepted step: two leave the
+    rate's sign at the ends unchanged and hide the excursion between them,
+    and one in a step that starts away from S faces away.  A lane's first
+    failed bracket ends its crossings (ended()), not its integration.
     """
 
-    def __init__(self, field, surfaces, group, l0, sign, partner, stats):
+    def __init__(self, field, surfaces, group, l0, sign, stats):
         L = len(l0)
         self.field = field
         self.surfaces = surfaces
         self.group = group
         self.sign = sign
-        self.partner = partner
         self.stats = stats
         self.last = np.array(l0, dtype=float)   # level at the newest sample
         self.rate = np.zeros(L)                 # its rate, from the first step on
@@ -877,7 +864,7 @@ class _CrossingScan:
         # per record a list of crossings (t, x, level) in time order, ending
         # at the exception of a failed bracket if any; None until refined
         self.found = []
-        self.pending = []   # column tuples of unrefined brackets, see _refine
+        self.pending = []   # column tuples of unrefined brackets, see refine
         self.errors = [None] * L  # level errors of the scan itself
         self.failed = np.zeros(L, dtype=bool)
 
@@ -911,7 +898,7 @@ class _CrossingScan:
         rp, rnew = self.rate[lanes], _rate(before, after)
         self.last[lanes], self.rate[lanes] = lnew, rnew
         self.armed[lanes] = armed | (np.abs(lnew) > ON_SURFACE_TOL)
-        bracket = _opposite(lp, lnew) | _opposite(rp, rnew)
+        bracket = _opposite(lp, lnew) | (_opposite(rp, rnew) & ~(lp * rp > 0.0))
         hit = armed & (lnew == 0.0)
         if bracket.any() or hit.any():
             live = ~self.failed[lanes]
@@ -928,29 +915,6 @@ class _CrossingScan:
         failed = self.failed[lanes]
         return lanes[failed] if failed.any() else None
 
-    def refine(self, lanes=None):
-        """Locate every pending bracket, or those of the given lanes, in one
-        root-find pass."""
-        if not self.pending:
-            return
-        cols = [np.concatenate(c) for c in zip(*self.pending)]
-        self.pending = []
-        if lanes is not None:
-            mine = np.isin(cols[1], lanes)
-            if not mine.all():
-                self.pending = [tuple(c[~mine] for c in cols)]
-            cols = [c[mine] for c in cols]
-        if len(cols[0]):
-            self._refine(*cols)
-
-    def stop_partners(self, lanes):
-        """on_raise of _integrate: the partners of the lanes whose field rows
-        raised, unless the lane ended earlier at a failed bracket, as it
-        would have stopped there."""
-        lanes = lanes[self.partner[lanes] >= 0]
-        self.refine(lanes)
-        return self.partner[[lane for lane in lanes if self.ended(lane)[1] is None]]
-
     def ended(self, lane):
         """(crossings, failure) of a refined lane: its (t, x, level) in sample
         order up to its first failed bracket, and that bracket's exception
@@ -963,8 +927,9 @@ class _CrossingScan:
                 crossings.append(found)
         return crossings, None
 
-    def _refine(self, ids, lanes, t_old, x_old, x_new, h, stages, l_a, l_b, r_a, r_b):
-        """The crossings of the bracketed steps, on their dense output.
+    def refine(self):
+        """The crossings of every bracketed step, on its dense output, in one
+        root-find pass after the sweep.
 
         Row r is the step found[ids[r]] of lane lanes[r], with stages (m, 13,
         N), and the level l_a, l_b and its rate r_a, r_b at its ends.  A step
@@ -977,6 +942,11 @@ class _CrossingScan:
         Above ON_SURFACE_TOL it is an IntegrationError, which ends the step's
         crossings; a level or field row that raises fails the step.
         """
+        if not self.pending:
+            return
+        ids, lanes, t_old, x_old, x_new, h, stages, l_a, l_b, r_a, r_b = (
+            np.concatenate(c) for c in zip(*self.pending))
+        self.pending = []
         m = len(lanes)
         errors = [None] * m
         raised = np.zeros(m, dtype=bool)
@@ -1063,7 +1033,8 @@ def find_crossings_batch(
     or the exception find_crossings would raise for it.  A field error
     (ArithmeticError) on either lane, forward first, is a point's outcome;
     then the forward lane's scan and stepper errors, then the backward
-    lane's.  Every bracketed step is refined after the sweep, in one pass.
+    lane's.  Every bracketed step is refined after the sweep, in one pass,
+    and no lane stops another.
     """
     cfg = cfg or DEFAULT_CONFIG
     stats = RunStats() if stats is None else stats
@@ -1078,20 +1049,15 @@ def find_crossings_batch(
     l0 = _levels(surfaces, group, X, level_failed, stats)
     live = [p for p in range(P) if results[p] is None]
     Q = len(live)
-    lanes_x = np.concatenate([X[live], X[live]]) if Q else np.zeros((0, X.shape[1]))
+    point = np.array(live + live, dtype=int)  # of each lane: forward lanes first
     sign = np.concatenate([np.ones(Q), -np.ones(Q)])
-    l0_lanes = np.concatenate([l0[live], l0[live]])
-    # a forward lane's field error is its point's outcome: the backward lane stops
-    partner = np.concatenate([np.arange(Q, 2 * Q), np.full(Q, -1)])
-    scan = _CrossingScan(field, surfaces, np.concatenate([group[live], group[live]]),
-                         l0_lanes, sign, partner, stats)
-    _, errors = _integrate(field, lanes_x, sign, cfg.horizon, cfg, stats, scan,
-                           scan.stop_partners)
+    scan = _CrossingScan(field, surfaces, group[point], l0[point], sign, stats)
+    _, errors = _integrate(field, X[point], sign, cfg.horizon, cfg, stats, scan)
     scan.refine()
 
     def outcome(lane):
-        """(crossings, scan error, stepper error): a lane whose bracket
-        failed ended there, before any later error of its own."""
+        """(crossings, scan error, stepper error): a lane's failed bracket
+        ends its crossings and stands for any later error of its own."""
         crossings, failure = scan.ended(lane)
         if failure is not None:
             return crossings, failure, None

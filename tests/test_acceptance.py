@@ -134,12 +134,15 @@ def _direction_score(grid):
     return max(min(M[0, 0], M[1, 1]), min(M[0, 1], M[1, 0]))
 
 
-def test_acceptance_7_variational_fit():
+def test_acceptance_7_variational_fit(ar_fits):
     field = dynsys.builtin("linear-ar")
+    box_reg, box_sing = [[4.0, 6.0], [1.0, 3.0]], [[2.5, 3.0], [2.5, 3.0]]
     t0 = time.perf_counter()
-    reg = fit(field, [[4.0, 6.0], [1.0, 3.0]], (64, 64), FitConfig(seed=0))
-    sing = fit(field, [[2.5, 3.0], [2.5, 3.0]], (64, 64), FitConfig(seed=0))
+    reg = fit(field, box_reg, (64, 64), FitConfig(seed=0))
+    sing = fit(field, box_sing, (64, 64), FitConfig(seed=0))
     elapsed = time.perf_counter() - t0
+    ar_fits.store(box_reg, reg)
+    ar_fits.store(box_sing, sing)
 
     score = _direction_score(reg.grid)
     monotone = bool(np.all(np.diff(reg.history) <= 0.0))

@@ -128,12 +128,12 @@ def test_chart_build_writes_grid_and_manifest(tmp_path, capsys):
     evaluate = stats["evaluate"]
     assert evaluate["lanes"] == 2 * manifest["summary"]["points"]
     assert evaluate["crossings_refined"] == manifest["summary"]["points"]
-    # one evaluation per lane to start, then twelve per attempted step and
-    # three per bracketing step for its dense output, here one step per
-    # refined crossing
+    # one evaluation per lane to start, then twelve per attempted step,
+    # three per bracketing step for its dense output and one per event for
+    # its direction, here one step and one event per refined crossing
     steps = evaluate["accepted_steps"] + evaluate["rejected_steps"]
     assert evaluate["rhs_evals"] == (evaluate["lanes"] + 12 * steps
-                                     + 3 * evaluate["crossings_refined"])
+                                     + 4 * evaluate["crossings_refined"])
     assert stats["audit"]["lanes"] > 0
     assert set(manifest["timings"]) == {"audit_s", "evaluate_s", "write_s"}
     assert manifest["peak_rss_mb"] > 0.0
@@ -702,7 +702,7 @@ def test_chart_build_counts_batched_level_calls(tmp_path):
     # no orbit of the saddle turns back toward the line, so the crossing
     # search adds no bracket, no step and no field evaluation
     assert evaluate["accepted_steps"] == 8391
-    assert evaluate["rhs_evals"] == 103572
+    assert evaluate["rhs_evals"] == 104148
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from flowbox.chart import (
     line_surface,
     surface_from_json,
 )
-from flowbox.dynsys import builtin, parse_system
+from flowbox.dynsys import VectorField, builtin, parse_system
 from flowbox.expressions import DomainError
 from flowbox.odeint import (
     _E3_TERMS,
@@ -291,6 +291,43 @@ def test_grazing_orbit_inside_the_line_has_no_crossing():
     assert stats.crossings_refined == 0 and stats.root_iterations > 0
 
 
+def test_turning_points_away_from_the_line_get_no_dense_output():
+    # the unit circle turns toward the line x1 = 3 at x1 = 1 and away from
+    # it at x1 = -1, twice each per lane over 4 pi.  With at most one turn
+    # per step, a step whose level starts moving away from the line cannot
+    # cross it, so only the four turns toward it are refined, each with the
+    # three field rows of its dense output
+    stats = RunStats()
+    (events,) = find_crossings_batch(builtin("rotation-c"), [[0.0, 1.0]],
+                                     line_surface(3.0, -4.0, 4.0),
+                                     dataclasses.replace(DEFAULT_CONFIG, horizon=4.0 * np.pi),
+                                     stats)
+    assert events == []
+    steps = stats.accepted_steps + stats.rejected_steps
+    assert stats.rhs_evals - stats.lanes - 12 * steps == 3 * 4
+    assert stats.crossings_refined == 0 and stats.root_iterations > 0
+
+
+def test_a_crossing_search_counts_every_field_row(monkeypatch):
+    # the sweep, the dense output and the events' directions all count
+    # their field calls and rows; the second point starts on the line
+    calls, rows = [], []
+    eval_grid = VectorField.eval_grid
+
+    def counting(self, coords):
+        calls.append(1)
+        rows.append(np.size(coords[0]))
+        return eval_grid(self, coords)
+
+    monkeypatch.setattr(VectorField, "eval_grid", counting)
+    stats = RunStats()
+    points = [[0.5, 2.0], [1.0, 1.0], [2.0, 0.5]]
+    results = find_crossings_batch(builtin("hyperbolic-b"), points, builtin_surface("line-b"),
+                                   stats=stats)
+    assert [len(r) for r in results] == [1, 1, 1]
+    assert (stats.rhs_calls, stats.rhs_evals) == (len(calls), sum(rows))
+
+
 def test_rotation_crossings_spaced_half_turn(tight_cfg):
     # the orbit through (2, 0) meets the full line x1 = 0 every half turn
     field = builtin("rotation-c")
@@ -447,20 +484,15 @@ def test_leaving_an_expression_domain_is_a_domain_error_not_an_exit():
         assert str(batched) == str(exc.value)
 
 
-def test_forward_field_error_stops_the_backward_lane():
+def test_forward_field_error_is_the_outcome_whatever_the_backward_lane_meets():
     # every forward sweep leaves the domain of sqrt at x1 > 2.5, which makes
-    # DomainError its point's outcome whatever the backward sweep meets, so
-    # the backward lane stops at the end of that pass.  Without the stop the
-    # search takes 31621 accepted lane steps here, 15485 of them on backward
-    # lanes after their forward lane's error
+    # DomainError its point's outcome whatever the backward sweep meets
     field = parse_system("1, -x2 + 0*sqrt(2.5 - x1)", 2, name="sqrt-saddle")
     points = [[a, b] for a in np.linspace(0.8, 2.0, 24) for b in np.linspace(0.2, 1.2, 24)]
     stats = RunStats()
     results = find_crossings_batch(field, points, builtin_surface("line-b"), stats=stats)
     assert {(type(r), str(r)) for r in results} == {(DomainError, "sqrt of a negative value")}
     assert stats.lanes == 2 * len(points)
-    # at most the step of the failing pass itself per backward lane
-    assert stats.accepted_steps <= 31621 - 15485 + len(points)
 
 
 def test_backward_field_error_never_stops_the_forward_lane(tight_cfg):

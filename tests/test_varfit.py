@@ -528,8 +528,8 @@ def test_fit_three_dimensional_field():
     assert r.converged
 
 
-def test_fit_flags_nothing_on_a_regular_patch():
-    r = fit(AR, BOX_REG, (64, 64), FitConfig(seed=0))
+def test_fit_flags_nothing_on_a_regular_patch(ar_fits):
+    r = ar_fits(BOX_REG)
     assert r.converged
     assert not r.elevated_residual
     assert r.refinement_gain > 12.0
@@ -537,11 +537,11 @@ def test_fit_flags_nothing_on_a_regular_patch():
     assert r.node_mean_b <= 1e-2
 
 
-def test_fit_flags_elevated_residual_across_a_singular_line():
+def test_fit_flags_elevated_residual_across_a_singular_line(ar_fits):
     # the analytic coordinates blow up on x1 = x2, which crosses this box;
     # the fit still meets node-mean targets by dodging the line, but the
     # residual refuses to shrink under grid refinement
-    r = fit(AR, BOX_SING, (64, 64), FitConfig(seed=0))
+    r = ar_fits(BOX_SING)
     assert r.elevated_residual
     assert r.refinement_gain < 12.0
     assert "elevated residual" in r.message
