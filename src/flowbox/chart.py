@@ -400,17 +400,26 @@ def surface_from_json(spec) -> Surface:
 # Audits
 
 
-def check_transversal(surface: Surface, field: VectorField, n_samples: int = 64) -> list:
+def check_transversal(
+    surface: Surface,
+    field: VectorField,
+    n_samples: int = 64,
+    stats: Optional[RunStats] = None,
+) -> list:
     """Sample <normal, P> over a low-discrepancy parameter grid.
 
     Returns [(tau, inner_product)] for every sample; callers decide what to do
-    with small values.  Raises DegenerateSurfaceError on rank-deficient
+    with small values.  The field call and its rows are added into stats when
+    given.  Raises DegenerateSurfaceError on rank-deficient
     parameterizations.
     """
     d = surface.dim - 1
     taus = halton(d, n_samples if d > 0 else 1)
     normals = surface_normal(surface, taus)
     x = np.asarray(surface.param(taus), dtype=float)
+    if stats is not None:
+        stats.rhs_calls += 1
+        stats.rhs_evals += len(x)
     ips = np.sum(normals * field.eval_grid(list(x.T)).T, axis=1)
     return [(tau, float(ip)) for tau, ip in zip(taus, ips)]
 
@@ -457,7 +466,8 @@ def check_nonrecurrent_batch(
     their reports, in order, with the orbits seeded on every surface
     searched as one batch."""
     trans_failures = [
-        tuple((tau, ip) for tau, ip in check_transversal(surface, field, max(n_orbits, 16))
+        tuple((tau, ip)
+              for tau, ip in check_transversal(surface, field, max(n_orbits, 16), stats)
               if abs(ip) < TRANSVERSALITY_TOL)
         for surface in surfaces
     ]
@@ -515,8 +525,10 @@ def build_chart(
     surface,
     cfg: Optional[IntegratorConfig] = None,
     audit_transversal: bool = True,
+    stats: Optional[RunStats] = None,
 ) -> Chart:
-    """Assemble a chart; transversality is audited unless explicitly skipped."""
+    """Assemble a chart; transversality is audited unless explicitly skipped,
+    its field samples added into stats when given."""
     if isinstance(surface, str):
         surface = builtin_surface(surface)
     if surface.dim != field.dim:
@@ -525,7 +537,7 @@ def build_chart(
         )
     cfg = cfg or DEFAULT_CONFIG
     if audit_transversal:
-        samples = check_transversal(surface, field)
+        samples = check_transversal(surface, field, stats=stats)
         bad = [(tau, ip) for tau, ip in samples if abs(ip) < TRANSVERSALITY_TOL]
         if bad:
             tau, ip = min(bad, key=lambda pair: abs(pair[1]))

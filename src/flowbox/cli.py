@@ -218,8 +218,8 @@ def _audited_chart(args, field, audit: RunStats, recurrence_audit: bool) -> tupl
     The integrator takes --horizon/--abs-tol/--rel-tol over the defaults, and
     a value it rejects is a usage error.  Unless --force, the surface is
     audited for transversality and, with `recurrence_audit`, along
-    AUDIT_ORBITS seeded orbits, whose work is added into `audit`; a refusal
-    raises AuditFailure.  `options` holds the resolved values every manifest
+    AUDIT_ORBITS seeded orbits, the work of both added into `audit`; a
+    refusal raises AuditFailure.  `options` holds the resolved values every manifest
     of a chart records.
     """
     surface = _resolve_surface(args.surface)
@@ -234,7 +234,7 @@ def _audited_chart(args, field, audit: RunStats, recurrence_audit: bool) -> tupl
         raise UsageError(str(err))
     try:
         chart = chart_mod.build_chart(field, surface, cfg=cfg,
-                                      audit_transversal=not args.force)
+                                      audit_transversal=not args.force, stats=audit)
     except chart_mod.ChartError as err:  # tangent or degenerate at a sample
         raise AuditFailure(str(err))
     if recurrence_audit and not args.force:
@@ -484,10 +484,13 @@ def cmd_varfit(args) -> int:
 
     summary = {k: getattr(result, k) for k in (
         "converged", "stalled", "iterations_run", "loss_a", "loss_b", "total",
-        "node_mean_b", "residual_concentration", "refinement_gain",
+        "node_mean_b", "residual_concentration", "refinement_gain", "gain_tol",
         "elevated_residual", "message")}
     summary.update({k: [float(v) for v in getattr(result, k)]
                     for k in ("node_mean_a", "unit_mean", "level_totals")})
+    summary["level_iterations"] = list(result.level_iterations)
+    summary["level_stats"] = {k: [getattr(s, k) for s in result.level_stats]
+                              for k in dataclasses.asdict(result.stats)}
     summary["stats"] = dataclasses.asdict(result.stats)
     outputs = [y_csv.name, f"{y_csv.name}.json", z_csv.name,
                f"{z_csv.name}.json", hist_csv.name]
@@ -497,7 +500,8 @@ def cmd_varfit(args) -> int:
 
     status = "converged" if result.converged else "NOT converged"
     print(
-        f"varfit: {status} after {result.iterations_run} iterations;"
+        f"varfit: {status} after {result.iterations_run} of {cfg.iterations}"
+        " iterations;"
         f" node-mean unit-velocity defect = {result.node_mean_a.tolist()},"
         f" node-mean overlap = {result.node_mean_b:.6g}"
     )
@@ -511,8 +515,9 @@ def cmd_varfit(args) -> int:
     elif not result.converged or result.elevated_residual:
         reason = (
             "node-mean defects above tolerance" if not result.converged
-            else "residual stuck across grid refinement"
-                 f" (gain {result.refinement_gain:.3g})"
+            else "residual stuck across grid refinement (gain"
+                 f" {result.refinement_gain:.3g} below the mesh-width ratio"
+                 f" {result.gain_tol:.3g})"
         )
         print(
             f"diagnostic: {reason}"

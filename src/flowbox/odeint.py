@@ -134,10 +134,12 @@ class RunStats:
     accepted_steps, rejected_steps : lane steps, summed over lanes
     rhs_calls : the stepper's, the dense output's and the crossing events'
         VectorField.eval_grid calls, including those that split a call which
-        raised ArithmeticError down to its raising rows
+        raised ArithmeticError down to its raising rows, and one per
+        transversality audit (chart.check_transversal)
     rhs_evals : lane field evaluations, each running lane once per stage,
         three evaluations per bracketed step for its dense output and one
-        per crossing event for its direction
+        per crossing event for its direction, plus one per transversality
+        sample
     level_calls : surface level calls, one per surface group (the points
         sharing a surface) per batched step, per refinement pass and per root
         iteration of the whole search, plus the start and event calls and

@@ -16,6 +16,11 @@ transposes, so descent behaves like plain calculus on the discrete objective.
 fit() descends a coarse-to-fine ladder of grids, annealing a smoothing filter
 on the gradient and jumping loss valleys with exact recombination moves, which
 is what it takes to land in the flowbox basin from a random affine start.
+Each coarser level ends with a recombination sweep and hands its iterate to
+the next by cubic interpolation.  The final level stops once refinement has
+paid off: once its total has fallen below the previous level's by their
+mesh-width ratio.  A final level that spends its budget without that gain
+flags an elevated residual.
 
 The loss is a polynomial of the derivative stack G[i, a] = dy_i/dx_a, which is
 linear in y: along a one-coordinate move it is an exact quadratic.  fit()
@@ -127,9 +132,10 @@ class FitConfig:
 
     iterations is the total step budget, split across the coarse-to-fine
     ladder (coarser levels get geometrically smaller shares, the requested
-    grid gets the rest).  seed starts the PRNG of the random-affine start.
-    target > 0 stops the final level early once both node-mean defects drop
-    below it; the default 0 runs the full budget.
+    grid gets the rest); the final level stops early once refinement has
+    paid off (see fit).  seed starts the PRNG of the random-affine start.
+    target > 0 also stops the final level early, once both node-mean defects
+    drop below it; the default 0 sets no target.
     """
 
     iterations: int = 5000
@@ -187,10 +193,22 @@ def _smoother(n: int, passes: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _lerp_matrix(n_from: int, n_to: int) -> np.ndarray:
-    """Linear interpolation from n_from to n_to evenly spaced nodes on one span."""
-    pos, nodes = np.linspace(0.0, n_from - 1.0, n_to), np.arange(n_from)
-    return _frozen(np.stack([np.interp(pos, nodes, e) for e in np.eye(n_from)], axis=1))
+def _cubic_matrix(n_from: int, n_to: int) -> np.ndarray:
+    """Cubic Lagrange interpolation from n_from to n_to evenly spaced nodes on
+    one span: each fine node reads the four coarse nodes around it, or the
+    first or last four at the ends, so cubics are reproduced exactly."""
+    pos = np.linspace(0.0, n_from - 1.0, n_to)
+    m = min(4, n_from)
+    first = np.clip(np.floor(pos).astype(int) - 1, 0, n_from - m)
+    rows = np.arange(n_to)
+    mat = np.zeros((n_to, n_from))
+    for k in range(m):
+        weight = np.ones(n_to)
+        for l in range(m):
+            if l != k:
+                weight *= (pos - (first + l)) / (k - l)
+        mat[rows, first + k] = weight
+    return _frozen(mat)
 
 
 @functools.lru_cache(maxsize=None)
@@ -282,6 +300,7 @@ class _Objective:
     """
 
     def __init__(self, field, box, shape, stats=None):
+        self.box, self.shape = box, shape
         self.p_vals = _field_on_grid(field, box, shape)
         self.w = trapezoid_weights(box, shape)
         self.spacings = _spacings(box, shape)
@@ -360,18 +379,23 @@ def loss_gradient(grid: GridField, field: VectorField) -> np.ndarray:
 _NODE_TOL = 1e-2
 # FitResult.message of a fit that stopped at FitConfig.target
 TARGET_MET = "node-mean targets met"
+# FitResult.message of a fit whose final level stopped once its total fell
+# below the level before it by the mesh-width ratio (see fit)
+GAIN_MET = "refinement gain reached the mesh-width ratio"
+_STALLED = "no descent step found; stopped at the best iterate"
 # Coarsest grid the continuation ladder will drop to, nodes per axis.
 _MIN_COARSE = 9
-# A refinement step that shrinks the total by less than this factor, while
-# the residual itself stays above the floor, marks an obstruction: the
-# defect is a feature of the problem, not of the grid resolution.
-_GAIN_TOL = 12.0
+# A final level that ends above this floor without the refinement gain marks
+# an obstruction: the defect is a feature of the problem, not of the grid.
 _RESIDUAL_FLOOR = 1e-10  # per unit volume
 # Step halvings tried before a descent step counts as failed.
 _MAX_BACKTRACKS = 30
-# Iterations per progress window; a window that gains under 1% triggers a
-# recombination sweep.
+# Iterations per progress window.
 _CHECK_EVERY = 100
+# Share of the total that a progress window or a recombination round keeps
+# when it gains under 1%: the window then triggers a recombination sweep,
+# and the round ends it.
+_SLOW = 0.99
 # Passes a recombination sweep makes at most over all coordinate pairs.
 _MAX_SWEEP_ROUNDS = 40
 # Descent step each level starts from, and after every accepted sweep.
@@ -407,10 +431,13 @@ class FitResult:
     residual_concentration: float  # max node residual / median node residual
     level_totals: tuple          # endpoint loss of each ladder level run
     level_seconds: tuple         # wall seconds of each, aligned with level_totals
+    level_iterations: tuple      # steps of each, aligned with level_totals
+    level_stats: tuple           # FitStats of each, aligned with level_totals
     refinement_gain: Optional[float]  # level_totals[-2] / level_totals[-1]
+    gain_tol: Optional[float]    # mesh-width ratio of the last two levels run
     elevated_residual: bool      # refinement failed to shrink the residual
     message: str
-    stats: FitStats
+    stats: FitStats              # level_stats summed
 
 
 def _node_diagnostics(terms):
@@ -467,10 +494,10 @@ def _budget_split(iterations, n_levels):
     return out
 
 
-def _prolong(values, shape_from, shape_to):
-    """Linear interpolation of grid values onto a finer node set, per axis."""
-    for ax, (n_from, n_to) in enumerate(zip(shape_from, shape_to)):
-        values = _along(_lerp_matrix(n_from, n_to), values, ax + 1)
+def _prolong(values, shape_to):
+    """Cubic interpolation of grid values onto a finer node set, per axis."""
+    for ax, (n_from, n_to) in enumerate(zip(values.shape[1:], shape_to)):
+        values = _along(_cubic_matrix(n_from, n_to), values, ax + 1)
     return values
 
 
@@ -553,13 +580,14 @@ def _recombine_sweep(objective, values, total, terms):
     Any function of w = y_i - y_j with zero unit-rate defect leaves A alone,
     so plain descent drifts along these valleys instead of crossing them.
     Sweeping exact line moves over w itself and low-order Chebyshev shapes
-    of it jumps across, repeating until a full pass finds nothing.  Returns
-    the best (values, total, terms) found.
+    of it jumps across, round after round over all pairs, until a round
+    gains under 1% (or _MAX_SWEEP_ROUNDS).  Returns the best (values, total,
+    terms) found.
     """
     stats = objective.stats
     stats.sweeps += 1
     for _ in range(_MAX_SWEEP_ROUNDS):
-        improved = False
+        start = total
         for i, j in itertools.permutations(range(len(values)), 2):
             w = values[i] - values[j]
             lo, hi = float(np.min(w)), float(np.max(w))
@@ -572,32 +600,33 @@ def _recombine_sweep(objective, values, total, terms):
                 if got is not None:
                     values, total, terms = got
                     stats.line_moves += 1
-                    improved = True
-        if not improved:
+        if not total < _SLOW * start:
             break
     return values, total, terms
 
 
-def _descend(field, values, box, shape, iters, stats, record=None, target=0.0):
+def _descend(objective, values, iters, record=None, target=0.0, enough=0.0):
     """Smoothed-gradient descent with recombination sweeps on one grid.
 
-    Returns (values, total, terms, steps_run, stalled, met_target).  Every
-    accepted step strictly decreases the loss; when backtracking fails, or
-    progress over a window slows to a crawl, a recombination sweep tries to
-    jump the iterate across a loss valley before giving up.  The backtracks
-    after a rejected momentum trial lie on values - s * direction, so each
-    is scored from G - s * grad(direction) (see the module notes).
+    Returns (values, total, terms, steps_run, message), the message saying
+    why the level stopped.  Every accepted step strictly decreases the loss;
+    when backtracking fails, or progress over a window slows to a crawl, a
+    recombination sweep tries to jump the iterate across a loss valley
+    before giving up.  The backtracks after a rejected momentum trial lie on
+    values - s * direction, so each is scored from G - s * grad(direction)
+    (see the module notes).  The level stops early once both node-mean
+    defects are at most target > 0, or once its total is at most enough.
     """
-    objective = _Objective(field, box, shape, stats)
+    box, shape = objective.box, objective.shape
     values = _pin_corner(values)
     total, terms = objective.evaluate(values)
     if not np.isfinite(total):
         raise FloatingPointError("loss is non-finite at the initial iterate")
+    stats = objective.stats
     step = _STEP_SIZE
     velocity = np.zeros_like(values)
     window_last = total
-    stalled = False
-    met_target = False
+    message = "iteration budget exhausted"
     it = 0
     while it < iters:
         stats.gradients += 1
@@ -608,6 +637,7 @@ def _descend(field, values, box, shape, iters, stats, record=None, target=0.0):
         if not np.isfinite(norm2):
             _raise_non_finite([grad], box, shape, "loss gradient")
         if norm2 == 0.0:
+            message = "gradient vanished"
             break
         passes = _smoothing_passes(it, iters)
         direction = _smoothed(grad, passes) if passes else grad
@@ -640,7 +670,7 @@ def _descend(field, values, box, shape, iters, stats, record=None, target=0.0):
         if record is not None:
             record.append(total)
 
-        slow = it % _CHECK_EVERY == 0 and total > 0.99 * window_last
+        slow = it % _CHECK_EVERY == 0 and total > _SLOW * window_last
         if it % _CHECK_EVERY == 0:
             window_last = total
         if not accepted or slow:
@@ -652,35 +682,46 @@ def _descend(field, values, box, shape, iters, stats, record=None, target=0.0):
                 if record is not None and record:
                     record[-1] = total
             elif not accepted:
-                stalled = True
+                message = _STALLED
                 break
         if target > 0.0:
             node_a, node_b, _, _ = _node_diagnostics(terms)
             if float(np.max(node_a)) <= target and node_b <= target:
-                met_target = True
+                message = TARGET_MET
                 break
-    return values, total, terms, it, stalled, met_target
+        if total <= enough:
+            message = GAIN_MET
+            break
+    return values, total, terms, it, message
 
 
 def fit(field: VectorField, box, shape, cfg: Optional[FitConfig] = None) -> FitResult:
     """Minimize the functional by coarse-to-fine continuation.
 
-    A random-affine start is placed on a coarsened copy of the grid and the
-    iterate is descended and prolonged level by level up to the requested
-    shape, so large-scale structure settles before fine-scale detail exists
-    to fight it.  Each level runs smoothed-gradient descent with momentum
-    (smoothing annealed away as the level's budget is spent) plus
-    recombination sweeps when progress stalls.
+    A random-affine start is placed on the coarsest grid of a ladder and the
+    iterate is descended and prolonged (cubic interpolation per axis) level
+    by level up to the requested shape, so large-scale structure settles
+    before fine-scale detail exists to fight it.  Each level runs
+    smoothed-gradient descent with momentum (smoothing annealed away as the
+    level's budget is spent) plus recombination sweeps when progress stalls,
+    and every coarser level ends with one more sweep, so that it hands its
+    finer neighbour a converged iterate.
+
+    The final level stops once its total has fallen below the level before
+    it by gain_tol, the ratio of their mesh widths (largest node spacings):
+    on a consistent scheme the loss of a smooth solution falls at least like
+    the mesh width, so refinement has then paid off.  A final level that
+    spends its budget without that gain, while its loss sits well above
+    round-off, holds a defect that does not behave like discretization
+    error, and the result is flagged elevated_residual: with an adequate
+    budget that marks an obstruction in the problem itself, such as
+    coordinates that blow up inside the box.  A met FitConfig.target stops
+    the final level first and flags nothing.
 
     Deterministic for a fixed cfg: initialization comes from the seeded PRNG
     and every accepted step strictly decreases the loss, so history is
     non-increasing.  history covers only the requested grid, one entry per
-    step; coarser continuation levels report through level_totals.  When the
-    ladder reaches the final grid and the loss barely improves on the level
-    before it, while sitting well above round-off, the defect does not
-    behave like discretization error and the result is flagged
-    elevated_residual: with an adequate budget that marks an obstruction in
-    the problem itself, such as coordinates that blow up inside the box.
+    step; coarser continuation levels report through level_totals.
     """
     cfg = cfg or FitConfig()
     box = np.asarray(box, dtype=float)
@@ -693,69 +734,63 @@ def fit(field: VectorField, box, shape, cfg: Optional[FitConfig] = None) -> FitR
     _check_grid(box, shape)
 
     ladder = _coarse_ladder(shape)
-    p_coarse = _field_on_grid(field, box, ladder[0])
-    values = _affine_init(box, ladder[0], p_coarse, cfg.seed)
     budgets = _budget_split(cfg.iterations, len(ladder))
-
     history: list = []
-    level_totals = []
-    level_seconds = []
-    stats = FitStats()
-    iterations_run = 0
-    stalled = False
-    met_target = False
-    budget_left = False
+    level_totals, level_seconds, level_iterations, level_stats = [], [], [], []
+    gain_tol = None
+    values = None
     for li, level_shape in enumerate(ladder):
         final = li == len(ladder) - 1
-        if li > 0:
-            values = _prolong(values, ladder[li - 1], level_shape)
         if budgets[li] <= 0 and not final:
             continue
         clock = time.perf_counter()
-        values, total, terms, steps, level_stalled, met = _descend(
-            field, values, box, level_shape, budgets[li], stats,
+        objective = _Objective(field, box, level_shape, FitStats())
+        enough = 0.0
+        if values is None:
+            values = _affine_init(box, level_shape, objective.p_vals, cfg.seed)
+        else:
+            if final:  # the mesh width is the largest node spacing
+                gain_tol = float(np.max(_spacings(box, values.shape[1:]))
+                                 / np.max(_spacings(box, level_shape)))
+                enough = level_totals[-1] / gain_tol
+            values = _prolong(values, level_shape)
+        values, total, terms, steps, message = _descend(
+            objective, values, budgets[li],
             record=history if final else None,
             target=cfg.target if final else 0.0,
+            enough=enough,
         )
+        if not final:
+            values, total, terms = _recombine_sweep(objective, values, total, terms)
         level_totals.append(total)
         level_seconds.append(time.perf_counter() - clock)
-        iterations_run += steps
-        if final:
-            stalled = level_stalled
-            met_target = met
-            budget_left = steps < budgets[li]
+        level_iterations.append(steps)
+        level_stats.append(objective.stats)
 
     a_term, b_term = terms.A, terms.B
     node_a, node_b, unit_mean, concentration = _node_diagnostics(terms)
 
     # a target looser than _NODE_TOL only stops the fit early
     converged = float(np.max(node_a)) <= _NODE_TOL and node_b <= _NODE_TOL
-    if met_target:
-        message = TARGET_MET
-    elif stalled:
-        message = "no descent step found; stopped at the best iterate"
-    elif budget_left:
-        message = "gradient vanished"
-    else:
-        message = "iteration budget exhausted"
-
+    stalled = message == _STALLED
     refinement_gain = None
     elevated = False
-    if len(level_totals) >= 2:
+    if gain_tol is not None:
         refinement_gain = float(level_totals[-2] / max(level_totals[-1], 1e-300))
         volume = float(np.prod(box[:, 1] - box[:, 0]))
         # an early target stop leaves the final total unconverged, which
-        # would fake a weak gain; only a fully spent level is evidence
+        # would fake a weak gain; only a level that ran out is evidence
         elevated = (
-            not met_target
-            and refinement_gain < _GAIN_TOL
+            message not in (TARGET_MET, GAIN_MET)
+            and refinement_gain < gain_tol
             and level_totals[-1] > _RESIDUAL_FLOOR * volume
         )
     if elevated:
         message += (
-            f"; elevated residual: refinement gain {refinement_gain:.2g}, the "
-            "defect survives grid refinement (obstruction on the patch, or "
-            "budget too small to resolve it)"
+            f"; elevated residual: refinement gain {refinement_gain:.3g} below"
+            f" the mesh-width ratio {gain_tol:.3g}, the defect survives grid"
+            " refinement (obstruction on the patch, or budget too small to"
+            " resolve it)"
         )
 
     return FitResult(
@@ -766,17 +801,20 @@ def fit(field: VectorField, box, shape, cfg: Optional[FitConfig] = None) -> FitR
         total=float(a_term + b_term),
         converged=converged,
         stalled=stalled,
-        iterations_run=iterations_run,
+        iterations_run=sum(level_iterations),
         node_mean_a=node_a,
         node_mean_b=node_b,
         unit_mean=unit_mean,
         residual_concentration=concentration,
         level_totals=tuple(level_totals),
         level_seconds=tuple(level_seconds),
+        level_iterations=tuple(level_iterations),
+        level_stats=tuple(level_stats),
         refinement_gain=refinement_gain,
+        gain_tol=gain_tol,
         elevated_residual=elevated,
         message=message,
-        stats=stats,
+        stats=FitStats(*map(sum, zip(*map(dataclasses.astuple, level_stats)))),
     )
 
 

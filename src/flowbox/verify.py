@@ -98,9 +98,9 @@ class _Worst:
         return bool(ok), detail, metrics
 
 
-def _worked_chart(system_id):
+def _worked_chart(system_id, stats):
     ref = refsol.reference(system_id)
-    return ref, chart_mod.build_chart(ref.field, ref.surface_name)
+    return ref, chart_mod.build_chart(ref.field, ref.surface_name, stats=stats)
 
 
 def _chart_coords(chart, points, system_id, stats, worst):
@@ -224,7 +224,7 @@ def check_flowbox_law(seed=0):
                                 f" pairs in {MAX_LAW_TRIES} tries", stats)
         ends = np.array([x for x, _ in pairs] + [xt for _, xt in pairs])
         if kind == "chart":
-            zs, bad = _chart_coords(_worked_chart(system_id)[1], ends,
+            zs, bad = _chart_coords(_worked_chart(system_id, stats)[1], ends,
                                     system_id, stats, worst)
             if bad:
                 return worst.result(False, bad, stats)
@@ -249,7 +249,7 @@ def check_chart_vs_refsol(seed=0):
     worst = _Worst()
     stats = RunStats()
     for idx, system_id in enumerate(WORKED):
-        ref, built = _worked_chart(system_id)
+        ref, built = _worked_chart(system_id, stats)
         pts = ref.sample_valid(_rng(seed + idx), CHART_POINTS)
         if system_id == "hyperbolic-b":
             pts = np.vstack([pts, LN2_POINT])
@@ -312,7 +312,7 @@ def check_recurrence_audit(seed=0):
         x0, times = max(report.violations, key=lambda v: len(v[1]))
         worst.see(len(times), f"rotation-c:{name}", x0, count=report.tested_points)
     for system_id in WORKED:
-        built = _worked_chart(system_id)[1]
+        built = _worked_chart(system_id, stats)[1]
         report = chart_mod.check_nonrecurrent(built.surface, built.field,
                                               n_orbits=N_ORBITS, stats=stats)
         worst.points += report.tested_points

@@ -24,6 +24,7 @@ from flowbox.cli import (
     parse_eigenvalue,
     parse_grid_spec,
 )
+from flowbox.dynsys import VectorField
 from flowbox.odeint import RunStats
 from flowbox.varfit import load_grid
 
@@ -320,7 +321,9 @@ def test_kef_check_writes_deterministic_stats(tmp_path):
 
 def test_kef_check_stats_have_chart_builds_shape(tmp_path):
     # both commands report an audit and an evaluate RunStats; kef-check runs
-    # no recurrence audit, so its audit counts are zeros in either mode
+    # no recurrence audit, so its audit integrates nothing: --minimal-set
+    # counts only the field call of its transversality samples, --phi
+    # builds no chart and reads zeros
     grid = ["--grid", "0.9x1.1x2,0.2x0.3x2"]
     runs = {
         "chart": ["chart-build", "--system", "hyperbolic-b", "--surface", "line-b"],
@@ -337,7 +340,9 @@ def test_kef_check_stats_have_chart_builds_shape(tmp_path):
     assert stats["chart"]["audit"]["lanes"] > 0
     for name in ("minimal", "phi"):
         assert set(stats[name]["audit"]) == set(stats[name]["evaluate"]) == fields
-        assert not any(stats[name]["audit"].values())
+    assert {k: v for k, v in stats["minimal"]["audit"].items() if v} == {
+        "rhs_calls": 1, "rhs_evals": 64}  # check_transversal's default samples
+    assert not any(stats["phi"]["audit"].values())
     assert stats["minimal"]["evaluate"]["lanes"] > 0
 
 
@@ -507,13 +512,23 @@ def test_varfit_writes_grids_history_manifest(tmp_path, capsys):
     assert set(summary["stats"]) == {
         "loss_evals", "gradients", "backtracks", "sweeps", "line_moves"}
     assert summary["stats"]["gradients"] == summary["iterations_run"]
+    # per-level work, aligned with level_totals, sums to the fit's
+    levels = len(summary["level_totals"])
+    assert len(summary["level_iterations"]) == levels
+    assert sum(summary["level_iterations"]) == summary["iterations_run"]
+    assert set(summary["level_stats"]) == set(summary["stats"])
+    for key, per_level in summary["level_stats"].items():
+        assert len(per_level) == levels
+        assert sum(per_level) == summary["stats"][key]
     assert set(manifest["timings"]) == {"fit_s", "levels_s", "write_s"}
     levels_s = manifest["timings"]["levels_s"]
     assert len(levels_s) == len(summary["level_totals"])
     assert all(s >= 0.0 for s in levels_s) and sum(levels_s) <= manifest["timings"]["fit_s"]
     assert manifest["peak_rss_mb"] > 0.0
     assert manifest["seed"] == 0
-    assert "varfit:" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out.startswith("varfit:")
+    assert f"after {summary['iterations_run']} of 60 iterations" in out
 
 
 def test_varfit_diagnostic_on_missed_targets(tmp_path, capsys):
@@ -528,6 +543,24 @@ def test_varfit_diagnostic_on_missed_targets(tmp_path, capsys):
     assert "singular set" in captured.err
 
 
+def test_varfit_diagnostic_names_the_gain_and_its_threshold(tmp_path, capsys):
+    # across the singular line the final level spends its budget without
+    # gaining the mesh-width ratio 11/8 of the 9 -> 12 ladder step
+    code = main([
+        "varfit", "--system", "linear-ar", "--grid", "2.5x3x12,2.5x3x12",
+        "--iterations", "300", "--seed", "0", "--out", str(tmp_path),
+    ])
+    assert code == EXIT_OK
+    captured = capsys.readouterr()
+    summary = json.loads((tmp_path / "manifest.json").read_text())["summary"]
+    assert summary["elevated_residual"]
+    assert summary["gain_tol"] == pytest.approx(11.0 / 8.0, rel=1e-12)
+    assert "converged after 300 of 300 iterations" in captured.out
+    assert (f"residual stuck across grid refinement (gain"
+            f" {summary['refinement_gain']:.3g} below the mesh-width ratio 1.38)"
+            in captured.err)
+
+
 def test_varfit_diagnostic_on_a_target_stop(tmp_path, capsys):
     # a target far above the tolerance stops the fit after one step: the
     # diagnostic names the target, not a singular set
@@ -537,7 +570,7 @@ def test_varfit_diagnostic_on_a_target_stop(tmp_path, capsys):
     ])
     assert code == EXIT_OK
     captured = capsys.readouterr()
-    assert "NOT converged after 1 iterations" in captured.out
+    assert "NOT converged after 1 of 20 iterations" in captured.out
     assert "diagnostic: the fit stopped at --target 1e+09, above the node-mean" \
         " tolerance" in captured.err
     assert "singular set" not in captured.err
@@ -888,6 +921,25 @@ def test_every_integrated_lane_is_reported(tmp_path, capsys, monkeypatch):
     assert main(["verify-all", "--out", str(tmp_path / "verify")]) == EXIT_OK
     report = json.loads((tmp_path / "verify" / "verify_report.json").read_text())
     assert sum(integrated) == sum(r["metrics"]["stats"]["lanes"] for r in report["suites"]) > 0
+
+
+def test_every_field_row_of_a_chart_build_is_reported(tmp_path, monkeypatch):
+    # the transversality samples, the recurrence audit and the charted
+    # points all add their field calls and rows into the manifest's stats
+    calls, rows = [], []
+    eval_grid = VectorField.eval_grid
+
+    def counting(self, coords):
+        calls.append(1)
+        rows.append(np.size(coords[0]))
+        return eval_grid(self, coords)
+
+    monkeypatch.setattr(VectorField, "eval_grid", counting)
+    assert main(["chart-build", "--system", "hyperbolic-b", "--surface", "line-b",
+                 "--grid", "0.8x1.2x4,0.2x0.4x3", "--out", str(tmp_path)]) == EXIT_OK
+    stats = json.loads((tmp_path / "manifest.json").read_text())["summary"]["stats"]
+    assert len(calls) == stats["audit"]["rhs_calls"] + stats["evaluate"]["rhs_calls"]
+    assert sum(rows) == stats["audit"]["rhs_evals"] + stats["evaluate"]["rhs_evals"]
 
 
 def test_verify_all_dispatches_the_slow_suites_longest_first(monkeypatch):

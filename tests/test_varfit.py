@@ -10,9 +10,12 @@ from hypothesis import strategies as st
 from flowbox.dynsys import builtin, parse_system
 from flowbox.refsol import reference
 from flowbox.varfit import (
+    GAIN_MET,
     FitConfig,
     FitResult,
+    FitStats,
     GridField,
+    _MAX_SWEEP_ROUNDS,
     _NODE_TOL,
     _coarse_ladder,
     _Objective,
@@ -69,8 +72,8 @@ def test_diff_axis_transpose_is_adjoint(rng):
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-# Reference implementations of the per-axis operators as index-slice stencils,
-# a pass loop and a take/lerp; the matrix operators must agree with them.
+# Reference implementations of the per-axis operators as index-slice stencils
+# and a pass loop; the matrix operators must agree with them.
 
 
 @functools.lru_cache(maxsize=None)
@@ -119,24 +122,6 @@ def ref_smoothed(arr, passes):
     return out
 
 
-def ref_prolong(values, box, shape_from, shape_to):
-    out = values
-    for ax in range(len(shape_from)):
-        if shape_from[ax] == shape_to[ax]:
-            continue
-        xc = np.linspace(box[ax, 0], box[ax, 1], shape_from[ax])
-        xf = np.linspace(box[ax, 0], box[ax, 1], shape_to[ax])
-        idx = np.clip(np.searchsorted(xc, xf, side="right") - 1, 0, shape_from[ax] - 2)
-        t = (xf - xc[idx]) / (xc[idx + 1] - xc[idx])
-        lo = np.take(out, idx, axis=ax + 1)
-        hi = np.take(out, idx + 1, axis=ax + 1)
-        bshape = [1] * out.ndim
-        bshape[ax + 1] = len(xf)
-        t = t.reshape(bshape)
-        out = (1.0 - t) * lo + t * hi
-    return out
-
-
 def assert_matches(got, ref):
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -177,12 +162,24 @@ def test_one_pass_smoother_is_symmetric_positive_definite(n):
     [(9, 9, 9), (9, 9, 9)],
     [(9, 9, 9), (17, 9, 12)],
 ])
-def test_prolongation_matrix_matches_take_and_lerp(shapes, rng):
+def test_prolongation_reproduces_per_axis_cubics(shapes, rng):
+    # cubic Lagrange interpolation per axis, one-sided at the ends, is exact
+    # on products and sums of cubics in each coordinate
     box = np.array([[4.0, 6.0], [1.0, 3.0], [-2.0, 0.5]])[:len(shapes[0])]
+    n = len(shapes[0])
+    coeffs = rng.standard_normal((n, 2, n, 4))
+
+    def sampled(shape):
+        mesh = mesh_grid(box, shape)
+        cubics = [[np.polynomial.polynomial.polyval(mesh[a], c[a]) for a in range(n)]
+                  for c in coeffs[:, 0]]
+        shifts = [[np.polynomial.polynomial.polyval(mesh[a], c[a]) for a in range(n)]
+                  for c in coeffs[:, 1]]
+        return np.stack([np.prod(p, axis=0) + np.sum(q, axis=0)
+                         for p, q in zip(cubics, shifts)])
+
     for shape_from, shape_to in zip(shapes, shapes[1:]):
-        u = rng.standard_normal((len(shape_from),) + shape_from)
-        assert_matches(_prolong(u, shape_from, shape_to),
-                       ref_prolong(u, box, shape_from, shape_to))
+        assert_matches(_prolong(sampled(shape_from), shape_to), sampled(shape_to))
 
 
 def test_trapezoid_weights_integrate_constants():
@@ -454,12 +451,31 @@ def test_fit_maintained_terms_do_not_drift(reg_fit_small):
 
 
 def test_every_descent_trial_is_scored(reg_fit_small):
-    # with no recombination sweep, a level scores its start and then every
-    # trial of every step: the momentum trial and each rejected halving
+    # a level scores its start, every trial of every step (the momentum
+    # trial and each rejected halving) and the vertex of each line move its
+    # sweeps try; every coarse level ends with a sweep, and this fit's final
+    # level runs none, so its ledger is exact
     r = reg_fit_small
-    assert r.stats.sweeps == 0
-    assert r.stats.loss_evals == (len(r.level_totals) + r.stats.gradients
-                                  + r.stats.backtracks)
+    *coarse, final = r.level_stats
+    assert coarse and all(s.sweeps >= 1 for s in coarse)
+    assert final.sweeps == 0
+    for s in r.level_stats:
+        vertices = s.loss_evals - (1 + s.gradients + s.backtracks)
+        # two coordinates: two ordered pairs of four bases per round
+        assert s.line_moves <= vertices <= s.sweeps * _MAX_SWEEP_ROUNDS * 8
+        if s.sweeps == 0:
+            assert vertices == 0
+
+
+def test_level_work_sums_to_the_fit(reg_fit_small):
+    r = reg_fit_small
+    levels = len(r.level_totals)
+    assert len(r.level_iterations) == len(r.level_stats) == levels == 3
+    assert sum(r.level_iterations) == r.iterations_run
+    assert r.level_iterations[-1] == len(r.history)
+    for name in (f.name for f in dataclasses.fields(FitStats)):
+        assert sum(getattr(s, name) for s in r.level_stats) == getattr(r.stats, name)
+    assert [s.gradients for s in r.level_stats] == list(r.level_iterations)
 
 
 def test_fit_is_deterministic(reg_fit_small):
@@ -532,7 +548,11 @@ def test_fit_flags_nothing_on_a_regular_patch(ar_fits):
     r = ar_fits(BOX_REG)
     assert r.converged
     assert not r.elevated_residual
-    assert r.refinement_gain > 12.0
+    # 33 -> 64 nodes per axis: the mesh width shrinks by 63/32
+    assert r.gain_tol == pytest.approx(63.0 / 32.0, rel=1e-12)
+    assert r.refinement_gain >= r.gain_tol
+    assert r.message == GAIN_MET
+    assert r.iterations_run < 5000
     assert float(np.max(r.node_mean_a)) <= 1e-2
     assert r.node_mean_b <= 1e-2
 
@@ -543,8 +563,19 @@ def test_fit_flags_elevated_residual_across_a_singular_line(ar_fits):
     # residual refuses to shrink under grid refinement
     r = ar_fits(BOX_SING)
     assert r.elevated_residual
-    assert r.refinement_gain < 12.0
+    assert r.refinement_gain < r.gain_tol
+    assert r.iterations_run == 5000
     assert "elevated residual" in r.message
+
+
+def test_a_small_budget_still_tells_the_patches_apart():
+    # the final level of the regular patch reaches the mesh-width gain well
+    # inside 1500 iterations; the singular patch spends them without it
+    cfg = FitConfig(iterations=1500, seed=1)
+    reg = fit(AR, BOX_REG, (64, 64), cfg)
+    sing = fit(AR, BOX_SING, (64, 64), cfg)
+    assert not reg.elevated_residual and reg.message == GAIN_MET
+    assert sing.elevated_residual and sing.refinement_gain < sing.gain_tol
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -9,10 +9,10 @@ from flowbox.odeint import DEFAULT_CONFIG, flow
 
 def test_chart_check_fails_on_a_point_status(monkeypatch):
     # a horizon too short to reach the surface leaves points not-in-omega
-    def short_chart(system_id):
+    def short_chart(system_id, stats):
         ref = refsol.reference(system_id)
         cfg = dataclasses.replace(DEFAULT_CONFIG, horizon=0.2)
-        return ref, chart.build_chart(ref.field, ref.surface_name, cfg=cfg)
+        return ref, chart.build_chart(ref.field, ref.surface_name, cfg=cfg, stats=stats)
 
     monkeypatch.setattr(verify, "_worked_chart", short_chart)
     for check in (verify.check_chart_vs_refsol, verify.check_flowbox_law):
