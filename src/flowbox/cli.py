@@ -219,8 +219,8 @@ def _audited_chart(args, field, audit: RunStats, recurrence_audit: bool) -> tupl
     a value it rejects is a usage error.  Unless --force, the surface is
     audited for transversality and, with `recurrence_audit`, along
     AUDIT_ORBITS seeded orbits, the work of both added into `audit`; a
-    refusal raises AuditFailure.  `options` holds the resolved values every manifest
-    of a chart records.
+    refusal raises AuditFailure.  `options` holds the resolved values every
+    manifest of a chart records.
     """
     surface = _resolve_surface(args.surface)
     if surface.dim != field.dim:

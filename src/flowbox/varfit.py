@@ -382,6 +382,7 @@ TARGET_MET = "node-mean targets met"
 # FitResult.message of a fit whose final level stopped once its total fell
 # below the level before it by the mesh-width ratio (see fit)
 GAIN_MET = "refinement gain reached the mesh-width ratio"
+# FitResult.message of a fit whose final level found no descent step
 _STALLED = "no descent step found; stopped at the best iterate"
 # Coarsest grid the continuation ladder will drop to, nodes per axis.
 _MIN_COARSE = 9
