@@ -23,10 +23,10 @@ mesh-width ratio.  A final level that spends its budget without that gain
 flags an elevated residual.
 
 The loss is a polynomial of the derivative stack G[i, a] = dy_i/dx_a, which is
-linear in y: along a one-coordinate move it is an exact quadratic.  fit()
-scores a step's first (momentum) trial from its own derivatives and each
-halving after it from G - s * grad(direction), without a derivative
-product.  A recombination move scores only the vertex of its quadratic.
+linear in y: along a one-coordinate move it is an exact quadratic.  Every
+trial of a descent step lies on the ray y - s * direction, so fit() scores
+each from G - s * grad(direction), one derivative product per step.  A
+recombination move scores only the vertex of its quadratic.
 Every accepted iterate is compared on a total summed from its materialized
 terms.  FitStats.loss_evals counts those sums and backtracks every rejected
 descent trial.
@@ -401,8 +401,6 @@ _SLOW = 0.99
 _MAX_SWEEP_ROUNDS = 40
 # Descent step each level starts from, and after every accepted sweep.
 _STEP_SIZE = 1.0
-# Share of the last accepted step that a momentum trial adds.
-_MOMENTUM = 0.9
 
 
 @dataclasses.dataclass
@@ -613,10 +611,11 @@ def _descend(objective, values, iters, record=None, target=0.0, enough=0.0):
     why the level stopped.  Every accepted step strictly decreases the loss;
     when backtracking fails, or progress over a window slows to a crawl, a
     recombination sweep tries to jump the iterate across a loss valley
-    before giving up.  The backtracks after a rejected momentum trial lie on
-    values - s * direction, so each is scored from G - s * grad(direction)
-    (see the module notes).  The level stops early once both node-mean
-    defects are at most target > 0, or once its total is at most enough.
+    before giving up.  Every trial, the current step and each halving after
+    it, lies on values - s * direction, so each is scored from G - s *
+    grad(direction) (see the module notes).  The level stops early once
+    both node-mean defects are at most target > 0, or once its total is at
+    most enough.
     """
     box, shape = objective.box, objective.shape
     values = _pin_corner(values)
@@ -625,7 +624,6 @@ def _descend(objective, values, iters, record=None, target=0.0, enough=0.0):
         raise FloatingPointError("loss is non-finite at the initial iterate")
     stats = objective.stats
     step = _STEP_SIZE
-    velocity = np.zeros_like(values)
     window_last = total
     message = "iteration budget exhausted"
     it = 0
@@ -645,28 +643,18 @@ def _descend(objective, values, iters, record=None, target=0.0, enough=0.0):
 
         accepted = False
         trial_step = step
-        dG = None
-        for attempt in range(_MAX_BACKTRACKS + 1):
-            if attempt == 0:
-                trial = _pin_corner(values - trial_step * direction
-                                    + _MOMENTUM * velocity)
-                trial_total, trial_terms = objective.evaluate(trial)
-            else:
-                if dG is None:
-                    dG = objective.derivatives(direction)
-                trial = _pin_corner(values - trial_step * direction)
-                trial_total, trial_terms = objective.score(terms.G - trial_step * dG)
+        dG = objective.derivatives(direction)
+        for _ in range(_MAX_BACKTRACKS + 1):
+            trial_total, trial_terms = objective.score(terms.G - trial_step * dG)
             if np.isfinite(trial_total) and trial_total < total:
-                velocity = trial - values
-                values, total, terms = trial, trial_total, trial_terms
+                values = _pin_corner(values - trial_step * direction)
+                total, terms = trial_total, trial_terms
                 # gentle growth lets the step ride up to the curvature limit
                 step = trial_step * 1.3
                 accepted = True
                 break
             stats.backtracks += 1
             trial_step *= 0.5
-        if not accepted:
-            velocity = np.zeros_like(values)
         it += 1
         if record is not None:
             record.append(total)
@@ -678,7 +666,6 @@ def _descend(objective, values, iters, record=None, target=0.0, enough=0.0):
             v2, t2, terms2 = _recombine_sweep(objective, values, total, terms)
             if t2 < total:
                 values, total, terms = v2, t2, terms2
-                velocity = np.zeros_like(values)
                 step = _STEP_SIZE
                 if record is not None and record:
                     record[-1] = total
@@ -703,8 +690,8 @@ def fit(field: VectorField, box, shape, cfg: Optional[FitConfig] = None) -> FitR
     iterate is descended and prolonged (cubic interpolation per axis) level
     by level up to the requested shape, so large-scale structure settles
     before fine-scale detail exists to fight it.  Each level runs
-    smoothed-gradient descent with momentum (smoothing annealed away as the
-    level's budget is spent) plus recombination sweeps when progress stalls,
+    smoothed-gradient descent (smoothing annealed away as the level's
+    budget is spent) plus recombination sweeps when progress stalls,
     and every coarser level ends with one more sweep, so that it hands its
     finer neighbour a converged iterate.
 

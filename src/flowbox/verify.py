@@ -312,12 +312,13 @@ def check_recurrence_audit(seed=0):
         x0, times = max(report.violations, key=lambda v: len(v[1]))
         worst.see(len(times), f"rotation-c:{name}", x0, count=report.tested_points)
     for system_id in WORKED:
-        built = _worked_chart(system_id, stats)[1]
-        report = chart_mod.check_nonrecurrent(built.surface, built.field,
+        ref = refsol.reference(system_id)
+        surface = chart_mod.builtin_surface(ref.surface_name)
+        report = chart_mod.check_nonrecurrent(surface, ref.field,
                                               n_orbits=N_ORBITS, stats=stats)
         worst.points += report.tested_points
         if report.verdict != "pass":
-            detail = f"{built.surface.name} under {system_id} flagged recurrent"
+            detail = f"{surface.name} under {system_id} flagged recurrent"
             return worst.result(False, detail, stats)
     return worst.result(
         worst.value >= 2,

@@ -439,10 +439,10 @@ def test_fit_history_strictly_bookkept(reg_fit_small):
     assert r.grid.values[1, 0, 0] == 0.0
 
 
-def test_fit_maintained_terms_do_not_drift(reg_fit_small):
-    # backtracks are scored from linearly updated derivatives and line moves
-    # from one moved row; the returned terms must still match a fresh loss
-    r = reg_fit_small
+def _assert_terms_match_a_fresh_loss(r):
+    # descent trials are scored from linearly updated derivatives and line
+    # moves from one moved row; the returned terms must still match a fresh
+    # loss
     a, b, _ = loss(r.grid, AR)
     assert r.loss_a == pytest.approx(a, rel=1e-9)
     assert r.loss_b == pytest.approx(b, rel=1e-9)
@@ -450,9 +450,22 @@ def test_fit_maintained_terms_do_not_drift(reg_fit_small):
     assert 0 < r.stats.backtracks
 
 
+def test_fit_maintained_terms_do_not_drift(reg_fit_small):
+    _assert_terms_match_a_fresh_loss(reg_fit_small)
+
+
+def test_full_length_fits_do_not_drift(ar_fits):
+    # acceptance 7's 64x64 fits run thousands of steps, each scored from
+    # linearly updated derivatives
+    for box in (BOX_REG, BOX_SING):
+        r = ar_fits(box)
+        assert r.iterations_run >= 1500
+        _assert_terms_match_a_fresh_loss(r)
+
+
 def test_every_descent_trial_is_scored(reg_fit_small):
-    # a level scores its start, every trial of every step (the momentum
-    # trial and each rejected halving) and the vertex of each line move its
+    # a level scores its start, every trial of every step (the current step
+    # and each halving after a rejection) and the vertex of each line move its
     # sweeps try; every coarse level ends with a sweep, and this fit's final
     # level runs none, so its ledger is exact
     r = reg_fit_small
