@@ -16,7 +16,7 @@ _EXPORTS = {
     "dynsys": ("OutOfDomainError", "VectorField", "builtin", "builtin_names",
                "parse_system", "system_from_json"),
     "expressions": ("DomainError", "ExpressionError", "parse_expression"),
-    "odeint": ("DEFAULT_CONFIG", "CrossingEvent", "DomainExit", "IntegrationError",
+    "odeint": ("DEFAULT_CONFIG", "Crossings", "DomainExit", "IntegrationError",
                "IntegratorConfig", "Orbit", "RunStats", "StepLimitExceeded",
                "find_crossings", "find_crossings_batch", "flow", "trace_orbit"),
     "chart": ("AmbiguousChart", "Chart", "ChartError", "NonRecurrenceReport",

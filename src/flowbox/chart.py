@@ -24,6 +24,7 @@ from .dynsys import OutOfDomainError, VectorField
 from .fdiff import fd_gradient_rows
 from .odeint import (
     DEFAULT_CONFIG,
+    Crossings,
     IntegrationError,
     IntegratorConfig,
     RunStats,
@@ -477,21 +478,17 @@ def check_nonrecurrent_batch(
         for surface in surfaces
     ]
     owners = [surface for surface, x in zip(surfaces, seeds) for _ in x]
-    results = find_crossings_batch(field, np.concatenate(seeds), owners, cfg, stats)
+    found = find_crossings_batch(field, np.concatenate(seeds), owners, cfg, stats)
+    failed = _point_failures(found.errors)
+    counted = (found.direction != 0) & found.on_patch
+    counts = np.bincount(found.point[counted], minlength=len(found.errors))
     reports = []
     start = 0
     for x, trans in zip(seeds, trans_failures):
-        violations = []
-        failures = []
-        for x0, events in zip(x, results[start:start + len(x)]):
-            if isinstance(events, POINT_ERRORS):
-                failures.append((x0, str(events)))
-                continue
-            if isinstance(events, BaseException):
-                raise events
-            crossing_times = [e.t for e in events if e.direction != 0 and e.on_patch]
-            if len(crossing_times) > 1:
-                violations.append((x0, tuple(crossing_times)))
+        mine = np.arange(start, start + len(x))
+        violations = [(x[i - start], tuple(found.t[counted & (found.point == i)].tolist()))
+                      for i in mine[counts[mine] > 1]]
+        failures = [(x[i - start], str(found.errors[i])) for i in mine[failed[mine]]]
         start += len(x)
         reports.append(NonRecurrenceReport(
             tested_points=len(x),
@@ -549,25 +546,34 @@ def build_chart(
     return Chart(field=field, surface=surface, cfg=cfg)
 
 
-def _unique_crossing(chart: Chart, x, events):
-    """The one on-patch transversal crossing among events, else a ChartError."""
-    transversal = [e for e in events if e.direction != 0]
-    on_patch = [e for e in transversal if e.on_patch]
-    if len(on_patch) == 1:
-        return on_patch[0]
+def _point_failures(errors) -> np.ndarray:
+    """Where errors (one per point) holds an exception; the first that is
+    not one of POINT_ERRORS is raised."""
+    failed = np.not_equal(errors, None)
+    for err in errors[failed]:
+        if not isinstance(err, POINT_ERRORS):
+            raise err
+    return failed
+
+
+def _no_unique_crossing(chart: Chart, x, found: Crossings, point: int) -> ChartError:
+    """The error of a point whose crossings in found hold no single on-patch
+    transversal one."""
+    transversal = np.flatnonzero((found.point == point) & (found.direction != 0))
+    on_patch = transversal[found.on_patch[transversal]]
     if len(on_patch) > 1:
-        raise AmbiguousChart(
+        return AmbiguousChart(
             f"orbit through {np.asarray(x).tolist()} crosses {chart.surface.name}"
-            f" {len(on_patch)} times (t = {[round(e.t, 6) for e in on_patch]})"
+            f" {len(on_patch)} times (t = {[round(t, 6) for t in found.t[on_patch].tolist()]})"
         )
-    if transversal:
-        worst = min(transversal, key=lambda e: abs(e.t))
-        raise OffPatch(
+    if len(transversal):
+        worst = transversal[np.argmin(np.abs(found.t[transversal]))]
+        return OffPatch(
             f"orbit through {np.asarray(x).tolist()} meets the level set of"
             f" {chart.surface.name} only outside the patch"
-            f" (params {worst.params.tolist()} at t={worst.t:.6g})"
+            f" (params {found.params[worst].tolist()} at t={found.t[worst]:.6g})"
         )
-    raise NotInOmega(
+    return NotInOmega(
         f"orbit through {np.asarray(x).tolist()} does not cross"
         f" {chart.surface.name} within horizon {chart.cfg.horizon:g}"
     )
@@ -612,18 +618,18 @@ def error_status(err: BaseException) -> str:
 def _flowbox_batch(chart: Chart, points, stats: Optional[RunStats] = None) -> tuple:
     """flowbox() at many points (R, N) with one batched search: their
     coordinates (R, N), NaN where it fails, and per point the POINT_ERRORS
-    exception flowbox() raises there, or None."""
-    results = find_crossings_batch(chart.field, points, chart.surface, chart.cfg, stats)
+    exception flowbox() raises there, or None (an object array)."""
+    found = find_crossings_batch(chart.field, points, chart.surface, chart.cfg, stats)
+    errors = found.errors
+    _point_failures(errors)
+    chosen = (found.direction != 0) & found.on_patch
+    counts = np.bincount(found.point[chosen], minlength=len(points))
+    chosen &= counts[found.point] == 1
     z = np.full((len(points), chart.dim), np.nan)
-    errors = [None] * len(points)
-    for i, (x, events) in enumerate(zip(points, results)):
-        try:
-            if isinstance(events, BaseException):
-                raise events
-            event = _unique_crossing(chart, x, events)
-            z[i, :-1], z[i, -1] = event.params, 0.0 - event.t  # +0, not -0, on the surface
-        except POINT_ERRORS as err:
-            errors[i] = err
+    z[found.point[chosen], :-1] = found.params[chosen]
+    z[found.point[chosen], -1] = 0.0 - found.t[chosen]  # +0, not -0, on the surface
+    for i in np.flatnonzero(np.equal(errors, None) & (counts != 1)):
+        errors[i] = _no_unique_crossing(chart, points[i], found, i)
     return z, errors
 
 
@@ -634,22 +640,25 @@ def _flowbox_rows(chart: Chart, x) -> np.ndarray:
     one-point call."""
     x = np.asarray(x, dtype=float)
     z, errors = _flowbox_batch(chart, x.reshape(-1, x.shape[-1]))
-    for err in errors:
-        if err is not None:
-            raise err
+    failed = np.flatnonzero(np.not_equal(errors, None))
+    if failed.size:
+        raise errors[failed[0]]
     return z.reshape(x.shape)
 
 
 def evaluate_grid(
     chart: Chart, points: Sequence, stats: Optional[RunStats] = None
-) -> list:
+) -> tuple:
     """Evaluate flowbox coordinates at many points with one batched search.
 
-    Returns [(point, z-or-None, status)] in input order, each row equal to
-    what flowbox() gives for that point alone (or the status of the error it
-    raises).  The batch's work counters are added to `stats` when given.
+    Returns (z, status) in input order: z (R, N) and status (R,), an object
+    array of labels, row i equal to what flowbox() gives for point i alone,
+    or NaN and the status of the error it raises.  The batch's work counters
+    are added to `stats` when given.
     """
-    points = [np.asarray(p, dtype=float) for p in points]
+    points = np.asarray(points, dtype=float).reshape(len(points), chart.dim)
     z, errors = _flowbox_batch(chart, points, stats)
-    return [(p, zp, STATUS_OK) if err is None else (p, None, error_status(err))
-            for p, zp, err in zip(points, z, errors)]
+    status = np.full(len(points), STATUS_OK, dtype=object)
+    for i in np.flatnonzero(np.not_equal(errors, None)):
+        status[i] = error_status(errors[i])
+    return z, status

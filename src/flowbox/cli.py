@@ -58,6 +58,8 @@ EXIT_NUMERIC = 3
 
 # orbits chart-build seeds on the surface for the recurrence audit
 AUDIT_ORBITS = 16
+# every number a CSV output writes: format(v, ".17g") for a float v, "nan" included
+_NUMBER = "%.17g"
 # IntegratorConfig fields chart-build and kef-check take from the command line
 INTEGRATOR_OPTIONS = ("horizon", "abs_tol", "rel_tol")
 # FitConfig fields varfit takes from the command line and records
@@ -71,10 +73,6 @@ class UsageError(ValueError):
 class AuditFailure(Exception):
     """An audit refused the run: main prints 'audit failure: <message>' and
     exits with EXIT_AUDIT."""
-
-
-def _fmt(v) -> str:
-    return format(float(v), ".17g")
 
 
 def _now() -> str:
@@ -309,7 +307,7 @@ def cmd_chart_build(args) -> int:
     timings = {"audit_s": time.perf_counter() - clock}
 
     clock = time.perf_counter()
-    results = chart_mod.evaluate_grid(chart, points, stats=evaluate_stats)
+    z, status = chart_mod.evaluate_grid(chart, points, stats=evaluate_stats)
     timings["evaluate_s"] = time.perf_counter() - clock
 
     n = field.dim
@@ -318,16 +316,16 @@ def cmd_chart_build(args) -> int:
     clock = time.perf_counter()
     out = _out_dir(args.out)
     csv_path = out / "chart_grid.csv"
-    counts: dict = {}
+    # statuses in order of first appearance
+    labels, first, tally = np.unique(status, return_index=True, return_counts=True)
+    counts = {labels[k]: int(tally[k]) for k in np.argsort(first)}
+    row = ",".join([_NUMBER] * (2 * n) + ["%s"]) + "\n"
     with open(csv_path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for point, z, status in results:
-            counts[status] = counts.get(status, 0) + 1
-            cells = [_fmt(v) for v in point]
-            cells += ["nan"] * n if z is None else [_fmt(v) for v in z]
-            fh.write(",".join(cells + [status]) + "\n")
+        fh.writelines(row % (*cells, label) for cells, label
+                      in zip(np.concatenate([points, z], axis=1).tolist(), status))
 
-    total = len(results)
+    total = len(points)
     ok = counts.get(chart_mod.STATUS_OK, 0)
     summary = {
         "points": total,
@@ -406,18 +404,17 @@ def cmd_kef_check(args) -> int:
     out = _out_dir(args.out)
     csv_path = out / "kef_residuals.csv"
     header = [f"x{i + 1}" for i in range(n)] + ["member", "re", "im", "status"]
+    row = ",".join([_NUMBER] * n + ["%s", _NUMBER, _NUMBER, "%s"]) + "\n"
     magnitudes = []
     with open(csv_path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for label, member_results in zip(labels, results):
-            for point, (res, status) in zip(points, member_results):
+            for point, (res, status) in zip(points.tolist(), member_results):
                 if res is None:
                     res = complex(np.nan, np.nan)
                 else:
                     magnitudes.append(abs(res))
-                cells = [_fmt(v) for v in point]
-                cells += [label, _fmt(res.real), _fmt(res.imag), status]
-                fh.write(",".join(cells) + "\n")
+                fh.write(row % (*point, label, res.real, res.imag, status))
 
     summary = {
         "points": len(points),
@@ -480,7 +477,7 @@ def cmd_varfit(args) -> int:
     with open(hist_csv, "w", newline="") as fh:
         fh.write("iteration,total\n")
         for i, v in enumerate(result.history, start=1):
-            fh.write(f"{i},{_fmt(v)}\n")
+            fh.write(f"{i},{_NUMBER % v}\n")
 
     summary = {k: getattr(result, k) for k in (
         "converged", "stalled", "iterations_run", "loss_a", "loss_b", "total",

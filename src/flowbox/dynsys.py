@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 DEFAULT_HALF_WIDTH = 10.0
+DOMAIN_SLACK = 1e-12  # how far outside its box a row still lies in a field's domain
 
 
 class OutOfDomainError(ValueError):
@@ -71,12 +72,12 @@ class VectorField:
             raise ValueError("domain must be (dim, 2) with lo < hi per axis")
         object.__setattr__(self, "domain", dom)
 
-    def contains(self, x, slack: float = 1e-12):
+    def contains(self, x):
         """Whether each row of x (..., N) lies in the domain box widened by
-        slack; a single point gives one bool."""
+        DOMAIN_SLACK; a single point gives one bool."""
         x = np.asarray(x, dtype=float)
-        return np.all((x >= self.domain[:, 0] - slack)
-                      & (x <= self.domain[:, 1] + slack), axis=-1)
+        return np.all((x >= self.domain[:, 0] - DOMAIN_SLACK)
+                      & (x <= self.domain[:, 1] + DOMAIN_SLACK), axis=-1)
 
     def eval(self, x, check_domain: bool = True) -> np.ndarray:
         """P at every row of x (..., N), shape (..., N); a single point is the

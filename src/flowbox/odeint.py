@@ -34,7 +34,8 @@ are refined together after the sweep, so no lane stops another, and a
 failed bracket ends its lane's crossings, not its integration (Hairer,
 Norsett & Wanner, Solving ODEs I, sections II.5, II.6 and II.10; Shampine,
 Gladwell & Brankin, ACM TOMS 17 (1991), on event pairs in a step).
-``find_crossings`` is the one-point case of ``find_crossings_batch``.
+``find_crossings_batch`` returns its crossings as one ``Crossings`` record of
+columns, one row per crossing; ``find_crossings`` is its one-point case.
 """
 from __future__ import annotations
 
@@ -50,7 +51,7 @@ from .fdiff import fd_gradient  # noqa: F401 (a binding the benchmark tracer pat
 __all__ = [
     "IntegratorConfig",
     "Orbit",
-    "CrossingEvent",
+    "Crossings",
     "RunStats",
     "IntegrationError",
     "StepLimitExceeded",
@@ -69,6 +70,7 @@ CROSSING_LEVEL_TOL = 1e-12  # root-find target for |level| on the interpolant
 MAX_ROOT_ITERATIONS = 200  # per crossing; the bracket collapses long before
 RATE_STEP = 1e-7  # time step of the central difference of the level along the flow
 HERMITE_BITS = 24  # bisections of a crossing's first iterate on its cubic Hermite
+MAX_STEPS = 1_000_000  # attempted-step budget per lane and sweep
 
 
 class IntegrationError(RuntimeError):
@@ -104,13 +106,11 @@ class IntegratorConfig:
     """Accuracy knobs of the adaptive Dormand-Prince 8(5,3) stepper.
 
     abs_tol, rel_tol : per-component error weights
-    max_steps : attempted-step budget per lane and sweep
     horizon : largest |t| flow() and find_crossings() will integrate to
     """
 
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9
-    max_steps: int = 1_000_000
     horizon: float = 50.0
 
     def __post_init__(self):
@@ -118,8 +118,6 @@ class IntegratorConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite: {value}")
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1: {self.max_steps}")
 
 
 DEFAULT_CONFIG = IntegratorConfig()
@@ -177,23 +175,32 @@ class Orbit:
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class CrossingEvent:
-    """One intersection of an orbit with a surface's zero level set.
+class Crossings:
+    """The intersections of a batch of orbits with a surface's zero level
+    set: one row per crossing, sorted by point and then by time.
 
-    t : crossing time relative to the query point (negative = in the past)
-    x : state at the crossing
-    params : surface parameters from param_inverse(x)
-    direction : sign of <grad level, P> at x, 0 only where it is exactly 0
-    level : residual level value after refinement
-    on_patch : whether params lie inside the open unit cube
+    point : (C,) index of the point whose orbit crosses
+    t : (C,) crossing time relative to that point (negative = in the past)
+    x : (C, N) state at the crossing
+    params : (C, N-1) surface parameters from param_inverse(x)
+    direction : (C,) sign of <grad level, P> at x, 0 only where it is exactly 0
+    level : (C,) residual level value after refinement
+    on_patch : (C,) whether params lie inside the open unit cube
+    errors : (P,) object array: per point the exception that failed its
+        search, or None; a failed point has no rows
     """
 
-    t: float
+    point: np.ndarray
+    t: np.ndarray
     x: np.ndarray
     params: np.ndarray
-    direction: int
-    level: float
-    on_patch: bool
+    direction: np.ndarray
+    level: np.ndarray
+    on_patch: np.ndarray
+    errors: np.ndarray
+
+    def __len__(self):
+        return len(self.t)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +443,9 @@ def _surface_groups(surface, count: int) -> tuple:
     """(surfaces, group): the distinct surfaces of a crossing search in order
     of first appearance, and per point the index of its own.  `surface` is
     one surface for all `count` points or a sequence of one per point."""
-    given = [surface] * count if hasattr(surface, "level") else list(surface)
+    if hasattr(surface, "level"):
+        return [surface], np.zeros(count, dtype=int)
+    given = list(surface)
     if len(given) != count:
         raise ValueError(f"got {len(given)} surfaces for {count} points")
     first = {}
@@ -522,9 +531,9 @@ def _integrate(field: VectorField, x0, sign, T: float, cfg: IntegratorConfig,
 
     while ids.size:
         attempts += 1
-        if attempts > cfg.max_steps:
+        if attempts > MAX_STEPS:
             fail(slice(None), lambda _: StepLimitExceeded(
-                f"{field.name}: exceeded {cfg.max_steps} attempted steps (dop853)"
+                f"{field.name}: exceeded {MAX_STEPS} attempted steps (dop853)"
             ))
             break
         h = np.minimum(h, T - t)
@@ -555,7 +564,7 @@ def _integrate(field: VectorField, x0, sign, T: float, cfg: IntegratorConfig,
         ok = err_norm <= 1.0
         n_ok = int(np.count_nonzero(ok))
         # a NaN error norm (the field went NaN inside the step) would grow
-        # the step until max_steps: such lanes fail now; inf just rejects
+        # the step until MAX_STEPS: such lanes fail now; inf just rejects
         broken = None
         if n_ok < len(ids) and np.isnan(err_norm).any():
             broken = np.isnan(err_norm)
@@ -692,49 +701,33 @@ def _opposite(a, b):
     return ((a > 0.0) & (b < 0.0)) | ((a < 0.0) & (b > 0.0))
 
 
-def _events(field, surfaces, group, t, x, level, stats: RunStats) -> list:
-    """The CrossingEvent at each row of x (E, N), row e on the surface
-    surfaces[group[e]], or the exception its event raises, from one
-    param_inverse call and one level call per surface and one field call:
-    the direction is the sign of the level's rate along P, from the level
-    at x -+ RATE_STEP P(x).
+def _events(field, surfaces, group, x, stats: RunStats) -> tuple:
+    """(params, direction, on_patch, errors) of the event at each row of x
+    (E, N), row e on the surface surfaces[group[e]], from one param_inverse
+    call and one level call per surface and one field call: the direction
+    is the sign of the level's rate along P, from the level at
+    x -+ RATE_STEP P(x).  errors maps each row whose event raises to its
+    exception.
 
     A row's exception is the first of its param_inverse error, its field
     error and its level error (before, then after the row).
     """
     E, N = x.shape
-    errors = [None] * E
-
-    def fail_at(event_of):  # event_of[i]: the event of row i of a call
-        def fail(i, err):
-            if errors[event_of[i]] is None:
-                errors[event_of[i]] = err
-        return fail
+    errors = {}
 
     def params_of(surface, xs):
         return np.asarray(surface.param_inverse(xs), dtype=float).reshape(len(xs), N - 1)
 
-    own = fail_at(np.arange(E))
+    own = errors.setdefault  # the first error of a row is its event's
     params = _per_surface(params_of, surfaces, group, x, own, (N - 1,))
     on_patch = np.all((params > 0.0) & (params < 1.0), axis=1)
 
     step = RATE_STEP * _field_rows(field, x, own, stats)
     twice = np.tile(np.arange(E), 2)
     rate = _rate(*_levels(surfaces, group[twice], np.concatenate([x - step, x + step]),
-                          fail_at(twice), stats).reshape(2, E))
+                          lambda i, err: own(twice[i], err), stats).reshape(2, E))
     direction = np.where(rate > 0.0, 1, np.where(rate < 0.0, -1, 0))
-
-    return [
-        errors[e] if errors[e] is not None else CrossingEvent(
-            t=float(t[e]),
-            x=x[e],
-            params=params[e],
-            direction=int(direction[e]),
-            level=float(level[e]),
-            on_patch=bool(on_patch[e]),
-        )
-        for e in range(E)
-    ]
+    return params, direction, on_patch, errors
 
 
 def _dense_output(field, sign, x_old, x_new, h, stages, fail, stats: RunStats):
@@ -834,11 +827,11 @@ def _illinois(f, lo, hi, f_lo, f_hi, tol, collapse, stats: RunStats, first=None)
 class _CrossingScan:
     """Per-lane scan of accepted steps for crossings of the level l.
 
-    Lane i is point i % P swept forward (i < P) or backward (i >= P), on the
-    surface surfaces[group[i]].  A leading on-surface stretch (|l| <=
-    ON_SURFACE_TOL) is the start's own crossing: until an off-surface step
-    end arms a lane, its steps start at l = 0, so only a turning point off
-    the surface begins a search there.
+    Lane i is point i % P swept forward (i < P) or backward (i >= P), from
+    x0[i] on the surface surfaces[group[i]].  A leading on-surface stretch
+    (|l| <= ON_SURFACE_TOL) is the start's own crossing, found on its
+    forward lane: until an off-surface step end arms a lane, its steps start
+    at l = 0, so only a turning point off the surface begins a search there.
 
     Each step asks, in one level call, for l and its rate along the flow at
     its end (P there is the step's last stage; a lane's first step also asks
@@ -848,11 +841,16 @@ class _CrossingScan:
     of them after the sweep, as a root depends on its own step alone.  This
     assumes at most one turning point of l per accepted step: two leave the
     rate's sign at the ends unchanged and hide the excursion between them,
-    and one in a step that starts away from S faces away.  A lane's first
-    failed bracket ends its crossings (ended()), not its integration.
+    and one in a step that starts away from S faces away.
+
+    Crossings and failed brackets are kept as columns, each with its lane's
+    sequence number: -1 for the start, and the k-th batched step numbers its
+    pieces (see refine) 3k and 3k + 1 in time order and a zero at its end
+    3k + 2.  A lane's first failed bracket ends its crossings (located()),
+    not its integration.
     """
 
-    def __init__(self, field, surfaces, group, l0, sign, stats):
+    def __init__(self, field, surfaces, group, x0, l0, sign, stats):
         L = len(l0)
         self.field = field
         self.surfaces = surfaces
@@ -862,21 +860,15 @@ class _CrossingScan:
         self.last = np.array(l0, dtype=float)   # level at the newest sample
         self.rate = np.zeros(L)                 # its rate, from the first step on
         self.armed = np.abs(self.last) > ON_SURFACE_TOL
-        self.records = [[] for _ in range(L)]   # per lane, indices into found in sample order
-        # per record a list of crossings (t, x, level) in time order, ending
-        # at the exception of a failed bracket if any; None until refined
-        self.found = []
+        self.steps = 0      # batched steps seen
+        # column tuples (lane, seq, t, x, level) of crossings, from the starts on S
+        start = np.flatnonzero((np.abs(self.last) <= ON_SURFACE_TOL) & (sign > 0.0))
+        self.found = [(start, np.full(len(start), -1), np.zeros(len(start)), x0[start],
+                       self.last[start])]
+        self.broken = []    # (lane, seq, exception) of each failed bracket
         self.pending = []   # column tuples of unrefined brackets, see refine
         self.errors = [None] * L  # level errors of the scan itself
         self.failed = np.zeros(L, dtype=bool)
-
-    def _record(self, lanes, found):
-        """One record per lane, each found[i] = found; their indices i."""
-        start = len(self.found)
-        for lane in lanes:
-            self.records[lane].append(len(self.found))
-            self.found.append(found)
-        return np.arange(start, len(self.found))
 
     def __call__(self, lanes, t_old, x_old, t_new, x_new, h, stage):
         def fail(r, err):  # a lane whose level raises fails alone, not the batch
@@ -884,6 +876,8 @@ class _CrossingScan:
                 self.errors[lanes[r]] = err
                 self.failed[lanes[r]] = True
 
+        seq = 3 * self.steps
+        self.steps += 1
         # rows in time order: the rate points of a first step's start, then
         # the step's end between its own
         first = np.flatnonzero(t_old == 0.0)
@@ -907,54 +901,57 @@ class _CrossingScan:
             rows = np.flatnonzero(live & bracket)
             if rows.size:
                 self.pending.append((
-                    self._record(lanes[rows], None), lanes[rows], t_old[rows],
+                    lanes[rows], np.full(rows.size, seq), t_old[rows],
                     x_old[rows], x_new[rows], h[rows],
                     np.stack([stage(j)[rows] for j in range(13)], axis=1),
                     lp[rows], lnew[rows], rp[rows], rnew[rows],
                 ))
-            for r in np.flatnonzero(live & hit):
-                self._record([lanes[r]], [(self.sign[lanes[r]] * t_new[r], x_new[r].copy(), 0.0)])
+            rows = np.flatnonzero(live & hit)
+            self.found.append((lanes[rows], np.full(rows.size, seq + 2),
+                               self.sign[lanes[rows]] * t_new[rows], x_new[rows],
+                               np.zeros(rows.size)))
         failed = self.failed[lanes]
         return lanes[failed] if failed.any() else None
 
-    def ended(self, lane):
-        """(crossings, failure) of a refined lane: its (t, x, level) in sample
-        order up to its first failed bracket, and that bracket's exception
-        (None when every bracket was located)."""
-        crossings = []
-        for i in self.records[lane]:
-            for found in self.found[i]:
-                if isinstance(found, BaseException):
-                    return crossings, found
-                crossings.append(found)
-        return crossings, None
+    def located(self):
+        """(lane, seq, t, x, level, ended): the columns of every lane's
+        crossings before its first failed bracket, and a dict from each lane
+        that has a failed bracket to the first one's exception."""
+        lane, seq, t, x, level = (np.concatenate(c) for c in zip(*self.found))
+        first = np.full(len(self.failed), np.iinfo(np.int64).max)
+        b_lane, b_seq = np.array([b[:2] for b in self.broken], dtype=int).reshape(-1, 2).T
+        np.minimum.at(first, b_lane, b_seq)
+        ended = {k: err for k, s, err in self.broken if s == first[k]}
+        keep = seq < first[lane]
+        return lane[keep], seq[keep], t[keep], x[keep], level[keep], ended
 
     def refine(self):
         """The crossings of every bracketed step, on its dense output, in one
         root-find pass after the sweep.
 
-        Row r is the step found[ids[r]] of lane lanes[r], with stages (m, 13,
-        N), and the level l_a, l_b and its rate r_a, r_b at its ends.  A step
-        whose rate changes sign is split where the rate (a difference in
-        theta) has its root, to within RATE_STEP in time.  Each piece across
-        which the level changes sign holds one crossing: the point of least
-        |level| its root find saw, stopping at CROSSING_LEVEL_TOL or 1e-13 in
-        time, from the root of the cubic Hermite through the piece's end
-        levels and slopes in theta (h r_a, h r_b, and 0 at a turning point).
-        Above ON_SURFACE_TOL it is an IntegrationError, which ends the step's
-        crossings; a level or field row that raises fails the step.
+        Row r is a step of lane lanes[r] with sequence number seq[r], with
+        stages (m, 13, N), and the level l_a, l_b and its rate r_a, r_b at
+        its ends.  A step whose rate changes sign is split where the rate (a
+        difference in theta) has its root, to within RATE_STEP in time.
+        Each piece across which the level changes sign holds one crossing:
+        the point of least |level| its root find saw, stopping at
+        CROSSING_LEVEL_TOL or 1e-13 in time, from the root of the cubic
+        Hermite through the piece's end levels and slopes in theta (h r_a,
+        h r_b, and 0 at a turning point).  Above ON_SURFACE_TOL it is an
+        IntegrationError, which ends the step's crossings; a level or field
+        row that raises fails the step.
         """
         if not self.pending:
             return
-        ids, lanes, t_old, x_old, x_new, h, stages, l_a, l_b, r_a, r_b = (
+        lanes, seq, t_old, x_old, x_new, h, stages, l_a, l_b, r_a, r_b = (
             np.concatenate(c) for c in zip(*self.pending))
         self.pending = []
         m = len(lanes)
-        errors = [None] * m
+        errors = {}
         raised = np.zeros(m, dtype=bool)
 
         def fail(r, err):
-            if errors[r] is None:
+            if not raised[r]:
                 errors[r], raised[r] = err, True
 
         F = _dense_output(self.field, self.sign[lanes], x_old, x_new, h, stages, fail,
@@ -1004,18 +1001,16 @@ class _CrossingScan:
         x[theta == 1.0] = x_new[row[theta == 1.0]]  # the step's own end
         t = self.sign[lanes][row] * (t_old[row] + theta * h[row])
 
-        found = [[] for _ in range(m)]
-        for r, t_c, x_c, l_c in zip(row, t, x, level):
-            crossing = (t_c, x_c, l_c)
-            if not abs(l_c) <= ON_SURFACE_TOL:
-                crossing = IntegrationError(
-                    f"{self.field.name}: crossing near t={t_c:.6g} did not converge:"
-                    f" |level| = {abs(l_c):.3g} > {ON_SURFACE_TOL:g}"
-                    f" at x={x_c.tolist()}"
-                )
-            found[r].append(crossing)
-        for r in range(m):
-            self.found[ids[r]] = [errors[r]] if raised[r] else found[r]
+        # a piece's sequence number: its step's plus its rank in the step (row is sorted)
+        lane, at = lanes[row], seq[row] + np.arange(len(row)) - np.searchsorted(row, row)
+        ok = np.abs(level) <= ON_SURFACE_TOL
+        self.found.append((lane[ok], at[ok], t[ok], x[ok], level[ok]))
+        self.broken += [(lane[i], at[i], IntegrationError(
+            f"{self.field.name}: crossing near t={t[i]:.6g} did not converge:"
+            f" |level| = {abs(level[i]):.3g} > {ON_SURFACE_TOL:g}"
+            f" at x={x[i].tolist()}"
+        )) for i in np.flatnonzero(~ok)]
+        self.broken += [(lanes[r], seq[r], errors[r]) for r in np.flatnonzero(raised)]
 
 
 def find_crossings_batch(
@@ -1024,75 +1019,68 @@ def find_crossings_batch(
     surface,
     cfg: Optional[IntegratorConfig] = None,
     stats: Optional[RunStats] = None,
-) -> list:
+) -> Crossings:
     """find_crossings for many points as one lane-batched integration, whose
     lanes are each point's forward and backward sweep over cfg.horizon; the
     batch's work is added into stats when given.
 
     `surface` is one surface for every point or a sequence of one per point;
     each surface call is made once per surface present, in order of first
-    appearance.  results[i] is the sorted CrossingEvent list of points[i],
-    or the exception find_crossings would raise for it.  A field error
-    (ArithmeticError) on either lane, forward first, is a point's outcome;
-    then the forward lane's scan and stepper errors, then the backward
-    lane's.  Every bracketed step is refined after the sweep, in one pass,
-    and no lane stops another.
+    appearance.  Returns the Crossings of every point: point i's rows are
+    those find_crossings returns for points[i], and errors[i] the exception
+    it would raise.  A field error (ArithmeticError) on either lane, forward
+    first, is a point's outcome; then the forward lane's scan and stepper
+    errors, then the backward lane's.  Every bracketed step is refined after
+    the sweep, in one pass, and no lane stops another.
     """
     cfg = cfg or DEFAULT_CONFIG
     stats = RunStats() if stats is None else stats
     X = np.asarray(points, dtype=float).reshape(len(points), field.dim)
     P = len(X)
     surfaces, group = _surface_groups(surface, P)
-    results = [None] * P
-
-    def level_failed(p, err):  # the point's own failure, re-raised by find_crossings
-        results[p] = err
-
-    l0 = _levels(surfaces, group, X, level_failed, stats)
-    live = [p for p in range(P) if results[p] is None]
+    errors = np.full(P, None, dtype=object)
+    # a start whose level raises fails its point
+    l0 = _levels(surfaces, group, X, errors.__setitem__, stats)
+    live = np.flatnonzero(np.equal(errors, None))
     Q = len(live)
-    point = np.array(live + live, dtype=int)  # of each lane: forward lanes first
+    point = np.concatenate([live, live])  # of each lane: forward lanes first
     sign = np.concatenate([np.ones(Q), -np.ones(Q)])
-    scan = _CrossingScan(field, surfaces, group[point], l0[point], sign, stats)
-    _, errors = _integrate(field, X[point], sign, cfg.horizon, cfg, stats, scan)
+    scan = _CrossingScan(field, surfaces, group[point], X[point], l0[point], sign, stats)
+    outcome, stepped = _integrate(field, X[point], sign, cfg.horizon, cfg, stats, scan)
     scan.refine()
+    lane, seq, t, x, level, ended = scan.located()
 
-    def outcome(lane):
-        """(crossings, scan error, stepper error): a lane's failed bracket
-        ends its crossings and stands for any later error of its own."""
-        crossings, failure = scan.ended(lane)
-        if failure is not None:
-            return crossings, failure, None
-        return crossings, scan.errors[lane], errors[lane]
+    def lane_errors(k):
+        """(scan error, stepper error) of lane k: a failed bracket ends its
+        crossings and stands for any later error of its own."""
+        if k in ended:
+            return ended[k], None
+        return scan.errors[k], stepped[k]
 
-    # (point, t, x, level) of every event: per point the on-surface start,
-    # then per lane (forward first) its crossings
-    rows = []
-    for q, p in enumerate(live):
-        (c_fwd, s_fwd, i_fwd), (c_bwd, s_bwd, i_bwd) = outcome(q), outcome(Q + q)
+    failing = outcome == _FAILED
+    failing[list(ended)] = True
+    for q in np.flatnonzero(failing[:Q] | failing[Q:]):
+        (s_fwd, i_fwd), (s_bwd, i_bwd) = lane_errors(q), lane_errors(Q + q)
         raised = [e for e in (i_fwd, i_bwd) if isinstance(e, ArithmeticError)]
-        err = next((e for e in (*raised, s_fwd, i_fwd, s_bwd, i_bwd) if e is not None), None)
-        if err is not None:
-            results[p] = err
-            continue
-        results[p] = []
-        if abs(l0[p]) <= ON_SURFACE_TOL:
-            rows.append((p, 0.0, X[p], l0[p]))
-        rows += [(p, *c) for c in c_fwd + c_bwd]
-    if rows:
-        owner, t, x, level = zip(*rows)
-        events = _events(field, surfaces, group[list(owner)], t, np.array(x), level, stats)
-        for p, event in zip(owner, events):
-            if not isinstance(results[p], list):
-                continue  # the point already failed at an earlier event
-            if isinstance(event, BaseException):
-                results[p] = event
-            else:
-                results[p].append(event)
-    for p in live:
-        if isinstance(results[p], list):
-            results[p].sort(key=lambda e: e.t)
-    return results
+        errors[live[q]] = next((e for e in (*raised, s_fwd, i_fwd, s_bwd, i_bwd)
+                                if e is not None), None)
+
+    # the events of the points still standing, in the order of their calls:
+    # per point its lanes' crossings, forward first, each in sequence order
+    owner = point[lane]
+    rows = np.lexsort((seq, lane, owner))
+    rows = rows[np.equal(errors[owner[rows]], None)]
+    owner, t, x, level = owner[rows], t[rows], x[rows], level[rows]
+    params, direction, on_patch, failures = _events(field, surfaces, group[owner], x, stats)
+    for e in sorted(failures):  # a point fails at its first event that raises
+        if errors[owner[e]] is None:
+            errors[owner[e]] = failures[e]
+
+    keep = np.flatnonzero(np.equal(errors[owner], None))
+    keep = keep[np.lexsort((t[keep], owner[keep]))]
+    return Crossings(point=owner[keep], t=t[keep], x=x[keep], params=params[keep],
+                     direction=direction[keep], level=level[keep],
+                     on_patch=on_patch[keep], errors=errors)
 
 
 def find_crossings(
@@ -1101,9 +1089,10 @@ def find_crossings(
     surface,
     horizon: Optional[float] = None,
     cfg: Optional[IntegratorConfig] = None,
-) -> list:
+) -> Crossings:
     """All crossings of the orbit through x0 with a surface, both time
-    directions, sorted by time.
+    directions: the one-point Crossings of find_crossings_batch, sorted by
+    time, or the exception that failed its search, raised.
 
     A crossing is a sign change of the level on an accepted step's dense
     output, an exact zero at a step's end, or a start within ON_SURFACE_TOL
@@ -1121,7 +1110,8 @@ def find_crossings(
     """
     if horizon is not None:
         cfg = dataclasses.replace(cfg or DEFAULT_CONFIG, horizon=float(horizon))
-    (result,) = find_crossings_batch(field, [x0], surface, cfg=cfg)
-    if isinstance(result, BaseException):
-        raise result
-    return result
+    found = find_crossings_batch(field, [x0], surface, cfg=cfg)
+    (err,) = found.errors
+    if err is not None:
+        raise err
+    return found

@@ -107,12 +107,13 @@ def _chart_coords(chart, points, system_id, stats, worst):
     """(coords (R, N), None) of points from one evaluate_grid batch, or
     (None, detail) for the first point whose status is not ok, recorded as
     worst."""
-    rows = chart_mod.evaluate_grid(chart, points, stats=stats)
-    for x, _, status in rows:
-        if status != chart_mod.STATUS_OK:
-            worst.see(math.nan, f"{system_id}:{status}", x)
-            return None, f"{system_id} chart point {worst.point} has status {status}"
-    return np.array([z for _, z, _ in rows]), None
+    z, status = chart_mod.evaluate_grid(chart, points, stats=stats)
+    failed = np.flatnonzero(status != chart_mod.STATUS_OK)
+    if failed.size:
+        i = failed[0]
+        worst.see(math.nan, f"{system_id}:{status[i]}", points[i])
+        return None, f"{system_id} chart point {worst.point} has status {status[i]}"
+    return z, None
 
 
 def _kpde_defects(ref, xs, rate_of):

@@ -208,8 +208,8 @@ def test_projection_inverse_refuses_a_degenerate_solution():
     with pytest.raises(DegenerateSurfaceError, match=r"degenerate parameterization"):
         flat.param_inverse([[1.0, 0.5]])
     chart = build_chart(builtin("hyperbolic-b"), flat, audit_transversal=False)
-    rows = evaluate_grid(chart, [np.array([0.9, 0.2]), np.array([1.1, 0.3])])
-    assert [status for _, _, status in rows] == ["chart-error", "chart-error"]
+    _, status = evaluate_grid(chart, [np.array([0.9, 0.2]), np.array([1.1, 0.3])])
+    assert status.tolist() == ["chart-error", "chart-error"]
 
 
 def test_projection_inverse_that_does_not_converge_is_off_patch():
@@ -231,8 +231,8 @@ def test_projection_inverse_that_does_not_converge_is_off_patch():
     # hyperbolic-b conserves x1 * x2: the orbits cross at x2 = 0 and x2 = 0.5;
     # the audit would sample dX/dtau at t = 1/2, where it is infinite
     chart = build_chart(builtin("hyperbolic-b"), s, audit_transversal=False)
-    rows = evaluate_grid(chart, [np.array([0.5, 0.0]), np.array([2.0, 0.25])])
-    assert [status for _, _, status in rows] == ["off-patch", "ok"]
+    _, status = evaluate_grid(chart, [np.array([0.5, 0.0]), np.array([2.0, 0.25])])
+    assert status.tolist() == ["off-patch", "ok"]
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +319,9 @@ def test_start_just_off_the_surface_is_one_crossing_at_zero(x1):
     # the step that leaves the tolerance band is not a second one
     field, surface = builtin("hyperbolic-b"), builtin_surface("line-b")
     point = np.array([x1, 0.5])
-    assert [e.t for e in find_crossings(field, point, surface)] == [0.0]
-    (row,) = evaluate_grid(build_chart(field, surface), [point])
-    assert row[2] == "ok"
+    assert find_crossings(field, point, surface).t.tolist() == [0.0]
+    _, (status,) = evaluate_grid(build_chart(field, surface), [point])
+    assert status == "ok"
 
 
 # ---------------------------------------------------------------------------
@@ -408,18 +408,17 @@ def test_evaluate_grid_statuses_and_single_point_agreement(tight_cfg):
         np.array([1.7, 0.3]),    # ok
     ]
     stats = RunStats()
-    rows = evaluate_grid(chart, points, stats=stats)
-    statuses = [status for _, _, status in rows]
-    assert statuses == ["ok", "not-in-omega", "off-patch", "ok"]
-    np.testing.assert_allclose(rows[0][1], [0.25, np.log(2.0)], atol=1e-8)
-    assert rows[1][1] is None
+    z, status = evaluate_grid(chart, points, stats=stats)
+    assert status.tolist() == ["ok", "not-in-omega", "off-patch", "ok"]
+    np.testing.assert_allclose(z[0], [0.25, np.log(2.0)], atol=1e-8)
+    assert np.isnan(z[1:3]).all()
     assert stats.lanes == 2 * len(points)
     assert stats.crossings_refined == 3
 
     # the batch gives every point exactly what it gets alone
-    for point, z, status in rows:
-        if status == "ok":
-            np.testing.assert_allclose(z, flowbox(chart, point), rtol=0, atol=0)
+    for point, zp, label in zip(points, z, status):
+        if label == "ok":
+            np.testing.assert_allclose(zp, flowbox(chart, point), rtol=0, atol=0)
 
 
 def test_evaluate_grid_jump_level_is_integration_error(tight_cfg):
@@ -436,8 +435,8 @@ def test_evaluate_grid_jump_level_is_integration_error(tight_cfg):
         audit_transversal=False,
     )
     # the level changes sign across x1 = 1 but is never near zero there
-    rows = evaluate_grid(chart, [np.array([0.5, 2.0]), np.array([-1.0, 1.0])])
-    assert [status for _, _, status in rows] == ["integration-error", "not-in-omega"]
+    _, status = evaluate_grid(chart, [np.array([0.5, 2.0]), np.array([-1.0, 1.0])])
+    assert status.tolist() == ["integration-error", "not-in-omega"]
     with pytest.raises(IntegrationError, match="did not converge"):
         find_crossings(
             chart.field, np.array([0.5, 2.0]), jump, horizon=5.0, cfg=tight_cfg

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from flowbox import cli, odeint, verify
+from flowbox.chart import build_chart, builtin_surface, evaluate_grid
 from flowbox.cli import (
     EXIT_AUDIT,
     EXIT_NUMERIC,
@@ -24,7 +25,7 @@ from flowbox.cli import (
     parse_eigenvalue,
     parse_grid_spec,
 )
-from flowbox.dynsys import VectorField
+from flowbox.dynsys import VectorField, builtin
 from flowbox.odeint import RunStats
 from flowbox.varfit import load_grid
 
@@ -147,6 +148,26 @@ def test_chart_build_writes_m_on_the_surface_as_zero(tmp_path):
     rows = (tmp_path / "chart_grid.csv").read_text().splitlines()[1:]
     on_surface = [row.split(",") for row in rows if row.startswith("1,")]
     assert [row[3] for row in on_surface] == ["0", "0"]
+    # 576 points, x1 = 1 on S among them, x1 <= 0 not in omega and x1 x2 >= 4
+    # off the patch: every cell is the point's own value written as
+    # format(v, ".17g"), and NaN where its chart fails
+    out = tmp_path / "grid"
+    assert main(["chart-build", "--system", "hyperbolic-b", "--surface", "line-b",
+                 "--grid=-1x4.75x24,0.2x1.2x24", "--out", str(out)]) == EXIT_OK
+    x1, x2 = np.meshgrid(np.linspace(-1.0, 4.75, 24), np.linspace(0.2, 1.2, 24),
+                         indexing="ij")
+    points = np.stack([x1.ravel(), x2.ravel()], axis=-1)
+    chart = build_chart(builtin("hyperbolic-b"), builtin_surface("line-b"))
+    z, status = evaluate_grid(chart, points)
+    assert set(status) == {"ok", "not-in-omega", "off-patch"}
+    assert np.count_nonzero(points[:, 0] == 1.0) == 24
+    expected = ["x1,x2,h1,m,status"] + [
+        ",".join([format(float(v), ".17g") for v in (*x, *zp)] + [label])
+        for x, zp, label in zip(points, z, status)]
+    assert (out / "chart_grid.csv").read_bytes() == "\n".join(expected + [""]).encode()
+    rows = [row.split(",") for row in expected[1:]]
+    assert {row[3] for row in rows if row[0] == "1"} == {"0"}
+    assert {row[3] for row in rows if row[4] != "ok"} == {"nan"}
 
 
 def test_chart_build_audit_blocks_recurrent_surface(tmp_path, capsys):
