@@ -502,7 +502,7 @@ def cmd_varfit(args) -> int:
         f" node-mean unit-velocity defect = {result.node_mean_a.tolist()},"
         f" node-mean overlap = {result.node_mean_b:.6g}"
     )
-    if result.message == varfit_mod.TARGET_MET and not result.converged:
+    if result.message.startswith(varfit_mod.TARGET_MET) and not result.converged:
         print(
             f"diagnostic: the fit stopped at --target {cfg.target:g}, above the"
             " node-mean tolerance (residual concentration"
@@ -520,6 +520,13 @@ def cmd_varfit(args) -> int:
             f"diagnostic: {reason}"
             f" (residual concentration {result.residual_concentration:.3g});"
             " the box may contain a singular set of the analytic coordinates",
+            file=sys.stderr,
+        )
+    if result.elevated_residual is None:
+        print(
+            "diagnostic: the refinement gain could not be judged on this"
+            f" {len(result.level_totals)}-level ladder (a verdict needs three"
+            " levels): an obstruction inside the box would pass unflagged",
             file=sys.stderr,
         )
     return EXIT_OK

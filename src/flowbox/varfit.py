@@ -19,8 +19,9 @@ is what it takes to land in the flowbox basin from a random affine start.
 Each coarser level ends with a recombination sweep and hands its iterate to
 the next by cubic interpolation.  The final level stops once refinement has
 paid off: once its total has fallen below the previous level's by their
-mesh-width ratio.  A final level that spends its budget without that gain
-flags an elevated residual.
+mesh-width ratio, reached by the recombination sweep it runs at every
+progress window.  A final level that spends its budget without that gain
+flags an elevated residual, on a ladder of at least three levels.
 
 The loss is a polynomial of the derivative stack G[i, a] = dy_i/dx_a, which is
 linear in y: along a one-coordinate move it is an exact quadratic.  Every
@@ -394,8 +395,8 @@ _MAX_BACKTRACKS = 30
 # Iterations per progress window.
 _CHECK_EVERY = 100
 # Share of the total that a progress window or a recombination round keeps
-# when it gains under 1%: the window then triggers a recombination sweep,
-# and the round ends it.
+# when it gains under 1%: the window then triggers a recombination sweep on
+# a level without a gain target, and the round ends the sweep.
 _SLOW = 0.99
 # Passes a recombination sweep makes at most over all coordinate pairs.
 _MAX_SWEEP_ROUNDS = 40
@@ -434,7 +435,8 @@ class FitResult:
     level_stats: tuple           # FitStats of each, aligned with level_totals
     refinement_gain: Optional[float]  # level_totals[-2] / level_totals[-1]
     gain_tol: Optional[float]    # mesh-width ratio of the last two levels run
-    elevated_residual: bool      # refinement failed to shrink the residual
+    # refinement failed to shrink the residual; None: under three levels ran
+    elevated_residual: Optional[bool]
     message: str
     stats: FitStats              # level_stats summed
 
@@ -609,13 +611,15 @@ def _descend(objective, values, iters, record=None, target=0.0, enough=0.0):
 
     Returns (values, total, terms, steps_run, message), the message saying
     why the level stopped.  Every accepted step strictly decreases the loss;
-    when backtracking fails, or progress over a window slows to a crawl, a
+    when backtracking fails, or at the end of a progress window, a
     recombination sweep tries to jump the iterate across a loss valley
-    before giving up.  Every trial, the current step and each halving after
-    it, lies on values - s * direction, so each is scored from G - s *
-    grad(direction) (see the module notes).  The level stops early once
-    both node-mean defects are at most target > 0, or once its total is at
-    most enough.
+    before giving up.  A level with a gain target enough > 0 sweeps at every
+    window end, since its sweeps are what reach the gain; any other level
+    only after a window that gained under 1%.  Every trial, the current step
+    and each halving after it, lies on values - s * direction, so each is
+    scored from G - s * grad(direction) (see the module notes).  The level
+    stops early once both node-mean defects are at most target > 0, or once
+    its total is at most enough.
     """
     box, shape = objective.box, objective.shape
     values = _pin_corner(values)
@@ -659,7 +663,8 @@ def _descend(objective, values, iters, record=None, target=0.0, enough=0.0):
         if record is not None:
             record.append(total)
 
-        slow = it % _CHECK_EVERY == 0 and total > _SLOW * window_last
+        # a level with a gain target sweeps at every window end
+        slow = it % _CHECK_EVERY == 0 and (enough > 0.0 or total > _SLOW * window_last)
         if it % _CHECK_EVERY == 0:
             window_last = total
         if not accepted or slow:
@@ -693,7 +698,8 @@ def fit(field: VectorField, box, shape, cfg: Optional[FitConfig] = None) -> FitR
     smoothed-gradient descent (smoothing annealed away as the level's
     budget is spent) plus recombination sweeps when progress stalls,
     and every coarser level ends with one more sweep, so that it hands its
-    finer neighbour a converged iterate.
+    finer neighbour a converged iterate.  The final level sweeps at the end
+    of every 100-step progress window.
 
     The final level stops once its total has fallen below the level before
     it by gain_tol, the ratio of their mesh widths (largest node spacings):
@@ -704,7 +710,11 @@ def fit(field: VectorField, box, shape, cfg: Optional[FitConfig] = None) -> FitR
     error, and the result is flagged elevated_residual: with an adequate
     budget that marks an obstruction in the problem itself, such as
     coordinates that blow up inside the box.  A met FitConfig.target stops
-    the final level first and flags nothing.
+    the final level first and flags nothing.  The gain is judged only when
+    at least three ladder levels ran: the level before the last must itself
+    start from a converged level, not from the random affine guess.  With
+    fewer, elevated_residual is None and the message says the gain was not
+    judged; refinement_gain is still reported.
 
     Deterministic for a fixed cfg: initialization comes from the seeded PRNG
     and every accepted step strictly decreases the loss, so history is
@@ -762,9 +772,10 @@ def fit(field: VectorField, box, shape, cfg: Optional[FitConfig] = None) -> FitR
     converged = float(np.max(node_a)) <= _NODE_TOL and node_b <= _NODE_TOL
     stalled = message == _STALLED
     refinement_gain = None
-    elevated = False
     if gain_tol is not None:
         refinement_gain = float(level_totals[-2] / max(level_totals[-1], 1e-300))
+    elevated = None
+    if len(level_totals) >= 3:
         volume = float(np.prod(box[:, 1] - box[:, 0]))
         # an early target stop leaves the final total unconverged, which
         # would fake a weak gain; only a level that ran out is evidence
@@ -779,6 +790,11 @@ def fit(field: VectorField, box, shape, cfg: Optional[FitConfig] = None) -> FitR
             f" the mesh-width ratio {gain_tol:.3g}, the defect survives grid"
             " refinement (obstruction on the patch, or budget too small to"
             " resolve it)"
+        )
+    elif elevated is None:
+        message += (
+            f"; refinement gain not judged on a {len(level_totals)}-level"
+            " ladder: a verdict needs three levels"
         )
 
     return FitResult(
@@ -834,11 +850,12 @@ def save_grid(grid: GridField, csv_path, sidecar: Optional[dict] = None) -> None
     n = grid.dim
     mesh = grid.mesh()
     header = ",".join([f"x{i + 1}" for i in range(n)] + [f"y{i + 1}" for i in range(n)])
-    cols = [mesh[a].ravel() for a in range(n)] + [grid.values[i].ravel() for i in range(n)]
+    cols = np.concatenate([mesh, grid.values]).reshape(2 * n, -1)
+    # format(v, ".17g") per cell, one % per row
+    row = ",".join(["%.17g"] * (2 * n)) + "\n"
     with open(csv_path, "w", newline="") as fh:
         fh.write(header + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+        fh.writelines(row % tuple(cells) for cells in cols.T.tolist())
     meta = {
         "box": grid.box.tolist(),
         "shape": list(grid.shape),

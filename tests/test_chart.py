@@ -160,12 +160,16 @@ def test_stacked_surface_calls_equal_per_row_calls(name):
         assert ip == np.sum(n * p)
 
 
-def _per_row_projection_inverse(s, x, n_per_axis=32, tol=1e-10, max_iter=50):
-    # the one-point Gauss-Newton loop the row-batched projection replaced
+def _seed_table(s, n_per_axis=32):
+    # the one-point loop's starting lattice and its points, one param call each
     d = s.dim - 1
     axes = [(np.arange(n_per_axis) + 0.5) / n_per_axis] * d
     lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    seeds = np.asarray([s.param(tau) for tau in lattice])
+    return lattice, np.asarray([s.param(tau) for tau in lattice])
+
+
+def _per_row_projection_inverse(s, x, lattice, seeds, tol=1e-10, max_iter=50):
+    # the one-point Gauss-Newton loop the row-batched projection replaced
     tau = lattice[int(np.argmin(np.sum((seeds - x) ** 2, axis=1)))].copy()
     for _ in range(max_iter):
         r = x - s.param(tau)
@@ -182,7 +186,8 @@ def test_projection_inverse_matches_the_per_row_lstsq_loop(name):
     s = CONTRACT_CASES[name][0]()
     taus = halton(s.dim - 1, 40)
     X = s.param(taus) + 1e-3 * np.random.default_rng(9).standard_normal((40, s.dim))
-    expected = np.array([_per_row_projection_inverse(s, x) for x in X])
+    lattice, seeds = _seed_table(s)
+    expected = np.array([_per_row_projection_inverse(s, x, lattice, seeds) for x in X])
     np.testing.assert_allclose(s.param_inverse(X), expected, rtol=0, atol=1e-14)
 
 

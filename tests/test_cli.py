@@ -598,8 +598,11 @@ def test_varfit_diagnostic_on_a_target_stop(tmp_path, capsys):
         " tolerance" in captured.err
     assert "singular set" not in captured.err
     summary = json.loads((tmp_path / "manifest.json").read_text())["summary"]
-    assert summary["message"] == "node-mean targets met"
+    assert summary["message"].startswith("node-mean targets met; ")
     assert not summary["converged"]
+    # a one-level ladder gives no refinement gain to judge
+    assert summary["elevated_residual"] is None
+    assert "could not be judged on this 1-level ladder" in captured.err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

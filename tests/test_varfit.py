@@ -15,6 +15,7 @@ from flowbox.varfit import (
     FitResult,
     FitStats,
     GridField,
+    _CHECK_EVERY,
     _MAX_SWEEP_ROUNDS,
     _NODE_TOL,
     _coarse_ladder,
@@ -591,6 +592,25 @@ def test_a_small_budget_still_tells_the_patches_apart():
     assert sing.elevated_residual and sing.refinement_gain < sing.gain_tol
 
 
+def test_the_final_level_sweeps_at_every_progress_window(ar_fits):
+    # the final level has a gain target, so each window end runs a sweep
+    r = ar_fits(BOX_REG)
+    assert r.level_stats[-1].sweeps >= r.level_iterations[-1] // _CHECK_EVERY
+
+
+def test_a_ladder_under_three_levels_gives_no_verdict(reg_fit_small):
+    # 9 -> 12 starts the final level from a level fitted from the random
+    # affine guess: the singular patch reaches the gain, and is not judged
+    r = fit(AR, BOX_SING, (12, 12), FitConfig(iterations=300, seed=0))
+    assert len(r.level_totals) == 2
+    assert r.elevated_residual is None
+    assert r.refinement_gain is not None and r.gain_tol == pytest.approx(11.0 / 8.0)
+    assert "refinement gain not judged on a 2-level ladder" in r.message
+    # 9 -> 17 -> 32 gives one
+    assert len(reg_fit_small.level_totals) == 3
+    assert reg_fit_small.elevated_residual is False
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_fit_non_finite_loss_raises():
     field = parse_system("exp(x1), 0", dim=2, domain=[(-2000.0, 2000.0), (-5.0, 5.0)])
@@ -649,12 +669,21 @@ def test_rotated_fit_advances_only_the_last_coordinate():
 
 def test_save_and_load_round_trip(tmp_path, rng):
     box = np.array([[0.0, 1.0], [2.0, 3.5]])
-    g = GridField(box=box, values=rng.standard_normal((2, 5, 7)))
+    values = rng.standard_normal((2, 5, 7))
+    values[0, 0, :3] = (0.0, -0.0, np.nan)
+    g = GridField(box=box, values=values)
     path = tmp_path / "grid.csv"
     save_grid(g, path, sidecar={"system": "linear-ar", "note": 3})
     back = load_grid(path)
-    assert np.array_equal(back.values, g.values)
+    assert np.array_equal(back.values, g.values, equal_nan=True)
     assert np.array_equal(back.box, g.box)
+    # one row per node in C order, every cell written as format(v, ".17g")
+    axes = grid_axes(box, (5, 7))
+    expected = ["x1,x2,y1,y2"] + [
+        ",".join(format(float(v), ".17g")
+                 for v in (axes[0][k], axes[1][l], *values[:, k, l]))
+        for k, l in np.ndindex(5, 7)]
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
     meta = json.loads((tmp_path / "grid.csv.json").read_text())
     assert meta["system"] == "linear-ar"
     assert meta["shape"] == [5, 7]
