@@ -465,39 +465,49 @@ def check_nonrecurrent_batch(
 ) -> list:
     """check_nonrecurrent for several surfaces under one field and config:
     their reports, in order, with the orbits seeded on every surface
-    searched as one batch."""
+    searched as one batch and each report judged by _nonrecurrence_report."""
     trans_failures = [
         tuple((tau, ip)
               for tau, ip in check_transversal(surface, field, max(n_orbits, 16), stats)
               if abs(ip) < TRANSVERSALITY_TOL)
         for surface in surfaces
     ]
-    seeds = [
-        np.asarray(surface.param(halton(surface.dim - 1, n_orbits if surface.dim > 1 else 1)),
-                   dtype=float)
-        for surface in surfaces
-    ]
+    seeds = [_orbit_seeds(surface, n_orbits) for surface in surfaces]
     owners = [surface for surface, x in zip(surfaces, seeds) for _ in x]
     found = find_crossings_batch(field, np.concatenate(seeds), owners, cfg, stats)
-    failed = _point_failures(found.errors)
+    starts = np.cumsum([0] + [len(x) for x in seeds])
+    return [_nonrecurrence_report(x, found, start, trans)
+            for x, start, trans in zip(seeds, starts, trans_failures)]
+
+
+def _orbit_seeds(surface: Surface, n_orbits: int) -> np.ndarray:
+    """The points on S where the recurrence audit seeds its orbits: X at the
+    first n_orbits Halton parameters, or the one point of a 1-D surface."""
+    d = surface.dim - 1
+    return np.asarray(surface.param(halton(d, n_orbits if d else min(n_orbits, 1))),
+                      dtype=float)
+
+
+def _nonrecurrence_report(seeds, found: Crossings, start: int = 0,
+                          trans: tuple = ()) -> NonRecurrenceReport:
+    """The recurrence verdict of the orbits seeded at `seeds`, which are
+    points start, start + 1, ... of the search `found`, with the surface's
+    transversality failures `trans`.  A seed's error outside POINT_ERRORS is
+    raised, the first one first."""
+    mine = slice(start, start + len(seeds))
+    failed = _point_failures(found.errors[mine])
     counted = (found.direction != 0) & found.on_patch
-    counts = np.bincount(found.point[counted], minlength=len(found.errors))
-    reports = []
-    start = 0
-    for x, trans in zip(seeds, trans_failures):
-        mine = np.arange(start, start + len(x))
-        violations = [(x[i - start], tuple(found.t[counted & (found.point == i)].tolist()))
-                      for i in mine[counts[mine] > 1]]
-        failures = [(x[i - start], str(found.errors[i])) for i in mine[failed[mine]]]
-        start += len(x)
-        reports.append(NonRecurrenceReport(
-            tested_points=len(x),
-            violations=tuple(violations),
-            transversality_failures=trans,
-            integration_failures=tuple(failures),
-            verdict="fail" if (violations or trans or failures) else "pass",
-        ))
-    return reports
+    counts = np.bincount(found.point[counted], minlength=len(found.errors))[mine]
+    violations = tuple((seeds[i], tuple(found.t[counted & (found.point == start + i)].tolist()))
+                       for i in np.flatnonzero(counts > 1))
+    failures = tuple((seeds[i], str(found.errors[start + i])) for i in np.flatnonzero(failed))
+    return NonRecurrenceReport(
+        tested_points=len(seeds),
+        violations=violations,
+        transversality_failures=trans,
+        integration_failures=failures,
+        verdict="fail" if (violations or trans or failures) else "pass",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -615,12 +625,16 @@ def error_status(err: BaseException) -> str:
     return next(status for cls, status in _ERROR_STATUSES if isinstance(err, cls))
 
 
-def _flowbox_batch(chart: Chart, points, stats: Optional[RunStats] = None) -> tuple:
-    """flowbox() at many points (R, N) with one batched search: their
-    coordinates (R, N), NaN where it fails, and per point the POINT_ERRORS
-    exception flowbox() raises there, or None (an object array)."""
-    found = find_crossings_batch(chart.field, points, chart.surface, chart.cfg, stats)
-    errors = found.errors
+def _flowbox_batch(chart: Chart, points, stats: Optional[RunStats] = None,
+                   found: Optional[Crossings] = None) -> tuple:
+    """flowbox() at many points (R, N) with one batched search, or from
+    `found`, the Crossings of one already made over exactly these points:
+    their coordinates (R, N), NaN where it fails, and per point the
+    POINT_ERRORS exception flowbox() raises there, or None (an object
+    array)."""
+    if found is None:
+        found = find_crossings_batch(chart.field, points, chart.surface, chart.cfg, stats)
+    errors = found.errors.copy()  # a given record stays as it was
     _point_failures(errors)
     chosen = (found.direction != 0) & found.on_patch
     counts = np.bincount(found.point[chosen], minlength=len(points))
@@ -647,18 +661,42 @@ def _flowbox_rows(chart: Chart, x) -> np.ndarray:
 
 
 def evaluate_grid(
-    chart: Chart, points: Sequence, stats: Optional[RunStats] = None
+    chart: Chart, points: Sequence, stats: Optional[RunStats] = None,
+    found: Optional[Crossings] = None,
 ) -> tuple:
     """Evaluate flowbox coordinates at many points with one batched search.
 
     Returns (z, status) in input order: z (R, N) and status (R,), an object
     array of labels, row i equal to what flowbox() gives for point i alone,
     or NaN and the status of the error it raises.  The batch's work counters
-    are added to `stats` when given.
+    are added to `stats` when given.  Given `found`, the Crossings of a
+    search already made over exactly these points, no search is made.
     """
     points = np.asarray(points, dtype=float).reshape(len(points), chart.dim)
-    z, errors = _flowbox_batch(chart, points, stats)
+    z, errors = _flowbox_batch(chart, points, stats, found)
     status = np.full(len(points), STATUS_OK, dtype=object)
     for i in np.flatnonzero(np.not_equal(errors, None)):
         status[i] = error_status(errors[i])
     return z, status
+
+
+def _audited_search(chart: Chart, points, n_orbits: int,
+                    stats: Optional[RunStats] = None) -> tuple:
+    """One batched search over n_orbits orbits seeded on chart's surface,
+    then over points (R, N): (the seeds' NonRecurrenceReport, the Crossings
+    of points alone, numbered from 0).
+
+    The report is check_nonrecurrent's without its transversality samples:
+    those are the first of build_chart's, audited already.  A seed's error
+    outside POINT_ERRORS is raised here; the points' errors are left in the
+    record, so the caller can judge the audit first.
+    """
+    seeds = _orbit_seeds(chart.surface, n_orbits)
+    found = find_crossings_batch(chart.field, np.concatenate([seeds, points]),
+                                 chart.surface, chart.cfg, stats)
+    report = _nonrecurrence_report(seeds, found)
+    rows = found.point >= len(seeds)
+    columns = {f.name: getattr(found, f.name)[rows]
+               for f in dataclasses.fields(Crossings) if f.name != "errors"}
+    columns["point"] -= len(seeds)
+    return report, Crossings(**columns, errors=found.errors[len(seeds):])

@@ -210,15 +210,14 @@ def _grid_points(args, field) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def _audited_chart(args, field, audit: RunStats, recurrence_audit: bool) -> tuple:
+def _audited_chart(args, field, audit: RunStats) -> tuple:
     """(chart, options) of the field through --surface.
 
     The integrator takes --horizon/--abs-tol/--rel-tol over the defaults, and
-    a value it rejects is a usage error.  Unless --force, the surface is
-    audited for transversality and, with `recurrence_audit`, along
-    AUDIT_ORBITS seeded orbits, the work of both added into `audit`; a
-    refusal raises AuditFailure.  `options` holds the resolved values every
-    manifest of a chart records.
+    a value it rejects is a usage error.  Unless --force, build_chart samples
+    transversality, its field call added into `audit`, and a refusal raises
+    AuditFailure; chart-build's recurrence audit rides in its grid's search.
+    `options` holds the resolved values every manifest of a chart records.
     """
     surface = _resolve_surface(args.surface)
     if surface.dim != field.dim:
@@ -235,18 +234,14 @@ def _audited_chart(args, field, audit: RunStats, recurrence_audit: bool) -> tupl
                                       audit_transversal=not args.force, stats=audit)
     except chart_mod.ChartError as err:  # tangent or degenerate at a sample
         raise AuditFailure(str(err))
-    if recurrence_audit and not args.force:
-        report = chart_mod.check_nonrecurrent(surface, field, n_orbits=AUDIT_ORBITS,
-                                              cfg=cfg, stats=audit)
-        if report.verdict != "pass":
-            raise AuditFailure(_recurrence_failure(report, surface, field))
     options = {"surface": surface.name, "force": bool(args.force),
                **{k: getattr(cfg, k) for k in INTEGRATOR_OPTIONS}}
     return chart, options
 
 
 def _stats_summary(audit: RunStats, evaluate: RunStats, points: int) -> dict:
-    """The manifest's summary.stats of a charting command over `points`."""
+    """The manifest's summary.stats of a charting command that searched
+    `points` points (chart-build's grid and audit seeds, kef-check's grid)."""
     return {
         "audit": dataclasses.asdict(audit),
         "evaluate": dataclasses.asdict(evaluate),
@@ -303,11 +298,17 @@ def cmd_chart_build(args) -> int:
 
     clock = time.perf_counter()
     audit_stats, evaluate_stats = RunStats(), RunStats()
-    chart, options = _audited_chart(args, field, audit_stats, recurrence_audit=True)
+    chart, options = _audited_chart(args, field, audit_stats)
     timings = {"audit_s": time.perf_counter() - clock}
 
+    # the recurrence audit's orbits ride first in the grid's batch, and their
+    # verdict is judged before any grid point's
     clock = time.perf_counter()
-    z, status = chart_mod.evaluate_grid(chart, points, stats=evaluate_stats)
+    report, found = chart_mod._audited_search(
+        chart, points, 0 if args.force else AUDIT_ORBITS, evaluate_stats)
+    if report.verdict != "pass":
+        raise AuditFailure(_recurrence_failure(report, chart.surface, field))
+    z, status = chart_mod.evaluate_grid(chart, points, found=found)
     timings["evaluate_s"] = time.perf_counter() - clock
 
     n = field.dim
@@ -332,7 +333,7 @@ def cmd_chart_build(args) -> int:
         "ok": ok,
         "ok_fraction": ok / total if total else 0.0,
         "statuses": counts,
-        "stats": _stats_summary(audit_stats, evaluate_stats, total),
+        "stats": _stats_summary(audit_stats, evaluate_stats, total + report.tested_points),
     }
     recorded = {"system": field.name, "grid": args.grid, **options}
     timings["write_s"] = time.perf_counter() - clock
@@ -374,7 +375,7 @@ def cmd_kef_check(args) -> int:
     if args.minimal_set:
         if not args.surface:
             raise UsageError("--minimal-set needs --surface")
-        built, options = _audited_chart(args, field, audit, recurrence_audit=False)
+        built, options = _audited_chart(args, field, audit)
         members = kef_mod.minimal_set(built).members
         labels = [member.label for member in members]
         recorded.update({"minimal_set": True, **options})

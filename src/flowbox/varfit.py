@@ -441,6 +441,21 @@ class FitResult:
     stats: FitStats              # level_stats summed
 
 
+def _median(values) -> float:
+    """np.median of all of values, bit for bit, without the numpy.ma import
+    that np.median's first call makes: the middle value, or (a + b) / 2 of
+    the two middle ones, and NaN when any value is NaN.  Like np.median's
+    mean, the sum starts from +0.0, so a median of -0.0 reads 0.0."""
+    a = np.ravel(values)
+    if np.isnan(a).any():
+        return math.nan
+    half = a.size // 2
+    if a.size % 2:
+        return float(0.0 + np.partition(a, half)[half])
+    part = np.partition(a, [half - 1, half])
+    return float((0.0 + part[half - 1] + part[half]) / 2)
+
+
 def _node_diagnostics(terms):
     U, S = terms.U, terms.S
     node_mean_a = np.array([float(np.mean(x * x)) for x in U])
@@ -449,7 +464,7 @@ def _node_diagnostics(terms):
     per_node = sum(x * x for x in U)
     if len(S):
         per_node = per_node + sum(x * x for x in S)
-    med = float(np.median(per_node))
+    med = _median(per_node)
     concentration = float(np.max(per_node) / max(med, 1e-300))
     return node_mean_a, node_mean_b, unit_mean, concentration
 
@@ -463,7 +478,7 @@ def _affine_init(box, shape, p_vals, seed):
     for i in range(n):
         w_i = q[:, i]
         rate = sum(w_i[a] * p_vals[a] for a in range(n))
-        med = float(np.median(rate))
+        med = _median(rate)
         if abs(med) > 1e-9:
             w_i = w_i / med
         values[i] = sum(w_i[a] * mesh[a] for a in range(n))

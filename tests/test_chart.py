@@ -12,6 +12,7 @@ from flowbox.chart import (
     OffPatch,
     Surface,
     TransversalityError,
+    _audited_search,
     _param_jacobian,
     build_chart,
     builtin_surface,
@@ -316,6 +317,46 @@ def test_recurrence_audit_fails_when_seeded_orbits_fail():
     assert len(report.integration_failures) == report.tested_points == 4
     assert all("sqrt of a negative value" in message
                for _, message in report.integration_failures)
+
+
+def _report_bits(report):
+    """A report with every seed and crossing time as its bytes."""
+    return (report.tested_points, report.verdict, report.transversality_failures,
+            [(x0.tobytes(), np.array(times).tobytes()) for x0, times in report.violations],
+            [(x0.tobytes(), message) for x0, message in report.integration_failures])
+
+
+@pytest.mark.parametrize("system, surface, horizon, verdict, statuses", [
+    ("hyperbolic-b", "line-b", 6.0, "pass", {"ok", "not-in-omega", "off-patch"}),
+    ("rotation-c", "segment-c", 4.0 * np.pi, "fail",  # recurrent
+     {"ok", "ambiguous", "not-in-omega", "off-patch"}),
+    # every orbit leaves the domain of sqrt at x1 = 2.5
+    ("sqrt-drift", "line-b", 6.0, "fail", {"domain-error"}),
+])
+def test_audit_in_the_grids_batch_equals_the_audit_alone(system, surface, horizon, verdict,
+                                                         statuses, tight_cfg):
+    # the seeds ride first in the grid's search: the verdict, the violations'
+    # times bit for bit and the failures' messages are check_nonrecurrent's,
+    # and the grid reads what evaluate_grid gives it alone
+    field = (parse_system("1, -x2 + 0*sqrt(2.5 - x1)", 2, name="sqrt-drift")
+             if system == "sqrt-drift" else builtin(system))
+    chart = build_chart(field, surface, cfg=replace(tight_cfg, horizon=horizon))
+    x1, x2 = np.meshgrid(np.linspace(-1.0, 3.0, 9), np.linspace(0.1, 1.9, 7), indexing="ij")
+    points = np.stack([x1.ravel(), x2.ravel()], axis=-1)
+    stats = RunStats()
+    report, found = _audited_search(chart, points, 16, stats)
+    alone = check_nonrecurrent(chart.surface, field, n_orbits=16, cfg=chart.cfg)
+    assert report.verdict == verdict
+    assert _report_bits(report) == _report_bits(alone)
+    assert stats.lanes == 2 * (len(points) + 16)
+
+    errors = found.errors.tolist()
+    z, status = evaluate_grid(chart, points, found=found)
+    assert found.errors.tolist() == errors  # the record is not written to
+    z_alone, status_alone = evaluate_grid(chart, points)
+    assert z.tobytes() == z_alone.tobytes()
+    assert status.tolist() == status_alone.tolist()
+    assert set(status) == statuses
 
 
 @pytest.mark.parametrize("x1", [1.0 + 1e-12, 1.0 - 1e-12, 1.0 + 5e-10])

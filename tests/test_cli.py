@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from flowbox import chart as chart_mod
 from flowbox import cli, odeint, verify
 from flowbox.chart import build_chart, builtin_surface, evaluate_grid
 from flowbox.cli import (
@@ -128,18 +129,46 @@ def test_chart_build_writes_grid_and_manifest(tmp_path, capsys):
     assert manifest["outputs"] == ["chart_grid.csv"]
     stats = manifest["summary"]["stats"]
     evaluate = stats["evaluate"]
-    assert evaluate["lanes"] == 2 * manifest["summary"]["points"]
+    # the recurrence audit's orbits ride in the grid's search, seeds first
+    seeds = cli.AUDIT_ORBITS
+    assert evaluate["lanes"] == 2 * (manifest["summary"]["points"] + seeds)
     assert evaluate["crossings_refined"] == manifest["summary"]["points"]
     # one evaluation per lane to start, then twelve per attempted step,
     # three per bracketing step for its dense output and one per event for
-    # its direction, here one step and one event per refined crossing
+    # its direction, here one step and one event per refined crossing and
+    # one event per seed, which starts on S
     steps = evaluate["accepted_steps"] + evaluate["rejected_steps"]
     assert evaluate["rhs_evals"] == (evaluate["lanes"] + 12 * steps
-                                     + 4 * evaluate["crossings_refined"])
-    assert stats["audit"]["lanes"] > 0
+                                     + 4 * evaluate["crossings_refined"] + seeds)
+    assert stats["evaluate_rhs_evals_per_point"] == evaluate["rhs_evals"] / (12 + seeds)
+    # the audit keeps only build_chart's transversality samples
+    assert {k: v for k, v in stats["audit"].items() if v} == {
+        "rhs_calls": 1, "rhs_evals": 64}
     assert set(manifest["timings"]) == {"audit_s", "evaluate_s", "write_s"}
     assert manifest["peak_rss_mb"] > 0.0
     assert "chart-build: 12/12 points ok" in capsys.readouterr().out
+
+
+def test_chart_build_searches_its_audit_and_grid_in_one_batch(tmp_path, monkeypatch):
+    # the recurrence audit's seeds ride first in the grid's one search;
+    # --force adds none
+    searched = []
+    search = odeint.find_crossings_batch
+
+    def counting(field, points, *args, **kwargs):
+        searched.append(len(points))
+        return search(field, points, *args, **kwargs)
+
+    monkeypatch.setattr(chart_mod, "find_crossings_batch", counting)
+    argv = CHART_ARGV["chart-build"]
+    for extra, seeds in (([], cli.AUDIT_ORBITS), (["--force"], 0)):
+        searched.clear()
+        out = tmp_path / str(seeds)
+        assert main(argv + extra + ["--out", str(out)]) == EXIT_OK
+        summary = json.loads((out / "manifest.json").read_text())["summary"]
+        assert searched == [summary["points"] + seeds]
+        assert summary["stats"]["evaluate"]["lanes"] == 2 * (summary["points"] + seeds)
+        assert summary["stats"]["audit"]["lanes"] == 0
 
 
 def test_chart_build_writes_m_on_the_surface_as_zero(tmp_path):
@@ -341,9 +370,10 @@ def test_kef_check_writes_deterministic_stats(tmp_path):
 
 
 def test_kef_check_stats_have_chart_builds_shape(tmp_path):
-    # both commands report an audit and an evaluate RunStats; kef-check runs
-    # no recurrence audit, so its audit integrates nothing: --minimal-set
-    # counts only the field call of its transversality samples, --phi
+    # both commands report an audit and an evaluate RunStats; no audit
+    # integrates: chart-build's recurrence audit rides in its evaluate
+    # search, kef-check runs none, so chart-build and --minimal-set count
+    # only the field call of their transversality samples, and --phi
     # builds no chart and reads zeros
     grid = ["--grid", "0.9x1.1x2,0.2x0.3x2"]
     runs = {
@@ -358,11 +388,11 @@ def test_kef_check_stats_have_chart_builds_shape(tmp_path):
         manifest = json.loads((tmp_path / name / "manifest.json").read_text())
         stats[name] = manifest["summary"]["stats"]
     fields = set(stats["chart"]["audit"])
-    assert stats["chart"]["audit"]["lanes"] > 0
     for name in ("minimal", "phi"):
         assert set(stats[name]["audit"]) == set(stats[name]["evaluate"]) == fields
-    assert {k: v for k, v in stats["minimal"]["audit"].items() if v} == {
-        "rhs_calls": 1, "rhs_evals": 64}  # check_transversal's default samples
+    for name in ("chart", "minimal"):
+        assert {k: v for k, v in stats[name]["audit"].items() if v} == {
+            "rhs_calls": 1, "rhs_evals": 64}  # check_transversal's default samples
     assert not any(stats["phi"]["audit"].values())
     assert stats["minimal"]["evaluate"]["lanes"] > 0
 
@@ -759,9 +789,10 @@ def test_chart_build_counts_batched_level_calls(tmp_path):
     # through its step's end levels and rates
     assert evaluate["root_iterations"] < 5 * evaluate["crossings_refined"]
     # no orbit of the saddle turns back toward the line, so the crossing
-    # search adds no bracket, no step and no field evaluation
-    assert evaluate["accepted_steps"] == 8391
-    assert evaluate["rhs_evals"] == 104148
+    # search adds no bracket, no step and no field evaluation: the grid's
+    # 8391 steps and 104148 rows, and the 16 audit orbits' 215 and 2628
+    assert evaluate["accepted_steps"] == 8391 + 215
+    assert evaluate["rhs_evals"] == 104148 + 2628
 
 
 # ---------------------------------------------------------------------------

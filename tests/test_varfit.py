@@ -1,6 +1,9 @@
 import dataclasses
 import functools
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from flowbox.varfit import (
     _MAX_SWEEP_ROUNDS,
     _NODE_TOL,
     _coarse_ladder,
+    _median,
     _Objective,
     _prolong,
     _shifted_cheb,
@@ -609,6 +613,39 @@ def test_a_ladder_under_three_levels_gives_no_verdict(reg_fit_small):
     # 9 -> 17 -> 32 gives one
     assert len(reg_fit_small.level_totals) == 3
     assert reg_fit_small.elevated_residual is False
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 17, 18, 289, 4096, 4097])
+def test_median_is_numpys_bit_for_bit(n, rng):
+    # odd and even counts, magnitudes 1e-300 to 1e300, a stack of rows
+    for _ in range(20):
+        a = rng.standard_normal(n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+        assert np.float64(_median(a)).tobytes() == np.median(a).tobytes()
+        rows = a.reshape(-1, 2 - n % 2)
+        assert np.float64(_median(rows)).tobytes() == np.median(rows).tobytes()
+    zeros = -np.zeros(n)  # np.median sums from +0.0: a median of -0.0 reads 0.0
+    assert np.float64(_median(zeros)).tobytes() == np.median(zeros).tobytes()
+    a[rng.integers(n)] = np.nan
+    assert np.isnan(_median(a)) and np.isnan(np.median(a))
+
+
+def test_a_fit_does_not_import_numpy_ma():
+    # np.median's first call imports numpy.ma, which no varfit run needs
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import numpy as np\n"
+        "from flowbox.dynsys import builtin\n"
+        "from flowbox.varfit import FitConfig, fit\n"
+        "fit(builtin('linear-ar'), np.array([[4.0, 6.0], [1.0, 3.0]]), (9, 9),"
+        " FitConfig(iterations=20))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
