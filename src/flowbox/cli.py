@@ -29,7 +29,6 @@ from . import __version__
 from . import chart as chart_mod
 from . import dynsys
 from . import kef as kef_mod
-from . import varfit as varfit_mod
 from .expressions import ExpressionError, parse_expression
 from .odeint import DEFAULT_CONFIG, IntegrationError, RunStats
 from .verify import SLOW_SUITES, STREAM_STRIDE, VERIFY_SUITES
@@ -445,6 +444,7 @@ def cmd_kef_check(args) -> int:
 
 
 def cmd_varfit(args) -> int:
+    from . import varfit as varfit_mod  # only this command runs it
     started = _now()
     field = _resolve_field(args)
     box, shape = parse_grid_spec(args.grid, field.dim)
@@ -615,6 +615,9 @@ def _suite_outcomes(jobs) -> tuple:
     workers = min(len(jobs), _available_cpus())
     if workers < 2 or not hasattr(os, "fork"):
         return list(map(_run_job, jobs)), 1
+    # every suite reads the closed forms: compiled once here, the forked
+    # workers inherit them
+    from . import refsol  # noqa: F401
     # longest suites first: in declared order two slow ones could end on one
     # worker while the other idles (0.23 s median against 0.18 s)
     rank = {name: i for i, name in enumerate(SLOW_SUITES)}

@@ -21,7 +21,9 @@ import math
 import numpy as np
 
 from . import chart as chart_mod
-from . import dynsys, kef, refsol
+# the checks that read refsol import it when they run: every CLI command
+# loads this module
+from . import dynsys, kef
 from .fdiff import fd_gradient_rows, rate
 from .odeint import DEFAULT_CONFIG, RunStats, flow_batch
 
@@ -99,6 +101,7 @@ class _Worst:
 
 
 def _worked_chart(system_id, stats):
+    from . import refsol
     ref = refsol.reference(system_id)
     return ref, chart_mod.build_chart(ref.field, ref.surface_name, stats=stats)
 
@@ -153,6 +156,7 @@ def _sampled_check(defects, system_ids, seed, what):
     """The worst of defects(ref, xs, rate_of) over SAMPLE_POINTS valid points
     xs per system, the idx-th system drawing from stream seed + idx;
     rate_of(fn) is <grad fn, P> at xs from one fd_gradient_rows call."""
+    from . import refsol
     worst = _Worst()
     for idx, system_id in enumerate(system_ids):
         ref = refsol.reference(system_id)
@@ -167,6 +171,7 @@ def _sampled_check(defects, system_ids, seed, what):
 
 def check_kpde_residuals(seed=0):
     """Closed-form eigenfunctions satisfy the eigenvalue PDE to 1e-8."""
+    from . import refsol
     return _sampled_check(_kpde_defects, refsol.reference_ids(), seed,
                           "|residual|")
 
@@ -179,6 +184,7 @@ def check_real_form_identities(seed=0):
 
 def check_unit_velocity(seed=0):
     """Closed-form measurements and unit coordinates advance at unit rate."""
+    from . import refsol
     return _sampled_check(_unit_rate_defects, refsol.reference_ids(), seed,
                           "|rate - 1|")
 
@@ -211,6 +217,7 @@ def _law_pairs(ref, rng, stats=None):
 def check_flowbox_law(seed=0):
     """z(flow(x, t)) - z(x) = (0, ..., 0, t) for the chart-built and the
     closed-form flowbox maps, on pairs with both ends in the validity region."""
+    from . import refsol
     worst = _Worst()
     stats = RunStats()
     fb_ids = [s for s in refsol.reference_ids()
@@ -271,6 +278,7 @@ def check_appendix_counterexample(seed=0):
     """The along-orbit eigen relation does not imply the PDE: x2 at 2 follows
     exp(2t) on its invariant parabola, yet its residual is -2 at (1, 1) and
     matches the closed form x1^2 - 3 x2 at sampled points."""
+    from . import refsol
     ref = refsol.reference("appendix")
     cand = ref.failed_candidates[0]
     worst = _Worst()
@@ -300,6 +308,7 @@ def check_recurrence_audit(seed=0):
     value is the fewest crossings on any rotation segment's most recurrent
     orbit; 2 or more flags the segment.
     """
+    from . import refsol
     worst = _Worst(lowest=True)
     stats = RunStats()
     segments = [chart_mod.line_surface(value, lo, hi, axis=axis, name=name)

@@ -59,11 +59,13 @@ def test_import_flowbox_loads_no_submodule_and_no_numpy():
         # the integrator's tables are literals: no command pulls in SciPy
         "import flowbox.cli\n"
         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+        # nor does any command load what only varfit or verify-all runs
+        "print(sorted({'flowbox.varfit', 'flowbox.refsol'} & set(sys.modules)))\n"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-2:] == ["[]", "[]"]
+    assert done.stdout.splitlines()[-3:] == ["[]", "[]", "[]"]
 
 
 def test_star_import_binds_every_name_in_all():

@@ -428,13 +428,15 @@ def test_kef_check_minimal_set_hash_follows_the_integrator_options(tmp_path):
 
 def test_charting_commands_load_no_hashlib(tmp_path):
     # hashlib maps OpenSSL's libcrypto (about 3.3 MB resident); config_hash
-    # is a CRC-32 from zlib, which numpy loads anyway
+    # is a CRC-32 from zlib, which numpy loads anyway.  Nor do they compile
+    # varfit or refsol, which only varfit and verify-all run
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = (
         "import json, sys\n"
         f"sys.path.insert(0, {src!r})\n"
         "from flowbox.cli import main\n"
-        "loaded = lambda: sorted({'hashlib', '_hashlib'} & set(sys.modules))\n"
+        "loaded = lambda: sorted({'hashlib', '_hashlib', 'flowbox.varfit',"
+        " 'flowbox.refsol'} & set(sys.modules))\n"
         "print(loaded())\n"
         "assert main(json.loads(sys.argv[1])) == 0\n"
         "print(loaded())\n"
@@ -690,16 +692,23 @@ def test_varfit_output_does_not_depend_on_the_blas_thread_count(tmp_path):
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         env.pop(name, None)
+    # a varfit run loads no refsol, which only verify-all runs
+    code = ("import sys\n"
+            "from flowbox.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print('flowbox.refsol' in sys.modules)\n"
+            "sys.exit(code)\n")
     outs = []
     for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
         out = tmp_path / f"threads-{threads.get('OPENBLAS_NUM_THREADS', 'default')}"
         done = subprocess.run(
-            [sys.executable, "-m", "flowbox.cli", "varfit", "--system", "linear-ar",
+            [sys.executable, "-c", code, "varfit", "--system", "linear-ar",
              "--grid", "4x6x16,1x3x16", "--iterations", "300", "--seed", "3",
              "--out", str(out)],
             capture_output=True, text=True, env={**env, **threads}, timeout=300,
         )
         assert done.returncode == EXIT_OK, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
         outs.append(out)
     for name in ("fit_y.csv", "fit_y.csv.json", "fit_flowbox.csv",
                  "fit_flowbox.csv.json", "loss_history.csv"):
@@ -1135,13 +1144,21 @@ def test_verify_all_leaves_no_process_behind(capsys, monkeypatch):
 
 
 def test_verify_all_imports_no_process_pool():
+    # and it imports refsol, which the command line alone does not, before it
+    # forks: the workers inherit it rather than each compiling it
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = (
         "import sys\n"
         f"sys.path.insert(0, {src!r})\n"
         "from flowbox import cli\n"
         "cli._available_cpus = lambda: 2\n"
+        "fork_workers, refsol = cli._fork_workers, ['flowbox.refsol' in sys.modules]\n"
+        "def forking(*args):\n"
+        "    refsol.append('flowbox.refsol' in sys.modules)\n"
+        "    return fork_workers(*args)\n"
+        "cli._fork_workers = forking\n"
         "assert cli.main(['verify-all', '--filter', 'i']) == 0\n"
+        "print(refsol)\n"
         "print(sorted(m for m in ('multiprocessing', 'concurrent.futures')"
         " if m in sys.modules))\n"
     )
@@ -1149,7 +1166,7 @@ def test_verify_all_imports_no_process_pool():
                           text=True, timeout=120)
     assert done.returncode == EXIT_OK, done.stderr
     assert done.stdout.count("PASS  ") >= 2
-    assert done.stdout.splitlines()[-1] == "[]"
+    assert done.stdout.splitlines()[-2:] == ["[False, True]", "[]"]
 
 
 def test_module_runs_as_a_script():
