@@ -456,7 +456,8 @@ def cmd_varfit(args) -> int:
     except ValueError as err:
         raise UsageError(str(err))
     timings = {"fit_s": time.perf_counter() - clock,
-               "levels_s": list(result.level_seconds)}
+               "levels_s": list(result.level_seconds),
+               "levels_sweep_s": list(result.level_sweep_seconds)}
 
     clock = time.perf_counter()
     out = _out_dir(args.out)

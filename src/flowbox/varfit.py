@@ -16,6 +16,9 @@ transposes, so descent behaves like plain calculus on the discrete objective.
 fit() descends a coarse-to-fine ladder of grids, annealing a smoothing filter
 on the gradient and jumping loss valleys with exact recombination moves, which
 is what it takes to land in the flowbox basin from a random affine start.
+A coarser level anneals the smoothing over its step budget; the final level,
+which stops at its gain long before its budget is spent, anneals it over its
+first five progress windows.
 Each coarser level ends with a recombination sweep and hands its iterate to
 the next by cubic interpolation.  The final level stops once refinement has
 paid off: once its total has fallen below the previous level's by their
@@ -302,6 +305,7 @@ class _Objective:
 
     def __init__(self, field, box, shape, stats=None):
         self.box, self.shape = box, shape
+        self.sweep_seconds = 0.0  # wall seconds inside _recombine_sweep
         self.p_vals = _field_on_grid(field, box, shape)
         self.w = trapezoid_weights(box, shape)
         self.spacings = _spacings(box, shape)
@@ -431,6 +435,7 @@ class FitResult:
     residual_concentration: float  # max node residual / median node residual
     level_totals: tuple          # endpoint loss of each ladder level run
     level_seconds: tuple         # wall seconds of each, aligned with level_totals
+    level_sweep_seconds: tuple   # of those, seconds in recombination sweeps
     level_iterations: tuple      # steps of each, aligned with level_totals
     level_stats: tuple           # FitStats of each, aligned with level_totals
     refinement_gain: Optional[float]  # level_totals[-2] / level_totals[-1]
@@ -527,7 +532,8 @@ def _smoothed(arr, passes):
 
 
 def _smoothing_passes(it, iters):
-    # anneal: heavy smoothing early kills high-frequency junk, none late
+    # anneal over iters steps: heavy smoothing early kills high-frequency
+    # junk, none late (and none past iters); _descend picks the clock
     f = (it + 1) / max(iters, 1)
     if f <= 0.2:
         return 8
@@ -600,6 +606,7 @@ def _recombine_sweep(objective, values, total, terms):
     gains under 1% (or _MAX_SWEEP_ROUNDS).  Returns the best (values, total,
     terms) found.
     """
+    clock = time.perf_counter()
     stats = objective.stats
     stats.sweeps += 1
     for _ in range(_MAX_SWEEP_ROUNDS):
@@ -618,6 +625,7 @@ def _recombine_sweep(objective, values, total, terms):
                     stats.line_moves += 1
         if not total < _SLOW * start:
             break
+    objective.sweep_seconds += time.perf_counter() - clock
     return values, total, terms
 
 
@@ -625,12 +633,16 @@ def _descend(objective, values, iters, record=None, target=0.0, enough=0.0):
     """Smoothed-gradient descent with recombination sweeps on one grid.
 
     Returns (values, total, terms, steps_run, message), the message saying
-    why the level stopped.  Every accepted step strictly decreases the loss;
-    when backtracking fails, or at the end of a progress window, a
-    recombination sweep tries to jump the iterate across a loss valley
-    before giving up.  A level with a gain target enough > 0 sweeps at every
-    window end, since its sweeps are what reach the gain; any other level
-    only after a window that gained under 1%.  Every trial, the current step
+    why the level stopped.  The smoothing anneals 8, 4, 2, 1 and 0 passes
+    over fifths of the level's budget iters, or, on a level with a gain
+    target enough > 0, over its first five progress windows: that level
+    stops at its gain long before its budget is spent, and its slow phase
+    speeds up as soon as the passes drop.  Every accepted step strictly
+    decreases the loss; when backtracking fails, or at the end of a
+    progress window, a recombination sweep tries to jump the iterate across
+    a loss valley before giving up.  A level with a gain target sweeps at
+    every window end, since its sweeps are what reach the gain; any other
+    level only after a window that gained under 1%.  Every trial, the current step
     and each halving after it, lies on values - s * direction, so each is
     scored from G - s * grad(direction) (see the module notes).  The level
     stops early once both node-mean defects are at most target > 0, or once
@@ -644,6 +656,7 @@ def _descend(objective, values, iters, record=None, target=0.0, enough=0.0):
     stats = objective.stats
     step = _STEP_SIZE
     window_last = total
+    anneal = min(iters, 5 * _CHECK_EVERY) if enough > 0.0 else iters
     message = "iteration budget exhausted"
     it = 0
     while it < iters:
@@ -657,7 +670,7 @@ def _descend(objective, values, iters, record=None, target=0.0, enough=0.0):
         if norm2 == 0.0:
             message = "gradient vanished"
             break
-        passes = _smoothing_passes(it, iters)
+        passes = _smoothing_passes(it, anneal)
         direction = _smoothed(grad, passes) if passes else grad
 
         accepted = False
@@ -710,11 +723,14 @@ def fit(field: VectorField, box, shape, cfg: Optional[FitConfig] = None) -> FitR
     iterate is descended and prolonged (cubic interpolation per axis) level
     by level up to the requested shape, so large-scale structure settles
     before fine-scale detail exists to fight it.  Each level runs
-    smoothed-gradient descent (smoothing annealed away as the level's
-    budget is spent) plus recombination sweeps when progress stalls,
-    and every coarser level ends with one more sweep, so that it hands its
-    finer neighbour a converged iterate.  The final level sweeps at the end
-    of every 100-step progress window.
+    smoothed-gradient descent plus recombination sweeps when progress
+    stalls, and every coarser level ends with one more sweep, so that it
+    hands its finer neighbour a converged iterate.  A coarser level anneals
+    the smoothing away as its budget is spent; the final level anneals it
+    over its first five 100-step progress windows (8, 4, 2, 1 and 0
+    passes), since it stops at its gain long before its budget is spent,
+    and it sweeps at the end of every window.  level_sweep_seconds gives
+    the part of each level's level_seconds spent in sweeps.
 
     The final level stops once its total has fallen below the level before
     it by gain_tol, the ratio of their mesh widths (largest node spacings):
@@ -750,6 +766,7 @@ def fit(field: VectorField, box, shape, cfg: Optional[FitConfig] = None) -> FitR
     budgets = _budget_split(cfg.iterations, len(ladder))
     history: list = []
     level_totals, level_seconds, level_iterations, level_stats = [], [], [], []
+    level_sweep_seconds = []
     gain_tol = None
     values = None
     for li, level_shape in enumerate(ladder):
@@ -777,6 +794,7 @@ def fit(field: VectorField, box, shape, cfg: Optional[FitConfig] = None) -> FitR
             values, total, terms = _recombine_sweep(objective, values, total, terms)
         level_totals.append(total)
         level_seconds.append(time.perf_counter() - clock)
+        level_sweep_seconds.append(objective.sweep_seconds)
         level_iterations.append(steps)
         level_stats.append(objective.stats)
 
@@ -827,6 +845,7 @@ def fit(field: VectorField, box, shape, cfg: Optional[FitConfig] = None) -> FitR
         residual_concentration=concentration,
         level_totals=tuple(level_totals),
         level_seconds=tuple(level_seconds),
+        level_sweep_seconds=tuple(level_sweep_seconds),
         level_iterations=tuple(level_iterations),
         level_stats=tuple(level_stats),
         refinement_gain=refinement_gain,

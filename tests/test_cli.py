@@ -573,10 +573,16 @@ def test_varfit_writes_grids_history_manifest(tmp_path, capsys):
     for key, per_level in summary["level_stats"].items():
         assert len(per_level) == levels
         assert sum(per_level) == summary["stats"][key]
-    assert set(manifest["timings"]) == {"fit_s", "levels_s", "write_s"}
+    assert set(manifest["timings"]) == {"fit_s", "levels_s", "levels_sweep_s", "write_s"}
     levels_s = manifest["timings"]["levels_s"]
     assert len(levels_s) == len(summary["level_totals"])
     assert all(s >= 0.0 for s in levels_s) and sum(levels_s) <= manifest["timings"]["fit_s"]
+    # each level's sweep seconds are part of its seconds, and stay out of
+    # the deterministic summary
+    sweep_s = manifest["timings"]["levels_sweep_s"]
+    assert len(sweep_s) == len(levels_s)
+    assert all(0.0 <= s <= level for s, level in zip(sweep_s, levels_s))
+    assert not any("sweep_s" in key for key in summary)
     assert manifest["peak_rss_mb"] > 0.0
     assert manifest["seed"] == 0
     out = capsys.readouterr().out

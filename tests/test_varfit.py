@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowbox import varfit
 from flowbox.dynsys import builtin, parse_system
 from flowbox.refsol import reference
 from flowbox.varfit import (
@@ -496,6 +497,16 @@ def test_level_work_sums_to_the_fit(reg_fit_small):
     assert [s.gradients for s in r.level_stats] == list(r.level_iterations)
 
 
+def test_sweep_seconds_are_part_of_each_level(reg_fit_small):
+    r = reg_fit_small
+    assert len(r.level_sweep_seconds) == len(r.level_seconds)
+    for sweep_s, level_s, s in zip(r.level_sweep_seconds, r.level_seconds,
+                                   r.level_stats):
+        assert 0.0 <= sweep_s <= level_s
+        # a level that ran no sweep spent no time in one
+        assert (sweep_s > 0.0) == (s.sweeps > 0)
+
+
 def test_fit_is_deterministic(reg_fit_small):
     again = fit(AR, BOX_REG, (32, 32), FitConfig(iterations=600, seed=0))
     assert np.array_equal(again.history, reg_fit_small.history)
@@ -600,6 +611,43 @@ def test_the_final_level_sweeps_at_every_progress_window(ar_fits):
     # the final level has a gain target, so each window end runs a sweep
     r = ar_fits(BOX_REG)
     assert r.level_stats[-1].sweeps >= r.level_iterations[-1] // _CHECK_EVERY
+
+
+def test_the_final_level_reaches_its_gain_within_five_windows(ar_fits):
+    # its smoothing anneals over the first five windows, not over a budget
+    # it stops long before spending
+    r = ar_fits(BOX_REG)
+    assert r.message == GAIN_MET
+    assert r.level_iterations[-1] <= 5 * _CHECK_EVERY
+
+
+def _smoothing_schedule(monkeypatch, iters, enough):
+    """Passes of every _smoothed call one _descend makes on a 17x17 grid."""
+    calls = []
+
+    def spy(arr, passes):
+        calls.append(passes)
+        return _smoothed(arr, passes)
+
+    monkeypatch.setattr(varfit, "_smoothed", spy)
+    objective = _Objective(AR, BOX_REG, (17, 17))
+    start = varfit._affine_init(BOX_REG, (17, 17), objective.p_vals, 0)
+    *_, steps, message = varfit._descend(objective, start, iters, enough=enough)
+    assert steps == iters, message
+    return calls
+
+
+@pytest.mark.parametrize("iters", [700, 1200])
+def test_a_level_with_a_gain_target_anneals_over_five_windows(monkeypatch, iters):
+    # 8, 4, 2 and 1 passes in windows 1-4, none from window 5 on, whatever
+    # the budget; enough is too small to stop the level
+    calls = _smoothing_schedule(monkeypatch, iters, enough=1e-300)
+    assert calls == [p for p in (8, 4, 2, 1) for _ in range(_CHECK_EVERY)]
+
+
+def test_a_level_without_a_gain_target_anneals_over_its_budget(monkeypatch):
+    calls = _smoothing_schedule(monkeypatch, 1000, enough=0.0)
+    assert calls == [p for p in (8, 4, 2, 1) for _ in range(1000 // 5)]
 
 
 def test_a_ladder_under_three_levels_gives_no_verdict(reg_fit_small):
