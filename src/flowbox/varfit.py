@@ -27,10 +27,10 @@ progress window.  A final level that spends its budget without that gain
 flags an elevated residual, on a ladder of at least three levels.
 
 The loss is a polynomial of the derivative stack G[i, a] = dy_i/dx_a, which is
-linear in y: along a one-coordinate move it is an exact quadratic.  Every
+linear in y: moving one coordinate along K bases, it is an exact quadratic in
+their K coefficients, and a recombination move scores only its vertex.  Every
 trial of a descent step lies on the ray y - s * direction, so fit() scores
-each from G - s * grad(direction), one derivative product per step.  A
-recombination move scores only the vertex of its quadratic.
+each from G - s * grad(direction), one derivative product per step.
 Every accepted iterate is compared on a total summed from its materialized
 terms.  FitStats.loss_evals counts those sums and backtracks every rejected
 descent trial.
@@ -278,12 +278,6 @@ def _dot(x, y):
     return float(np.einsum("n,n->", x.ravel(), y.ravel()))
 
 
-def _pair_products(F, H):
-    """sum over a of F[i, a] * H[j, a] for every pair i < j, triu order."""
-    iu, ju = _pairs(len(F))
-    return np.einsum("ka...,ka...->k...", F[iu], H[ju])
-
-
 class _Terms(NamedTuple):
     """One scored iterate."""
 
@@ -324,7 +318,8 @@ class _Objective:
         self.stats.loss_evals += 1
         U = np.einsum("ia...,a...->i...", G, self.p_vals)
         U -= 1.0
-        S = _pair_products(G, G)
+        iu, ju = _pairs(len(G))
+        S = np.einsum("ka...,ka...->k...", G[iu], G[ju])
         wU, wS = self.w * U, self.w * S
         t = _Terms(G, U, S, wU, wS, _dot(wU, U), _dot(wS, S))
         return t.A + t.B, t
@@ -347,15 +342,22 @@ class _Objective:
             out += diff_axis_T(src[a], self.spacings[a], a + 1)
         return out
 
-    def step_poly(self, t, dG):
-        """(b, a) with total(G + s dG) - total(G) = b s + a s^2, for a dG with
-        one nonzero row: U moves by s dU and S by s dS, since no pair has
-        both rows moving."""
-        dU = np.einsum("ia...,a...->i...", dG, self.p_vals)
-        dS = _pair_products(t.G, dG) + _pair_products(dG, t.G)
-        w = self.w
-        return (2.0 * (_dot(t.wU, dU) + _dot(t.wS, dS)),
-                _dot(w * dU, dU) + _dot(w * dS, dS))
+    def move_poly(self, t, i, dG):
+        """(b, A) with total(G + sum_k c_k dG[k]) - total(G) = b.c + c.A.c,
+        for K moves dG[k] of row i alone, dG of shape (K, N, *shape): U_i
+        moves by sum_k c_k dU_k and each pair holding i by sum_k c_k dS_k,
+        since its other row stays.  A is the weighted Gram matrix of those
+        moves; both sums run in einsum's own loops, in a fixed order."""
+        iu, ju = _pairs(len(t.G))
+        held = np.flatnonzero((iu == i) | (ju == i))
+        other = np.where(iu[held] == i, ju[held], iu[held])
+        D = np.concatenate([
+            np.einsum("ka...,a...->k...", dG, self.p_vals)[:, None],
+            np.einsum("ka...,ja...->kj...", dG, t.G[other])], axis=1)
+        wD = (self.w * D).reshape(len(dG), -1)
+        D = D.reshape(len(dG), -1)
+        R = np.concatenate([t.wU[i][None], t.wS[held]]).ravel()
+        return 2.0 * np.einsum("kn,n->k", D, R), np.einsum("kn,ln->kl", wD, D)
 
 
 def loss(grid: GridField, field: VectorField) -> tuple:
@@ -416,7 +418,8 @@ class FitStats:
     gradients: int = 0    # loss gradients
     backtracks: int = 0   # rejected descent trials
     sweeps: int = 0       # recombination sweeps
-    line_moves: int = 0   # accepted recombination line moves
+    sweep_rounds: int = 0  # their rounds over all ordered coordinate pairs
+    line_moves: int = 0   # accepted joint recombination moves
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -570,28 +573,46 @@ def _shifted_cheb(u, k):
     return (8.0 * s2 - 8.0) * s2 + 1.0
 
 
-def _line_move(objective, values, total, terms, i, basis):
-    """Exact minimizer of the loss along values[i] + c * basis, if it helps.
+def _pair_bases(values, i, j):
+    """w = y_i - y_j and T2, T3 and T4 of w rescaled to [0, 1], stacked; w
+    alone when it is flat."""
+    w = values[i] - values[j]
+    lo, hi = float(np.min(w)), float(np.max(w))
+    if not hi - lo > 1e-12:
+        return w[None]
+    u = (w - lo) / (hi - lo)
+    return np.stack([w] + [_shifted_cheb(u, k) for k in range(2, 5)])
 
-    Moving one coordinate moves only G[i], by c * grad(basis), so the loss is
-    exactly quadratic in c: step_poly gives it, and its vertex is the minimum
-    along the line.  Only the vertex is scored, from G with that row moved.
-    The jump is taken only when it strictly decreases the loss and leaves the
-    gradient fields of distinct coordinates well separated.  Returns
-    (values, total, terms) of the jump, or None.
+
+def _joint_move(objective, values, total, terms, i, bases):
+    """Exact minimizer of the loss over values[i] + sum_k c_k bases[k].
+
+    Only G[i] moves, so the loss is a quadratic in c (see move_poly) and
+    only its vertex c = -A^-1 b / 2, solved by Cholesky, is scored.  The
+    jump is taken only when A is positive definite, every |c_k| <= 1e3, and
+    it strictly decreases the loss and leaves the gradient fields of
+    distinct coordinates well separated.  Returns (values, total, terms) of
+    the jump, or None.
     """
-    dG = np.zeros_like(terms.G)
-    dG[i] = objective.derivatives(basis[None])[0]
-    b, a = objective.step_poly(terms, dG)
-    if a <= 1e-300:
+    dG = objective.derivatives(bases)
+    b, A = objective.move_poly(terms, i, dG)
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
         return None
-    c = -b / (2.0 * a)
-    if not np.isfinite(c) or abs(c) > 1e3:
+    c = -0.5 * b  # L L^T c = -b / 2: forward, then back substitution
+    for k in range(len(c)):
+        c[k] = (c[k] - _dot(L[k, :k], c[:k])) / L[k, k]
+    for k in reversed(range(len(c))):
+        c[k] = (c[k] - _dot(L[k + 1:, k], c[k + 1:])) / L[k, k]
+    if not (np.all(np.isfinite(c)) and np.max(np.abs(c)) <= 1e3):
         return None
-    tc, cand_terms = objective.score(terms.G + c * dG)
+    G = terms.G.copy()
+    G[i] += np.einsum("k,ka...->a...", c, dG)
+    tc, cand_terms = objective.score(G)
     if np.isfinite(tc) and tc < total and _pair_alignment(cand_terms.G) < 0.8:
         cand = values.copy()
-        cand[i] = cand[i] + c * basis
+        cand[i] += np.einsum("k,k...->...", c, bases)
         return _pin_corner(cand), tc, cand_terms
     return None
 
@@ -601,28 +622,23 @@ def _recombine_sweep(objective, values, total, terms):
 
     Any function of w = y_i - y_j with zero unit-rate defect leaves A alone,
     so plain descent drifts along these valleys instead of crossing them.
-    Sweeping exact line moves over w itself and low-order Chebyshev shapes
-    of it jumps across, round after round over all pairs, until a round
-    gains under 1% (or _MAX_SWEEP_ROUNDS).  Returns the best (values, total,
-    terms) found.
+    One exact joint move of y_i over w and low-order Chebyshev shapes of it
+    jumps across, one scored vertex per ordered pair (i, j), round after
+    round over all pairs, until a round gains under 1% (or
+    _MAX_SWEEP_ROUNDS).  Returns the best (values, total, terms) found.
     """
     clock = time.perf_counter()
     stats = objective.stats
     stats.sweeps += 1
     for _ in range(_MAX_SWEEP_ROUNDS):
         start = total
+        stats.sweep_rounds += 1
         for i, j in itertools.permutations(range(len(values)), 2):
-            w = values[i] - values[j]
-            lo, hi = float(np.min(w)), float(np.max(w))
-            bases = [w]
-            if hi - lo > 1e-12:
-                u = (w - lo) / (hi - lo)
-                bases += [_shifted_cheb(u, k) for k in range(2, 5)]
-            for basis in bases:
-                got = _line_move(objective, values, total, terms, i, basis)
-                if got is not None:
-                    values, total, terms = got
-                    stats.line_moves += 1
+            got = _joint_move(objective, values, total, terms, i,
+                              _pair_bases(values, i, j))
+            if got is not None:
+                values, total, terms = got
+                stats.line_moves += 1
         if not total < _SLOW * start:
             break
     objective.sweep_seconds += time.perf_counter() - clock
@@ -729,8 +745,10 @@ def fit(field: VectorField, box, shape, cfg: Optional[FitConfig] = None) -> FitR
     the smoothing away as its budget is spent; the final level anneals it
     over its first five 100-step progress windows (8, 4, 2, 1 and 0
     passes), since it stops at its gain long before its budget is spent,
-    and it sweeps at the end of every window.  level_sweep_seconds gives
-    the part of each level's level_seconds spent in sweeps.
+    and it sweeps at the end of every window; a sweep moves each pair's
+    coordinate to its loss's exact minimum, a quadratic's vertex, over the
+    span of the pair's bases.  level_sweep_seconds gives the part of each
+    level's level_seconds spent in sweeps.
 
     The final level stops once its total has fallen below the level before
     it by gain_tol, the ratio of their mesh widths (largest node spacings):

@@ -563,7 +563,8 @@ def test_varfit_writes_grids_history_manifest(tmp_path, capsys):
     assert isinstance(summary["level_totals"], list)
     assert "elevated_residual" in summary
     assert set(summary["stats"]) == {
-        "loss_evals", "gradients", "backtracks", "sweeps", "line_moves"}
+        "loss_evals", "gradients", "backtracks", "sweeps", "sweep_rounds",
+        "line_moves"}
     assert summary["stats"]["gradients"] == summary["iterations_run"]
     # per-level work, aligned with level_totals, sums to the fit's
     levels = len(summary["level_totals"])

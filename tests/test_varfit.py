@@ -330,19 +330,48 @@ def test_line_polynomials_match_the_loss(field, box, shape, rng):
         scored = objective.score(terms.G - s * dG)[0]
         assert scored == pytest.approx(exact(values - s * d), rel=1e-12)
 
+    # moving row i along K bases at once, the total is an exact quadratic
+    # total + b.c + c.A.c in c
     i = n - 1
-    basis = rng.standard_normal(shape)
-    moved_dir = np.zeros((n,) + shape)
-    moved_dir[i] = basis
-    row = np.zeros((n, n) + shape)
-    row[i] = objective.derivatives(basis[None])[0]
-    b, a = objective.step_poly(terms, row)
-    # the slope along the move is the gradient's projection on it
-    slope = float(np.sum(objective.gradient(terms) * moved_dir))
-    assert b == pytest.approx(slope, rel=1e-10)
-    for c in (-0.7, 0.05, 2.0):
-        predicted = total + b * c + a * c * c
-        assert predicted == pytest.approx(exact(values + c * moved_dir), rel=1e-12)
+    bases = rng.standard_normal((4,) + shape)
+    moves = np.zeros((4, n) + shape)
+    moves[:, i] = bases
+    b, A = objective.move_poly(terms, i, objective.derivatives(bases))
+    # b_k, the slope along the k-th move, is the gradient's projection on it
+    grad = objective.gradient(terms)
+    for b_k, move in zip(b, moves):
+        assert b_k == pytest.approx(float(np.sum(grad * move)), rel=1e-10)
+    for _ in range(3):
+        c = rng.uniform(-2.0, 2.0, 4)
+        predicted = total + b @ c + c @ A @ c
+        moved = values + np.einsum("k,k...->...", c, moves)
+        assert predicted == pytest.approx(exact(moved), rel=1e-12)
+
+
+def test_the_joint_vertex_beats_every_line_vertex(rng):
+    # the minimum over the span of a pair's bases is at most the minimum
+    # along any one of them; the vertices are scored totals, so allow a
+    # relative round-off slack of 1e-12
+    shape = (17, 17)
+    objective = _Objective(AR, BOX_REG, shape)
+    for seed in range(3):
+        values = varfit._affine_init(BOX_REG, shape, objective.p_vals, seed)
+        values += 0.1 * rng.standard_normal(values.shape)
+        total, terms = objective.evaluate(values)
+        for i, j in ((0, 1), (1, 0)):
+            bases = varfit._pair_bases(values, i, j)
+            assert len(bases) == 4
+            joint = varfit._joint_move(objective, values, total, terms, i, bases)
+            assert joint is not None
+            best_on_lines = total
+            for basis in bases:
+                line = varfit._joint_move(objective, values, total, terms, i,
+                                          basis[None])
+                best_on_line = total if line is None else line[1]
+                assert joint[1] <= best_on_line * (1.0 + 1e-12)
+                best_on_lines = min(best_on_lines, best_on_line)
+            # on a generic iterate the minimum uses more than one basis
+            assert joint[1] < best_on_lines
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -446,9 +475,9 @@ def test_fit_history_strictly_bookkept(reg_fit_small):
 
 
 def _assert_terms_match_a_fresh_loss(r):
-    # descent trials are scored from linearly updated derivatives and line
-    # moves from one moved row; the returned terms must still match a fresh
-    # loss
+    # descent trials are scored from linearly updated derivatives and joint
+    # recombination moves from one moved row; the returned terms must still
+    # match a fresh loss
     a, b, _ = loss(r.grid, AR)
     assert r.loss_a == pytest.approx(a, rel=1e-9)
     assert r.loss_b == pytest.approx(b, rel=1e-9)
@@ -471,8 +500,8 @@ def test_full_length_fits_do_not_drift(ar_fits):
 
 def test_every_descent_trial_is_scored(reg_fit_small):
     # a level scores its start, every trial of every step (the current step
-    # and each halving after a rejection) and the vertex of each line move its
-    # sweeps try; every coarse level ends with a sweep, and this fit's final
+    # and each halving after a rejection) and the vertex of each joint move
+    # its sweeps try; every coarse level ends with a sweep, and this fit's final
     # level runs none, so its ledger is exact
     r = reg_fit_small
     *coarse, final = r.level_stats
@@ -480,8 +509,10 @@ def test_every_descent_trial_is_scored(reg_fit_small):
     assert final.sweeps == 0
     for s in r.level_stats:
         vertices = s.loss_evals - (1 + s.gradients + s.backtracks)
-        # two coordinates: two ordered pairs of four bases per round
-        assert s.line_moves <= vertices <= s.sweeps * _MAX_SWEEP_ROUNDS * 8
+        # two coordinates: each round scores one vertex per ordered pair
+        assert s.line_moves <= vertices <= s.sweep_rounds * 2
+        assert s.sweeps <= s.sweep_rounds <= s.sweeps * _MAX_SWEEP_ROUNDS
+        assert vertices <= s.sweeps * _MAX_SWEEP_ROUNDS * 2
         if s.sweeps == 0:
             assert vertices == 0
 
