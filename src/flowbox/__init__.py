@@ -25,7 +25,7 @@ _EXPORTS = {
               "check_nonrecurrent", "check_nonrecurrent_batch", "check_transversal",
               "circle_surface", "evaluate_grid", "flowbox", "line_surface",
               "point_surface", "surface_from_json"),
-    "kef": ("KoopmanEigenfunction", "MinimalSet", "build_kef", "kpde_residual",
+    "kef": ("KoopmanEigenfunction", "MinimalSet", "kpde_residual",
             "minimal_set", "orbit_eigen_check"),
     "varfit": ("FitConfig", "FitResult", "GridField", "fit", "load_grid", "loss",
                "loss_gradient", "rotate_to_flowbox", "save_grid"),

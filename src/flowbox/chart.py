@@ -421,7 +421,7 @@ def check_transversal(
     if stats is not None:
         stats.rhs_calls += 1
         stats.rhs_evals += len(x)
-    ips = np.sum(normals * field.eval_grid(list(x.T)).T, axis=1)
+    ips = np.sum(normals * field.eval(x, check_domain=False), axis=1)
     return [(tau, float(ip)) for tau, ip in zip(taus, ips)]
 
 

@@ -381,7 +381,7 @@ def cmd_kef_check(args) -> int:
         timings = {"audit_s": time.perf_counter() - clock}
         clock = time.perf_counter()
         # one batched search charts every member's stencils
-        results = kef_mod.kef_residuals(members, field, points, fd_step, stats)
+        residuals, status = kef_mod.kef_residuals(members, field, points, fd_step, stats)
     else:
         if args.phi is None or args.eigenvalue is None:
             raise UsageError("need --phi and --lambda (or --minimal-set)")
@@ -395,9 +395,10 @@ def cmd_kef_check(args) -> int:
         recorded.update({"phi": args.phi, "lambda": str(eigenvalue)})
         timings = {"audit_s": time.perf_counter() - clock}
         clock = time.perf_counter()
-        results = [kef_mod.phi_residuals(  # over the stack's columns, a constant broadcast
+        residuals, status = kef_mod.phi_residuals(  # over columns, constants broadcast
             lambda rows: np.broadcast_to(node.evaluate(tuple(rows.T)), rows.shape[:-1]),
-            eigenvalue, field, points, fd_step)]
+            eigenvalue, field, points, fd_step)
+        residuals = residuals[None]  # one member
     timings["evaluate_s"] = time.perf_counter() - clock
 
     clock = time.perf_counter()
@@ -405,35 +406,30 @@ def cmd_kef_check(args) -> int:
     csv_path = out / "kef_residuals.csv"
     header = [f"x{i + 1}" for i in range(n)] + ["member", "re", "im", "status"]
     row = ",".join([_NUMBER] * n + ["%s", _NUMBER, _NUMBER, "%s"]) + "\n"
-    magnitudes = []
     with open(csv_path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for label, member_results in zip(labels, results):
-            for point, (res, status) in zip(points.tolist(), member_results):
-                if res is None:
-                    res = complex(np.nan, np.nan)
-                else:
-                    magnitudes.append(abs(res))
-                fh.write(row % (*point, label, res.real, res.imag, status))
+        for label, member_residuals in zip(labels, residuals):
+            for point, res, st in zip(points.tolist(), member_residuals, status):
+                fh.write(row % (*point, label, res.real, res.imag, st))
+    magnitudes = np.abs(residuals[:, status == chart_mod.STATUS_OK]).ravel()
+    worst = float(np.max(magnitudes)) if magnitudes.size else None
+    mean = float(np.mean(magnitudes)) if magnitudes.size else None
 
     summary = {
         "points": len(points),
         "members": len(labels),
-        "evaluated": len(magnitudes),
-        "max_abs_residual": max(magnitudes) if magnitudes else None,
-        "mean_abs_residual": float(np.mean(magnitudes)) if magnitudes else None,
+        "evaluated": magnitudes.size,
+        "max_abs_residual": worst,
+        "mean_abs_residual": mean,
         "fd_step": fd_step,
         "stats": _stats_summary(audit, stats, len(points)),
     }
     timings["write_s"] = time.perf_counter() - clock
     _write_manifest(out, "kef-check", recorded, [csv_path.name], summary, started,
                     timings=timings)
-    if magnitudes:
-        print(
-            f"kef-check: max |residual| = {max(magnitudes):.6g},"
-            f" mean = {float(np.mean(magnitudes)):.6g}"
-            f" over {len(magnitudes)} evaluations, wrote {csv_path}"
-        )
+    if magnitudes.size:
+        print(f"kef-check: max |residual| = {worst:.6g}, mean = {mean:.6g}"
+              f" over {magnitudes.size} evaluations, wrote {csv_path}")
     else:
         print(f"kef-check: no evaluable points, wrote {csv_path}")
     return EXIT_OK
@@ -807,7 +803,7 @@ def main(argv=None) -> int:
     except AuditFailure as err:
         print(f"audit failure: {err}", file=sys.stderr)
         return EXIT_AUDIT
-    except (IntegrationError, FloatingPointError) as err:
+    except (IntegrationError, ArithmeticError) as err:
         print(f"flowbox: numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -2,14 +2,14 @@
 
 A :class:`VectorField` is an autonomous smooth field ``P`` on a box domain in
 R^N.  Components are callables ``f(x1, ..., xN)`` that broadcast over numpy
-arrays, so the same object serves pointwise ODE stepping and full-grid
-evaluation.
+arrays, so one ``eval`` call over a stack of rows serves a batch of ODE
+lanes and a whole grid alike.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -95,15 +95,6 @@ class VectorField:
         out = np.empty(x.shape)
         for i, c in enumerate(self.components):
             out[..., i] = c(*cols)
-        return out
-
-    def eval_grid(self, coords: Sequence[np.ndarray]) -> np.ndarray:
-        """Evaluate P on broadcastable coordinate arrays; returns (N, *shape)."""
-        coords = [np.asarray(c, dtype=float) for c in coords]
-        shape = np.broadcast(*coords).shape if self.dim > 1 else coords[0].shape
-        out = np.empty((self.dim,) + shape, dtype=float)
-        for i, c in enumerate(self.components):
-            out[i] = c(*coords)  # assignment broadcasts constants and checks shapes
         return out
 
 

@@ -24,7 +24,6 @@ from .fdiff import fd_gradient, fd_jacobian  # noqa: F401 (likewise)
 __all__ = [
     "KoopmanEigenfunction",
     "MinimalSet",
-    "build_kef",
     "kpde_residual",
     "kef_residuals",
     "phi_residuals",
@@ -49,6 +48,9 @@ class KoopmanEigenfunction:
     profile: Optional[Callable] = None
     label: str = ""
 
+    def __post_init__(self):
+        object.__setattr__(self, "eigenvalue", complex(self.eigenvalue))
+
     def __call__(self, x):
         """phi at every row of x (..., N); the first row whose chart fails raises."""
         return self.at(_flowbox_rows(self.chart, x))
@@ -60,17 +62,6 @@ class KoopmanEigenfunction:
         return amp * np.exp(self.eigenvalue * z[..., -1])
 
 
-def build_kef(
-    chart: Chart,
-    eigenvalue: complex,
-    profile: Optional[Callable] = None,
-    label: str = "",
-) -> KoopmanEigenfunction:
-    return KoopmanEigenfunction(
-        eigenvalue=complex(eigenvalue), chart=chart, profile=profile, label=label
-    )
-
-
 def kpde_residual(phi, eigenvalue: complex, field: VectorField, x,
                   fd_step: float = 1e-5):
     """<grad phi, P> - lambda * phi at every row of x (..., N), phi mapping row
@@ -80,65 +71,78 @@ def kpde_residual(phi, eigenvalue: complex, field: VectorField, x,
     return rate(grad, field.eval(x)) - complex(eigenvalue) * phi(x)
 
 
-def _residual_rows(evaluate, eigenvalues, field, points, fd_step) -> list:
-    """Per function, [(residual or None, status)] at points (..., N); evaluate
-    maps each point's stencil rows, then the point, stacked (P (2N+1), N), to
-    K functions' values and per row the POINT_ERRORS exception raised or None.
-    A point's status is its first error: stencil, field.eval at it, its row."""
+def _residuals(evaluate, eigenvalues, field, points, fd_step, stats) -> tuple:
+    """(residuals (K, P), status (P,)) at points (..., N); evaluate maps each
+    point's stencil rows, then the point, stacked (P (2N+1), N), to K
+    functions' values and per row the POINT_ERRORS exception raised or None.
+    A point's status is its first error: stencil, field.eval at it, its row.
+    The field calls at the points and their rows are added into stats."""
     points = np.asarray(points, dtype=float).reshape(-1, field.dim)
     P, N = points.shape
     values, errors = evaluate(np.concatenate(
         [stencil(points, fd_step).reshape(P, 2 * N, N), points[:, None]], axis=1
     ).reshape(-1, N))
+
+    def field_rows(rows):
+        stats.rhs_calls += 1
+        return field.eval(rows)
+
+    stats.rhs_evals += P
     field_errors = [None] * P
-    p = _split_on_error(field.eval, points, POINT_ERRORS, field_errors.__setitem__, (N,))
+    p = _split_on_error(field_rows, points, POINT_ERRORS, field_errors.__setitem__, (N,))
     errors = np.reshape(np.array(errors, dtype=object), (P, 2 * N + 1))
     first = [next((e for e in (*row[:-1], f, row[-1]) if e is not None), None)
              for row, f in zip(errors, field_errors)]
-    out = []
-    for vals, lam in zip(values, eigenvalues):
+    status = np.array([STATUS_OK if e is None else error_status(e) for e in first],
+                      dtype=object)
+    ok = status == STATUS_OK
+    residuals = np.full((len(eigenvalues), P), complex(np.nan, np.nan))
+    for k, (vals, lam) in enumerate(zip(values, eigenvalues)):
         vals = np.reshape(vals, (P, 2 * N + 1))
         grad = fd_gradient_rows(lambda _: vals[:, :-1].reshape(-1), points, fd_step)
-        res = rate(grad, p) - complex(lam) * vals[:, -1]
-        out.append([(complex(r), STATUS_OK) if e is None else (None, error_status(e))
-                    for r, e in zip(res, first)])
-    return out
+        residuals[k, ok] = (rate(grad, p) - complex(lam) * vals[:, -1])[ok]
+    return residuals, status
 
 
 def kef_residuals(kefs: Sequence[KoopmanEigenfunction], field: VectorField,
-                  points, fd_step: float = 1e-5, stats=None) -> list:
+                  points, fd_step: float = 1e-5, stats=None) -> tuple:
     """kpde_residual of eigenfunctions sharing one chart, at many points.
 
     Each point's stencil rows and the point are charted by one batched
-    search (work counters added to `stats` when given), and each residual
-    equals the per-point value bit for bit.  Returns, per eigenfunction,
-    [(residual or None, status)] in point order; a failed point's status is
-    that of its first failure: the stencil rows in stencil order, then
-    field.eval at the point, then the point's chart.
+    search and the field is evaluated once over the points (work
+    counters added to `stats` when given), and each residual equals the
+    per-point value bit for bit.  Returns (residuals, status) in point order
+    as evaluate_grid does: residuals (K, P), NaN at a failed point, and
+    status (P,) labels; a failed point's status is that of its first
+    failure: the stencil rows in stencil order, then field.eval at the
+    point, then the point's chart.
     """
     chart = kefs[0].chart
     if any(k.chart is not chart for k in kefs):
         raise ValueError("kef_residuals needs eigenfunctions of one chart")
+    stats = RunStats() if stats is None else stats
 
     def charted(rows):
         z, errors = _flowbox_batch(chart, rows, stats)
         return [k.at(z) for k in kefs], errors
 
-    return _residual_rows(charted, [k.eigenvalue for k in kefs], field, points, fd_step)
+    return _residuals(charted, [k.eigenvalue for k in kefs], field, points, fd_step, stats)
 
 
 def phi_residuals(phi, eigenvalue: complex, field: VectorField, points,
-                  fd_step: float = 1e-5) -> list:
+                  fd_step: float = 1e-5) -> tuple:
     """kpde_residual of phi at many points, as kef_residuals gives it for one
-    eigenfunction.  phi maps row stacks (R, N) to R values and is called over
-    every point's stencil rows and the point at once; a call that raises one
-    of POINT_ERRORS is split in halves until the raising rows stand alone."""
+    eigenfunction: (residuals (P,), status (P,)).  phi maps row stacks (R, N)
+    to R values and is called over every point's stencil rows and the point
+    at once; a call that raises one of POINT_ERRORS is split in halves until
+    the raising rows stand alone."""
 
     def evaluated(rows):
         errors = [None] * len(rows)
         return [_split_on_error(phi, rows, POINT_ERRORS, errors.__setitem__)], errors
 
-    return _residual_rows(evaluated, [eigenvalue], field, points, fd_step)[0]
+    residuals, status = _residuals(evaluated, [eigenvalue], field, points, fd_step, RunStats())
+    return residuals[0], status
 
 
 def orbit_eigen_check(
@@ -218,9 +222,9 @@ def minimal_set(
     """
     n = chart.dim
     members = tuple(
-        build_kef(chart, 1.0, profile=lambda h, i=i: h[..., i], label=f"h{i + 1}*exp(m)")
+        KoopmanEigenfunction(1.0, chart, lambda h, i=i: h[..., i], f"h{i + 1}*exp(m)")
         for i in range(n - 1)
-    ) + (build_kef(chart, 1.0, profile=None, label="exp(m)"),)
+    ) + (KoopmanEigenfunction(1.0, chart, label="exp(m)"),)
 
     points = np.asarray(() if audit_points is None else audit_points, dtype=float).reshape(-1, n)
 

@@ -5,7 +5,7 @@ first-same-as-last one, Hairer's combined 5th/3rd-order error estimate) with
 an elementary step-size controller, run over a lane axis.  Each lane is one
 starting point with its own time, step size, attempt count and outcome; all
 lanes step together and the field is evaluated for every running lane at once through
-``VectorField.eval_grid``.  Backward time is a lane whose field is negated.
+``VectorField.eval``.  Backward time is a lane whose field is negated.
 A field error (ArithmeticError) fails only the lanes whose own rows raise it.
 ``flow`` and ``trace_orbit`` are one-lane runs.
 
@@ -131,7 +131,7 @@ class RunStats:
     lanes : lanes integrated (a crossing search uses two per point)
     accepted_steps, rejected_steps : lane steps, summed over lanes
     rhs_calls : the stepper's, the dense output's and the crossing events'
-        VectorField.eval_grid calls, including those that split a call which
+        VectorField.eval calls, including those that split a call which
         raised ArithmeticError down to its raising rows, and one per
         transversality audit (chart.check_transversal)
     rhs_evals : lane field evaluations, each running lane once per stage,
@@ -433,7 +433,7 @@ def _field_rows(field: VectorField, xs, fail, stats: RunStats) -> np.ndarray:
 
     def call(rows):
         stats.rhs_calls += 1
-        return field.eval_grid(list(rows.T)).T
+        return field.eval(rows, check_domain=False)
 
     stats.rhs_evals += len(xs)
     return _split_on_error(call, xs, ArithmeticError, fail, (xs.shape[1],))
@@ -483,7 +483,7 @@ def _levels(surfaces, group, xs, fail, stats: RunStats) -> np.ndarray:
 
 
 def _integrate(field: VectorField, x0, sign, T: float, cfg: IntegratorConfig,
-               stats: RunStats, on_accept=None):
+               stats: RunStats, on_accept):
     """Integrate dx/dt = sign * P(x) over [0, T] on every lane of x0 (L, N).
 
     `sign` holds +1 or -1 per lane.  After each batched step,
@@ -592,12 +592,10 @@ def _integrate(field: VectorField, x0, sign, T: float, cfg: IntegratorConfig,
                 x = np.where(okc, x_new, x)
                 k0 = np.where(okc, K[12], k0)
             outcome[ids[finished & outside]] = _EXIT
-            if on_accept is not None:
-                stop = on_accept(acc, t_old, x_old, t_acc, x_acc, h_acc,
-                                 lambda j: K[j][pos])
-                if stop is not None:
-                    outcome[stop] = _FAILED
-                    finished |= np.isin(ids, stop)
+            stop = on_accept(acc, t_old, x_old, t_acc, x_acc, h_acc, lambda j: K[j][pos])
+            if stop is not None:
+                outcome[stop] = _FAILED
+                finished |= np.isin(ids, stop)
             if finished.any():
                 keep = ~finished
         if broken is not None:

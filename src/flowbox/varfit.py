@@ -254,8 +254,8 @@ def _field_on_grid(field: VectorField, grid_box, shape) -> np.ndarray:
         raise ValueError(
             f"grid box {box.tolist()} is not inside the domain of {field.name}"
         )
-    mesh = np.stack(np.meshgrid(*grid_axes(box, shape), indexing="ij"), axis=0)
-    return field.eval_grid(mesh)
+    rows = np.stack(np.meshgrid(*grid_axes(box, shape), indexing="ij"), axis=-1)
+    return np.ascontiguousarray(np.moveaxis(field.eval(rows, check_domain=False), -1, 0))
 
 
 def _raise_non_finite(arrays, box, shape, what):

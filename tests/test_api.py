@@ -140,6 +140,8 @@ def test_benchmark_probes_run(monkeypatch, tmp_path):
     assert set(got) == {"odeint.sweep_rhs", "odeint.refine_rhs",
                         "odeint.sweep_ms", "odeint.refine_ms"}
     assert all(np.isfinite(v) for v in got.values())
+    # a field evaluation that bypasses VectorField.eval would read 0 here
+    assert got["odeint.sweep_rhs"] > 0
     box = np.array([[4.0, 6.0], [1.0, 3.0]])
     mesh = GridField(box=box, values=np.zeros((2, 5, 5))).mesh()
     save_grid(GridField(box=box, values=mesh), tmp_path / "fit_y.csv")

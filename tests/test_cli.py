@@ -506,6 +506,20 @@ def test_kef_check_phi_fails_the_rows_where_the_field_raises(tmp_path):
     assert [r[0] for r in rows if r[5] != "ok"] == ["0", "0"]
 
 
+def test_kef_check_with_no_evaluable_point_writes_nan_rows(tmp_path, capsys):
+    # ln(x1) raises at every point of a grid with x1 < 0
+    code = main(["kef-check", "--system", "linear-ar", "--phi", "ln(x1)", "--lambda", "1",
+                 "--grid=-2x-1x2,0.5x2x2", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    rows = _residual_rows(tmp_path)
+    assert len(rows) == 4
+    assert all(r[3:] == ["nan", "nan", "domain-error"] for r in rows)
+    summary = json.loads((tmp_path / "manifest.json").read_text())["summary"]
+    assert summary["evaluated"] == 0
+    assert summary["max_abs_residual"] is None and summary["mean_abs_residual"] is None
+    assert "kef-check: no evaluable points" in capsys.readouterr().out
+
+
 PHI_ARGV = ["kef-check", "--system", "hyperbolic-b", "--phi", "x1*x2", "--lambda", "0",
             "--grid", "0.9x1.1x2,0.2x0.3x2"]
 
@@ -996,23 +1010,53 @@ def test_every_integrated_lane_is_reported(tmp_path, capsys, monkeypatch):
     assert sum(integrated) == sum(r["metrics"]["stats"]["lanes"] for r in report["suites"]) > 0
 
 
+def _assert_every_field_row_is_reported(argv, out, monkeypatch):
+    calls, rows = [], []
+    eval_ = VectorField.eval
+
+    def counting(self, x, check_domain=True):
+        calls.append(1)
+        rows.append(np.size(x) // self.dim)
+        return eval_(self, x, check_domain)
+
+    monkeypatch.setattr(VectorField, "eval", counting)
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    stats = json.loads((out / "manifest.json").read_text())["summary"]["stats"]
+    assert len(calls) == stats["audit"]["rhs_calls"] + stats["evaluate"]["rhs_calls"]
+    assert sum(rows) == stats["audit"]["rhs_evals"] + stats["evaluate"]["rhs_evals"]
+
+
 def test_every_field_row_of_a_chart_build_is_reported(tmp_path, monkeypatch):
     # the transversality samples, the recurrence audit and the charted
     # points all add their field calls and rows into the manifest's stats
-    calls, rows = [], []
-    eval_grid = VectorField.eval_grid
+    _assert_every_field_row_is_reported(
+        ["chart-build", "--system", "hyperbolic-b", "--surface", "line-b",
+         "--grid", "0.8x1.2x4,0.2x0.4x3"], tmp_path, monkeypatch)
 
-    def counting(self, coords):
-        calls.append(1)
-        rows.append(np.size(coords[0]))
-        return eval_grid(self, coords)
 
-    monkeypatch.setattr(VectorField, "eval_grid", counting)
-    assert main(["chart-build", "--system", "hyperbolic-b", "--surface", "line-b",
-                 "--grid", "0.8x1.2x4,0.2x0.4x3", "--out", str(tmp_path)]) == EXIT_OK
-    stats = json.loads((tmp_path / "manifest.json").read_text())["summary"]["stats"]
-    assert len(calls) == stats["audit"]["rhs_calls"] + stats["evaluate"]["rhs_calls"]
-    assert sum(rows) == stats["audit"]["rhs_evals"] + stats["evaluate"]["rhs_evals"]
+def test_every_field_row_of_a_minimal_set_kef_check_is_reported(tmp_path, monkeypatch):
+    # the transversality samples, the charted stencil rows and the field at
+    # the grid points all add their field calls and rows into the stats
+    _assert_every_field_row_is_reported(
+        ["kef-check", "--system", "hyperbolic-b", "--minimal-set", "--surface", "line-b",
+         "--grid", "0.8x1.2x4,0.2x0.4x3"], tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("argv", [
+    ["chart-build", "--surface", "line-b", "--grid", "0.8x2x3,0.2x1.2x3"],
+    ["kef-check", "--minimal-set", "--surface", "line-b", "--grid", "0.8x2x3,0.2x1.2x3"],
+    ["varfit", "--grid", "1x3x9,1x3x9", "--iterations", "10"],
+], ids=lambda argv: argv[0])
+def test_a_field_error_outside_the_lane_batch_is_a_numerical_failure(argv, tmp_path, capsys):
+    # line-b's transversality samples and varfit's grid nodes reach x2 = 2,
+    # where the field divides by zero outside any per-point batch
+    spec = tmp_path / "pole.json"
+    spec.write_text(json.dumps({"name": "pole", "dim": 2, "components": ["1/(x2-2)", "1"]}))
+    code = main([argv[0], "--system-file", str(spec), *argv[1:],
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_NUMERIC
+    assert "flowbox: numerical failure: division by zero" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_all_dispatches_the_slow_suites_longest_first(monkeypatch):

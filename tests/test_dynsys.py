@@ -143,20 +143,6 @@ def test_vectorfield_validation():
         )
 
 
-def test_eval_grid_matches_pointwise():
-    field = builtin("limit-cycle")
-    xs = np.linspace(-1.0, 1.0, 5)
-    ys = np.linspace(-1.0, 1.0, 4)
-    mesh = np.meshgrid(xs, ys, indexing="ij")
-    grid = field.eval_grid(mesh)
-    assert grid.shape == (2, 5, 4)
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            np.testing.assert_allclose(
-                grid[:, i, j], field.eval(np.array([x, y])), rtol=1e-14
-            )
-
-
 @given(
     x=st.floats(min_value=-5, max_value=5),
     y=st.floats(min_value=-5, max_value=5),

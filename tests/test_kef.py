@@ -14,7 +14,7 @@ from flowbox.chart import (
 )
 from flowbox.fdiff import fd_gradient, fd_jacobian
 from flowbox.kef import (
-    build_kef,
+    KoopmanEigenfunction,
     kef_residuals,
     kpde_residual,
     minimal_set,
@@ -36,15 +36,15 @@ def src_chart(tight_cfg):
 # h = x1 x2 / 4, so profile(h) = 4 h at eigenvalue n rebuilds x1^(1-n) x2.
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_chart_eigenfunction_matches_closed_form(hyp_chart, n):
-    phi = build_kef(hyp_chart, n, profile=lambda h: 4.0 * h[..., 0])
+    phi = KoopmanEigenfunction(n, hyp_chart, profile=lambda h: 4.0 * h[..., 0])
     for x in [(1.3, 0.8), (0.9, 1.4), (1.8, 0.4)]:
         want = x[0] ** (1 - n) * x[1]
         assert complex(phi(np.array(x))) == pytest.approx(want, rel=1e-7)
 
 
 def test_trivial_profile_gives_exp_m(hyp_chart):
-    phi = build_kef(hyp_chart, 1.0)
-    assert phi.profile is None
+    phi = KoopmanEigenfunction(1, hyp_chart)
+    assert phi.profile is None and type(phi.eigenvalue) is complex
     x = np.array([0.5, 2.0])
     # e^m = e^{-ln x1} = 1/x1
     assert complex(phi(x)) == pytest.approx(2.0, rel=1e-7)
@@ -53,7 +53,7 @@ def test_trivial_profile_gives_exp_m(hyp_chart):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_kpde_residual_small_on_eigenfunctions(hyp_chart, n):
     field = dynsys.builtin("hyperbolic-b")
-    phi = build_kef(hyp_chart, n, profile=lambda h: 4.0 * h[..., 0])
+    phi = KoopmanEigenfunction(n, hyp_chart, profile=lambda h: 4.0 * h[..., 0])
     for x in [(1.3, 0.8), (0.9, 1.4)]:
         res = kpde_residual(phi, n, field, np.array(x))
         assert abs(res) < 1e-5
@@ -61,7 +61,7 @@ def test_kpde_residual_small_on_eigenfunctions(hyp_chart, n):
 
 def test_kpde_residual_detects_wrong_eigenvalue(hyp_chart):
     field = dynsys.builtin("hyperbolic-b")
-    phi = build_kef(hyp_chart, 2.0, profile=lambda h: 4.0 * h[..., 0])
+    phi = KoopmanEigenfunction(2.0, hyp_chart, profile=lambda h: 4.0 * h[..., 0])
     x = np.array([1.3, 0.8])
     res = kpde_residual(phi, 2.5, field, x)
     # residual picks up the mismatch term 0.5 * phi(x)
@@ -77,7 +77,7 @@ def test_kpde_residual_complex_eigenvalue():
 
 def test_orbit_eigen_check_on_and_off(hyp_chart, tight_cfg):
     field = dynsys.builtin("hyperbolic-b")
-    phi = build_kef(hyp_chart, 2.0, profile=lambda h: 4.0 * h[..., 0])
+    phi = KoopmanEigenfunction(2.0, hyp_chart, profile=lambda h: 4.0 * h[..., 0])
     dev = orbit_eigen_check(phi, 2.0, field, (1.3, 0.8), 0.5, cfg=tight_cfg)
     assert dev < 1e-6
     # wrong eigenvalue leaves a factor e^{0.25} at the far end
@@ -194,18 +194,20 @@ def test_kef_residuals_equal_per_point_residuals():
         return complex(np.dot(grad, p) - member.eigenvalue * complex(member(x)))
 
     def statuses(points, fd_step):
-        batched = kef_residuals(members, field, points, fd_step)
+        residuals, status = kef_residuals(members, field, points, fd_step)
+        assert residuals.shape == (len(members), len(points)) and status.shape == (len(points),)
         seen = []
-        for member, rows in zip(members, batched):
-            for x, (res, status) in zip(points, rows):
+        for member, row in zip(members, residuals):
+            for x, res, label in zip(points, row, status):
                 try:
                     expected = residual(member, np.asarray(x, dtype=float), fd_step)
                 except POINT_ERRORS as err:
-                    assert (res, status) == (None, error_status(err))
+                    assert np.isnan(res.real) and np.isnan(res.imag)
+                    assert label == error_status(err)
                 else:
-                    assert status == "ok"
+                    assert label == "ok"
                     np.testing.assert_allclose(res, expected, rtol=0, atol=0)
-                seen.append(status)
+                seen.append(label)
         return seen
 
     seen = statuses(points, 1e-5)
@@ -218,9 +220,17 @@ def test_kef_residuals_equal_per_point_residuals():
         "not-in-omega", "off-patch"]
 
 
+def test_kef_residuals_refuses_eigenfunctions_of_two_charts(hyp_chart, tight_cfg):
+    field = dynsys.builtin("hyperbolic-b")
+    other = build_chart(field, "line-b", cfg=tight_cfg)
+    kefs = [KoopmanEigenfunction(1.0, hyp_chart), KoopmanEigenfunction(1.0, other)]
+    with pytest.raises(ValueError, match="needs eigenfunctions of one chart"):
+        kef_residuals(kefs, field, [[1.0, 1.0]])
+
+
 def test_stacked_residuals_and_members_equal_their_row_by_row_calls(hyp_chart):
     field = dynsys.builtin("hyperbolic-b")
-    phi = build_kef(hyp_chart, 2.0, profile=lambda h: 4.0 * h[..., 0])
+    phi = KoopmanEigenfunction(2.0, hyp_chart, profile=lambda h: 4.0 * h[..., 0])
     X = np.stack(np.meshgrid(np.linspace(0.8, 1.6, 3), np.linspace(0.3, 1.2, 4),
                              indexing="ij"), axis=-1)  # (3, 4, 2)
     values, residuals = phi(X), kpde_residual(phi, 2.0, field, X)

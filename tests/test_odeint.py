@@ -104,6 +104,20 @@ def test_nan_error_estimate_fails_at_once(monkeypatch):
     assert not isinstance(exc.value, StepLimitExceeded)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_blow_up_inside_the_domain_ends_in_step_size_underflow():
+    # x' = x^2 from x = 1 is 1 / (1 - t): the steps shrink toward t = 1 in a
+    # box too wide to leave, and both one-lane callers report the underflow
+    field = parse_system("x1^2", 1, domain=[(-1e300, 1e300)])
+    states, errors = flow_batch(field, [[1.0]], 2.0)
+    assert np.isnan(states).all()
+    assert type(errors[0]) is IntegrationError
+    assert str(errors[0]) == "user: step size underflow at t=1"
+    with pytest.raises(IntegrationError, match=r"^user: step size underflow at t=1$") as exc:
+        trace_orbit(field, np.array([1.0]), (0.0, 2.0))
+    assert type(exc.value) is IntegrationError
+
+
 def test_domain_exit_carries_partial_orbit():
     field = parse_system("x1, x2", 2, name="tight", domain=[(-2, 2), (-2, 2)])
     with pytest.raises(DomainExit) as exc:
@@ -216,11 +230,11 @@ def test_dense_output_field_error_fails_its_bracket(monkeypatch):
     raised = []
 
     class RaisingAbove:
-        def eval_grid(self, coords):
-            if np.any(np.asarray(coords[1]) > 1.0):
+        def eval(self, rows, check_domain=True):
+            if np.any(rows[..., 1] > 1.0):
                 raised.append(ZeroDivisionError("no field above x2 = 1"))
                 raise raised[-1]
-            return field.eval_grid(coords)
+            return field.eval(rows, check_domain)
 
     dense_output = odeint._dense_output
     monkeypatch.setattr(odeint, "_dense_output",
@@ -313,14 +327,14 @@ def test_a_crossing_search_counts_every_field_row(monkeypatch):
     # the sweep, the dense output and the events' directions all count
     # their field calls and rows; the second point starts on the line
     calls, rows = [], []
-    eval_grid = VectorField.eval_grid
+    eval_ = VectorField.eval
 
-    def counting(self, coords):
+    def counting(self, x, check_domain=True):
         calls.append(1)
-        rows.append(np.size(coords[0]))
-        return eval_grid(self, coords)
+        rows.append(np.size(x) // self.dim)
+        return eval_(self, x, check_domain)
 
-    monkeypatch.setattr(VectorField, "eval_grid", counting)
+    monkeypatch.setattr(VectorField, "eval", counting)
     stats = RunStats()
     points = [[0.5, 2.0], [1.0, 1.0], [2.0, 0.5]]
     results = find_crossings_batch(builtin("hyperbolic-b"), points, builtin_surface("line-b"),

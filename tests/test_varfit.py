@@ -272,7 +272,7 @@ def ref_loss(values, field, box):
     shape = values.shape[1:]
     n = len(shape)
     h = (box[:, 1] - box[:, 0]) / (np.array(shape) - 1)
-    p_vals = field.eval_grid(mesh_grid(box, shape))
+    p_vals = np.moveaxis(field.eval(np.moveaxis(mesh_grid(box, shape), 0, -1)), -1, 0)
     w = trapezoid_weights(box, shape)
     G = [[ref_diff_axis(values[i], h[a], a) for a in range(n)] for i in range(n)]
     a_term = sum(float(np.sum(w * (sum(G[i][a] * p_vals[a] for a in range(n)) - 1.0) ** 2))
