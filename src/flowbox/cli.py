@@ -484,6 +484,7 @@ def cmd_varfit(args) -> int:
     summary.update({k: [float(v) for v in getattr(result, k)]
                     for k in ("node_mean_a", "unit_mean", "level_totals")})
     summary["level_iterations"] = list(result.level_iterations)
+    summary["level_messages"] = list(result.level_messages)
     summary["level_stats"] = {k: [getattr(s, k) for s in result.level_stats]
                               for k in dataclasses.asdict(result.stats)}
     summary["stats"] = dataclasses.asdict(result.stats)
@@ -513,6 +514,9 @@ def cmd_varfit(args) -> int:
             else "residual stuck across grid refinement (gain"
                  f" {result.refinement_gain:.3g} below the mesh-width ratio"
                  f" {result.gain_tol:.3g})"
+            if result.refinement_gain < result.gain_tol
+            else "residual stuck across grid refinement on a coarser ladder"
+                 " level (the manifest's message names it)"
         )
         print(
             f"diagnostic: {reason}"

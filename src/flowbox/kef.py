@@ -85,9 +85,9 @@ def _residuals(evaluate, eigenvalues, field, points, fd_step, stats) -> tuple:
 
     def field_rows(rows):
         stats.rhs_calls += 1
+        stats.rhs_evals += len(rows)
         return field.eval(rows)
 
-    stats.rhs_evals += P
     field_errors = [None] * P
     p = _split_on_error(field_rows, points, POINT_ERRORS, field_errors.__setitem__, (N,))
     errors = np.reshape(np.array(errors, dtype=object), (P, 2 * N + 1))

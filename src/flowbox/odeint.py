@@ -134,10 +134,11 @@ class RunStats:
         VectorField.eval calls, including those that split a call which
         raised ArithmeticError down to its raising rows, and one per
         transversality audit (chart.check_transversal)
-    rhs_evals : lane field evaluations, each running lane once per stage,
-        three evaluations per bracketed step for its dense output and one
-        per crossing event for its direction, plus one per transversality
-        sample
+    rhs_evals : the rows of those calls: lane field evaluations, each
+        running lane once per stage, three evaluations per bracketed step
+        for its dense output and one per crossing event for its direction,
+        plus one per transversality sample; a row of a call that raised is
+        counted again in each split call that holds it
     level_calls : surface level calls, one per surface group (the points
         sharing a surface) per batched step, per refinement pass and per root
         iteration of the whole search, plus the start and event calls and
@@ -433,9 +434,9 @@ def _field_rows(field: VectorField, xs, fail, stats: RunStats) -> np.ndarray:
 
     def call(rows):
         stats.rhs_calls += 1
+        stats.rhs_evals += len(rows)
         return field.eval(rows, check_domain=False)
 
-    stats.rhs_evals += len(xs)
     return _split_on_error(call, xs, ArithmeticError, fail, (xs.shape[1],))
 
 

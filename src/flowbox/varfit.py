@@ -16,15 +16,14 @@ transposes, so descent behaves like plain calculus on the discrete objective.
 fit() descends a coarse-to-fine ladder of grids, annealing a smoothing filter
 on the gradient and jumping loss valleys with exact recombination moves, which
 is what it takes to land in the flowbox basin from a random affine start.
-A coarser level anneals the smoothing over its step budget; the final level,
-which stops at its gain long before its budget is spent, anneals it over its
-first five progress windows.
 Each coarser level ends with a recombination sweep and hands its iterate to
-the next by cubic interpolation.  The final level stops once refinement has
-paid off: once its total has fallen below the previous level's by their
-mesh-width ratio, reached by the recombination sweep it runs at every
-progress window.  A final level that spends its budget without that gain
-flags an elevated residual, on a ladder of at least three levels.
+the next by cubic interpolation.  Every level from the third on (and the
+final one) stops once refinement has paid off: once its total has fallen
+below the previous level's by their mesh-width ratio, reached by the
+recombination sweep it runs at every progress window; it anneals the
+smoothing over its first five windows, the first two levels over their
+budgets.  A judged level that spends its budget without that gain flags an
+elevated residual.
 
 The loss is a polynomial of the derivative stack G[i, a] = dy_i/dx_a, which is
 linear in y: moving one coordinate along K bases, it is an exact quadratic in
@@ -136,8 +135,8 @@ class FitConfig:
 
     iterations is the total step budget, split across the coarse-to-fine
     ladder (coarser levels get geometrically smaller shares, the requested
-    grid gets the rest); the final level stops early once refinement has
-    paid off (see fit).  seed starts the PRNG of the random-affine start.
+    grid gets the rest): a cap, since every level from the third on stops
+    once refinement has paid off (see fit).  seed seeds the affine start.
     target > 0 also stops the final level early, once both node-mean defects
     drop below it; the default 0 sets no target.
     """
@@ -386,14 +385,14 @@ def loss_gradient(grid: GridField, field: VectorField) -> np.ndarray:
 _NODE_TOL = 1e-2
 # FitResult.message of a fit that stopped at FitConfig.target
 TARGET_MET = "node-mean targets met"
-# FitResult.message of a fit whose final level stopped once its total fell
-# below the level before it by the mesh-width ratio (see fit)
+# message of a level that stopped once its total fell below the level
+# before it by the mesh-width ratio (see fit)
 GAIN_MET = "refinement gain reached the mesh-width ratio"
 # FitResult.message of a fit whose final level found no descent step
 _STALLED = "no descent step found; stopped at the best iterate"
 # Coarsest grid the continuation ladder will drop to, nodes per axis.
 _MIN_COARSE = 9
-# A final level that ends above this floor without the refinement gain marks
+# A judged level that ends above this floor without the refinement gain marks
 # an obstruction: the defect is a feature of the problem, not of the grid.
 _RESIDUAL_FLOOR = 1e-10  # per unit volume
 # Step halvings tried before a descent step counts as failed.
@@ -441,6 +440,7 @@ class FitResult:
     level_sweep_seconds: tuple   # of those, seconds in recombination sweeps
     level_iterations: tuple      # steps of each, aligned with level_totals
     level_stats: tuple           # FitStats of each, aligned with level_totals
+    level_messages: tuple        # why each stopped, aligned with level_totals
     refinement_gain: Optional[float]  # level_totals[-2] / level_totals[-1]
     gain_tol: Optional[float]    # mesh-width ratio of the last two levels run
     # refinement failed to shrink the residual; None: under three levels ran
@@ -650,19 +650,18 @@ def _descend(objective, values, iters, record=None, target=0.0, enough=0.0):
 
     Returns (values, total, terms, steps_run, message), the message saying
     why the level stopped.  The smoothing anneals 8, 4, 2, 1 and 0 passes
-    over fifths of the level's budget iters, or, on a level with a gain
-    target enough > 0, over its first five progress windows: that level
-    stops at its gain long before its budget is spent, and its slow phase
-    speeds up as soon as the passes drop.  Every accepted step strictly
+    over fifths of the budget iters, or, on a level with a gain target
+    enough > 0, which is meant to stop at its gain well inside its budget,
+    over its first five progress windows.  Every accepted step strictly
     decreases the loss; when backtracking fails, or at the end of a
     progress window, a recombination sweep tries to jump the iterate across
-    a loss valley before giving up.  A level with a gain target sweeps at
-    every window end, since its sweeps are what reach the gain; any other
-    level only after a window that gained under 1%.  Every trial, the current step
-    and each halving after it, lies on values - s * direction, so each is
-    scored from G - s * grad(direction) (see the module notes).  The level
-    stops early once both node-mean defects are at most target > 0, or once
-    its total is at most enough.
+    a loss valley before giving up: at every window end on a level with a
+    gain target, since its sweeps are what reach the gain, and otherwise
+    only after a window that gained under 1%.  Every trial, the current
+    step and each halving after it, lies on values - s * direction, so each
+    is scored from G - s * grad(direction).  The level stops early once
+    both node-mean defects are at most target > 0, or once its total is at
+    most enough.
     """
     box, shape = objective.box, objective.shape
     values = _pin_corner(values)
@@ -741,29 +740,30 @@ def fit(field: VectorField, box, shape, cfg: Optional[FitConfig] = None) -> FitR
     before fine-scale detail exists to fight it.  Each level runs
     smoothed-gradient descent plus recombination sweeps when progress
     stalls, and every coarser level ends with one more sweep, so that it
-    hands its finer neighbour a converged iterate.  A coarser level anneals
-    the smoothing away as its budget is spent; the final level anneals it
-    over its first five 100-step progress windows (8, 4, 2, 1 and 0
-    passes), since it stops at its gain long before its budget is spent,
-    and it sweeps at the end of every window; a sweep moves each pair's
-    coordinate to its loss's exact minimum, a quadratic's vertex, over the
-    span of the pair's bases.  level_sweep_seconds gives the part of each
-    level's level_seconds spent in sweeps.
+    hands its finer neighbour a converged iterate.  A sweep moves each
+    pair's coordinate to its loss's exact minimum, a quadratic's vertex,
+    over the span of the pair's bases.  level_sweep_seconds gives the part
+    of each level's level_seconds spent in sweeps.
 
-    The final level stops once its total has fallen below the level before
-    it by gain_tol, the ratio of their mesh widths (largest node spacings):
-    on a consistent scheme the loss of a smooth solution falls at least like
-    the mesh width, so refinement has then paid off.  A final level that
-    spends its budget without that gain, while its loss sits well above
-    round-off, holds a defect that does not behave like discretization
-    error, and the result is flagged elevated_residual: with an adequate
-    budget that marks an obstruction in the problem itself, such as
-    coordinates that blow up inside the box.  A met FitConfig.target stops
-    the final level first and flags nothing.  The gain is judged only when
-    at least three ladder levels ran: the level before the last must itself
-    start from a converged level, not from the random affine guess.  With
-    fewer, elevated_residual is None and the message says the gain was not
-    judged; refinement_gain is still reported.
+    Every level from the third on, and the final level, stops once its
+    total has fallen below the level before it by the ratio of their mesh
+    widths (largest node spacings): on a consistent scheme the loss of a
+    smooth solution falls at least like the mesh width, so refinement has
+    then paid off (nested iteration: each level is solved only down to its
+    discretization error).  Such a level anneals the smoothing over its
+    first five 100-step progress windows (8, 4, 2, 1 and 0 passes) and
+    sweeps at the end of every window; the first two levels anneal it over
+    their budgets and spend them, since the third level is judged against
+    the second.  level_messages says why each level stopped.  A level from
+    the third on that spends its budget without its gain, while its loss
+    sits well above round-off, holds a defect that does not behave like
+    discretization error, and the result is flagged elevated_residual: with
+    an adequate budget that marks an obstruction in the problem itself,
+    such as coordinates that blow up inside the box.  A met FitConfig.target
+    stops the final level first and exempts it.  With fewer than three
+    levels run, elevated_residual is None and the message says the gain was
+    not judged.  refinement_gain and gain_tol are those of the last two
+    levels.
 
     Deterministic for a fixed cfg: initialization comes from the seeded PRNG
     and every accepted step strictly decreases the loss, so history is
@@ -784,8 +784,9 @@ def fit(field: VectorField, box, shape, cfg: Optional[FitConfig] = None) -> FitR
     budgets = _budget_split(cfg.iterations, len(ladder))
     history: list = []
     level_totals, level_seconds, level_iterations, level_stats = [], [], [], []
-    level_sweep_seconds = []
-    gain_tol = None
+    level_sweep_seconds, level_messages, missed = [], [], []
+    gain_tol = refinement_gain = None
+    floor = _RESIDUAL_FLOOR * float(np.prod(box[:, 1] - box[:, 0]))
     values = None
     for li, level_shape in enumerate(ladder):
         final = li == len(ladder) - 1
@@ -796,10 +797,11 @@ def fit(field: VectorField, box, shape, cfg: Optional[FitConfig] = None) -> FitR
         enough = 0.0
         if values is None:
             values = _affine_init(box, level_shape, objective.p_vals, cfg.seed)
-        else:
-            if final:  # the mesh width is the largest node spacing
-                gain_tol = float(np.max(_spacings(box, values.shape[1:]))
-                                 / np.max(_spacings(box, level_shape)))
+        else:  # the mesh width is the largest node spacing
+            gain_tol = float(np.max(_spacings(box, values.shape[1:]))
+                             / np.max(_spacings(box, level_shape)))
+            # the second level is the third's yardstick: it spends its budget
+            if final or len(level_totals) >= 2:
                 enough = level_totals[-1] / gain_tol
             values = _prolong(values, level_shape)
         values, total, terms, steps, message = _descend(
@@ -810,11 +812,21 @@ def fit(field: VectorField, box, shape, cfg: Optional[FitConfig] = None) -> FitR
         )
         if not final:
             values, total, terms = _recombine_sweep(objective, values, total, terms)
+        if gain_tol is not None:
+            refinement_gain = float(level_totals[-1] / max(total, 1e-300))
+        # an early target stop leaves the final total unconverged, which
+        # would fake a weak gain; only a level that ran out is evidence
+        if (len(level_totals) >= 2 and message not in (TARGET_MET, GAIN_MET)
+                and refinement_gain < gain_tol and total > floor):
+            missed.append(f"refinement gain {refinement_gain:.3g} below the mesh-width"
+                          f" ratio {gain_tol:.3g}" + ("" if final else " at the"
+                          f" {'x'.join(map(str, level_shape))} level"))
         level_totals.append(total)
         level_seconds.append(time.perf_counter() - clock)
         level_sweep_seconds.append(objective.sweep_seconds)
         level_iterations.append(steps)
         level_stats.append(objective.stats)
+        level_messages.append(message)
 
     a_term, b_term = terms.A, terms.B
     node_a, node_b, unit_mean, concentration = _node_diagnostics(terms)
@@ -822,23 +834,10 @@ def fit(field: VectorField, box, shape, cfg: Optional[FitConfig] = None) -> FitR
     # a target looser than _NODE_TOL only stops the fit early
     converged = float(np.max(node_a)) <= _NODE_TOL and node_b <= _NODE_TOL
     stalled = message == _STALLED
-    refinement_gain = None
-    if gain_tol is not None:
-        refinement_gain = float(level_totals[-2] / max(level_totals[-1], 1e-300))
-    elevated = None
-    if len(level_totals) >= 3:
-        volume = float(np.prod(box[:, 1] - box[:, 0]))
-        # an early target stop leaves the final total unconverged, which
-        # would fake a weak gain; only a level that ran out is evidence
-        elevated = (
-            message not in (TARGET_MET, GAIN_MET)
-            and refinement_gain < gain_tol
-            and level_totals[-1] > _RESIDUAL_FLOOR * volume
-        )
+    elevated = bool(missed) if len(level_totals) >= 3 else None
     if elevated:
         message += (
-            f"; elevated residual: refinement gain {refinement_gain:.3g} below"
-            f" the mesh-width ratio {gain_tol:.3g}, the defect survives grid"
+            f"; elevated residual: {missed[-1]}, the defect survives grid"
             " refinement (obstruction on the patch, or budget too small to"
             " resolve it)"
         )
@@ -866,6 +865,7 @@ def fit(field: VectorField, box, shape, cfg: Optional[FitConfig] = None) -> FitR
         level_sweep_seconds=tuple(level_sweep_seconds),
         level_iterations=tuple(level_iterations),
         level_stats=tuple(level_stats),
+        level_messages=tuple(level_messages),
         refinement_gain=refinement_gain,
         gain_tol=gain_tol,
         elevated_residual=elevated,

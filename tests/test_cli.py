@@ -584,6 +584,8 @@ def test_varfit_writes_grids_history_manifest(tmp_path, capsys):
     levels = len(summary["level_totals"])
     assert len(summary["level_iterations"]) == levels
     assert sum(summary["level_iterations"]) == summary["iterations_run"]
+    assert len(summary["level_messages"]) == levels
+    assert summary["message"].startswith(summary["level_messages"][-1])
     assert set(summary["level_stats"]) == set(summary["stats"])
     for key, per_level in summary["level_stats"].items():
         assert len(per_level) == levels
@@ -635,6 +637,34 @@ def test_varfit_diagnostic_names_the_gain_and_its_threshold(tmp_path, capsys):
     assert (f"residual stuck across grid refinement (gain"
             f" {summary['refinement_gain']:.3g} below the mesh-width ratio 1.92)"
             in captured.err)
+
+
+def test_varfit_diagnostic_on_a_coarser_level_that_misses_its_gain(
+        tmp_path, capsys, monkeypatch):
+    # the 18x18 level of 9 -> 10 -> 18 -> 34, starved to one step, misses
+    # its gain; the final level meets its own
+    from flowbox import varfit
+    real = varfit._descend
+
+    def starved(objective, values, iters, record=None, target=0.0, enough=0.0):
+        if record is None and enough > 0.0:
+            return real(objective, values, 1)
+        return real(objective, values, iters, record, target, enough)
+
+    monkeypatch.setattr(varfit, "_descend", starved)
+    code = main([
+        "varfit", "--system", "linear-ar", "--grid", "4x6x34,1x3x34",
+        "--iterations", "1000", "--out", str(tmp_path),
+    ])
+    assert code == EXIT_OK
+    summary = json.loads((tmp_path / "manifest.json").read_text())["summary"]
+    assert summary["elevated_residual"]
+    assert summary["level_messages"][2] == "iteration budget exhausted"
+    assert summary["level_messages"][3] == varfit.GAIN_MET
+    assert summary["refinement_gain"] >= summary["gain_tol"]
+    assert "at the 18x18 level" in summary["message"]
+    assert ("residual stuck across grid refinement on a coarser ladder level"
+            in capsys.readouterr().err)
 
 
 def test_varfit_diagnostic_on_a_target_stop(tmp_path, capsys):
@@ -1040,6 +1070,21 @@ def test_every_field_row_of_a_minimal_set_kef_check_is_reported(tmp_path, monkey
     _assert_every_field_row_is_reported(
         ["kef-check", "--system", "hyperbolic-b", "--minimal-set", "--surface", "line-b",
          "--grid", "0.8x1.2x4,0.2x0.4x3"], tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("argv", [
+    ["chart-build", "--grid", "0.5x2x4,0.5x2x4"],
+    ["kef-check", "--minimal-set", "--grid", "1.5x3x4,0.5x2x4"],
+], ids=lambda argv: argv[0])
+def test_every_field_row_of_a_raising_call_is_reported(argv, tmp_path, monkeypatch):
+    # the field raises beyond x1 = 2.5, so the search (and kef-check's field
+    # call at the grid points) splits its calls down to the raising rows:
+    # each split call's rows count again
+    spec = tmp_path / "edge.json"
+    spec.write_text(json.dumps({"dim": 2, "components": ["1", "-x2 + 0*sqrt(2.5 - x1)"]}))
+    _assert_every_field_row_is_reported(
+        [argv[0], "--force", "--system-file", str(spec), "--surface", "line-b", *argv[1:]],
+        tmp_path / "out", monkeypatch)
 
 
 @pytest.mark.parametrize("argv", [

@@ -490,12 +490,11 @@ def test_fit_maintained_terms_do_not_drift(reg_fit_small):
 
 
 def test_full_length_fits_do_not_drift(ar_fits):
-    # acceptance 7's 64x64 fits run thousands of steps, each scored from
-    # linearly updated derivatives
+    # acceptance 7's 64x64 fits run over a thousand steps, the singular one
+    # thousands, each scored from linearly updated derivatives
+    assert ar_fits(BOX_SING).iterations_run >= 1500
     for box in (BOX_REG, BOX_SING):
-        r = ar_fits(box)
-        assert r.iterations_run >= 1500
-        _assert_terms_match_a_fresh_loss(r)
+        _assert_terms_match_a_fresh_loss(ar_fits(box))
 
 
 def test_every_descent_trial_is_scored(reg_fit_small):
@@ -650,6 +649,45 @@ def test_the_final_level_reaches_its_gain_within_five_windows(ar_fits):
     r = ar_fits(BOX_REG)
     assert r.message == GAIN_MET
     assert r.level_iterations[-1] <= 5 * _CHECK_EVERY
+
+
+def test_the_third_level_stops_at_its_gain_within_five_windows(ar_fits):
+    # 9 -> 17 -> 33 -> 64: the 33x33 level is judged against the 17x17 one,
+    # which spends its budget
+    r = ar_fits(BOX_REG)
+    assert r.level_messages[:2] == ("iteration budget exhausted",) * 2
+    assert r.level_iterations[:2] == (312, 625)
+    assert r.level_messages[2] == GAIN_MET
+    assert r.level_iterations[2] <= 5 * _CHECK_EVERY
+    assert r.level_messages[-1] == GAIN_MET == r.message
+
+
+def test_the_third_level_spends_its_budget_across_a_singular_line(ar_fits):
+    r = ar_fits(BOX_SING)
+    assert r.level_iterations[2] == 1250
+    assert r.level_messages[2] == "iteration budget exhausted"
+    # 17 -> 33 nodes per axis halve the mesh width
+    assert r.level_totals[1] / r.level_totals[2] < 2.0
+
+
+def test_a_judged_level_that_misses_its_gain_flags_the_fit(monkeypatch):
+    # starve the 18x18 level of 9 -> 10 -> 18 -> 34 to one step: it ends far
+    # above its yardstick, and the final level then meets its own gain
+    real = varfit._descend
+
+    def starved(objective, values, iters, record=None, target=0.0, enough=0.0):
+        if record is None and enough > 0.0:
+            return real(objective, values, 1)
+        return real(objective, values, iters, record, target, enough)
+
+    monkeypatch.setattr(varfit, "_descend", starved)
+    r = fit(AR, BOX_REG, (34, 34), FitConfig(iterations=1000, seed=0))
+    assert r.level_iterations[2] == 1
+    assert r.level_messages[-1] == GAIN_MET
+    assert r.refinement_gain >= r.gain_tol
+    assert r.elevated_residual
+    assert r.message.startswith(GAIN_MET + "; elevated residual: refinement gain")
+    assert "at the 18x18 level" in r.message
 
 
 def _smoothing_schedule(monkeypatch, iters, enough):
