@@ -452,8 +452,8 @@ def cmd_varfit(args) -> int:
     except ValueError as err:
         raise UsageError(str(err))
     timings = {"fit_s": time.perf_counter() - clock,
-               "levels_s": list(result.level_seconds),
-               "levels_sweep_s": list(result.level_sweep_seconds)}
+               "levels_s": [level.seconds for level in result.levels],
+               "levels_sweep_s": [level.sweep_seconds for level in result.levels]}
 
     clock = time.perf_counter()
     out = _out_dir(args.out)
@@ -479,14 +479,13 @@ def cmd_varfit(args) -> int:
 
     summary = {k: getattr(result, k) for k in (
         "converged", "stalled", "iterations_run", "loss_a", "loss_b", "total",
-        "node_mean_b", "residual_concentration", "refinement_gain", "gain_tol",
-        "elevated_residual", "message")}
+        "node_mean_b", "residual_concentration", "elevated_residual", "message")}
     summary.update({k: [float(v) for v in getattr(result, k)]
-                    for k in ("node_mean_a", "unit_mean", "level_totals")})
-    summary["level_iterations"] = list(result.level_iterations)
-    summary["level_messages"] = list(result.level_messages)
-    summary["level_stats"] = {k: [getattr(s, k) for s in result.level_stats]
-                              for k in dataclasses.asdict(result.stats)}
+                    for k in ("node_mean_a", "unit_mean")})
+    # every level's record but its seconds, which stay in timings
+    summary["levels"] = [
+        {**{k: v for k, v in level._asdict().items() if not k.endswith("seconds")},
+         "stats": dataclasses.asdict(level.stats)} for level in result.levels]
     summary["stats"] = dataclasses.asdict(result.stats)
     outputs = [y_csv.name, f"{y_csv.name}.json", z_csv.name,
                f"{z_csv.name}.json", hist_csv.name]
@@ -509,14 +508,12 @@ def cmd_varfit(args) -> int:
             file=sys.stderr,
         )
     elif not result.converged or result.elevated_residual:
+        worst = next((lv for lv in reversed(result.levels) if lv.missed), None)
         reason = (
             "node-mean defects above tolerance" if not result.converged
-            else "residual stuck across grid refinement (gain"
-                 f" {result.refinement_gain:.3g} below the mesh-width ratio"
-                 f" {result.gain_tol:.3g})"
-            if result.refinement_gain < result.gain_tol
-            else "residual stuck across grid refinement on a coarser ladder"
-                 " level (the manifest's message names it)"
+            else "residual stuck across grid refinement at the"
+                 f" {'x'.join(map(str, worst.shape))} level (gain {worst.gain:.3g}"
+                 f" below the mesh-width ratio {worst.gain_tol:.3g})"
         )
         print(
             f"diagnostic: {reason}"
@@ -527,7 +524,7 @@ def cmd_varfit(args) -> int:
     if result.elevated_residual is None:
         print(
             "diagnostic: the refinement gain could not be judged on this"
-            f" {len(result.level_totals)}-level ladder (a verdict needs three"
+            f" {len(result.levels)}-level ladder (a verdict needs three"
             " levels): an obstruction inside the box would pass unflagged",
             file=sys.stderr,
         )

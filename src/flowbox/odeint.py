@@ -386,8 +386,8 @@ _DONE, _EXIT, _FAILED = range(3)
 def _combine(terms, stages):
     """sum of w * stages[j] over (w, j) in terms, in a fixed elementwise order.
 
-    Weights are scalars or per-lane columns; every lane's value depends only
-    on its own row, whichever lanes share the batch.
+    Weights are the scalars of the literal coefficient tables; every lane's
+    value depends only on its own row, whichever lanes share the batch.
     """
     (w, j), *rest = terms
     acc = w * stages[j]

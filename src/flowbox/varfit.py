@@ -22,8 +22,9 @@ final one) stops once refinement has paid off: once its total has fallen
 below the previous level's by their mesh-width ratio, reached by the
 recombination sweep it runs at every progress window; it anneals the
 smoothing over its first five windows, the first two levels over their
-budgets.  A judged level that spends its budget without that gain flags an
-elevated residual.
+budgets.  fit() reports one LevelResult per level; a judged level that
+spends its budget without that gain is marked missed and flags an elevated
+residual.
 
 The loss is a polynomial of the derivative stack G[i, a] = dy_i/dx_a, which is
 linear in y: moving one coordinate along K bases, it is an exact quadratic in
@@ -41,6 +42,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 import time
 from typing import NamedTuple, Optional, Sequence
 
@@ -52,6 +54,7 @@ __all__ = [
     "GridField",
     "FitConfig",
     "FitResult",
+    "LevelResult",
     "grid_axes",
     "diff_axis",
     "diff_axis_T",
@@ -146,6 +149,10 @@ class FitConfig:
     target: float = 0.0
 
     def __post_init__(self):
+        for name in ("iterations", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer: {value!r}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1: {self.iterations}")
         if self.seed < 0:
@@ -421,6 +428,21 @@ class FitStats:
     line_moves: int = 0   # accepted joint recombination moves
 
 
+class LevelResult(NamedTuple):
+    """What one ladder level of fit() did."""
+
+    shape: tuple                 # grid nodes per axis
+    iterations: int              # descent steps run
+    total: float                 # loss at the level's end
+    gain: Optional[float]        # previous level's total / total; None on the first
+    gain_tol: Optional[float]    # their mesh-width ratio; None on the first
+    message: str                 # why the level stopped
+    missed: bool                 # judged, and stopped without its gain (see fit)
+    seconds: float               # wall seconds
+    sweep_seconds: float         # of those, seconds in recombination sweeps
+    stats: FitStats              # work counters
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class FitResult:
     grid: GridField
@@ -435,18 +457,11 @@ class FitResult:
     node_mean_b: float           # mean over pairs of <grad y_i, grad y_j>^2
     unit_mean: np.ndarray        # mean <grad y_i, P> per coordinate
     residual_concentration: float  # max node residual / median node residual
-    level_totals: tuple          # endpoint loss of each ladder level run
-    level_seconds: tuple         # wall seconds of each, aligned with level_totals
-    level_sweep_seconds: tuple   # of those, seconds in recombination sweeps
-    level_iterations: tuple      # steps of each, aligned with level_totals
-    level_stats: tuple           # FitStats of each, aligned with level_totals
-    level_messages: tuple        # why each stopped, aligned with level_totals
-    refinement_gain: Optional[float]  # level_totals[-2] / level_totals[-1]
-    gain_tol: Optional[float]    # mesh-width ratio of the last two levels run
-    # refinement failed to shrink the residual; None: under three levels ran
+    levels: tuple                # one LevelResult per ladder level run
+    # some level missed its gain; None: under three levels ran
     elevated_residual: Optional[bool]
     message: str
-    stats: FitStats              # level_stats summed
+    stats: FitStats              # the levels' stats summed
 
 
 def _median(values) -> float:
@@ -645,23 +660,23 @@ def _recombine_sweep(objective, values, total, terms):
     return values, total, terms
 
 
-def _descend(objective, values, iters, record=None, target=0.0, enough=0.0):
+def _descend(objective, values, iters, target=0.0, enough=0.0):
     """Smoothed-gradient descent with recombination sweeps on one grid.
 
-    Returns (values, total, terms, steps_run, message), the message saying
-    why the level stopped.  The smoothing anneals 8, 4, 2, 1 and 0 passes
-    over fifths of the budget iters, or, on a level with a gain target
-    enough > 0, which is meant to stop at its gain well inside its budget,
-    over its first five progress windows.  Every accepted step strictly
-    decreases the loss; when backtracking fails, or at the end of a
-    progress window, a recombination sweep tries to jump the iterate across
-    a loss valley before giving up: at every window end on a level with a
-    gain target, since its sweeps are what reach the gain, and otherwise
-    only after a window that gained under 1%.  Every trial, the current
-    step and each halving after it, lies on values - s * direction, so each
-    is scored from G - s * grad(direction).  The level stops early once
-    both node-mean defects are at most target > 0, or once its total is at
-    most enough.
+    Returns (values, total, terms, totals, message): totals holds the total
+    after each step run, and the message says why the level stopped.  The
+    smoothing anneals 8, 4, 2, 1 and 0 passes over fifths of the budget
+    iters, or, on a level with a gain target enough > 0, which is meant to
+    stop at its gain well inside its budget, over its first five progress
+    windows.  Every accepted step strictly decreases the loss; when
+    backtracking fails, or at the end of a progress window, a recombination
+    sweep tries to jump the iterate across a loss valley before giving up:
+    at every window end on a level with a gain target, since its sweeps are
+    what reach the gain, and otherwise only after a window that gained
+    under 1%.  Every trial, the current step and each halving after it, lies
+    on values - s * direction, so each is scored from
+    G - s * grad(direction).  The level stops early once both node-mean
+    defects are at most target > 0, or once its total is at most enough.
     """
     box, shape = objective.box, objective.shape
     values = _pin_corner(values)
@@ -673,8 +688,8 @@ def _descend(objective, values, iters, record=None, target=0.0, enough=0.0):
     window_last = total
     anneal = min(iters, 5 * _CHECK_EVERY) if enough > 0.0 else iters
     message = "iteration budget exhausted"
-    it = 0
-    while it < iters:
+    totals = []
+    while len(totals) < iters:
         stats.gradients += 1
         grad = objective.gradient(terms)
         # non-finite when grad is (or when the sum merely overflows); only its
@@ -685,7 +700,7 @@ def _descend(objective, values, iters, record=None, target=0.0, enough=0.0):
         if norm2 == 0.0:
             message = "gradient vanished"
             break
-        passes = _smoothing_passes(it, anneal)
+        passes = _smoothing_passes(len(totals), anneal)
         direction = _smoothed(grad, passes) if passes else grad
 
         accepted = False
@@ -702,21 +717,19 @@ def _descend(objective, values, iters, record=None, target=0.0, enough=0.0):
                 break
             stats.backtracks += 1
             trial_step *= 0.5
-        it += 1
-        if record is not None:
-            record.append(total)
+        totals.append(total)
 
         # a level with a gain target sweeps at every window end
-        slow = it % _CHECK_EVERY == 0 and (enough > 0.0 or total > _SLOW * window_last)
-        if it % _CHECK_EVERY == 0:
+        window_end = len(totals) % _CHECK_EVERY == 0
+        slow = window_end and (enough > 0.0 or total > _SLOW * window_last)
+        if window_end:
             window_last = total
         if not accepted or slow:
             v2, t2, terms2 = _recombine_sweep(objective, values, total, terms)
             if t2 < total:
                 values, total, terms = v2, t2, terms2
                 step = _STEP_SIZE
-                if record is not None and record:
-                    record[-1] = total
+                totals[-1] = total
             elif not accepted:
                 message = _STALLED
                 break
@@ -728,7 +741,7 @@ def _descend(objective, values, iters, record=None, target=0.0, enough=0.0):
         if total <= enough:
             message = GAIN_MET
             break
-    return values, total, terms, it, message
+    return values, total, terms, totals, message
 
 
 def fit(field: VectorField, box, shape, cfg: Optional[FitConfig] = None) -> FitResult:
@@ -742,33 +755,34 @@ def fit(field: VectorField, box, shape, cfg: Optional[FitConfig] = None) -> FitR
     stalls, and every coarser level ends with one more sweep, so that it
     hands its finer neighbour a converged iterate.  A sweep moves each
     pair's coordinate to its loss's exact minimum, a quadratic's vertex,
-    over the span of the pair's bases.  level_sweep_seconds gives the part
-    of each level's level_seconds spent in sweeps.
+    over the span of the pair's bases.  Each level run appends one
+    LevelResult to levels: its steps, end total, why it stopped, seconds and
+    work counters, and from the second level on its gain and gain_tol.
 
     Every level from the third on, and the final level, stops once its
-    total has fallen below the level before it by the ratio of their mesh
-    widths (largest node spacings): on a consistent scheme the loss of a
-    smooth solution falls at least like the mesh width, so refinement has
-    then paid off (nested iteration: each level is solved only down to its
-    discretization error).  Such a level anneals the smoothing over its
-    first five 100-step progress windows (8, 4, 2, 1 and 0 passes) and
-    sweeps at the end of every window; the first two levels anneal it over
-    their budgets and spend them, since the third level is judged against
-    the second.  level_messages says why each level stopped.  A level from
-    the third on that spends its budget without its gain, while its loss
-    sits well above round-off, holds a defect that does not behave like
-    discretization error, and the result is flagged elevated_residual: with
-    an adequate budget that marks an obstruction in the problem itself,
-    such as coordinates that blow up inside the box.  A met FitConfig.target
-    stops the final level first and exempts it.  With fewer than three
-    levels run, elevated_residual is None and the message says the gain was
-    not judged.  refinement_gain and gain_tol are those of the last two
-    levels.
+    total has fallen below the level before it by the ratio gain_tol of
+    their mesh widths (largest node spacings): on a consistent scheme the
+    loss of a smooth solution falls at least like the mesh width, so
+    refinement has then paid off (nested iteration: each level is solved
+    only down to its discretization error).  Such a level anneals the
+    smoothing over its first five 100-step progress windows (8, 4, 2, 1 and
+    0 passes) and sweeps at the end of every window; the first two levels
+    anneal it over their budgets and spend them, since the third level is
+    judged against the second.  A level from the third on that spends its
+    budget with a gain below gain_tol, while its loss sits well above
+    round-off, holds a defect that does not behave like discretization
+    error: its record is marked missed and the result is flagged
+    elevated_residual, the message naming the finest level that missed.
+    With an adequate budget that marks an obstruction in the problem
+    itself, such as coordinates that blow up inside the box.  A met
+    FitConfig.target stops the final level first and exempts it.  With
+    fewer than three levels run, elevated_residual is None and the message
+    says the gain was not judged.
 
     Deterministic for a fixed cfg: initialization comes from the seeded PRNG
     and every accepted step strictly decreases the loss, so history is
     non-increasing.  history covers only the requested grid, one entry per
-    step; coarser continuation levels report through level_totals.
+    step; coarser continuation levels report through levels.
     """
     cfg = cfg or FitConfig()
     box = np.asarray(box, dtype=float)
@@ -782,10 +796,7 @@ def fit(field: VectorField, box, shape, cfg: Optional[FitConfig] = None) -> FitR
 
     ladder = _coarse_ladder(shape)
     budgets = _budget_split(cfg.iterations, len(ladder))
-    history: list = []
-    level_totals, level_seconds, level_iterations, level_stats = [], [], [], []
-    level_sweep_seconds, level_messages, missed = [], [], []
-    gain_tol = refinement_gain = None
+    levels: list = []
     floor = _RESIDUAL_FLOOR * float(np.prod(box[:, 1] - box[:, 0]))
     values = None
     for li, level_shape in enumerate(ladder):
@@ -794,83 +805,70 @@ def fit(field: VectorField, box, shape, cfg: Optional[FitConfig] = None) -> FitR
             continue
         clock = time.perf_counter()
         objective = _Objective(field, box, level_shape, FitStats())
-        enough = 0.0
+        enough, gain_tol = 0.0, None
         if values is None:
             values = _affine_init(box, level_shape, objective.p_vals, cfg.seed)
         else:  # the mesh width is the largest node spacing
             gain_tol = float(np.max(_spacings(box, values.shape[1:]))
                              / np.max(_spacings(box, level_shape)))
             # the second level is the third's yardstick: it spends its budget
-            if final or len(level_totals) >= 2:
-                enough = level_totals[-1] / gain_tol
+            if final or len(levels) >= 2:
+                enough = levels[-1].total / gain_tol
             values = _prolong(values, level_shape)
-        values, total, terms, steps, message = _descend(
+        values, total, terms, totals, message = _descend(
             objective, values, budgets[li],
-            record=history if final else None,
-            target=cfg.target if final else 0.0,
-            enough=enough,
-        )
+            target=cfg.target if final else 0.0, enough=enough)
         if not final:
             values, total, terms = _recombine_sweep(objective, values, total, terms)
-        if gain_tol is not None:
-            refinement_gain = float(level_totals[-1] / max(total, 1e-300))
+        gain = None if gain_tol is None else float(levels[-1].total / max(total, 1e-300))
         # an early target stop leaves the final total unconverged, which
         # would fake a weak gain; only a level that ran out is evidence
-        if (len(level_totals) >= 2 and message not in (TARGET_MET, GAIN_MET)
-                and refinement_gain < gain_tol and total > floor):
-            missed.append(f"refinement gain {refinement_gain:.3g} below the mesh-width"
-                          f" ratio {gain_tol:.3g}" + ("" if final else " at the"
-                          f" {'x'.join(map(str, level_shape))} level"))
-        level_totals.append(total)
-        level_seconds.append(time.perf_counter() - clock)
-        level_sweep_seconds.append(objective.sweep_seconds)
-        level_iterations.append(steps)
-        level_stats.append(objective.stats)
-        level_messages.append(message)
+        missed = (len(levels) >= 2 and message not in (TARGET_MET, GAIN_MET)
+                  and gain < gain_tol and total > floor)
+        levels.append(LevelResult(
+            level_shape, len(totals), total, gain, gain_tol, message, missed,
+            time.perf_counter() - clock, objective.sweep_seconds, objective.stats))
 
     a_term, b_term = terms.A, terms.B
     node_a, node_b, unit_mean, concentration = _node_diagnostics(terms)
 
     # a target looser than _NODE_TOL only stops the fit early
     converged = float(np.max(node_a)) <= _NODE_TOL and node_b <= _NODE_TOL
-    stalled = message == _STALLED
-    elevated = bool(missed) if len(level_totals) >= 3 else None
+    misses = [level for level in levels if level.missed]
+    elevated = bool(misses) if len(levels) >= 3 else None
     if elevated:
+        worst = misses[-1]
         message += (
-            f"; elevated residual: {missed[-1]}, the defect survives grid"
+            f"; elevated residual: refinement gain {worst.gain:.3g} below the"
+            f" mesh-width ratio {worst.gain_tol:.3g} at the"
+            f" {'x'.join(map(str, worst.shape))} level, the defect survives grid"
             " refinement (obstruction on the patch, or budget too small to"
             " resolve it)"
         )
     elif elevated is None:
         message += (
-            f"; refinement gain not judged on a {len(level_totals)}-level"
+            f"; refinement gain not judged on a {len(levels)}-level"
             " ladder: a verdict needs three levels"
         )
 
     return FitResult(
         grid=GridField(box=box, values=values),
-        history=np.asarray(history),
+        history=np.asarray(totals),
         loss_a=a_term,
         loss_b=b_term,
         total=float(a_term + b_term),
         converged=converged,
-        stalled=stalled,
-        iterations_run=sum(level_iterations),
+        stalled=levels[-1].message == _STALLED,
+        iterations_run=sum(level.iterations for level in levels),
         node_mean_a=node_a,
         node_mean_b=node_b,
         unit_mean=unit_mean,
         residual_concentration=concentration,
-        level_totals=tuple(level_totals),
-        level_seconds=tuple(level_seconds),
-        level_sweep_seconds=tuple(level_sweep_seconds),
-        level_iterations=tuple(level_iterations),
-        level_stats=tuple(level_stats),
-        level_messages=tuple(level_messages),
-        refinement_gain=refinement_gain,
-        gain_tol=gain_tol,
+        levels=tuple(levels),
         elevated_residual=elevated,
         message=message,
-        stats=FitStats(*map(sum, zip(*map(dataclasses.astuple, level_stats)))),
+        stats=FitStats(*map(sum, zip(*(dataclasses.astuple(level.stats)
+                                        for level in levels)))),
     )
 
 

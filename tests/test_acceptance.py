@@ -162,7 +162,7 @@ def test_acceptance_7_variational_fit(ar_fits):
         f"/{reg.node_mean_b:.2e} (<= 1e-2), history non-increasing ({monotone}),"
         f" gradient cosine {score:.4f} vs analytic directions (>= 0.99);"
         f" singular patch diagnostic fired ({sing.elevated_residual},"
-        f" refinement gain {sing.refinement_gain:.2g}); both fits {elapsed:.1f}s"
+        f" refinement gain {sing.levels[-1].gain:.2g}); both fits {elapsed:.1f}s"
         " single-threaded",
     )
 

@@ -574,25 +574,27 @@ def test_varfit_writes_grids_history_manifest(tmp_path, capsys):
     summary = manifest["summary"]
     assert len(hist_lines) - 1 <= summary["iterations_run"]
     assert len(summary["node_mean_a"]) == 2
-    assert isinstance(summary["level_totals"], list)
     assert "elevated_residual" in summary
     assert set(summary["stats"]) == {
         "loss_evals", "gradients", "backtracks", "sweeps", "sweep_rounds",
         "line_moves"}
     assert summary["stats"]["gradients"] == summary["iterations_run"]
-    # per-level work, aligned with level_totals, sums to the fit's
-    levels = len(summary["level_totals"])
-    assert len(summary["level_iterations"]) == levels
-    assert sum(summary["level_iterations"]) == summary["iterations_run"]
-    assert len(summary["level_messages"]) == levels
-    assert summary["message"].startswith(summary["level_messages"][-1])
-    assert set(summary["level_stats"]) == set(summary["stats"])
-    for key, per_level in summary["level_stats"].items():
-        assert len(per_level) == levels
-        assert sum(per_level) == summary["stats"][key]
+    # one record per level, whose work sums to the fit's
+    levels = summary["levels"]
+    assert [level["shape"] for level in levels] == [[9, 9], [12, 12]]
+    for level in levels:
+        assert set(level) == {"shape", "iterations", "total", "gain", "gain_tol",
+                              "message", "missed", "stats"}
+    assert levels[0]["gain"] is levels[0]["gain_tol"] is None
+    assert not any(level["missed"] for level in levels)
+    assert sum(level["iterations"] for level in levels) == summary["iterations_run"]
+    assert summary["message"].startswith(levels[-1]["message"])
+    assert levels[-1]["total"] == summary["total"]
+    for key in summary["stats"]:
+        assert sum(level["stats"][key] for level in levels) == summary["stats"][key]
     assert set(manifest["timings"]) == {"fit_s", "levels_s", "levels_sweep_s", "write_s"}
     levels_s = manifest["timings"]["levels_s"]
-    assert len(levels_s) == len(summary["level_totals"])
+    assert len(levels_s) == len(levels)
     assert all(s >= 0.0 for s in levels_s) and sum(levels_s) <= manifest["timings"]["fit_s"]
     # each level's sweep seconds are part of its seconds, and stay out of
     # the deterministic summary
@@ -631,11 +633,12 @@ def test_varfit_diagnostic_names_the_gain_and_its_threshold(tmp_path, capsys):
     assert code == EXIT_OK
     captured = capsys.readouterr()
     summary = json.loads((tmp_path / "manifest.json").read_text())["summary"]
-    assert summary["elevated_residual"]
-    assert summary["gain_tol"] == pytest.approx(23.0 / 12.0, rel=1e-12)
+    final = summary["levels"][-1]
+    assert summary["elevated_residual"] and final["missed"]
+    assert final["gain_tol"] == pytest.approx(23.0 / 12.0, rel=1e-12)
     assert "converged after 600 of 600 iterations" in captured.out
-    assert (f"residual stuck across grid refinement (gain"
-            f" {summary['refinement_gain']:.3g} below the mesh-width ratio 1.92)"
+    assert (f"residual stuck across grid refinement at the 24x24 level (gain"
+            f" {final['gain']:.3g} below the mesh-width ratio 1.92)"
             in captured.err)
 
 
@@ -646,10 +649,10 @@ def test_varfit_diagnostic_on_a_coarser_level_that_misses_its_gain(
     from flowbox import varfit
     real = varfit._descend
 
-    def starved(objective, values, iters, record=None, target=0.0, enough=0.0):
-        if record is None and enough > 0.0:
-            return real(objective, values, 1)
-        return real(objective, values, iters, record, target, enough)
+    def starved(objective, values, iters, target=0.0, enough=0.0):
+        if objective.shape == (18, 18):
+            iters = 1
+        return real(objective, values, iters, target, enough)
 
     monkeypatch.setattr(varfit, "_descend", starved)
     code = main([
@@ -659,12 +662,17 @@ def test_varfit_diagnostic_on_a_coarser_level_that_misses_its_gain(
     assert code == EXIT_OK
     summary = json.loads((tmp_path / "manifest.json").read_text())["summary"]
     assert summary["elevated_residual"]
-    assert summary["level_messages"][2] == "iteration budget exhausted"
-    assert summary["level_messages"][3] == varfit.GAIN_MET
-    assert summary["refinement_gain"] >= summary["gain_tol"]
+    starved_level, final = summary["levels"][2:]
+    assert starved_level["shape"] == [18, 18]
+    assert starved_level["message"] == "iteration budget exhausted"
+    assert starved_level["gain"] < starved_level["gain_tol"]
+    assert starved_level["missed"]
+    assert final["message"] == varfit.GAIN_MET
+    assert final["gain"] >= final["gain_tol"] and not final["missed"]
     assert "at the 18x18 level" in summary["message"]
-    assert ("residual stuck across grid refinement on a coarser ladder level"
-            in capsys.readouterr().err)
+    assert ("residual stuck across grid refinement at the 18x18 level (gain"
+            f" {starved_level['gain']:.3g} below the mesh-width ratio"
+            f" {starved_level['gain_tol']:.3g})" in capsys.readouterr().err)
 
 
 def test_varfit_diagnostic_on_a_target_stop(tmp_path, capsys):
@@ -730,9 +738,13 @@ def test_varfit_runs_are_byte_identical(tmp_path):
     for name in ("fit_y.csv", "fit_y.csv.json", "fit_flowbox.csv",
                  "fit_flowbox.csv.json", "loss_history.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
-    stats = [json.loads((out / "manifest.json").read_text())["summary"]["stats"]
-             for out in (out_a, out_b)]
-    assert stats[0] == stats[1]
+    manifests = [json.loads((out / "manifest.json").read_text())
+                 for out in (out_a, out_b)]
+    assert manifests[0]["summary"] == manifests[1]["summary"]
+    # the seconds stay out of the summary, one entry per level in timings
+    for manifest in manifests:
+        for key in ("levels_s", "levels_sweep_s"):
+            assert len(manifest["timings"][key]) == len(manifest["summary"]["levels"])
 
 
 def test_varfit_output_does_not_depend_on_the_blas_thread_count(tmp_path):

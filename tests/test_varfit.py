@@ -422,6 +422,10 @@ REMOVED_KNOBS = ("step_size", "momentum", "weight_a", "weight_b")
         {"weight_a": -1.0},
         {"target": -1e-3},
         {"seed": -1},
+        {"iterations": 1e3},
+        {"iterations": True},
+        {"seed": 1.5},
+        {"seed": False},
         {"step_size": float("nan")},
         {"step_size": float("inf")},
         {"momentum": float("nan")},
@@ -503,10 +507,10 @@ def test_every_descent_trial_is_scored(reg_fit_small):
     # its sweeps try; every coarse level ends with a sweep, and this fit's final
     # level runs none, so its ledger is exact
     r = reg_fit_small
-    *coarse, final = r.level_stats
+    *coarse, final = [level.stats for level in r.levels]
     assert coarse and all(s.sweeps >= 1 for s in coarse)
     assert final.sweeps == 0
-    for s in r.level_stats:
+    for s in (*coarse, final):
         vertices = s.loss_evals - (1 + s.gradients + s.backtracks)
         # two coordinates: each round scores one vertex per ordered pair
         assert s.line_moves <= vertices <= s.sweep_rounds * 2
@@ -518,23 +522,23 @@ def test_every_descent_trial_is_scored(reg_fit_small):
 
 def test_level_work_sums_to_the_fit(reg_fit_small):
     r = reg_fit_small
-    levels = len(r.level_totals)
-    assert len(r.level_iterations) == len(r.level_stats) == levels == 3
-    assert sum(r.level_iterations) == r.iterations_run
-    assert r.level_iterations[-1] == len(r.history)
+    assert [level.shape for level in r.levels] == [(9, 9), (17, 17), (32, 32)]
+    assert sum(level.iterations for level in r.levels) == r.iterations_run
+    assert r.levels[-1].iterations == len(r.history)
+    assert r.levels[-1].total == r.history[-1]
     for name in (f.name for f in dataclasses.fields(FitStats)):
-        assert sum(getattr(s, name) for s in r.level_stats) == getattr(r.stats, name)
-    assert [s.gradients for s in r.level_stats] == list(r.level_iterations)
+        per_level = [getattr(level.stats, name) for level in r.levels]
+        assert sum(per_level) == getattr(r.stats, name)
+    assert [level.stats.gradients for level in r.levels] == [
+        level.iterations for level in r.levels]
 
 
 def test_sweep_seconds_are_part_of_each_level(reg_fit_small):
     r = reg_fit_small
-    assert len(r.level_sweep_seconds) == len(r.level_seconds)
-    for sweep_s, level_s, s in zip(r.level_sweep_seconds, r.level_seconds,
-                                   r.level_stats):
-        assert 0.0 <= sweep_s <= level_s
+    for level in r.levels:
+        assert 0.0 <= level.sweep_seconds <= level.seconds
         # a level that ran no sweep spent no time in one
-        assert (sweep_s > 0.0) == (s.sweeps > 0)
+        assert (level.sweep_seconds > 0.0) == (level.stats.sweeps > 0)
 
 
 def test_fit_is_deterministic(reg_fit_small):
@@ -608,8 +612,9 @@ def test_fit_flags_nothing_on_a_regular_patch(ar_fits):
     assert r.converged
     assert not r.elevated_residual
     # 33 -> 64 nodes per axis: the mesh width shrinks by 63/32
-    assert r.gain_tol == pytest.approx(63.0 / 32.0, rel=1e-12)
-    assert r.refinement_gain >= r.gain_tol
+    assert r.levels[-1].gain_tol == pytest.approx(63.0 / 32.0, rel=1e-12)
+    assert r.levels[-1].gain >= r.levels[-1].gain_tol
+    assert not any(level.missed for level in r.levels)
     assert r.message == GAIN_MET
     assert r.iterations_run < 5000
     assert float(np.max(r.node_mean_a)) <= 1e-2
@@ -622,9 +627,11 @@ def test_fit_flags_elevated_residual_across_a_singular_line(ar_fits):
     # residual refuses to shrink under grid refinement
     r = ar_fits(BOX_SING)
     assert r.elevated_residual
-    assert r.refinement_gain < r.gain_tol
+    assert r.levels[-1].gain < r.levels[-1].gain_tol
+    assert r.levels[-1].missed
     assert r.iterations_run == 5000
     assert "elevated residual" in r.message
+    assert "at the 64x64 level" in r.message
 
 
 def test_a_small_budget_still_tells_the_patches_apart():
@@ -634,13 +641,14 @@ def test_a_small_budget_still_tells_the_patches_apart():
     reg = fit(AR, BOX_REG, (64, 64), cfg)
     sing = fit(AR, BOX_SING, (64, 64), cfg)
     assert not reg.elevated_residual and reg.message == GAIN_MET
-    assert sing.elevated_residual and sing.refinement_gain < sing.gain_tol
+    assert sing.elevated_residual and sing.levels[-1].missed
+    assert sing.levels[-1].gain < sing.levels[-1].gain_tol
 
 
 def test_the_final_level_sweeps_at_every_progress_window(ar_fits):
     # the final level has a gain target, so each window end runs a sweep
     r = ar_fits(BOX_REG)
-    assert r.level_stats[-1].sweeps >= r.level_iterations[-1] // _CHECK_EVERY
+    assert r.levels[-1].stats.sweeps >= r.levels[-1].iterations // _CHECK_EVERY
 
 
 def test_the_final_level_reaches_its_gain_within_five_windows(ar_fits):
@@ -648,26 +656,31 @@ def test_the_final_level_reaches_its_gain_within_five_windows(ar_fits):
     # it stops long before spending
     r = ar_fits(BOX_REG)
     assert r.message == GAIN_MET
-    assert r.level_iterations[-1] <= 5 * _CHECK_EVERY
+    assert r.levels[-1].iterations <= 5 * _CHECK_EVERY
 
 
 def test_the_third_level_stops_at_its_gain_within_five_windows(ar_fits):
     # 9 -> 17 -> 33 -> 64: the 33x33 level is judged against the 17x17 one,
     # which spends its budget
     r = ar_fits(BOX_REG)
-    assert r.level_messages[:2] == ("iteration budget exhausted",) * 2
-    assert r.level_iterations[:2] == (312, 625)
-    assert r.level_messages[2] == GAIN_MET
-    assert r.level_iterations[2] <= 5 * _CHECK_EVERY
-    assert r.level_messages[-1] == GAIN_MET == r.message
+    first, second, third, final = r.levels
+    assert first.message == second.message == "iteration budget exhausted"
+    assert (first.iterations, second.iterations) == (312, 625)
+    assert first.gain is first.gain_tol is None
+    assert third.message == GAIN_MET
+    assert third.iterations <= 5 * _CHECK_EVERY
+    assert final.message == GAIN_MET == r.message
 
 
 def test_the_third_level_spends_its_budget_across_a_singular_line(ar_fits):
     r = ar_fits(BOX_SING)
-    assert r.level_iterations[2] == 1250
-    assert r.level_messages[2] == "iteration budget exhausted"
+    third = r.levels[2]
+    assert third.iterations == 1250
+    assert third.message == "iteration budget exhausted"
     # 17 -> 33 nodes per axis halve the mesh width
-    assert r.level_totals[1] / r.level_totals[2] < 2.0
+    assert third.gain == r.levels[1].total / third.total
+    assert third.gain < third.gain_tol == 2.0
+    assert third.missed
 
 
 def test_a_judged_level_that_misses_its_gain_flags_the_fit(monkeypatch):
@@ -675,16 +688,18 @@ def test_a_judged_level_that_misses_its_gain_flags_the_fit(monkeypatch):
     # above its yardstick, and the final level then meets its own gain
     real = varfit._descend
 
-    def starved(objective, values, iters, record=None, target=0.0, enough=0.0):
-        if record is None and enough > 0.0:
-            return real(objective, values, 1)
-        return real(objective, values, iters, record, target, enough)
+    def starved(objective, values, iters, target=0.0, enough=0.0):
+        if objective.shape == (18, 18):
+            iters = 1
+        return real(objective, values, iters, target, enough)
 
     monkeypatch.setattr(varfit, "_descend", starved)
     r = fit(AR, BOX_REG, (34, 34), FitConfig(iterations=1000, seed=0))
-    assert r.level_iterations[2] == 1
-    assert r.level_messages[-1] == GAIN_MET
-    assert r.refinement_gain >= r.gain_tol
+    starved_level, final = r.levels[2:]
+    assert starved_level.shape == (18, 18) and starved_level.iterations == 1
+    assert starved_level.gain < starved_level.gain_tol and starved_level.missed
+    assert final.message == GAIN_MET
+    assert final.gain >= final.gain_tol and not final.missed
     assert r.elevated_residual
     assert r.message.startswith(GAIN_MET + "; elevated residual: refinement gain")
     assert "at the 18x18 level" in r.message
@@ -701,8 +716,8 @@ def _smoothing_schedule(monkeypatch, iters, enough):
     monkeypatch.setattr(varfit, "_smoothed", spy)
     objective = _Objective(AR, BOX_REG, (17, 17))
     start = varfit._affine_init(BOX_REG, (17, 17), objective.p_vals, 0)
-    *_, steps, message = varfit._descend(objective, start, iters, enough=enough)
-    assert steps == iters, message
+    *_, totals, message = varfit._descend(objective, start, iters, enough=enough)
+    assert len(totals) == iters, message
     return calls
 
 
@@ -723,12 +738,15 @@ def test_a_ladder_under_three_levels_gives_no_verdict(reg_fit_small):
     # 9 -> 12 starts the final level from a level fitted from the random
     # affine guess: the singular patch reaches the gain, and is not judged
     r = fit(AR, BOX_SING, (12, 12), FitConfig(iterations=300, seed=0))
-    assert len(r.level_totals) == 2
+    assert len(r.levels) == 2
     assert r.elevated_residual is None
-    assert r.refinement_gain is not None and r.gain_tol == pytest.approx(11.0 / 8.0)
+    assert r.levels[-1].gain is not None
+    assert r.levels[-1].gain_tol == pytest.approx(11.0 / 8.0)
+    # only a level from the third on is judged
+    assert not any(level.missed for level in r.levels)
     assert "refinement gain not judged on a 2-level ladder" in r.message
     # 9 -> 17 -> 32 gives one
-    assert len(reg_fit_small.level_totals) == 3
+    assert len(reg_fit_small.levels) == 3
     assert reg_fit_small.elevated_residual is False
 
 
